@@ -111,13 +111,14 @@ def _run_task(task):
     """Evaluate one (identity, grid point) cell; returns a list of dicts.
 
     Top-level so ProcessPoolExecutor can pickle it.  A numerical failure
-    (for example a tolerance beyond what float64 quadrature can certify)
-    becomes a failing report instead of a crash.
+    (for example a tolerance beyond what float64 quadrature can certify,
+    or an argument outside a function's supported range) becomes a
+    failing report instead of a crash.
     """
     kind, alpha, z, tol, extra = task
     try:
         return _dispatch_task(kind, alpha, z, tol, extra)
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         return [{"identity": kind, "alpha": alpha,
                  "z": [complex(z).real, complex(z).imag], "sides": {},
                  "residuals": {}, "tolerance": tol, "pass": False,

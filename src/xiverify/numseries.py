@@ -195,6 +195,30 @@ def lambda_sum(alpha):
     return float(head + tail)
 
 
+def _mobius_terms(name, alpha, z, table, n_terms):
+    """Terms mu(n)/n e^(-pi alpha^2/n^2) cos(sqrt(pi) alpha z / n), n = 1..N.
+
+    Validates alpha and the term count N (default: the whole table) on
+    behalf of the public function called name.
+    """
+    alpha = float(alpha)
+    if alpha <= 0.0:
+        raise ValueError("%s: alpha must be positive" % name)
+    N = table.limit if n_terms is None else int(n_terms)
+    if N > table.limit:
+        raise ValueError("%s: table holds %d values, %d requested"
+                         % (name, table.limit, N))
+    if N < 1:
+        raise ValueError("%s: need at least one term" % name)
+    z = complex(z)
+    n = np.arange(1.0, N + 1.0)
+    mu = table.values[1:N + 1].astype(np.float64)
+    terms = (mu / n) * np.exp(-np.pi * alpha * alpha / (n * n))
+    if z != 0.0:
+        terms = terms * np.cos(np.sqrt(np.pi) * alpha * z / n)
+    return terms
+
+
 def mobius_theta_sum(alpha, z, table, n_terms=None):
     """Partial sum to N of sum mu(n)/n e^(-pi alpha^2/n^2) cos(sqrt(pi) alpha z / n).
 
@@ -203,21 +227,7 @@ def mobius_theta_sum(alpha, z, table, n_terms=None):
     table), in ascending n.  Use mobius_partial_oscillation for an error
     proxy; no rigorous bound exists short of deep zero-free regions.
     """
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError("mobius_theta_sum: alpha must be positive")
-    N = table.limit if n_terms is None else int(n_terms)
-    if N > table.limit:
-        raise ValueError("mobius_theta_sum: table holds %d values, "
-                         "%d requested" % (table.limit, N))
-    if N < 1:
-        raise ValueError("mobius_theta_sum: need at least one term")
-    z = complex(z)
-    n = np.arange(1.0, N + 1.0)
-    mu = table.values[1:N + 1].astype(np.float64)
-    terms = (mu / n) * np.exp(-np.pi * alpha * alpha / (n * n))
-    if z != 0.0:
-        terms = terms * np.cos(np.sqrt(np.pi) * alpha * z / n)
+    terms = _mobius_terms("mobius_theta_sum", alpha, z, table, n_terms)
     return complex(terms.sum())
 
 
@@ -228,21 +238,12 @@ def mobius_partial_oscillation(alpha, z, table, n_terms=None):
     oscillate at the scale of the neglected tail, so their spread over
     n in [N/10, N] estimates how settled the value is.
     """
-    alpha = float(alpha)
-    N = table.limit if n_terms is None else int(n_terms)
-    if N > table.limit:
-        raise ValueError("mobius_partial_oscillation: table holds %d values, "
-                         "%d requested" % (table.limit, N))
-    z = complex(z)
-    n = np.arange(1.0, N + 1.0)
-    mu = table.values[1:N + 1].astype(np.float64)
-    terms = (mu / n) * np.exp(-np.pi * alpha * alpha / (n * n))
-    if z != 0.0:
-        terms = terms * np.cos(np.sqrt(np.pi) * alpha * z / n)
+    terms = _mobius_terms("mobius_partial_oscillation", alpha, z, table,
+                          n_terms)
     partials = np.cumsum(terms)
-    window = partials[max(0, N // 10 - 1):]
+    window = partials[max(0, len(terms) // 10 - 1):]
     spread = (window.real.max() - window.real.min())
-    if z != 0.0:
+    if complex(z) != 0.0:
         spread = max(spread, window.imag.max() - window.imag.min())
     return float(spread)
 

@@ -12,6 +12,8 @@ documented working ranges, which leaves headroom for the 1e-8..1e-9
 verification tolerances used by the identity checks.
 """
 
+import functools
+
 import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
@@ -440,11 +442,14 @@ class MobiusTable:
         return int(self.values[n])
 
 
+@functools.lru_cache(maxsize=4)
 def mobius_sieve(N):
     """Sieve mu(1..N).
 
     Boolean prime sieve, then one sign flip per prime stride and a zero
-    pass per squared-prime stride; total work O(N log log N).
+    pass per squared-prime stride; total work O(N log log N).  Tables are
+    memoized per process by N, so every caller shares one table; its
+    values array is read-only for that reason.
     """
     if N < 1:
         raise ValueError("mobius_sieve: N must be >= 1")
@@ -460,4 +465,5 @@ def mobius_sieve(N):
             sq = p * p
             if sq <= N:
                 mu[sq::sq] = 0
+    mu.flags.writeable = False
     return MobiusTable(N, mu)

@@ -10,6 +10,7 @@ import pytest
 from xiverify.cli import (build_parser, default_grid, load_grid_file, main,
                           parse_z, report_to_dict, render_json)
 from xiverify.identities import verify_theta
+from xiverify.specfun import mobius_sieve
 from xiverify.xikernel import KernelParams
 
 
@@ -156,6 +157,29 @@ class TestMain:
         doc = json.loads(out)
         assert doc["reports"][0]["pass"] is False
         assert "error" in doc["reports"][0]["diagnostics"]
+
+    def test_out_of_range_argument_reports_not_raises(self):
+        # Im s = 438.7 lies past the strip where zeta is supported
+        code, out = run_cli(["--identity", "lineint", "--alpha", "1",
+                             "--z", "30"])
+        assert code == 1
+        report = json.loads(out)["reports"][0]
+        assert report["pass"] is False
+        assert "strip" in report["diagnostics"]["error"]
+
+    def test_rhl_cold_and_warm_sieve_same_bytes(self, sample_zeros_path,
+                                                 tmp_path):
+        argv = ["--identity", "rhl", "--zeros", sample_zeros_path,
+                "--alpha", "2", "--z", "1"]
+        mobius_sieve.cache_clear()
+        outs = []
+        for name in ("cold.json", "warm.json"):
+            path = tmp_path / name
+            code, _ = run_cli(argv + ["--out", str(path)])
+            assert code == 0
+            outs.append(path.read_bytes())
+        assert mobius_sieve.cache_info().hits >= 1
+        assert outs[0] == outs[1]
 
 
 class TestUsageErrors:

@@ -165,6 +165,19 @@ class TestRhl:
         assert rep.diagnostics["non_increasing"]
         assert rep.diagnostics["mobius_oscillation"] > 0.0
 
+    def test_one_moebius_sum_per_side(self, zero_records, monkeypatch):
+        from xiverify import numseries as ns
+        calls = []
+        for name in ("mobius_theta_sum", "mobius_partial_oscillation"):
+            def counted(alpha, z, *args, _fn=getattr(ns, name), _name=name):
+                calls.append((_name, alpha, complex(z)))
+                return _fn(alpha, z, *args)
+            monkeypatch.setattr(ns, name, counted)
+        verify_rhl(KernelParams(2.0, 1.0), zero_records, 100000, 1e-3)
+        sums = [c[1:] for c in calls if c[0] == "mobius_theta_sum"]
+        assert sums == [(2.0, 1.0), (0.5, 1.0j)]
+        assert [c[0] for c in calls].count("mobius_partial_oscillation") == 1
+
     def test_requires_derivatives(self, sample_zeros_path):
         from xiverify.zeros import load_zeros
         raw = load_zeros(sample_zeros_path, max_count=10)

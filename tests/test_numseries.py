@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xiverify.numseries import (cosh_theta_sum, ferrar_bessel_sum, k0_sum,
+from xiverify.numseries import (_bracket_edges, cosh_theta_sum,
+                                ferrar_bessel_sum, k0_sum,
                                 k0_sum_minus_pole, lambda_sum,
                                 mobius_partial_oscillation, mobius_theta_sum,
                                 sqrt_lattice_sum, theta_sum,
@@ -163,6 +164,17 @@ class TestZeroSum:
 
     def test_empty_input(self):
         assert zero_sum_bracketed([], 1.0, 0.0) == 0.0
+
+    def test_close_ordinates_share_a_bracket(self):
+        # the shipped ordinates never trigger grouping, synthetic ones do
+        gammas = [1.0, 1.001, 5.0]
+        assert _bracket_edges(gammas) == [0, 2, 3]
+        assert _bracket_edges(gammas, a1=1e3) == [0, 1, 2, 3]
+        recs = [ZeroRecord(g, zeta_prime=d) for g, d in
+                zip(gammas, [0.8 + 0.1j, -0.5 + 0.3j, 1.2 - 0.4j])]
+        grouped = zero_sum_bracketed(recs, 2.0, 1.0 + 0.5j)
+        ungrouped = zero_sum_bracketed(recs, 2.0, 1.0 + 0.5j, a1=1e3)
+        _close(grouped, ungrouped, rel=1e-15)
 
     def test_missing_derivative_raises(self):
         recs = [ZeroRecord(14.134725141734694)]

@@ -239,6 +239,21 @@ class TestMobius:
         if math.gcd(m, n) == 1:
             assert mobius_100k.mu(m * n) == mobius_100k.mu(m) * mobius_100k.mu(n)
 
+    def test_tables_are_shared_and_read_only(self):
+        table = mobius_sieve(1000)
+        assert mobius_sieve(1000) is table
+        with pytest.raises(ValueError):
+            table.values[6] = 0
+        assert table.mu(6) == 1
+
+    @pytest.mark.parametrize("N", [30, 1000])
+    def test_cached_table_matches_fresh_sieve(self, N):
+        fresh = mobius_sieve.__wrapped__(N)
+        cached = mobius_sieve(N)
+        assert fresh is not cached
+        assert cached.limit == fresh.limit == N
+        np.testing.assert_array_equal(cached.values, fresh.values)
+
     def test_out_of_range_raises(self, mobius_100k):
         with pytest.raises(ValueError):
             mobius_100k.mu(0)

@@ -1,7 +1,9 @@
 """Zero-ordinate ingestion, refinement, and zeta derivatives."""
 
+import numpy as np
 import pytest
 
+from xiverify import zeros
 from xiverify.zeros import (ZeroRecord, load_zeros, prepare_zeros,
                             refine_zero, scan_zero_brackets, zeta_derivative)
 
@@ -64,6 +66,21 @@ class TestRefineZero:
     ])
     def test_refines_to_reference(self, seed, want):
         assert abs(refine_zero(seed) - want) < 1e-9
+
+    def test_sample_refinement_work(self, sample_zeros_path, monkeypatch):
+        # Illinois steps need about 13 Xi values per zero on the sample;
+        # the bound leaves room while catching a fall back to slow steps
+        points = []
+        xi_cap = zeros.xi_cap
+
+        def counted(t):
+            points.append(np.size(t))
+            return xi_cap(t)
+
+        monkeypatch.setattr(zeros, "xi_cap", counted)
+        for rec in load_zeros(sample_zeros_path, max_count=100):
+            assert abs(refine_zero(rec.gamma) - rec.gamma) < 1e-9
+        assert sum(points) <= 2000
 
     def test_no_zero_nearby_raises(self):
         # Xi has no zero below gamma_1; a seed at 5 finds no sign change
