@@ -379,15 +379,28 @@ def _k0_asymp_scaled(x):
     return np.sqrt(np.pi / (2.0 * x)) * acc
 
 
-def _k0_scaled_mid_large(out, mask, v):
-    """Fill out[mask] with e^x K0(x) for v = x[mask] > 2."""
+def _k0_branches(name, x):
+    """Validate x > 0 (NaN fails) and evaluate K0 by branch.
+
+    Returns (v, scalar, small, out): out holds K0(v) where small (v <= 2,
+    power-log series) and e^v K0(v) elsewhere (continued fraction below
+    300, large-argument expansion from 300), so each caller applies its
+    own exponential factor to one part.
+    """
+    v, scalar = _split(x, np.float64)
+    if np.any(~(v > 0.0)):
+        raise ValueError("%s: argument must be positive" % name)
+    out = np.empty_like(v)
+    small = v <= 2.0
     big = v >= 300.0
-    vals = np.empty_like(v)
-    if np.any(~big):
-        vals[~big] = _k0_cf2_scaled(v[~big])
+    mid = ~small & ~big
+    if np.any(small):
+        out[small] = _k0_series(v[small])
+    if np.any(mid):
+        out[mid] = _k0_cf2_scaled(v[mid])
     if np.any(big):
-        vals[big] = _k0_asymp_scaled(v[big])
-    out[mask] = vals
+        out[big] = _k0_asymp_scaled(v[big])
+    return v, scalar, small, out
 
 
 def besselk0(x):
@@ -397,30 +410,15 @@ def besselk0(x):
     2 < x < 300, large-argument expansion beyond; the branches agree at
     the seams to better than 1e-13 relative.
     """
-    v, scalar = _split(x, np.float64)
-    if np.any(v <= 0.0):
-        raise ValueError("besselk0: argument must be positive")
-    out = np.empty_like(v)
-    small = v <= 2.0
-    if np.any(small):
-        out[small] = _k0_series(v[small])
-    if np.any(~small):
-        _k0_scaled_mid_large(out, ~small, v[~small])
-        out[~small] *= np.exp(-v[~small])
+    v, scalar, small, out = _k0_branches("besselk0", x)
+    out[~small] *= np.exp(-v[~small])
     return _merge(out, scalar)
 
 
 def besselk0_scaled(x):
     """e^x K0(x); safe for large x where K0 itself underflows."""
-    v, scalar = _split(x, np.float64)
-    if np.any(v <= 0.0):
-        raise ValueError("besselk0_scaled: argument must be positive")
-    out = np.empty_like(v)
-    small = v <= 2.0
-    if np.any(small):
-        out[small] = _k0_series(v[small]) * np.exp(v[small])
-    if np.any(~small):
-        _k0_scaled_mid_large(out, ~small, v[~small])
+    v, scalar, small, out = _k0_branches("besselk0_scaled", x)
+    out[small] *= np.exp(v[small])
     return _merge(out, scalar)
 
 

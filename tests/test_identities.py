@@ -116,6 +116,35 @@ class TestFerrar:
         assert "bessel_series" not in rep.sides
         assert len(rep.residuals) == 3
 
+    def test_default_grid_work_counts(self, monkeypatch):
+        # Over the CLI's default grid at its default tol, K0 takes 63,770
+        # points, 58,120 of them in the continued fraction; with the direct
+        # Bessel sum running from t = 0.2 it took 1,791,265 and 892,757.
+        # The quadrature does the same work on either K0-sum route.
+        from xiverify import cli, specfun
+        from xiverify import numseries as ns
+        points = {"besselk0": 0, "cf2": 0}
+
+        def counted(key, fn):
+            def wrapper(x):
+                points[key] += np.size(x)
+                return fn(x)
+            return wrapper
+
+        k0 = counted("besselk0", specfun.besselk0)
+        monkeypatch.setattr(specfun, "besselk0", k0)
+        monkeypatch.setattr(ns, "besselk0", k0)
+        monkeypatch.setattr(specfun, "_k0_cf2_scaled",
+                            counted("cf2", specfun._k0_cf2_scaled))
+        evaluations = 0
+        for alpha, z in cli.default_grid():
+            rep = verify_ferrar(KernelParams(alpha, z), 1e-8)
+            evaluations += sum(d.get("evaluations", 0)
+                               for d in rep.diagnostics.values())
+        assert points["besselk0"] <= 100000
+        assert points["cf2"] <= 100000
+        assert evaluations == 43977
+
 
 class TestRamanujanBose:
     def test_two_way_and_imag(self):
@@ -240,6 +269,14 @@ class TestAuxiliaryForms:
         assert watson_lattice_residual(2.5) <= 1e-12
         with pytest.raises(ValueError):
             watson_lattice_residual(0.05)
+
+    def test_watson_lattice_spans_both_routes(self, monkeypatch):
+        # the Bessel side must come from the direct sum even where k0_sum
+        # takes the lattice route, or the check compares a route with itself
+        from xiverify import numseries as ns
+        direct = ns.k0_sum_direct
+        monkeypatch.setattr(ns, "k0_sum_direct", lambda t: direct(t) + 1e-6)
+        assert watson_lattice_residual(1.0) >= 1e-6
 
     def test_inverse_mellin_recoveries(self):
         assert inverse_mellin_gaussian_check() <= 1e-10

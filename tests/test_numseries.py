@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xiverify.numseries import (_bracket_edges, cosh_theta_sum,
-                                ferrar_bessel_sum, k0_sum,
-                                k0_sum_minus_pole, lambda_sum,
+from xiverify.numseries import (_bracket_edges, _zeta_tail,
+                                cosh_theta_sum, ferrar_bessel_sum, k0_sum,
+                                k0_sum_direct, k0_sum_minus_pole, lambda_sum,
                                 mobius_partial_oscillation, mobius_theta_sum,
                                 sqrt_lattice_sum, theta_sum,
                                 zero_sum_bracketed)
+from xiverify.specfun import besselk0_scaled
+from xiverify.xikernel import lambda_kernel
 from xiverify.zeros import ZeroRecord
 
 
@@ -60,15 +62,31 @@ class TestK0Sums:
     def test_lattice_regime(self):
         _close(k0_sum(0.05), 28.941137078581026, rel=1e-11)
 
-    def test_branch_agreement_in_overlap(self):
-        # the direct branch at t = 0.25 against the lattice representation
-        # evaluated by hand from its public pieces
-        t = 0.25
+    def test_direct_route_matches_lattice_form(self):
+        # k0_sum_direct against the lattice representation built by hand
+        # from its public pieces, across and beyond the route seam at 4
+        t = np.linspace(0.2, 10.0, 200)
         lattice = (0.5 * np.pi / t
                    + 0.5 * (0.5772156649015329 + np.log(t)
                             - np.log(4.0 * np.pi))
-                   + np.pi * sqrt_lattice_sum(t)[0])
-        _close(k0_sum(t), lattice, rel=1e-11)
+                   + np.pi * sqrt_lattice_sum(t))
+        assert np.max(np.abs(k0_sum_direct(t) - lattice)) <= 1e-14
+
+    @pytest.mark.parametrize("t,want", [
+        # mpmath nsum of besselk(0, n t) over n >= 1, less pi/(2t), 30 digits
+        (0.3, -1.57957477489255214072674044709),
+        (3.99, -0.382246142782161447819068080812),
+        (4.0, -0.381390698504235866323863190108),
+        (4.01, -0.380538666350000908975208991415),
+        (20.0, -0.0785398157656210485886275438865),
+        (59.0, -0.0266236665558457054107003637792),
+    ])
+    def test_pole_subtracted_against_mpmath_across_seam(self, t, want):
+        assert abs(k0_sum_minus_pole(t) - want) <= 1e-14
+
+    def test_direct_route_rejects_small_t(self):
+        with pytest.raises(ValueError):
+            k0_sum_direct(np.array([1.0, 0.1]))
 
     def test_pole_subtracted_small_t(self):
         _close(k0_sum_minus_pole(0.01), -3.2794901452381036, rel=1e-11)
@@ -87,6 +105,8 @@ class TestK0Sums:
             k0_sum(0.0)
         with pytest.raises(ValueError):
             k0_sum_minus_pole(np.array([1.0, -0.3]))
+        with pytest.raises(ValueError, match="k0_sum_minus_pole"):
+            k0_sum_minus_pole(float("nan"))
 
     def test_sqrt_lattice_frozen_value(self):
         _close(sqrt_lattice_sum(1.0)[0], -0.0023841005352976151, rel=1e-11)
@@ -102,6 +122,21 @@ class TestBesselDifferenceSum:
         # alpha (terms are negative and shrink with alpha)
         assert ferrar_bessel_sum(0.5) < ferrar_bessel_sum(1.0) < 0.0
 
+    def test_bit_identical_to_own_tail_table(self):
+        # the tail coefficients c_1..c_4 of e^x K0(x) sqrt(2x/pi), written
+        # out; the sum must not move by a bit against them
+        c = (-1.0 / 8.0, 9.0 / 128.0, -75.0 / 1024.0, 3675.0 / 32768.0)
+        for alpha in (0.05, 0.3, 0.5, 1.0, 1.7, 2.0, 5.0):
+            N = min(20000, max(400, int(np.ceil(20.0 / alpha))))
+            n = np.arange(1.0, N + 1.0)
+            x = 0.5 * np.pi * alpha * alpha * n * n
+            E = besselk0_scaled(x) * np.sqrt(2.0 * x / np.pi) - 1.0
+            head = (E / (n * alpha))[::-1].sum()
+            scale = 2.0 / (np.pi * alpha * alpha)
+            tail = sum(c[k] * scale ** (k + 1) * _zeta_tail(N, 2.0 * k + 3.0)
+                       for k in range(4)) / alpha
+            assert ferrar_bessel_sum(alpha) == float(head + tail)
+
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
             ferrar_bessel_sum(0.0)
@@ -111,6 +146,18 @@ class TestLambdaSum:
     def test_frozen_values(self):
         _close(lambda_sum(1.0), -0.13033070075390631, rel=1e-12)
         _close(lambda_sum(0.5), -0.47690429103387897, rel=1e-12)
+
+    def test_bit_identical_to_own_tail_table(self):
+        # B_{2j}/(2j), j = 1..4, written out; the sum must not move by a
+        # bit against them
+        b = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0)
+        for alpha in (0.05, 0.3, 0.5, 1.0, 1.7, 2.0, 5.0):
+            K = max(1000, int(np.ceil(50.0 / alpha)))
+            k = np.arange(1.0, K + 1.0)
+            head = lambda_kernel(k * alpha)[::-1].sum()
+            tail = -sum(b[j] * alpha ** (-2.0 * (j + 1))
+                        * _zeta_tail(K, 2.0 * (j + 1)) for j in range(4))
+            assert lambda_sum(alpha) == float(head + tail)
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):

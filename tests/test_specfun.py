@@ -12,9 +12,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xiverify.specfun import (EULER_GAMMA, besselk0, besselk0_scaled,
+from xiverify.specfun import (EULER_GAMMA, _k0_asymp_scaled, _k0_cf2_scaled,
+                              _k0_series, besselk0, besselk0_scaled,
                               digamma, gamma_fn, hyp1f1, hyp2f2_11, lngamma,
                               mobius_sieve, zeta, zeta_eta)
+
+# arguments on both sides of the K0 branch seams at 2 and 300, and on them
+K0_GRID = np.concatenate([
+    np.geomspace(1e-3, 1e3, 301),
+    [2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0),
+     300.0, np.nextafter(300.0, 0.0), np.nextafter(300.0, 400.0)]])
+
+
+def _k0_reference(x, scaled):
+    """besselk0 (scaled=False) or besselk0_scaled as a chain of its own
+    branches, each function applying its exponential where it evaluates."""
+    v = np.asarray(x, np.float64)
+    out = np.empty_like(v)
+    small = v <= 2.0
+    rest = v[~small]
+    big = rest >= 300.0
+    vals = np.empty_like(rest)
+    vals[~big] = _k0_cf2_scaled(rest[~big])
+    vals[big] = _k0_asymp_scaled(rest[big])
+    if scaled:
+        out[small] = _k0_series(v[small]) * np.exp(v[small])
+        out[~small] = vals
+    else:
+        out[small] = _k0_series(v[small])
+        out[~small] = vals * np.exp(-rest)
+    return out
 
 
 def _close(got, want, rel=1e-13, abs_tol=0.0):
@@ -205,11 +232,23 @@ class TestBesselK0:
             hi = besselk0_scaled(seam * (1.0 + 1e-13))
             assert abs(lo - hi) <= 1e-12 * abs(hi)
 
+    def test_bit_identical_to_branch_chains(self):
+        # the shared branch helper leaves every bit of both functions as
+        # the separate branch chains gave it, in batches and per scalar
+        for fn, scaled in ((besselk0, False), (besselk0_scaled, True)):
+            want = _k0_reference(K0_GRID, scaled)
+            assert np.array_equal(fn(K0_GRID), want)
+            assert [fn(float(x)) for x in K0_GRID] == [
+                float(_k0_reference(np.array([x]), scaled)[0])
+                for x in K0_GRID]
+
     def test_nonpositive_raises(self):
         with pytest.raises(ValueError):
             besselk0(0.0)
         with pytest.raises(ValueError):
             besselk0_scaled(-1.0)
+        with pytest.raises(ValueError):
+            besselk0(np.array([1.0, np.nan]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.05, 30.0), st.floats(0.05, 30.0))
