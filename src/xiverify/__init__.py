@@ -16,8 +16,7 @@ from .identities import (VerificationReport, aux_checks,
                          log_gaussian_integral, residual, verify_ferrar,
                          verify_hardy, verify_line_integral,
                          verify_ramanujan_bose, verify_ramanujan_digamma,
-                         verify_rhl, verify_theta, watson_lattice_residual,
-                         xi_truncation_point)
+                         verify_rhl, verify_theta, watson_lattice_residual)
 from .numseries import (cosh_theta_sum, ferrar_bessel_sum, k0_sum,
                         k0_sum_minus_pole, lambda_sum, mobius_theta_sum,
                         mobius_partial_oscillation, sqrt_lattice_sum,
@@ -28,8 +27,8 @@ from .quad import (QuadratureResult, integrate_real_line,
 from .specfun import (EULER_GAMMA, MobiusTable, besselk0, besselk0_scaled,
                       digamma, gamma_fn, hyp1f1, hyp2f2_11, lngamma,
                       mobius_sieve, zeta, zeta_eta)
-from .xikernel import (KernelParams, fit_decay_envelope, lambda_kernel,
-                       nabla_kernel, rho_kernel, xi_cap, xi_small)
+from .xikernel import (KernelParams, lambda_kernel, nabla_kernel,
+                       rho_kernel, xi_cap, xi_small)
 from .zeros import (ZeroRecord, load_zeros, prepare_zeros, refine_zero,
                     scan_zero_brackets, zeta_derivative)
 
@@ -40,7 +39,7 @@ __all__ = [
     "VerificationReport", "ZeroRecord", "aux_checks", "besselk0",
     "besselk0_scaled", "cosh_theta_sum", "cotangent_partial_fraction_check",
     "digamma", "ferrar_bessel_closed_form", "ferrar_bessel_sum",
-    "ferrar_gaussian_bessel_check", "fit_decay_envelope", "gamma_fn",
+    "ferrar_gaussian_bessel_check", "gamma_fn",
     "hyp1f1", "hyp2f2_11", "integrate_real_line", "integrate_semi_infinite",
     "integrate_vertical_line", "integrate_zero_one_logsafe",
     "inverse_mellin_gaussian_check", "inverse_mellin_kernel_check",
@@ -52,6 +51,5 @@ __all__ = [
     "theta_sum", "verify_ferrar", "verify_hardy", "verify_line_integral",
     "verify_ramanujan_bose", "verify_ramanujan_digamma", "verify_rhl",
     "verify_theta", "watson_lattice_residual", "xi_cap", "xi_small",
-    "xi_truncation_point", "zero_sum_bracketed", "zeta",
-    "zeta_derivative", "zeta_eta",
+    "zero_sum_bracketed", "zeta", "zeta_derivative", "zeta_eta",
 ]

@@ -21,8 +21,8 @@ from . import numseries as ns
 from . import quad
 from .specfun import (EULER_GAMMA, besselk0_scaled, digamma, hyp1f1,
                       hyp2f2_11, lngamma, mobius_sieve)
-from .xikernel import (KernelParams, fit_decay_envelope, nabla_kernel,
-                       rho_kernel, xi_cap, xi_small)
+from .xikernel import (KernelParams, nabla_kernel, rho_kernel, xi_cap,
+                       xi_small)
 
 _SQRT_PI = np.sqrt(np.pi)
 
@@ -87,32 +87,6 @@ def _xi_weight(t):
     return np.real(np.asarray(xi_cap(0.5 * t)))
 
 
-def xi_truncation_point(alpha, z, tol):
-    """Truncation T for Xi-kernel integrands from the fitted window bound.
-
-    Solves C T^A e^(-pi T / 4) = tol / 10 with (C, A) fitted by
-    fit_decay_envelope, floored at T = 40; the quadrature routine's
-    tail-sampling pass then has the last word, so a bound that is tight
-    only on the fitted window still cannot cause silent truncation.
-    """
-    C, A = fit_decay_envelope(alpha, z)
-    target = np.log(tol / 10.0)
-
-    def logbound(T):
-        return np.log(C) + A * np.log(T) - 0.25 * np.pi * T
-
-    lo, hi = 40.0, 1000.0
-    if logbound(lo) <= target:
-        return lo
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if logbound(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 # ---------------------------------------------------------------------------
 # theta transformation
 
@@ -136,8 +110,7 @@ def verify_theta(params, tol):
         return (_xi_weight(t) / (1.0 + t * t)
                 * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t)))
 
-    res = quad.integrate_semi_infinite(
-        f, qtol, np.pi / 8.0, initial_T=xi_truncation_point(a, z, qtol))
+    res = quad.integrate_semi_infinite(f, qtol, np.pi / 8.0)
     sides = {"alpha_series": complex(side_alpha),
              "beta_series": complex(side_beta),
              "xi_integral": res.value / np.pi}
@@ -173,7 +146,7 @@ def verify_ramanujan_digamma(alpha, tol):
         gg = np.exp(2.0 * np.real(lngamma(0.25 * (-1.0 + 1j * t))))
         return w * w * gg * np.cos(0.5 * t * np.log(a)) / (1.0 + t * t)
 
-    res = quad.integrate_semi_infinite(f, qtol, np.pi / 4.0, initial_T=40.0)
+    res = quad.integrate_semi_infinite(f, qtol, np.pi / 4.0)
     sides = {"alpha_series": complex(series_side(a)),
              "beta_series": complex(series_side(b)),
              "xi_integral": complex(-res.value / np.pi ** 1.5)}
@@ -223,8 +196,7 @@ def verify_hardy(params, tol):
                 * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t))
                 / np.cosh(0.5 * np.pi * t))
 
-    res = quad.integrate_semi_infinite(
-        f, qtol, np.pi / 2.0, initial_T=xi_truncation_point(a, z, qtol))
+    res = quad.integrate_semi_infinite(f, qtol, np.pi / 2.0)
     sides = {"alpha_integral": complex(side_alpha),
              "beta_integral": complex(side_beta),
              "xi_integral": res.value}
@@ -286,8 +258,7 @@ def verify_ferrar(params, tol):
         return (gg * _xi_weight(t) / (1.0 + t * t)
                 * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t)))
 
-    res = quad.integrate_semi_infinite(
-        f, qtol, np.pi / 8.0, initial_T=xi_truncation_point(a, z, qtol))
+    res = quad.integrate_semi_infinite(f, qtol, np.pi / 8.0)
     sides = {"alpha_integral": complex(side_alpha),
              "beta_integral": complex(side_beta),
              "xi_integral": complex(-res.value / (2.0 * _SQRT_PI))}
@@ -449,8 +420,7 @@ def verify_line_integral(params, tol):
         return (4.0 / (1.0 + t * t)) * _xi_weight(t) \
             * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t))
 
-    r_axis = quad.integrate_semi_infinite(
-        f, qtol, np.pi / 8.0, initial_T=xi_truncation_point(a, z, qtol))
+    r_axis = quad.integrate_semi_infinite(f, qtol, np.pi / 8.0)
 
     def g(s):
         return xi_small(s) * rho_kernel(a, z, s) / (s * (1.0 - s))

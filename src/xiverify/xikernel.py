@@ -131,20 +131,3 @@ def lambda_kernel(x):
         raise ValueError("lambda_kernel: x must be positive")
     return _merge(digamma(xv) + 0.5 / xv - np.log(xv), scalar)
 
-
-def fit_decay_envelope(alpha, z, window=(10.0, 60.0), samples=401):
-    """Fit C, A with |Xi(t/2) nabla(alpha, z, (1+it)/2)| <= C t^A e^(-pi t/4).
-
-    Least-squares fit of log(|f| e^(pi t/4)) against log t on the window,
-    then C is inflated so the bound majorizes every sample.  The envelope
-    certifies quadrature truncation points; it is a window bound and is
-    deliberately conservative when extrapolated.
-    """
-    t = np.linspace(window[0], window[1], samples)
-    vals = np.abs(xi_cap(0.5 * t) * nabla_kernel(alpha, z, 0.5 * (1.0 + 1j * t)))
-    g = np.log(np.maximum(vals, 1e-300)) + 0.25 * np.pi * t
-    lt = np.log(t)
-    A, logC = np.polyfit(lt, g, 1)
-    resid = g - (A * lt + logC)
-    logC += resid.max()
-    return float(np.exp(logC)), float(A)

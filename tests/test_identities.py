@@ -21,8 +21,7 @@ from xiverify.identities import (VerificationReport, aux_checks,
                                  verify_ferrar, verify_hardy,
                                  verify_line_integral, verify_ramanujan_bose,
                                  verify_ramanujan_digamma, verify_rhl,
-                                 verify_theta, watson_lattice_residual,
-                                 xi_truncation_point)
+                                 verify_theta, watson_lattice_residual)
 from xiverify.xikernel import KernelParams
 
 EULER_GAMMA = 0.5772156649015329
@@ -36,10 +35,19 @@ def test_residual_normalization():
     assert residual(1e8, 1e8 + 1.0) == pytest.approx(1.0 / (1.0 + 1e8 + 1.0))
 
 
-def test_truncation_point_floor_and_growth():
-    T = xi_truncation_point(1.0, 0.0, 1e-8)
-    assert T >= 40.0
-    assert xi_truncation_point(1.0, 0.0, 1e-12) >= T
+def test_xi_sides_hold_three_and_a_half_digits_below_tol():
+    # the benchmark's box anchors (alpha at its ends, Im z = +-2, Re z in
+    # {-1, 0, 1}), where the accuracy margin of the Xi sides is thinnest;
+    # a tail target of tol/10 left the hardy Xi side at 4.6e-12 here
+    tol = 1e-8
+    worst = 0.0
+    for alpha in (0.5, 2.0):
+        for z in (complex(re, im) for re in (-1.0, 0.0, 1.0)
+                  for im in (-2.0, 2.0)):
+            params = KernelParams(alpha, z)
+            for verify in (verify_theta, verify_hardy, verify_line_integral):
+                worst = max(worst, *verify(params, tol).residuals.values())
+    assert worst <= 10.0 ** -3.5 * tol
 
 
 class TestTheta:
@@ -143,7 +151,7 @@ class TestFerrar:
                                for d in rep.diagnostics.values())
         assert points["besselk0"] <= 100000
         assert points["cf2"] <= 100000
-        assert evaluations == 43977
+        assert evaluations == 43095
 
 
 class TestRamanujanBose:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xiverify import quad
 from xiverify.quad import (QuadratureResult, integrate_real_line,
                            integrate_semi_infinite, integrate_vertical_line,
                            integrate_zero_one_logsafe)
@@ -110,6 +111,21 @@ def test_budget_exhaustion_raises():
     with pytest.raises(RuntimeError):
         integrate_semi_infinite(lambda t: np.cos(80.0 * t * t) * np.exp(-t),
                                 1e-12, 1.0)
+
+
+def test_zero_integrand_same_truncation_on_both_routes():
+    zero = lambda t: np.zeros_like(t)
+    half = integrate_semi_infinite(zero, 1e-10, 1.0)
+    whole = integrate_real_line(zero, 1e-10, 1.0)
+    assert half.value == 0.0 and whole.value == 0.0
+    assert half.truncation_T == whole.truncation_T
+
+
+def test_tail_error_quotes_the_tail_target():
+    tol = 1e-8
+    with pytest.raises(RuntimeError) as info:
+        integrate_semi_infinite(lambda t: np.exp(-0.01 * t), tol, 1.0)
+    assert "needs <= %.3e" % (quad._TAIL_SHARE * tol) in str(info.value)
 
 
 def test_result_fields():

@@ -1,13 +1,12 @@
-"""Completed-zeta kernel layer: xi, Xi, rho, nabla, lambda, envelope fit."""
+"""Completed-zeta kernel layer: xi, Xi, rho, nabla, lambda."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xiverify.xikernel import (KernelParams, fit_decay_envelope,
-                               lambda_kernel, nabla_kernel, rho_kernel,
-                               xi_cap, xi_small)
+from xiverify.xikernel import (KernelParams, lambda_kernel, nabla_kernel,
+                               rho_kernel, xi_cap, xi_small)
 
 
 def _close(got, want, rel=1e-12, abs_tol=0.0):
@@ -133,15 +132,3 @@ class TestLambdaKernel:
         vals = lambda_kernel(xs)
         assert vals.shape == (3,)
         assert abs(vals[1] - lambda_kernel(1.0)) == 0.0
-
-
-class TestDecayEnvelope:
-    def test_majorizes_window_samples(self):
-        C, A = fit_decay_envelope(2.0, 1.0)
-        assert C > 0.0 and np.isfinite(A)
-        t = np.linspace(10.0, 60.0, 101)
-        vals = np.abs([xi_cap(0.5 * tv)
-                       * nabla_kernel(2.0, 1.0, 0.5 * (1.0 + 1j * tv))
-                       for tv in t])
-        bound = C * t ** A * np.exp(-0.25 * np.pi * t)
-        assert np.all(vals <= bound * 1.05)
