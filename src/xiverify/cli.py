@@ -19,23 +19,54 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .identities import (aux_checks, verify_ferrar, verify_hardy,
-                         verify_line_integral, verify_ramanujan_bose,
-                         verify_ramanujan_digamma, verify_rhl, verify_theta)
+from .identities import (VerificationReport, aux_checks, verify_ferrar,
+                         verify_hardy, verify_line_integral,
+                         verify_ramanujan_bose, verify_ramanujan_digamma,
+                         verify_rhl, verify_theta)
 from .xikernel import KernelParams
 from .zeros import prepare_zeros
-
-_IDENTITIES = ("theta", "hardy", "ferrar", "ramanujan", "digamma", "rhl",
-               "lineint", "aux", "all")
 
 _DEFAULT_ALPHAS = (0.5, 0.8, 1.0, 1.25, 2.0)
 _DEFAULT_ZS = (0.0 + 0.0j, 1.0 + 0.0j, 2.0j, 1.0 + 0.5j)
 
 _AUX_TOL = 1e-9
+
+
+def _each_point(grid):
+    return list(grid)
+
+
+def _each_alpha(grid):
+    return [(a, 0.0 + 0.0j) for a in dict.fromkeys(a for a, _z in grid)]
+
+
+def _once(grid):
+    return [(1.0, 0.0 + 0.0j)]
+
+
+# family -> (cells: the (alpha, z) points it runs at on a grid, run: its
+# reports at one point), in battery order.  Each run names its verifier when
+# called, so a module attribute rebound after import (a tracer's wrapper, a
+# test's stub) is the one used; tasks carry the family name so they pickle.
+_FAMILIES = {
+    "theta": (_each_point, lambda p, tol, x: [verify_theta(p, tol)]),
+    "hardy": (_each_point, lambda p, tol, x: [verify_hardy(p, tol)]),
+    "ferrar": (_each_point, lambda p, tol, x: [verify_ferrar(p, tol)]),
+    "ramanujan": (_each_point,
+                  lambda p, tol, x: [verify_ramanujan_bose(p, tol)]),
+    "digamma": (_each_alpha,
+                lambda p, tol, x: [verify_ramanujan_digamma(p.alpha, tol)]),
+    "lineint": (_each_point,
+                lambda p, tol, x: [verify_line_integral(p, tol)]),
+    "aux": (_once, lambda p, tol, x: aux_checks(_AUX_TOL)),
+    "rhl": (_each_point, lambda p, tol, x: [verify_rhl(
+        p, x["zeros"], x["mobius_limit"], x["rhl_tol"])]),
+}
 
 
 def parse_z(text):
@@ -78,9 +109,10 @@ def load_grid_file(path):
             except ValueError:
                 raise ValueError("%s:%d: non-numeric field in %r"
                                  % (path, lineno, raw.strip()))
-            if a <= 0.0:
-                raise ValueError("%s:%d: alpha must be positive"
-                                 % (path, lineno))
+            if not (0.0 < a < math.inf and math.isfinite(re_z)
+                    and math.isfinite(im_z)):
+                raise ValueError("%s:%d: alpha must be positive and finite, "
+                                 "z finite" % (path, lineno))
             points.append((a, complex(re_z, im_z)))
     if not points:
         raise ValueError("%s: grid file holds no points" % path)
@@ -111,65 +143,28 @@ def _run_task(task):
     """Evaluate one (identity, grid point) cell; returns a list of dicts.
 
     Top-level so ProcessPoolExecutor can pickle it.  A numerical failure
-    (for example a tolerance beyond what float64 quadrature can certify,
-    or an argument outside a function's supported range) becomes a
-    failing report instead of a crash.
+    (a tolerance float64 quadrature cannot certify, an argument outside a
+    function's range) becomes a failing report, not a crash.
     """
     kind, alpha, z, tol, extra = task
-    try:
-        return _dispatch_task(kind, alpha, z, tol, extra)
-    except (RuntimeError, ValueError) as exc:
-        return [{"identity": kind, "alpha": alpha,
-                 "z": [complex(z).real, complex(z).imag], "sides": {},
-                 "residuals": {}, "tolerance": tol, "pass": False,
-                 "diagnostics": {"error": str(exc)}}]
-
-
-def _dispatch_task(kind, alpha, z, tol, extra):
-    if kind == "aux":
-        return [report_to_dict(r) for r in aux_checks(extra["aux_tol"])]
-    if kind == "digamma":
-        return [report_to_dict(verify_ramanujan_digamma(alpha, tol))]
     params = KernelParams(alpha, z)
-    if kind == "theta":
-        return [report_to_dict(verify_theta(params, tol))]
-    if kind == "hardy":
-        return [report_to_dict(verify_hardy(params, tol))]
-    if kind == "ferrar":
-        return [report_to_dict(verify_ferrar(params, tol))]
-    if kind == "ramanujan":
-        return [report_to_dict(verify_ramanujan_bose(params, tol))]
-    if kind == "lineint":
-        return [report_to_dict(verify_line_integral(params, tol))]
-    if kind == "rhl":
-        report = verify_rhl(params, extra["zeros"], extra["mobius_limit"],
-                            extra["rhl_tol"])
-        return [report_to_dict(report)]
-    raise ValueError("unknown identity kind %r" % kind)
+    try:
+        reports = _FAMILIES[kind][1](params, tol, extra)
+    except (RuntimeError, ValueError) as exc:
+        reports = [VerificationReport(kind, params, {}, {}, tol, False,
+                                      {"error": str(exc)})]
+    return [report_to_dict(r) for r in reports]
 
 
-def build_tasks(identity, grid, tol, extra, have_zeros):
-    """Expand the requested identity over the grid into worker tasks."""
+def build_tasks(identity, grid, tol, extra):
+    """Expand the requested identity over the grid into worker tasks;
+    "all" is every family in table order, rhl only when extra has zeros."""
     kinds = [identity]
     if identity == "all":
-        kinds = ["theta", "hardy", "ferrar", "ramanujan", "digamma",
-                 "lineint", "aux"]
-        if have_zeros:
-            kinds.append("rhl")
-    tasks = []
-    for kind in kinds:
-        if kind == "aux":
-            tasks.append((kind, 1.0, 0.0 + 0.0j, tol, extra))
-        elif kind == "digamma":
-            seen = []
-            for a, _z in grid:
-                if a not in seen:
-                    seen.append(a)
-                    tasks.append((kind, a, 0.0 + 0.0j, tol, extra))
-        else:
-            for a, z in grid:
-                tasks.append((kind, a, z, tol, extra))
-    return tasks
+        kinds = [k for k in _FAMILIES
+                 if k != "rhl" or extra["zeros"] is not None]
+    return [(kind, a, z, tol, extra)
+            for kind in kinds for a, z in _FAMILIES[kind][0](grid)]
 
 
 def render_json(dicts):
@@ -199,7 +194,8 @@ def build_parser():
         prog="xi-verify",
         description="Numerically verify modular-type transformation "
                     "formulas and their Xi-integral representations.")
-    parser.add_argument("--identity", choices=_IDENTITIES, default="all",
+    parser.add_argument("--identity", choices=(*_FAMILIES, "all"),
+                        default="all",
                         help="which identity family to check (default: all)")
     parser.add_argument("--alpha", type=float, default=None,
                         help="single alpha instead of the built-in grid")
@@ -236,10 +232,10 @@ def main(argv=None):
 
     if args.z is not None and args.alpha is None:
         parser.error("--z requires --alpha")
-    if args.alpha is not None and args.alpha <= 0.0:
-        parser.error("--alpha must be positive")
-    if args.tol <= 0.0 or args.rhl_tol <= 0.0:
-        parser.error("tolerances must be positive")
+    if args.alpha is not None and not 0.0 < args.alpha < math.inf:
+        parser.error("--alpha must be finite and positive")
+    if not (0.0 < args.tol < math.inf and 0.0 < args.rhl_tol < math.inf):
+        parser.error("tolerances must be finite and positive")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
 
@@ -268,16 +264,15 @@ def main(argv=None):
     if args.mobius_limit < 10000:
         parser.error("--mobius-limit must be at least 10000")
 
-    extra = {"aux_tol": _AUX_TOL, "mobius_limit": args.mobius_limit,
-             "rhl_tol": args.rhl_tol, "zeros": None}
+    extra = {"mobius_limit": args.mobius_limit, "rhl_tol": args.rhl_tol,
+             "zeros": None}
     if args.zeros is not None:
         try:
             extra["zeros"] = prepare_zeros(args.zeros, max_count=100)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
 
-    tasks = build_tasks(args.identity, grid, args.tol, extra,
-                        extra["zeros"] is not None)
+    tasks = build_tasks(args.identity, grid, args.tol, extra)
 
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -15,6 +15,8 @@ realness of the integral are claimed, plus a separate z = 0 invariance in
 rescaled form.
 """
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
 from . import numseries as ns
@@ -27,6 +29,8 @@ from .xikernel import (KernelParams, nabla_kernel, rho_kernel, xi_cap,
 _SQRT_PI = np.sqrt(np.pi)
 
 
+# eq=False: reports hold dicts, so they compare and hash by identity
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
     """Outcome of one identity check.
 
@@ -35,18 +39,17 @@ class VerificationReport:
     residuals (including any imaginary-part residuals added by the
     operation) are within tolerance.  diagnostics carries per-side
     provenance: evaluation counts and truncation points for quadrature
-    sides, term/zero counts for series sides.
+    sides, term/zero counts for series sides, or, when a check could not
+    be evaluated, the reason under "error" (with no sides or residuals).
     """
 
-    def __init__(self, identity_id, params, sides, residuals, tolerance,
-                 passed, diagnostics):
-        self.identity_id = identity_id
-        self.params = params
-        self.sides = sides
-        self.residuals = residuals
-        self.tolerance = tolerance
-        self.passed = passed
-        self.diagnostics = diagnostics
+    identity_id: str
+    params: KernelParams
+    sides: dict
+    residuals: dict
+    tolerance: float
+    passed: bool
+    diagnostics: dict
 
     def __repr__(self):
         worst = max(self.residuals.values()) if self.residuals else 0.0
@@ -82,11 +85,6 @@ def _quad_diag(res):
             "truncation_T": res.truncation_T, "abs_error": res.abs_error}
 
 
-def _xi_weight(t):
-    """Xi(t/2) on a real grid, as a real array."""
-    return np.real(np.asarray(xi_cap(0.5 * t)))
-
-
 # ---------------------------------------------------------------------------
 # theta transformation
 
@@ -107,7 +105,7 @@ def verify_theta(params, tol):
                               - np.exp(-z * z / 8.0) * ns.cosh_theta_sum(b, z))
 
     def f(t):
-        return (_xi_weight(t) / (1.0 + t * t)
+        return (xi_cap(0.5 * t) / (1.0 + t * t)
                 * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t)))
 
     res = quad.integrate_semi_infinite(f, qtol, np.pi / 8.0)
@@ -142,7 +140,7 @@ def verify_ramanujan_digamma(alpha, tol):
                              / (2.0 * x) + ns.lambda_sum(x))
 
     def f(t):
-        w = _xi_weight(t)
+        w = xi_cap(0.5 * t)
         gg = np.exp(2.0 * np.real(lngamma(0.25 * (-1.0 + 1j * t))))
         return w * w * gg * np.cos(0.5 * t * np.log(a)) / (1.0 + t * t)
 
@@ -192,7 +190,7 @@ def verify_hardy(params, tol):
     side_beta = np.sqrt(b) * np.exp(-z * z / 8.0) * xb
 
     def f(t):
-        return (_xi_weight(t) / (1.0 + t * t)
+        return (xi_cap(0.5 * t) / (1.0 + t * t)
                 * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t))
                 / np.cosh(0.5 * np.pi * t))
 
@@ -255,7 +253,7 @@ def verify_ferrar(params, tol):
 
     def f(t):
         gg = np.exp(2.0 * np.real(lngamma(0.25 * (1.0 + 1j * t))))
-        return (gg * _xi_weight(t) / (1.0 + t * t)
+        return (gg * xi_cap(0.5 * t) / (1.0 + t * t)
                 * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t)))
 
     res = quad.integrate_semi_infinite(f, qtol, np.pi / 8.0)
@@ -315,7 +313,7 @@ def verify_ramanujan_bose(params, tol):
 
     def f(t):
         gg = np.exp(2.0 * np.real(lngamma(0.25 * (-1.0 + 1j * t))))
-        return gg * _xi_weight(t) * rho_kernel(a, z, 0.5 * (3.0 + 1j * t))
+        return gg * xi_cap(0.5 * t) * rho_kernel(a, z, 0.5 * (3.0 + 1j * t))
 
     res = quad.integrate_real_line(f, qtol, np.pi / 4.0)
     rhs = res.value / (8.0 * np.pi ** 1.5)
@@ -384,9 +382,7 @@ def verify_rhl(params, zeros, N_mobius, tol_trend):
     non_increase = all(
         seq[i + 1] <= seq[i] * (1.0 + 1e-12) + 1e-15
         for i in range(max(0, len(seq) - 3), len(seq) - 1))
-    final = seq[-1]
     sides = {"alpha_side": complex(side_a), "beta_side": complex(side_b)}
-    residuals = {"alpha_side|beta_side": final}
     diag = {
         "zero_counts": list(counts),
         "residual_sequence": seq,
@@ -396,9 +392,8 @@ def verify_rhl(params, zeros, N_mobius, tol_trend):
         "alpha_side": {"path": "numseries@alpha"},
         "beta_side": {"path": "numseries@beta"},
     }
-    passed = final <= tol_trend and non_increase
-    return VerificationReport("rhl", params, sides, residuals, tol_trend,
-                              passed, diag)
+    report = _report("rhl", params, sides, tol_trend, diag)
+    return replace(report, passed=report.passed and non_increase)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +412,7 @@ def verify_line_integral(params, tol):
     qtol = 0.25 * tol
 
     def f(t):
-        return (4.0 / (1.0 + t * t)) * _xi_weight(t) \
+        return (4.0 / (1.0 + t * t)) * xi_cap(0.5 * t) \
             * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t))
 
     r_axis = quad.integrate_semi_infinite(f, qtol, np.pi / 8.0)
@@ -519,7 +514,7 @@ def watson_lattice_residual(t):
     """
     t = float(t)
     direct = ns.k0_sum_direct(t)
-    lattice = float(ns.sqrt_lattice_sum(t)[0])
+    lattice = ns.sqrt_lattice_sum(t)
     return abs(2.0 * direct - np.pi * (1.0 / t + 2.0 * lattice)
                - EULER_GAMMA - np.log(0.5 * t) + np.log(2.0 * np.pi))
 

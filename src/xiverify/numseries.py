@@ -15,8 +15,8 @@ oscillation proxy instead of an error bound.
 
 import numpy as np
 
-from .specfun import (_K0_LARGE, _PSI_ASYMP, EULER_GAMMA, besselk0,
-                      besselk0_scaled, hyp1f1, lngamma)
+from .specfun import (_K0_LARGE, _PSI_ASYMP, EULER_GAMMA, _merge, _split,
+                      besselk0, besselk0_scaled, hyp1f1, lngamma)
 from .xikernel import lambda_kernel
 
 _LOG_TERM_CUTOFF = 39.2  # -log(1e-17)
@@ -84,14 +84,14 @@ def sqrt_lattice_sum(t):
     """
     N = 500
     n = np.arange(1.0, N + 1.0)
-    tt = np.atleast_1d(np.asarray(t, np.float64))
-    direct = (1.0 / np.sqrt(tt[:, None] ** 2 + (_TWO_PI * n[None, :]) ** 2)
-              - 1.0 / (_TWO_PI * n[None, :]))
-    head = direct[:, ::-1].sum(axis=1)
+    tt, scalar = _split(t, np.float64)
+    direct = (1.0 / np.sqrt(tt[..., None] ** 2 + (_TWO_PI * n) ** 2)
+              - 1.0 / (_TWO_PI * n))
+    head = direct[..., ::-1].sum(axis=-1)
     c = _TWO_PI
     tail = (-tt ** 2 / (2.0 * c ** 3) * _zeta_tail(N, 3.0)
             + 3.0 * tt ** 4 / (8.0 * c ** 5) * _zeta_tail(N, 5.0))
-    return head + tail
+    return _merge(head + tail, scalar)
 
 
 def k0_sum_direct(t):
@@ -107,15 +107,13 @@ def k0_sum_direct(t):
     watson_lattice_residual calls it directly to compare it with the
     lattice route at any t >= 0.2.
     """
-    tv = np.atleast_1d(np.asarray(t, np.float64))
+    tv, scalar = _split(t, np.float64)
     if np.any(~(tv >= 0.2)):
         raise ValueError("k0_sum_direct: t must be at least 0.2")
     N = max(2, int(np.ceil(45.0 / float(tv.min()))))
     n = np.arange(1.0, N + 1.0)
-    args = np.outer(tv, n)
-    vals = besselk0(args.ravel()).reshape(args.shape)
-    out = vals[:, ::-1].sum(axis=1)
-    return float(out[0]) if np.ndim(t) == 0 else out
+    vals = besselk0(tv[..., None] * n)
+    return _merge(vals[..., ::-1].sum(axis=-1), scalar)
 
 
 def _k0_sum_routes(name, t, minus_pole):
@@ -126,7 +124,7 @@ def _k0_sum_routes(name, t, minus_pole):
     left out analytically when minus_pole; from the seam up the direct
     Bessel sum.  Either route is one vectorized call over its share of t.
     """
-    tv = np.atleast_1d(np.asarray(t, np.float64))
+    tv, scalar = _split(t, np.float64)
     if np.any(~(tv > 0.0)):
         raise ValueError("%s: t must be positive" % name)
     out = np.empty_like(tv)
@@ -142,7 +140,7 @@ def _k0_sum_routes(name, t, minus_pole):
                         + np.pi * sqrt_lattice_sum(ts))
         if not minus_pole:
             out[lattice] += 0.5 * np.pi / ts
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return _merge(out, scalar)
 
 
 def k0_sum(t):

@@ -13,6 +13,8 @@ both, and T is then reported so callers can audit it.
 Integrands must accept a 1-d numpy array and return an array of values.
 """
 
+from dataclasses import dataclass, fields, replace
+
 import numpy as np
 
 # 15-point Kronrod abscissae (positive half, descending; last entry 0)
@@ -62,19 +64,19 @@ _T_CAP = 1000.0
 _TAIL_SHARE = 0.01
 
 
+@dataclass(frozen=True)
 class QuadratureResult:
-    """Value, absolute error estimate, evaluation count, truncation point."""
+    """Value, absolute error estimate, evaluation count, truncation point,
+    each coerced to its annotated type so reports stay JSON-ready."""
 
-    def __init__(self, value, abs_error, evaluations, truncation_T):
-        self.value = complex(value)
-        self.abs_error = float(abs_error)
-        self.evaluations = int(evaluations)
-        self.truncation_T = float(truncation_T)
+    value: complex
+    abs_error: float
+    evaluations: int
+    truncation_T: float
 
-    def __repr__(self):
-        return ("QuadratureResult(value=%r, abs_error=%.3e, evaluations=%d, "
-                "truncation_T=%.6g)" % (self.value, self.abs_error,
-                                        self.evaluations, self.truncation_T))
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, f.type(getattr(self, f.name)))
 
 
 def _panel_rule(f, lo, hi):
@@ -188,8 +190,7 @@ def integrate_vertical_line(g, c, tol, decay_hint=0.5):
     i * integral of g(c + iu) du over the real u-line.
     """
     res = integrate_real_line(lambda u: g(c + 1j * u), tol, decay_hint)
-    return QuadratureResult(1j * res.value, res.abs_error, res.evaluations,
-                            res.truncation_T)
+    return replace(res, value=1j * res.value)
 
 
 def integrate_zero_one_logsafe(g, tol):

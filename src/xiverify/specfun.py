@@ -6,13 +6,16 @@ zeta function on and off the critical line, the confluent hypergeometric
 series 1F1 and the single 2F2 parameter set the identities need, the
 modified Bessel function K0, and a Moebius sieve.
 
-All functions accept scalars or numpy arrays and return a matching shape.
-Arithmetic is IEEE double; design accuracy is ~1e-12 relative on the
-documented working ranges, which leaves headroom for the 1e-8..1e-9
-verification tolerances used by the identity checks.
+Functions here, in xikernel and in numseries that take scalars or numpy
+arrays tell them apart only through _split (coerce, note a scalar) and
+_merge (a numpy scalar back when every input was one); bodies work on
+possibly 0-d arrays.  Arithmetic is IEEE double; design accuracy is
+~1e-12 relative on the documented working ranges, which leaves headroom
+for the 1e-8..1e-9 verification tolerances used by the identity checks.
 """
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,6 +66,7 @@ def _split(x, dtype):
 
 
 def _merge(arr, scalar):
+    """The numpy scalar in a 0-d result when scalar, else the array."""
     return arr[()] if scalar else arr
 
 
@@ -90,24 +94,14 @@ def lngamma(s):
     pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
     if np.any(pole):
         raise ValueError("lngamma: pole at nonpositive integer argument")
-    if z.ndim == 0:
-        z = z[np.newaxis]
-        squeeze = True
-    else:
-        squeeze = False
     lift = np.maximum(0, np.ceil(0.5 - z.real)).astype(np.int64)
     shift = np.zeros_like(z)
     zz = z.copy()
-    active = lift > 0
-    while np.any(active):
+    for step in range(int(np.max(lift, initial=0))):
+        active = lift > step
         shift[active] += np.log(zz[active])
         zz[active] += 1.0
-        lift[active] -= 1
-        active = lift > 0
-    out = _lanczos_lngamma(zz) - shift
-    if squeeze:
-        out = out[0]
-    return _merge(np.asarray(out), scalar)
+    return _merge(_lanczos_lngamma(zz) - shift, scalar)
 
 
 def gamma_fn(s):
@@ -273,13 +267,12 @@ def hyp1f1(a, c, z):
 
     a, c, z broadcast; c must avoid nonpositive integers.
     """
-    cc = np.asarray(c, np.complex128)
+    cc, scalar_c = _split(c, np.complex128)
     badc = (cc.imag == 0.0) & (cc.real <= 0.0) & (cc.real == np.floor(cc.real))
     if np.any(badc):
         raise ValueError("hyp1f1: parameter c at a nonpositive integer")
+    aa, scalar_a = _split(a, np.complex128)
     zz, scalar_z = _split(z, np.complex128)
-    aa = np.asarray(a, np.complex128)
-    scalar = scalar_z and aa.ndim == 0 and cc.ndim == 0
     neg = zz.real < 0.0
     if not np.any(neg):
         out = _hyp_series(aa, cc, zz)
@@ -289,7 +282,7 @@ def hyp1f1(a, c, z):
         direct = _hyp_series(aa, cc, np.where(neg, 0.0, zz))
         flipped = np.exp(zz) * _hyp_series(cc - aa, cc, np.where(neg, -zz, 0.0))
         out = np.where(neg, flipped, direct)
-    return _merge(np.asarray(out), scalar)
+    return _merge(out, scalar_a and scalar_c and scalar_z)
 
 
 def hyp2f2_11(z):
@@ -422,6 +415,8 @@ def besselk0_scaled(x):
     return _merge(out, scalar)
 
 
+# eq=False: a table holds an array, so it compares and hashes by identity
+@dataclass(frozen=True, eq=False)
 class MobiusTable:
     """Moebius function values mu(1..limit).
 
@@ -429,9 +424,8 @@ class MobiusTable:
     is mu(n) for 1 <= n <= limit.
     """
 
-    def __init__(self, limit, values):
-        self.limit = limit
-        self.values = values
+    limit: int
+    values: np.ndarray
 
     def mu(self, n):
         if not 1 <= n <= self.limit:

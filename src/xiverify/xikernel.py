@@ -12,30 +12,37 @@ two rho terms are x^(-it/2) and x^(it/2).  Kummer's transformation of
 line, which is the engine behind every verified identity here.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .specfun import (EULER_GAMMA, _STIELTJES_1, _STIELTJES_2, _merge,
-                      _split, digamma, gamma_fn, hyp1f1, lngamma, zeta)
+                      _split, digamma, hyp1f1, lngamma, zeta)
 
 _QUARTER_LOG_PI = 0.28618247146235004  # log(pi) / 4
 
 
+@dataclass(frozen=True)
 class KernelParams:
-    """Parameter pair (alpha, z) with beta always derived as 1/alpha."""
+    """Parameter pair (alpha, z) with beta always derived as 1/alpha;
+    alpha must be a positive finite float and z a finite complex."""
 
-    def __init__(self, alpha, z=0.0):
-        alpha = float(alpha)
-        if alpha <= 0.0:
-            raise ValueError("KernelParams: alpha must be positive")
-        self.alpha = alpha
-        self.z = complex(z)
+    alpha: float
+    z: complex = 0.0
+
+    def __post_init__(self):
+        alpha, z = float(self.alpha), complex(self.z)
+        if not 0.0 < alpha < np.inf:
+            raise ValueError("KernelParams: need 0 < alpha < inf, got %r"
+                             % alpha)
+        if not np.isfinite(z):
+            raise ValueError("KernelParams: z must be finite, got %r" % z)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "z", z)
 
     @property
     def beta(self):
         return 1.0 / self.alpha
-
-    def __repr__(self):
-        return "KernelParams(alpha=%r, z=%r)" % (self.alpha, self.z)
 
 
 def xi_small(s):
@@ -48,11 +55,6 @@ def xi_small(s):
     so the Gamma factor never meets its poles.
     """
     w, scalar = _split(s, np.complex128)
-    if w.ndim == 0:
-        w = w[np.newaxis]
-        squeeze = True
-    else:
-        squeeze = False
     w = np.where(w.real < 0.5, 1.0 - w, w)
     out = np.empty_like(w)
     near1 = np.abs(w - 1.0) < 1e-6
@@ -69,16 +71,14 @@ def xi_small(s):
         out[near1] = (0.5 * v
                       * np.exp(-0.5 * v * np.log(np.pi) + lngamma(0.5 * v))
                       * pole_product)
-    if squeeze:
-        out = out[0]
-    return _merge(np.asarray(out), scalar)
+    return _merge(out, scalar)
 
 
 def xi_cap(t):
     """Xi(t) = xi(1/2 + it).
 
-    For real t the value is computed in explicitly real form so the
-    imaginary part vanishes identically: with theta(t) the phase of
+    For real t the value is computed in explicitly real form and returned
+    as a real float or float array: with theta(t) the phase of
     pi^(-it/2) Gamma(1/4 + it/2),
 
         Xi(t) = -(1/2) (t^2 + 1/4) pi^(-1/4) |Gamma(1/4 + it/2)|
@@ -89,39 +89,33 @@ def xi_cap(t):
     """
     w, scalar = _split(t, np.complex128)
     if np.any(w.imag != 0.0):
-        return _merge(np.asarray(xi_small(0.5 + 1j * w)), scalar)
+        return xi_small(0.5 + 1j * w)
     tv = w.real
     lg = lngamma(0.25 + 0.5j * tv)
     theta = lg.imag - 0.5 * tv * np.log(np.pi)
     zval = zeta(0.5 + 1j * tv)
     hardy_z = (np.exp(1j * theta) * zval).real
     mag = np.exp(lg.real - _QUARTER_LOG_PI)
-    out = (-0.5 * (tv * tv + 0.25) * mag * hardy_z).astype(np.complex128)
-    return _merge(out, scalar)
+    return _merge(-0.5 * (tv * tv + 0.25) * mag * hardy_z, scalar)
 
 
 def rho_kernel(x, z, s):
     """rho(x, z, s) = x^(1/2 - s) e^(-z^2/8) 1F1((1-s)/2; 1/2; z^2/4), x > 0."""
-    xv = np.asarray(x, np.float64)
+    xv, scalar_x = _split(x, np.float64)
     if np.any(xv <= 0.0):
         raise ValueError("rho_kernel: x must be positive")
-    sv = np.asarray(s, np.complex128)
+    sv, scalar_s = _split(s, np.complex128)
     zc = complex(z)
     w = 0.25 * zc * zc
     power = np.exp((0.5 - sv) * np.log(xv))
     out = power * np.exp(-0.5 * w) * hyp1f1(0.5 * (1.0 - sv), 0.5, w)
-    if np.ndim(x) == 0 and np.ndim(s) == 0:
-        return complex(out)
-    return out
+    return _merge(out, scalar_x and scalar_s)
 
 
 def nabla_kernel(x, z, s):
     """nabla(x, z, s) = rho(x, z, s) + rho(x, z, 1-s); symmetric in s <-> 1-s."""
     sv = np.asarray(s, np.complex128)
-    out = rho_kernel(x, z, sv) + rho_kernel(x, z, 1.0 - sv)
-    if np.ndim(x) == 0 and np.ndim(s) == 0:
-        return complex(out)
-    return out
+    return rho_kernel(x, z, sv) + rho_kernel(x, z, 1.0 - sv)
 
 
 def lambda_kernel(x):

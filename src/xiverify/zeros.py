@@ -10,26 +10,28 @@ with scan_zero_brackets, so nothing external is required to exercise the
 pipeline.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .specfun import zeta
 from .xikernel import xi_cap
 
 
+@dataclass(frozen=True)
 class ZeroRecord:
     """Ordinate of a nontrivial zero, refinement flag, zeta'(rho)."""
 
-    def __init__(self, gamma, refined=False, zeta_prime=None):
-        gamma = float(gamma)
+    gamma: float
+    refined: bool = False
+    zeta_prime: complex | None = None
+
+    def __post_init__(self):
+        gamma = float(self.gamma)
         if gamma <= 0.0:
             raise ValueError("ZeroRecord: ordinate must be positive")
-        self.gamma = gamma
-        self.refined = bool(refined)
-        self.zeta_prime = zeta_prime
-
-    def __repr__(self):
-        return ("ZeroRecord(gamma=%.9f, refined=%r, zeta_prime=%r)"
-                % (self.gamma, self.refined, self.zeta_prime))
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "refined", bool(self.refined))
 
 
 def load_zeros(path, max_count):
@@ -65,10 +67,6 @@ def load_zeros(path, max_count):
     return records
 
 
-def _xi_real(t):
-    return float(np.real(np.asarray(xi_cap(float(t)))))
-
-
 def refine_zero(gamma0):
     """Refine an approximate ordinate against Xi on [gamma0 - 0.5, gamma0 + 0.5].
 
@@ -82,14 +80,14 @@ def refine_zero(gamma0):
     in the window.
     """
     lo, hi = gamma0 - 0.5, gamma0 + 0.5
-    flo, fhi = _xi_real(lo), _xi_real(hi)
+    flo, fhi = float(xi_cap(lo)), float(xi_cap(hi))
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if flo * fhi > 0.0:
         grid = np.arange(lo, hi + 1e-12, 0.02)
-        vals = np.real(np.asarray(xi_cap(grid)))
+        vals = xi_cap(grid)
         sign_flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         if len(sign_flip) == 0:
             raise ValueError("refine_zero: Xi does not change sign on "
@@ -105,7 +103,7 @@ def refine_zero(gamma0):
         x = hi - fhi * (hi - lo) / (fhi - flo)
         margin = 1e-3 * (hi - lo)
         x = min(max(x, lo + margin), hi - margin)
-        fx = _xi_real(x)
+        fx = float(xi_cap(x))
         if fx == 0.0:
             return x
         if flo * fx < 0.0:
@@ -153,6 +151,6 @@ def scan_zero_brackets(t_min, t_max, step=0.05):
     (lo, hi) pair brackets exactly one ordinate.
     """
     grid = np.arange(t_min, t_max + step, step)
-    vals = np.real(np.asarray(xi_cap(grid)))
+    vals = xi_cap(grid)
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     return [(float(grid[i]), float(grid[i + 1])) for i in flips]

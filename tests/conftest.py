@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 import xiverify
+from xiverify.specfun import mobius_sieve
 
 SAMPLE_ZEROS = pathlib.Path(xiverify.__file__).parent / "data" / "zeros_sample.txt"
 
@@ -24,4 +25,4 @@ def zero_records(sample_zeros_path):
 
 @pytest.fixture(scope="session")
 def mobius_100k():
-    return xiverify.mobius_sieve(100000)
+    return mobius_sieve(100000)

@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from xiverify import cli, identities
 from xiverify.cli import (build_parser, default_grid, load_grid_file, main,
                           parse_z, report_to_dict, render_json)
 from xiverify.identities import verify_theta
@@ -45,9 +46,10 @@ class TestGridFile:
 
     def test_error_carries_line_number(self, tmp_path):
         p = tmp_path / "bad.txt"
-        p.write_text("1.0 0.0 0.0\n1.0 oops 0.0\n")
-        with pytest.raises(ValueError, match="bad.txt:2"):
-            load_grid_file(str(p))
+        for bad in ("1.0 oops 0.0", "nan 0 0", "1 nan 0", "1 0 -inf"):
+            p.write_text("1.0 0.0 0.0\n%s\n" % bad)
+            with pytest.raises(ValueError, match="bad.txt:2"):
+                load_grid_file(str(p))
 
     def test_rejects_nonpositive_alpha(self, tmp_path):
         p = tmp_path / "neg.txt"
@@ -192,6 +194,12 @@ class TestUsageErrors:
         ["--identity", "theta", "--jobs", "0"],
         ["--identity", "theta", "--grid", "file:/nonexistent/path.txt"],
         ["--identity", "nope"],
+        ["--identity", "theta", "--alpha", "nan"],
+        ["--identity", "theta", "--alpha", "inf"],
+        ["--identity", "theta", "--tol", "nan"],
+        ["--identity", "theta", "--tol", "inf"],
+        ["--identity", "theta", "--rhl-tol", "nan"],
+        ["--identity", "theta", "--rhl-tol", "inf"],
     ])
     def test_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -219,3 +227,60 @@ def test_render_json_trailing_newline():
     text = render_json([report_to_dict(rep)])
     assert text.endswith("\n")
     assert json.loads(text)["all_pass"] is True
+
+
+BATTERY_ORDER = ["theta", "hardy", "ferrar", "ramanujan", "digamma",
+                 "lineint", "aux", "rhl"]
+
+
+class TestFamilyTable:
+    def test_every_identity_choice_has_one_entry(self):
+        action = next(a for a in build_parser()._actions
+                      if a.dest == "identity")
+        choices = list(action.choices)
+        assert len(set(choices)) == len(choices)
+        assert [c for c in choices if c != "all"] == list(cli._FAMILIES)
+
+    @pytest.mark.parametrize("with_zeros", [False, True])
+    def test_all_runs_in_battery_order(self, with_zeros, sample_zeros_path,
+                                       zero_records, monkeypatch):
+        argv = ["--identity", "all", "--alpha", "2", "--z", "1"]
+        if with_zeros:
+            monkeypatch.setattr(cli, "prepare_zeros",
+                                lambda path, max_count: zero_records)
+            argv += ["--zeros", sample_zeros_path]
+        code, out = run_cli(argv)
+        assert code == 0
+        families = []
+        for report in json.loads(out)["reports"]:
+            family = report["identity"].split(":")[0]
+            if family not in families:
+                families.append(family)
+        assert families == BATTERY_ORDER[:len(BATTERY_ORDER) - 1
+                                         + with_zeros]
+
+    def test_verifier_is_looked_up_when_called(self, monkeypatch):
+        # a tracer rebinds the verifier in every module that imported it;
+        # the table must call the rebound function, not the original
+        calls = []
+
+        def recorded(params, tol):
+            calls.append((params, tol))
+            return verify_theta(params, tol)
+
+        monkeypatch.setattr(identities, "verify_theta", recorded)
+        monkeypatch.setattr(cli, "verify_theta", recorded)
+        code, _ = run_cli(["--identity", "theta", "--alpha", "2", "--z", "1",
+                           "--tol", "1e-8"])
+        assert code == 0
+        assert [(p.alpha, p.z, tol) for p, tol in calls] == [
+            (2.0, 1.0 + 0.0j, 1e-8)]
+
+    def test_error_and_passing_cells_have_the_same_keys(self):
+        argv = ["--identity", "theta", "--alpha", "2", "--z", "0"]
+        _, good = run_cli(argv + ["--tol", "1e-8"])
+        _, bad = run_cli(argv + ["--tol", "1e-16"])
+        good, bad = (json.loads(t)["reports"][0] for t in (good, bad))
+        assert good["pass"] and not bad["pass"]
+        assert "error" in bad["diagnostics"]
+        assert set(good) == set(bad)

@@ -22,10 +22,14 @@ class TestKernelParams:
         assert p.z == 1.0 + 0.5j
 
     def test_alpha_must_be_positive(self):
-        with pytest.raises(ValueError):
-            KernelParams(0.0, 0.0)
-        with pytest.raises(ValueError):
-            KernelParams(-1.0, 0.0)
+        for alpha in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                KernelParams(alpha, 0.0)
+
+    def test_z_must_be_finite(self):
+        for z in (complex("nan"), complex(0.0, float("inf"))):
+            with pytest.raises(ValueError, match="z must be finite"):
+                KernelParams(1.0, z)
 
 
 class TestXiSmall:
