@@ -85,8 +85,10 @@ def _panel_rule(f, lo, hi):
     half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * _NODES[None, :]
     y = np.asarray(f(pts.ravel()), dtype=np.complex128).reshape(pts.shape)
-    k15 = half * (y @ _KRONROD_W)
-    g7 = half * (y @ _GAUSS_W)
+    # row sums, not `@`: BLAS would leave a helper thread spinning on the
+    # other core between calls (see specfun._eta_powers)
+    k15 = half * (y * _KRONROD_W).sum(axis=1)
+    g7 = half * (y * _GAUSS_W).sum(axis=1)
     return k15, np.abs(k15 - g7)
 
 

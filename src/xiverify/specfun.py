@@ -2,9 +2,9 @@
 
 Everything downstream (kernels, series, quadrature integrands) is built on
 the functions in this module: complex log-gamma, real digamma, the Riemann
-zeta function on and off the critical line, the confluent hypergeometric
-series 1F1 and the single 2F2 parameter set the identities need, the
-modified Bessel function K0, and a Moebius sieve.
+zeta function on and off the critical line and its derivative, the
+confluent hypergeometric series 1F1 and the single 2F2 parameter set the
+identities need, the modified Bessel function K0, and a Moebius sieve.
 
 Functions here, in xikernel and in numseries that take scalars or numpy
 arrays tell them apart only through _split (coerce, note a scalar) and
@@ -177,6 +177,20 @@ def _eta_coefficients(n):
     return e, d[n]
 
 
+def _eta_powers(z, n):
+    """(k+1)^(-s) for k = 0..n-1, one row per entry of z, and log(k+1).
+
+    Callers weight the rows in place and sum them along axis 1 rather than
+    take a matrix-vector product: `@` goes to BLAS, whose helper thread
+    spins on the other core between calls and slows every --jobs worker
+    beside it.
+    """
+    logk = np.log(np.arange(1.0, n + 1.0))
+    powers = np.outer(-z.reshape(-1), logk)
+    np.exp(powers, out=powers)
+    return powers, logk
+
+
 def zeta_eta(s, n=None):
     """Zeta via the accelerated alternating (eta) series.
 
@@ -190,13 +204,32 @@ def zeta_eta(s, n=None):
         tmax = float(np.max(np.abs(z.imag))) if z.size else 0.0
         n = _eta_terms_needed(tmax)
     e, dn = _eta_coefficients(n)
-    logk = np.log(np.arange(1.0, n + 1.0))
-    # sum over k of e_k * exp(-s log(k+1)), vectorized over the s grid
-    flat = z.reshape(-1)
-    powers = np.exp(np.outer(-flat, logk))
-    total = powers @ e
-    total = total.reshape(z.shape)
+    powers, _ = _eta_powers(z, n)
+    powers *= e
+    total = powers.sum(axis=1).reshape(z.shape)
     out = -total / (dn * (1.0 - np.exp((1.0 - z) * np.log(2.0))))
+    return _merge(out, scalar)
+
+
+def zeta_eta_prime(s):
+    """zeta'(s) for Re s >= 1/2 by the term-wise derivative of zeta_eta.
+
+    With S(s) = sum_k e_k (k+1)^(-s) and D(s) = 1 - 2^(1-s), zeta_eta is
+    -S / (d_n D), so zeta' = (S D' / D - S') / (d_n D) where
+    S'(s) = -sum_k e_k log(k+1) (k+1)^(-s) and D'(s) = 2^(1-s) log 2.
+    Same coefficients and term count as zeta_eta; one series evaluation.
+    """
+    z, scalar = _split(s, np.complex128)
+    tmax = float(np.max(np.abs(z.imag))) if z.size else 0.0
+    e, dn = _eta_coefficients(_eta_terms_needed(tmax))
+    powers, logk = _eta_powers(z, len(e))
+    powers *= e
+    total = powers.sum(axis=1).reshape(z.shape)
+    powers *= logk
+    dtotal = -powers.sum(axis=1).reshape(z.shape)
+    two = np.exp((1.0 - z) * np.log(2.0))
+    d = 1.0 - two
+    out = (total * two * np.log(2.0) / d - dtotal) / (dn * d)
     return _merge(out, scalar)
 
 

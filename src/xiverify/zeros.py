@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import zeta
+from .specfun import zeta_eta_prime
 from .xikernel import xi_cap
 
 
@@ -28,8 +28,9 @@ class ZeroRecord:
 
     def __post_init__(self):
         gamma = float(self.gamma)
-        if gamma <= 0.0:
-            raise ValueError("ZeroRecord: ordinate must be positive")
+        if not (np.isfinite(gamma) and gamma > 0.0):
+            raise ValueError(
+                "ZeroRecord: ordinate must be finite and positive")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "refined", bool(self.refined))
 
@@ -120,17 +121,8 @@ def refine_zero(gamma0):
 
 
 def zeta_derivative(gamma):
-    """zeta'(1/2 + i gamma) by Richardson-extrapolated central differences.
-
-    Holomorphy makes the direction of differentiation irrelevant, so the
-    step is taken along the real axis: D(h) = (zeta(s+h) - zeta(s-h))/(2h)
-    with h = 1e-6, combined as (4 D(h/2) - D(h)) / 3.
-    """
-    s = 0.5 + 1j * float(gamma)
-    h = 1e-6
-    d1 = (zeta(s + h) - zeta(s - h)) / (2.0 * h)
-    d2 = (zeta(s + 0.5 * h) - zeta(s - 0.5 * h)) / h
-    return complex((4.0 * d2 - d1) / 3.0)
+    """zeta'(1/2 + i gamma), differentiating the eta series term by term."""
+    return complex(zeta_eta_prime(0.5 + 1j * float(gamma)))
 
 
 def prepare_zeros(path, max_count):

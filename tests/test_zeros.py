@@ -23,6 +23,13 @@ def test_record_validation():
         ZeroRecord(-3.0)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_record_rejects_nonfinite(gamma):
+    with pytest.raises(ValueError, match="positive"):
+        ZeroRecord(gamma)
+
+
 class TestLoadZeros:
     def test_sample_file(self, sample_zeros_path):
         recs = load_zeros(sample_zeros_path, max_count=100)
@@ -92,7 +99,16 @@ def test_zeta_derivative_at_first_zero():
     # reference: 25-digit mpmath derivative at the first zero
     want = 0.78329651186703093 + 0.12469982974817109j
     got = zeta_derivative(GAMMA_1)
-    assert abs(got - want) <= 1e-6 * abs(want)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_zeta_derivative_at_largest_sample_zero():
+    # 30-digit mpmath zeta'(1/2 + i gamma) at the refined last sample
+    # zero, where the eta series takes the most terms of any sample zero
+    gamma = 236.5242296658162
+    want = 2.2455848965356822 - 3.3041746292630608j
+    got = zeta_derivative(gamma)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_scan_brackets_below_fifty():
