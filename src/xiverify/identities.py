@@ -6,13 +6,22 @@ pairwise residuals |a - b| / (1 + max(|a|, |b|)), and returns a
 VerificationReport.  A report passes when every residual is within the
 requested tolerance.
 
-The family shares one shape: an expression F(z, alpha) built from a
-weighted series or integral equals F(iz, beta) with beta = 1/alpha, and
-both equal an integral of Xi(t/2) against the nabla kernel.  The solitary
-exception is the Bose-type formula, whose kernel rho(alpha, z, (3+it)/2)
-breaks the alpha <-> beta swap; there only the two-sided equality and the
-realness of the integral are claimed, plus a separate z = 0 invariance in
-rescaled form.
+The family shares one shape.  Twin sides sqrt(x) e^(w^2/8) X(x, w),
+X a weighted series or integral, agree at (x, w) = (alpha, z) and at
+(beta, iz) with beta = 1/alpha, and both equal one member of the main
+theorem's integral class
+
+    int_0^inf Xi(t/2)/(1+t^2) nabla(alpha, z, (1+it)/2) w(t) dt,
+
+written once here as _xi_nabla_integral; each family supplies its weight
+w and decay rate (theta 1, hardy 1/cosh(pi t/2), ferrar
+|Gamma((1+it)/4)|^2, the line integral's real-axis side 4).  Every
+verifier hands _report one (value, diagnostics) record per side.
+
+The solitary exception is the Bose-type formula, whose kernel
+rho(alpha, z, (3+it)/2) breaks the alpha <-> beta swap; there only the
+two-sided equality and the realness of the integral are claimed, plus a
+separate z = 0 invariance in rescaled form.
 """
 
 from dataclasses import dataclass, replace
@@ -64,25 +73,46 @@ def residual(a, b):
     return abs(a - b) / (1.0 + max(abs(a), abs(b)))
 
 
-def _report(identity_id, params, sides, tol, diagnostics, pairs=None,
+def _report(identity_id, params, sides, tol, pairs=None,
             extra_residuals=None):
-    names = list(sides)
+    """Build a report from sides, name -> (value, diagnostics); a side
+    whose diagnostics are None gets no diagnostics entry.  Every pair of
+    sides is compared unless pairs names the ones to compare."""
+    values = {name: complex(v) for name, (v, _) in sides.items()}
+    diagnostics = {name: d for name, (_, d) in sides.items()
+                   if d is not None}
+    names = list(values)
     if pairs is None:
         pairs = [(names[i], names[j]) for i in range(len(names))
                  for j in range(i + 1, len(names))]
     residuals = {}
     for a, b in pairs:
-        residuals["%s|%s" % (a, b)] = residual(sides[a], sides[b])
+        residuals["%s|%s" % (a, b)] = residual(values[a], values[b])
     if extra_residuals:
         residuals.update(extra_residuals)
     passed = all(r <= tol for r in residuals.values())
-    return VerificationReport(identity_id, params, sides, residuals, tol,
+    return VerificationReport(identity_id, params, values, residuals, tol,
                               passed, diagnostics)
 
 
 def _quad_diag(res):
     return {"path": "quad", "evaluations": res.evaluations,
             "truncation_T": res.truncation_T, "abs_error": res.abs_error}
+
+
+def _xi_nabla_integral(params, tol, rate, weight=None):
+    """int_0^inf Xi(t/2)/(1+t^2) nabla(alpha, z, (1+it)/2) w(t) dt.
+
+    weight is w (1 when None); rate is the decay hint for the quadrature.
+    """
+    a, z = params.alpha, params.z
+
+    def f(t):
+        v = (xi_cap(0.5 * t) / (1.0 + t * t)
+             * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t)))
+        return v if weight is None else v * weight(t)
+
+    return quad.integrate_semi_infinite(f, tol, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +133,11 @@ def verify_theta(params, tol):
                                - np.exp(z * z / 8.0) * ns.theta_sum(a, z))
     side_beta = np.sqrt(b) * (np.exp(z * z / 8.0) / (2.0 * b)
                               - np.exp(-z * z / 8.0) * ns.cosh_theta_sum(b, z))
-
-    def f(t):
-        return (xi_cap(0.5 * t) / (1.0 + t * t)
-                * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t)))
-
-    res = quad.integrate_semi_infinite(f, qtol, np.pi / 8.0)
-    sides = {"alpha_series": complex(side_alpha),
-             "beta_series": complex(side_beta),
-             "xi_integral": res.value / np.pi}
-    diag = {"alpha_series": {"path": "numseries.theta_sum"},
-            "beta_series": {"path": "numseries.cosh_theta_sum"},
-            "xi_integral": _quad_diag(res)}
-    return _report("theta", params, sides, tol, diag)
+    res = _xi_nabla_integral(params, qtol, np.pi / 8.0)
+    return _report("theta", params, {
+        "alpha_series": (side_alpha, {"path": "numseries.theta_sum"}),
+        "beta_series": (side_beta, {"path": "numseries.cosh_theta_sum"}),
+        "xi_integral": (res.value / np.pi, _quad_diag(res))}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +167,10 @@ def verify_ramanujan_digamma(alpha, tol):
         return w * w * gg * np.cos(0.5 * t * np.log(a)) / (1.0 + t * t)
 
     res = quad.integrate_semi_infinite(f, qtol, np.pi / 4.0)
-    sides = {"alpha_series": complex(series_side(a)),
-             "beta_series": complex(series_side(b)),
-             "xi_integral": complex(-res.value / np.pi ** 1.5)}
-    diag = {"alpha_series": {"path": "numseries.lambda_sum"},
-            "beta_series": {"path": "numseries.lambda_sum"},
-            "xi_integral": _quad_diag(res)}
-    return _report("digamma", params, sides, tol, diag)
+    return _report("digamma", params, {
+        "alpha_series": (series_side(a), {"path": "numseries.lambda_sum"}),
+        "beta_series": (series_side(b), {"path": "numseries.lambda_sum"}),
+        "xi_integral": (-res.value / np.pi ** 1.5, _quad_diag(res))}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +178,13 @@ def verify_ramanujan_digamma(alpha, tol):
 
 
 def _psi_gaussian_integral(a, w, tol):
-    """int_0^inf (psi(x+1) - log x) e^(-pi a^2 x^2) cos(sqrt(pi) a x w) dx.
-
-    Split at x = 1: the log singularity at 0 is tamed by the x = e^(-u)
-    substitution, the rest by standard panels under the Gaussian.
-    """
+    """int_0^inf (psi(x+1) - log x) e^(-pi a^2 x^2) cos(sqrt(pi) a x w) dx,
+    log-singular at x = 0."""
     def g(x):
         return (digamma(x + 1.0) - np.log(x)) \
             * np.exp(-np.pi * a * a * x * x) * np.cos(_SQRT_PI * a * x * w)
 
-    r1 = quad.integrate_zero_one_logsafe(g, 0.5 * tol)
-    r2 = quad.integrate_semi_infinite(lambda u: g(u + 1.0), 0.5 * tol,
-                                      max(0.5, np.pi * a * a))
-    return r1.value + r2.value, r1, r2
+    return quad.integrate_log_singular(g, tol, max(0.5, np.pi * a * a))
 
 
 def verify_hardy(params, tol):
@@ -184,26 +197,16 @@ def verify_hardy(params, tol):
     a, z = params.alpha, params.z
     b = params.beta
     qtol = 0.25 * tol
-    xa, ra1, ra2 = _psi_gaussian_integral(a, z, qtol)
-    side_alpha = np.sqrt(a) * np.exp(z * z / 8.0) * xa
-    xb, rb1, rb2 = _psi_gaussian_integral(b, 1j * z, qtol)
-    side_beta = np.sqrt(b) * np.exp(-z * z / 8.0) * xb
-
-    def f(t):
-        return (xi_cap(0.5 * t) / (1.0 + t * t)
-                * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t))
-                / np.cosh(0.5 * np.pi * t))
-
-    res = quad.integrate_semi_infinite(f, qtol, np.pi / 2.0)
-    sides = {"alpha_integral": complex(side_alpha),
-             "beta_integral": complex(side_beta),
-             "xi_integral": res.value}
-    diag = {"alpha_integral": {"path": "quad+specfun.digamma",
-                               "evaluations": ra1.evaluations + ra2.evaluations},
-            "beta_integral": {"path": "quad+specfun.digamma",
-                              "evaluations": rb1.evaluations + rb2.evaluations},
-            "xi_integral": _quad_diag(res)}
-    return _report("hardy", params, sides, tol, diag)
+    ra = _psi_gaussian_integral(a, z, qtol)
+    rb = _psi_gaussian_integral(b, 1j * z, qtol)
+    res = _xi_nabla_integral(params, qtol, np.pi / 2.0,
+                             lambda t: 1.0 / np.cosh(0.5 * np.pi * t))
+    return _report("hardy", params, {
+        "alpha_integral": (np.sqrt(a) * np.exp(z * z / 8.0) * ra.value,
+                           _quad_diag(ra)),
+        "beta_integral": (np.sqrt(b) * np.exp(-z * z / 8.0) * rb.value,
+                          _quad_diag(rb)),
+        "xi_integral": (res.value, _quad_diag(res))}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +215,15 @@ def verify_hardy(params, tol):
 
 def _bessel_bracket_integral(a, w, tol):
     """int_0^inf e^(-a^2 t^2/(4 pi)) cos(a t w/(2 sqrt(pi)))
-    (sum_n K0(n t) - pi/(2t)) dt, the pole-subtracted bracket staying
-    bounded at t -> 0."""
+    (sum_n K0(n t) - pi/(2t)) dt.  With the pole subtracted the bracket
+    is (gamma + log(t/(4 pi)))/2 + O(t^2) near 0: log-singular, not
+    bounded."""
     def g(t):
         return (np.exp(-a * a * t * t / (4.0 * np.pi))
                 * np.cos(a * t * w / (2.0 * _SQRT_PI))
                 * ns.k0_sum_minus_pole(t))
 
-    return quad.integrate_semi_infinite(g, tol, max(0.4, a * a))
+    return quad.integrate_log_singular(g, tol, max(0.4, a * a))
 
 
 def ferrar_bessel_closed_form(alpha):
@@ -247,26 +251,19 @@ def verify_ferrar(params, tol):
     b = params.beta
     qtol = 0.25 * tol
     ra = _bessel_bracket_integral(a, z, qtol)
-    side_alpha = np.sqrt(a) * np.exp(z * z / 8.0) * ra.value
     rb = _bessel_bracket_integral(b, 1j * z, qtol)
-    side_beta = np.sqrt(b) * np.exp(-z * z / 8.0) * rb.value
-
-    def f(t):
-        gg = np.exp(2.0 * np.real(lngamma(0.25 * (1.0 + 1j * t))))
-        return (gg * xi_cap(0.5 * t) / (1.0 + t * t)
-                * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t)))
-
-    res = quad.integrate_semi_infinite(f, qtol, np.pi / 8.0)
-    sides = {"alpha_integral": complex(side_alpha),
-             "beta_integral": complex(side_beta),
-             "xi_integral": complex(-res.value / (2.0 * _SQRT_PI))}
-    diag = {"alpha_integral": _quad_diag(ra),
-            "beta_integral": _quad_diag(rb),
-            "xi_integral": _quad_diag(res)}
+    res = _xi_nabla_integral(
+        params, qtol, np.pi / 8.0,
+        lambda t: np.exp(2.0 * np.real(lngamma(0.25 * (1.0 + 1j * t)))))
+    sides = {"alpha_integral": (np.sqrt(a) * np.exp(z * z / 8.0) * ra.value,
+                                _quad_diag(ra)),
+             "beta_integral": (np.sqrt(b) * np.exp(-z * z / 8.0) * rb.value,
+                               _quad_diag(rb)),
+             "xi_integral": (-res.value / (2.0 * _SQRT_PI), _quad_diag(res))}
     if z == 0.0:
-        sides["bessel_series"] = complex(ferrar_bessel_closed_form(a))
-        diag["bessel_series"] = {"path": "numseries.ferrar_bessel_sum"}
-    return _report("ferrar", params, sides, tol, diag)
+        sides["bessel_series"] = (ferrar_bessel_closed_form(a),
+                                  {"path": "numseries.ferrar_bessel_sum"})
+    return _report("ferrar", params, sides, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +314,8 @@ def verify_ramanujan_bose(params, tol):
 
     res = quad.integrate_real_line(f, qtol, np.pi / 4.0)
     rhs = res.value / (8.0 * np.pi ** 1.5)
-    sides = {"weighted_integral": complex(lhs), "xi_integral": complex(rhs)}
-    diag = {"weighted_integral": _quad_diag(rl), "xi_integral": _quad_diag(res)}
+    sides = {"weighted_integral": (lhs, _quad_diag(rl)),
+             "xi_integral": (rhs, _quad_diag(res))}
     pairs = [("weighted_integral", "xi_integral")]
     extra = {}
     zsq = z * z
@@ -327,12 +324,10 @@ def verify_ramanujan_bose(params, tol):
     if z == 0.0:
         fa, ria = _bose_scaled_left_side(a, qtol)
         fb, rib = _bose_scaled_left_side(params.beta, qtol)
-        sides["invariant_alpha"] = complex(fa)
-        sides["invariant_beta"] = complex(fb)
-        diag["invariant_alpha"] = _quad_diag(ria)
-        diag["invariant_beta"] = _quad_diag(rib)
+        sides["invariant_alpha"] = (fa, _quad_diag(ria))
+        sides["invariant_beta"] = (fb, _quad_diag(rib))
         pairs.append(("invariant_alpha", "invariant_beta"))
-    return _report("ramanujan", params, sides, tol, diag, pairs=pairs,
+    return _report("ramanujan", params, sides, tol, pairs=pairs,
                    extra_residuals=extra)
 
 
@@ -382,18 +377,19 @@ def verify_rhl(params, zeros, N_mobius, tol_trend):
     non_increase = all(
         seq[i + 1] <= seq[i] * (1.0 + 1e-12) + 1e-15
         for i in range(max(0, len(seq) - 3), len(seq) - 1))
-    sides = {"alpha_side": complex(side_a), "beta_side": complex(side_b)}
+    report = _report("rhl", params, {
+        "alpha_side": (side_a, {"path": "numseries@alpha"}),
+        "beta_side": (side_b, {"path": "numseries@beta"})}, tol_trend)
     diag = {
         "zero_counts": list(counts),
         "residual_sequence": seq,
         "non_increasing": non_increase,
         "mobius_terms": table.limit,
         "mobius_oscillation": ns.mobius_partial_oscillation(a, z, table),
-        "alpha_side": {"path": "numseries@alpha"},
-        "beta_side": {"path": "numseries@beta"},
+        **report.diagnostics,
     }
-    report = _report("rhl", params, sides, tol_trend, diag)
-    return replace(report, passed=report.passed and non_increase)
+    return replace(report, passed=report.passed and non_increase,
+                   diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -410,21 +406,15 @@ def verify_line_integral(params, tol):
     """
     a, z = params.alpha, params.z
     qtol = 0.25 * tol
-
-    def f(t):
-        return (4.0 / (1.0 + t * t)) * xi_cap(0.5 * t) \
-            * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t))
-
-    r_axis = quad.integrate_semi_infinite(f, qtol, np.pi / 8.0)
+    r_axis = _xi_nabla_integral(params, qtol, np.pi / 8.0, lambda t: 4.0)
 
     def g(s):
         return xi_small(s) * rho_kernel(a, z, s) / (s * (1.0 - s))
 
     r_line = quad.integrate_vertical_line(g, 0.5, qtol, np.pi / 8.0)
-    sides = {"real_axis": r_axis.value,
-             "contour": complex((2.0 / 1j) * r_line.value)}
-    diag = {"real_axis": _quad_diag(r_axis), "contour": _quad_diag(r_line)}
-    return _report("lineint", params, sides, tol, diag)
+    return _report("lineint", params, {
+        "real_axis": (r_axis.value, _quad_diag(r_axis)),
+        "contour": ((2.0 / 1j) * r_line.value, _quad_diag(r_line))}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +424,9 @@ def verify_line_integral(params, tol):
 def log_gaussian_integral(alpha, z):
     """Quadrature value of int_0^inf e^(-pi a^2 x^2) cos(sqrt(pi) a x z) log x dx.
 
-    Split at 1 like every log-singular integral here.  Compare against
-    log_gaussian_closed_form; the comparison itself is the check.
+    Log-singular at 0, so integrated by quad.integrate_log_singular.
+    Compare against log_gaussian_closed_form; the comparison itself is
+    the check.
     """
     a = float(alpha)
     if a <= 0.0:
@@ -446,10 +437,8 @@ def log_gaussian_integral(alpha, z):
         return (np.exp(-np.pi * a * a * x * x)
                 * np.cos(_SQRT_PI * a * x * z) * np.log(x))
 
-    r1 = quad.integrate_zero_one_logsafe(g, 5e-13)
-    r2 = quad.integrate_semi_infinite(lambda u: g(u + 1.0), 5e-13,
-                                      max(0.5, np.pi * a * a))
-    return r1.value + r2.value
+    return quad.integrate_log_singular(g, 1e-12,
+                                       max(0.5, np.pi * a * a)).value
 
 
 def log_gaussian_closed_form(alpha, z):
@@ -507,10 +496,11 @@ def watson_lattice_residual(t):
     S(t) = sum_n (1/sqrt(t^2 + 4 pi^2 n^2) - 1/(2 pi n)).
 
     The Bessel sum comes from numseries.k0_sum_direct at every t >= 0.2
-    (smaller t raises ValueError), not from k0_sum, which takes the
-    lattice route itself below t = 4; so the two routes stay independent
-    on both sides of that seam.  The residual is at most 3.2e-15 at 100
-    points of [0.2, 4] and 4.5e-16 at 100 points of [4, 10].
+    (smaller t raises ValueError), not from k0_sum_minus_pole, which
+    takes the lattice route itself below t = 4; so the two routes stay
+    independent on both sides of that seam.  The residual is at most
+    3.2e-15 at 100 points of [0.2, 4] and 8.9e-16 at 100 points of
+    [4, 10].
     """
     t = float(t)
     direct = ns.k0_sum_direct(t)
@@ -562,9 +552,8 @@ def inverse_mellin_kernel_check(alpha=1.0, n=1, z=1.0):
 
 
 def _aux_pair_report(name, alpha, z, got, want, tol, path):
-    params = KernelParams(alpha, z)
-    sides = {"computed": complex(got), "closed_form": complex(want)}
-    return _report(name, params, sides, tol, {"computed": {"path": path}})
+    return _report(name, KernelParams(alpha, z), {
+        "computed": (got, {"path": path}), "closed_form": (want, None)}, tol)
 
 
 def aux_checks(tol=1e-9):

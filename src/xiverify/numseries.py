@@ -23,8 +23,8 @@ _LOG_TERM_CUTOFF = 39.2  # -log(1e-17)
 
 _TWO_PI = 2.0 * np.pi
 
-# k0_sum and k0_sum_minus_pole use the lattice form below this t and the
-# direct Bessel sum from it up (see k0_sum_minus_pole for why 4)
+# k0_sum_minus_pole uses the lattice form below this t and the direct
+# Bessel sum from it up (see k0_sum_minus_pole for why 4)
 _K0_SUM_SEAM = 4.0
 
 
@@ -78,13 +78,18 @@ def cosh_theta_sum(beta, z):
 def sqrt_lattice_sum(t):
     """S(t) = sum_n (1/sqrt(t^2 + 4 pi^2 n^2) - 1/(2 pi n)), vectorized.
 
-    Direct terms to n = 500 plus the tail from expanding the square root,
+    Direct terms to n = N plus the tail from expanding the square root,
     sum_{n>N} = -t^2/(2 c^3) T(3) + 3 t^4/(8 c^5) T(5) with c = 2 pi and
-    T(m) the Euler-Maclaurin tail of n^(-m); next order is O(t^6 N^-7).
+    T(m) the Euler-Maclaurin tail of n^(-m).  The first omitted term is
+    about (t/N)^6 / 7.4e6, so N = max(128, 32 max t) keeps it near 1e-16.
+    On the lattice route of k0_sum_minus_pole (t < 4) N is 128: against
+    30-digit mpmath the error is at most 1.0e-16 at t = 0.05, 0.5, 1, 2,
+    3 and 3.99, and within 1.3e-16 of the N = 500 sum over 400 points of
+    (0, 4].
     """
-    N = 500
-    n = np.arange(1.0, N + 1.0)
     tt, scalar = _split(t, np.float64)
+    N = max(128, int(np.ceil(32.0 * tt.max(initial=0.0))))
+    n = np.arange(1.0, N + 1.0)
     direct = (1.0 / np.sqrt(tt[..., None] ** 2 + (_TWO_PI * n) ** 2)
               - 1.0 / (_TWO_PI * n))
     head = direct[..., ::-1].sum(axis=-1)
@@ -103,7 +108,7 @@ def k0_sum_direct(t):
     below 3e-18 at t = 4, 6, 10, 20, 40, 59, 60 and 100, and below 1e-15
     at 37 points of [0.25, 4).  Below t = 0.2 the term count grows like
     1/t and the sum loses digits against its pole, so smaller t is
-    rejected.  k0_sum takes this route from t = 4 up;
+    rejected.  k0_sum_minus_pole takes this route from t = 4 up;
     watson_lattice_residual calls it directly to compare it with the
     lattice route at any t >= 0.2.
     """
@@ -116,59 +121,33 @@ def k0_sum_direct(t):
     return _merge(vals[..., ::-1].sum(axis=-1), scalar)
 
 
-def _k0_sum_routes(name, t, minus_pole):
-    """sum_n K0(n t), less pi/(2t) if minus_pole, by the route for each t.
+def k0_sum_minus_pole(t):
+    """The regularized bracket sum_n K0(n t) - pi/(2t), stable near t = 0.
 
-    Below _K0_SUM_SEAM the lattice form
-    pi/(2t) + (gamma + log(t/(4 pi)))/2 + pi S(t), with the pole term
-    left out analytically when minus_pole; from the seam up the direct
-    Bessel sum.  Either route is one vectorized call over its share of t.
+    Below t = 4 (_K0_SUM_SEAM) the lattice representation
+    (gamma + log(t/(4 pi)))/2 + pi S(t), with the pole left out
+    analytically, so no large terms cancel; against 30-digit mpmath sums
+    its absolute error is below 4e-16 at 40 points of [0.05, 4].  From
+    t = 4 up the direct Bessel sum (k0_sum_direct, at most 12 terms),
+    error below 3e-18 at 8 points of [4, 100].  The lattice form is not
+    taken further: its error grows with t, to 1.5e-15 at t = 20,
+    1.1e-13 at t = 40 and 2.7e-11 at t = 100, while the ferrar
+    quadrature's truncation point reaches t = 60 on the default grid.
+    Either route is one vectorized call over its share of t.
     """
     tv, scalar = _split(t, np.float64)
     if np.any(~(tv > 0.0)):
-        raise ValueError("%s: t must be positive" % name)
+        raise ValueError("k0_sum_minus_pole: t must be positive")
     out = np.empty_like(tv)
     lattice = tv < _K0_SUM_SEAM
     if np.any(~lattice):
         tl = tv[~lattice]
-        out[~lattice] = k0_sum_direct(tl)
-        if minus_pole:
-            out[~lattice] -= 0.5 * np.pi / tl
+        out[~lattice] = k0_sum_direct(tl) - 0.5 * np.pi / tl
     if np.any(lattice):
         ts = tv[lattice]
         out[lattice] = (0.5 * (EULER_GAMMA + np.log(ts) - np.log(4.0 * np.pi))
                         + np.pi * sqrt_lattice_sum(ts))
-        if not minus_pole:
-            out[lattice] += 0.5 * np.pi / ts
     return _merge(out, scalar)
-
-
-def k0_sum(t):
-    """sum_{n>=1} K0(n t) for t > 0.
-
-    Below t = 4 (_K0_SUM_SEAM) the sum is evaluated through its lattice
-    representation pi/(2t) + (gamma + log(t/(4 pi)))/2 + pi S(t), which
-    is smooth in t and costs one vectorized sqrt_lattice_sum call; from
-    t = 4 up by k0_sum_direct, at most 12 Bessel terms with arguments of
-    4 or more.  See k0_sum_minus_pole for each route's accuracy and why
-    the lattice form stops at 4.
-    """
-    return _k0_sum_routes("k0_sum", t, False)
-
-
-def k0_sum_minus_pole(t):
-    """The regularized bracket sum_n K0(n t) - pi/(2t), stable near t = 0.
-
-    Below t = 4 the pole is subtracted analytically inside the lattice
-    representation, so no large terms cancel; against 30-digit mpmath
-    sums its absolute error is below 4e-16 at 40 points of [0.05, 4].
-    From t = 4 up the direct Bessel sum (k0_sum_direct) is used, error
-    below 3e-18 at 8 points of [4, 100].  The lattice form is not taken further:
-    its error grows with t, to 1.5e-15 at t = 20, 1.1e-13 at t = 40 and
-    2.7e-11 at t = 100, while the ferrar quadrature's truncation point
-    reaches t = 59 on the default grid.
-    """
-    return _k0_sum_routes("k0_sum_minus_pole", t, True)
 
 
 def ferrar_bessel_sum(alpha):

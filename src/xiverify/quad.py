@@ -9,7 +9,9 @@ written on numpy arrays stay fast.
 Semi-infinite and whole-line integrals truncate at a point T where a
 sampled exponential-decay model bounds the discarded tail below a
 hundredth of the requested tolerance; one helper seeds and extends T for
-both, and T is then reported so callers can audit it.
+both, and T is then reported so callers can audit it.  A half-line
+integrand with a log singularity at 0 is split at 1, the first piece
+taken through x = e^(-u) (integrate_log_singular).
 Integrands must accept a 1-d numpy array and return an array of values.
 """
 
@@ -204,3 +206,21 @@ def integrate_zero_one_logsafe(g, tol):
     """
     return integrate_semi_infinite(
         lambda u: g(np.exp(-u)) * np.exp(-u), tol, 0.9)
+
+
+def integrate_log_singular(g, tol, decay_hint):
+    """Integrate g over (0, infinity) when g carries an integrable log
+    singularity at 0.
+
+    Split at x = 1: (0, 1] by integrate_zero_one_logsafe, [1, infinity)
+    by integrate_semi_infinite with decay_hint, each to tol/2.  Values,
+    errors and evaluations are summed; truncation_T is 1 + T of the
+    second piece.
+    """
+    near = integrate_zero_one_logsafe(g, 0.5 * tol)
+    far = integrate_semi_infinite(lambda u: g(u + 1.0), 0.5 * tol,
+                                  decay_hint)
+    return QuadratureResult(near.value + far.value,
+                            near.abs_error + far.abs_error,
+                            near.evaluations + far.evaluations,
+                            1.0 + far.truncation_T)

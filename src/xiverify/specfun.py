@@ -460,12 +460,6 @@ class MobiusTable:
     limit: int
     values: np.ndarray
 
-    def mu(self, n):
-        if not 1 <= n <= self.limit:
-            raise ValueError("MobiusTable: index %d outside 1..%d"
-                             % (n, self.limit))
-        return int(self.values[n])
-
 
 @functools.lru_cache(maxsize=4)
 def mobius_sieve(N):

@@ -50,6 +50,23 @@ def test_xi_sides_hold_three_and_a_half_digits_below_tol():
     assert worst <= 10.0 ** -3.5 * tol
 
 
+@pytest.mark.parametrize("verify", [
+    verify_theta, verify_hardy, verify_ferrar, verify_line_integral,
+    verify_ramanujan_bose,
+    lambda params, tol: verify_ramanujan_digamma(params.alpha, tol)])
+def test_quadrature_sides_carry_their_cost_and_error(verify):
+    rep = verify(KernelParams(1.25, 1.0), 1e-8)
+    quad_sides = [name for name, d in rep.diagnostics.items()
+                  if d["path"].startswith("quad")]
+    assert quad_sides
+    for name in quad_sides:
+        d = rep.diagnostics[name]
+        assert d["path"] == "quad"
+        assert d["evaluations"] > 0
+        assert d["truncation_T"] >= 10.0
+        assert 0.0 < d["abs_error"] < 1e-8
+
+
 class TestTheta:
     def test_reference_point(self):
         rep = verify_theta(KernelParams(2.0, 1.0), 1e-8)
@@ -124,11 +141,22 @@ class TestFerrar:
         assert "bessel_series" not in rep.sides
         assert len(rep.residuals) == 3
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.25, 2.0])
+    def test_z_zero_brackets_match_closed_form(self, alpha):
+        # the bracket integrals are log-singular at t = 0; bisecting into
+        # the singularity instead of splitting at t = 1 missed by 4.1e-10
+        rep = verify_ferrar(KernelParams(alpha, 0.0), 1e-8)
+        want = ferrar_bessel_closed_form(alpha)
+        assert abs(rep.sides["alpha_integral"] - want) <= 1e-11
+        assert abs(rep.sides["beta_integral"] - want) <= 1e-11
+
     def test_default_grid_work_counts(self, monkeypatch):
-        # Over the CLI's default grid at its default tol, K0 takes 63,770
-        # points, 58,120 of them in the continued fraction; with the direct
+        # Over the CLI's default grid at its default tol, K0 takes 67,946
+        # points, 63,067 of them in the continued fraction; with the direct
         # Bessel sum running from t = 0.2 it took 1,791,265 and 892,757.
-        # The quadrature does the same work on either K0-sum route.
+        # The quadrature does the same work on either K0-sum route.  The
+        # evaluations were 43,095 before the bracket integrals were split
+        # at t = 1 (34,455 of them in the brackets, now 15,204).
         from xiverify import cli, specfun
         from xiverify import numseries as ns
         points = {"besselk0": 0, "cf2": 0}
@@ -151,7 +179,7 @@ class TestFerrar:
                                for d in rep.diagnostics.values())
         assert points["besselk0"] <= 100000
         assert points["cf2"] <= 100000
-        assert evaluations == 43095
+        assert evaluations == 23844
 
 
 class TestRamanujanBose:
@@ -279,8 +307,8 @@ class TestAuxiliaryForms:
             watson_lattice_residual(0.05)
 
     def test_watson_lattice_spans_both_routes(self, monkeypatch):
-        # the Bessel side must come from the direct sum even where k0_sum
-        # takes the lattice route, or the check compares a route with itself
+        # the Bessel side must come from the direct sum even where
+        # k0_sum_minus_pole takes the lattice route, or the check compares a route with itself
         from xiverify import numseries as ns
         direct = ns.k0_sum_direct
         monkeypatch.setattr(ns, "k0_sum_direct", lambda t: direct(t) + 1e-6)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xiverify.numseries import (_bracket_edges, _zeta_tail,
-                                cosh_theta_sum, ferrar_bessel_sum, k0_sum,
+                                cosh_theta_sum, ferrar_bessel_sum,
                                 k0_sum_direct, k0_sum_minus_pole, lambda_sum,
                                 mobius_partial_oscillation, mobius_theta_sum,
                                 sqrt_lattice_sum, theta_sum,
@@ -55,12 +55,17 @@ class TestThetaSums:
             cosh_theta_sum(-2.0, 1.0)
 
 
+def _k0_sum(t):
+    """sum_n K0(n t), put back together from the pole-subtracted sum."""
+    return k0_sum_minus_pole(t) + 0.5 * np.pi / t
+
+
 class TestK0Sums:
     def test_direct_regime(self):
-        _close(k0_sum(5.0), 0.0037089771693329877, rel=1e-12)
+        _close(_k0_sum(5.0), 0.0037089771693329877, rel=1e-12)
 
     def test_lattice_regime(self):
-        _close(k0_sum(0.05), 28.941137078581026, rel=1e-11)
+        _close(_k0_sum(0.05), 28.941137078581026, rel=1e-11)
 
     def test_direct_route_matches_lattice_form(self):
         # k0_sum_direct against the lattice representation built by hand
@@ -92,17 +97,19 @@ class TestK0Sums:
         _close(k0_sum_minus_pole(0.01), -3.2794901452381036, rel=1e-11)
 
     def test_pole_subtraction_consistency(self):
-        _close(k0_sum_minus_pole(1.0), k0_sum(1.0) - 0.5 * np.pi, rel=1e-12)
+        # the lattice route at t = 1 against the direct Bessel sum
+        _close(k0_sum_minus_pole(1.0), k0_sum_direct(1.0) - 0.5 * np.pi,
+               rel=1e-12)
 
     def test_vectorized(self):
         t = np.array([0.05, 0.5, 5.0])
-        vals = k0_sum(t)
+        vals = k0_sum_minus_pole(t)
         assert vals.shape == (3,)
-        _close(vals[2], k0_sum(5.0), rel=1e-15)
+        _close(vals[2], k0_sum_minus_pole(5.0), rel=1e-15)
 
     def test_nonpositive_raises(self):
         with pytest.raises(ValueError):
-            k0_sum(0.0)
+            k0_sum_minus_pole(0.0)
         with pytest.raises(ValueError):
             k0_sum_minus_pole(np.array([1.0, -0.3]))
         with pytest.raises(ValueError, match="k0_sum_minus_pole"):
@@ -110,6 +117,11 @@ class TestK0Sums:
 
     def test_sqrt_lattice_frozen_value(self):
         _close(sqrt_lattice_sum(1.0), -0.0023841005352976151, rel=1e-11)
+        # mpmath nsum, 30 digits; the truncated tail expansion errs most
+        # at the top of the lattice range (1.0e-16 with 128 direct terms,
+        # 7.7e-15 with 64)
+        want = -0.0309516471169674206624340959585
+        assert abs(sqrt_lattice_sum(3.99) - want) <= 2e-16
 
 
 class TestBesselDifferenceSum:

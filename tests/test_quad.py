@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xiverify import quad
-from xiverify.quad import (QuadratureResult, integrate_real_line,
-                           integrate_semi_infinite, integrate_vertical_line,
+from xiverify.quad import (QuadratureResult, integrate_log_singular,
+                           integrate_real_line, integrate_semi_infinite,
+                           integrate_vertical_line,
                            integrate_zero_one_logsafe)
 from xiverify.specfun import hyp1f1, lngamma
 
@@ -104,6 +105,34 @@ class TestLogSafe:
     def test_log_squared(self):
         res = integrate_zero_one_logsafe(lambda x: np.log(x) ** 2, 1e-12)
         assert abs(res.value - 2.0) <= 1e-11
+
+
+class TestLogSingular:
+    EULER_GAMMA = 0.5772156649015329
+
+    @pytest.mark.parametrize("g,rate,want", [
+        # int_0^inf log x e^(-x) dx = -gamma
+        (lambda x: np.log(x) * np.exp(-x), 1.0, -EULER_GAMMA),
+        # int_0^inf log x e^(-x^2) dx = -(sqrt(pi)/4)(gamma + 2 log 2)
+        (lambda x: np.log(x) * np.exp(-x * x), 1.0,
+         -(SQRT_PI / 4.0) * (EULER_GAMMA + 2.0 * math.log(2.0))),
+    ])
+    def test_closed_forms(self, g, rate, want):
+        res = integrate_log_singular(g, 1e-12, rate)
+        observed = abs(res.value - want)
+        assert observed <= 1e-14
+        assert res.abs_error >= observed
+        assert res.abs_error <= 1e-12
+
+    def test_pieces_are_summed(self):
+        g = lambda x: np.log(x) * np.exp(-x)
+        res = integrate_log_singular(g, 1e-10, 1.0)
+        near = integrate_zero_one_logsafe(g, 0.5e-10)
+        far = integrate_semi_infinite(lambda u: g(u + 1.0), 0.5e-10, 1.0)
+        assert res.value == near.value + far.value
+        assert res.abs_error == near.abs_error + far.abs_error
+        assert res.evaluations == near.evaluations + far.evaluations
+        assert res.truncation_T == 1.0 + far.truncation_T
 
 
 def test_budget_exhaustion_raises():

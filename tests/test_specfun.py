@@ -262,7 +262,10 @@ class TestMobius:
     def test_first_values(self):
         table = mobius_sieve(30)
         want = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
-        assert [table.mu(n) for n in range(1, 13)] == want
+        assert list(table.values[1:13]) == want
+        # values[n] is mu(n) for n = 1..limit; values[0] is unused
+        assert len(table.values) == table.limit + 1 == 31
+        assert table.values[0] == 0
 
     def test_mertens_10k(self, mobius_100k):
         assert int(mobius_100k.values[1:10001].sum()) == -23
@@ -270,20 +273,21 @@ class TestMobius:
     def test_square_multiples_vanish(self, mobius_100k):
         for n in (4, 9, 25, 49, 121):
             for k in (1, 2, 3, 5):
-                assert mobius_100k.mu(n * k) == 0
+                assert mobius_100k.values[n * k] == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 300), st.integers(2, 300))
     def test_multiplicative_on_coprime_pairs(self, mobius_100k, m, n):
         if math.gcd(m, n) == 1:
-            assert mobius_100k.mu(m * n) == mobius_100k.mu(m) * mobius_100k.mu(n)
+            mu = mobius_100k.values
+            assert mu[m * n] == mu[m] * mu[n]
 
     def test_tables_are_shared_and_read_only(self):
         table = mobius_sieve(1000)
         assert mobius_sieve(1000) is table
         with pytest.raises(ValueError):
             table.values[6] = 0
-        assert table.mu(6) == 1
+        assert table.values[6] == 1
 
     @pytest.mark.parametrize("N", [30, 1000])
     def test_cached_table_matches_fresh_sieve(self, N):
@@ -292,12 +296,6 @@ class TestMobius:
         assert fresh is not cached
         assert cached.limit == fresh.limit == N
         np.testing.assert_array_equal(cached.values, fresh.values)
-
-    def test_out_of_range_raises(self, mobius_100k):
-        with pytest.raises(ValueError):
-            mobius_100k.mu(0)
-        with pytest.raises(ValueError):
-            mobius_100k.mu(100001)
 
     def test_euler_gamma_constant(self):
         assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-16)
