@@ -337,10 +337,10 @@ def verify_ramanujan_bose(params, tol):
 _RHL_COUNTS = (10, 25, 50, 100)
 
 
-def _rhl_side(x, w, mob, records):
-    zs = ns.zero_sum_bracketed(records, x, w)
-    return (np.sqrt(x) * np.exp(w * w / 8.0) * mob
-            - np.exp(w * w / 8.0) / (4.0 * _SQRT_PI * np.sqrt(x)) * zs)
+def _rhl_sides(x, w, mob, zero_sums):
+    return [np.sqrt(x) * np.exp(w * w / 8.0) * mob
+            - np.exp(w * w / 8.0) / (4.0 * _SQRT_PI * np.sqrt(x)) * zs
+            for zs in zero_sums]
 
 
 def verify_rhl(params, zeros, N_mobius, tol_trend):
@@ -351,41 +351,42 @@ def verify_rhl(params, zeros, N_mobius, tol_trend):
     The residual is recorded for zero counts {10, 25, 50, 100}; the
     claim being conditionally convergent, passing requires only the final
     residual within tol_trend and no increase over the last two steps.
-    The Moebius sum does not depend on the zero count, so each side's sum
-    is evaluated once per report, at (alpha, z) and at (1/alpha, iz)
-    separately, and reused across the counts.
+    Each side's work is done once per report: one Moebius term array (at
+    (alpha, z) it also gives the oscillation proxy, from its cumulative
+    sums) and one zero-sum pass that yields the sum at every count.  The
+    (alpha, z) arrays are freed before the (1/alpha, iz) side is built.
+    Raises ValueError on an empty zeros list.
     """
     if N_mobius < 10000:
         raise ValueError("verify_rhl: need a Moebius limit of at least 1e4")
+    if len(zeros) == 0:
+        raise ValueError("verify_rhl: need at least one zero")
     for rec in zeros:
         if rec.zeta_prime is None:
             raise ValueError("verify_rhl: zeros must carry zeta derivatives")
     a, z = params.alpha, params.z
     b = params.beta
     table = mobius_sieve(N_mobius)
-    counts = [c for c in _RHL_COUNTS if c <= len(zeros)]
-    if not counts:
-        counts = [len(zeros)]
-    mob_a = ns.mobius_theta_sum(a, z, table)
+    counts = [c for c in _RHL_COUNTS if c <= len(zeros)] or [len(zeros)]
+    mob_a, oscillation = ns.mobius_theta_sum_and_spread(a, z, table)
+    sides_a = _rhl_sides(a, z, mob_a,
+                         ns.zero_sum_by_count(zeros, a, z, counts))
     mob_b = ns.mobius_theta_sum(b, 1j * z, table)
-    seq = []
-    side_a = side_b = 0.0j
-    for c in counts:
-        side_a = _rhl_side(a, z, mob_a, zeros[:c])
-        side_b = _rhl_side(b, 1j * z, mob_b, zeros[:c])
-        seq.append(residual(side_a, side_b))
+    sides_b = _rhl_sides(b, 1j * z, mob_b,
+                         ns.zero_sum_by_count(zeros, b, 1j * z, counts))
+    seq = [residual(sa, sb) for sa, sb in zip(sides_a, sides_b)]
     non_increase = all(
         seq[i + 1] <= seq[i] * (1.0 + 1e-12) + 1e-15
         for i in range(max(0, len(seq) - 3), len(seq) - 1))
     report = _report("rhl", params, {
-        "alpha_side": (side_a, {"path": "numseries@alpha"}),
-        "beta_side": (side_b, {"path": "numseries@beta"})}, tol_trend)
+        "alpha_side": (sides_a[-1], {"path": "numseries@alpha"}),
+        "beta_side": (sides_b[-1], {"path": "numseries@beta"})}, tol_trend)
     diag = {
         "zero_counts": list(counts),
         "residual_sequence": seq,
         "non_increasing": non_increase,
         "mobius_terms": table.limit,
-        "mobius_oscillation": ns.mobius_partial_oscillation(a, z, table),
+        "mobius_oscillation": oscillation,
         **report.diagnostics,
     }
     return replace(report, passed=report.passed and non_increase,
@@ -428,6 +429,11 @@ def log_gaussian_integral(alpha, z):
     Compare against log_gaussian_closed_form; the comparison itself is
     the check.
     """
+    return _log_gaussian_side(alpha, z)[0]
+
+
+def _log_gaussian_side(alpha, z):
+    """log_gaussian_integral's value with its quadrature diagnostics."""
     a = float(alpha)
     if a <= 0.0:
         raise ValueError("log_gaussian_integral: alpha must be positive")
@@ -437,8 +443,8 @@ def log_gaussian_integral(alpha, z):
         return (np.exp(-np.pi * a * a * x * x)
                 * np.cos(_SQRT_PI * a * x * z) * np.log(x))
 
-    return quad.integrate_log_singular(g, 1e-12,
-                                       max(0.5, np.pi * a * a)).value
+    r = quad.integrate_log_singular(g, 1e-12, max(0.5, np.pi * a * a))
+    return r.value, _quad_diag(r)
 
 
 def log_gaussian_closed_form(alpha, z):
@@ -475,6 +481,11 @@ def cotangent_partial_fraction_check(t):
 def ferrar_gaussian_bessel_check(alpha, n):
     """|int_0^inf e^(-a^2 t^2/(4 pi)) dt / sqrt(t^2 + 4 pi^2 n^2)
     - (1/2) e^(x) K0(x)|, x = pi a^2 n^2 / 2; quadrature vs closed form."""
+    return _gaussian_bessel_side(alpha, n)[0]
+
+
+def _gaussian_bessel_side(alpha, n):
+    """ferrar_gaussian_bessel_check's value with its quadrature diagnostics."""
     a = float(alpha)
     if a <= 0.0 or n < 1:
         raise ValueError("ferrar_gaussian_bessel_check: need alpha > 0, n >= 1")
@@ -485,7 +496,7 @@ def ferrar_gaussian_bessel_check(alpha, n):
 
     r = quad.integrate_semi_infinite(g, 1e-12, max(0.4, 0.5 * a * a))
     closed = 0.5 * besselk0_scaled(0.5 * np.pi * a * a * n * n)
-    return abs(r.value - closed)
+    return abs(r.value - closed), _quad_diag(r)
 
 
 def watson_lattice_residual(t):
@@ -517,6 +528,11 @@ def inverse_mellin_gaussian_check(alpha=1.0, b=1.0, x=2.0, c=1.0):
     a = b = 1, to the quoted quarter-argument form; returns
     |integral - e^(-a x^2) cos(b x)| at the requested point.
     """
+    return _inverse_mellin_gaussian_side(alpha, b, x, c)[0]
+
+
+def _inverse_mellin_gaussian_side(alpha, b, x, c):
+    """inverse_mellin_gaussian_check's value with its quadrature diagnostics."""
     a = float(alpha)
     w = b * b / (4.0 * a)
 
@@ -527,7 +543,7 @@ def inverse_mellin_gaussian_check(alpha=1.0, b=1.0, x=2.0, c=1.0):
 
     r = quad.integrate_vertical_line(g, c, 1e-11, np.pi / 8.0)
     value = r.value / (2j * np.pi)
-    return abs(value - np.exp(-a * x * x) * np.cos(b * x))
+    return abs(value - np.exp(-a * x * x) * np.cos(b * x)), _quad_diag(r)
 
 
 def inverse_mellin_kernel_check(alpha=1.0, n=1, z=1.0):
@@ -537,6 +553,11 @@ def inverse_mellin_kernel_check(alpha=1.0, n=1, z=1.0):
       = 4 pi i e^(-pi alpha^2 n^2 + z^2/4) cos(sqrt(pi) alpha n z);
     returns the absolute residual.
     """
+    return _inverse_mellin_kernel_side(alpha, n, z)[0]
+
+
+def _inverse_mellin_kernel_side(alpha, n, z):
+    """inverse_mellin_kernel_check's value with its quadrature diagnostics."""
     a = float(alpha)
     z = complex(z)
     w = 0.25 * z * z
@@ -548,12 +569,13 @@ def inverse_mellin_kernel_check(alpha=1.0, n=1, z=1.0):
     r = quad.integrate_vertical_line(g, 1.5, 1e-11, np.pi / 8.0)
     closed = (4j * np.pi * np.exp(-np.pi * a * a * n * n + 0.25 * z * z)
               * np.cos(_SQRT_PI * a * n * z))
-    return abs(r.value - closed)
+    return abs(r.value - closed), _quad_diag(r)
 
 
-def _aux_pair_report(name, alpha, z, got, want, tol, path):
+def _aux_pair_report(name, alpha, z, computed, want, tol):
+    """computed is the (value, diagnostics) record of the computed side."""
     return _report(name, KernelParams(alpha, z), {
-        "computed": (got, {"path": path}), "closed_form": (want, None)}, tol)
+        "computed": computed, "closed_form": (want, None)}, tol)
 
 
 def aux_checks(tol=1e-9):
@@ -565,44 +587,45 @@ def aux_checks(tol=1e-9):
     f1 = lambda t: np.exp(-np.pi * a * a * t * t) * np.cos(_SQRT_PI * a * t * zv)
     r = quad.integrate_semi_infinite(f1, 1e-12, 2.0)
     reports.append(_aux_pair_report(
-        "aux:gaussian_cosine", a, zv, r.value,
-        np.exp(-zv * zv / 4.0) / (2.0 * a), tol, "quad"))
+        "aux:gaussian_cosine", a, zv, (r.value, _quad_diag(r)),
+        np.exp(-zv * zv / 4.0) / (2.0 * a), tol))
     f2 = lambda t: t * np.exp(-np.pi * a * a * t * t) * np.cos(_SQRT_PI * a * t * zv)
     r = quad.integrate_semi_infinite(f2, 1e-12, 2.0)
     want = (np.exp(-zv * zv / 4.0) / (2.0 * np.pi * a * a)
             * complex(hyp1f1(-0.5, 0.5, zv * zv / 4.0)))
     reports.append(_aux_pair_report(
-        "aux:gaussian_cosine_moment", a, zv, r.value, want, tol, "quad"))
+        "aux:gaussian_cosine_moment", a, zv, (r.value, _quad_diag(r)), want,
+        tol))
 
     # log-weighted Gaussian integral, three parameter points
     for (aa, zz) in ((1.0, 0.0), (1.0, 1.0), (2.0, 0.5j)):
-        got = log_gaussian_integral(aa, zz)
         reports.append(_aux_pair_report(
-            "aux:log_gaussian", aa, zz, got,
-            log_gaussian_closed_form(aa, zz), tol, "quad"))
+            "aux:log_gaussian", aa, zz, _log_gaussian_side(aa, zz),
+            log_gaussian_closed_form(aa, zz), tol))
 
     # partial-fraction closed form
     for tv in (1.0, 1e-3, 10.0):
         resid = cotangent_partial_fraction_check(tv)
         reports.append(_aux_pair_report(
-            "aux:cotangent", 1.0, tv, resid, 0.0, tol, "numseries"))
+            "aux:cotangent", 1.0, tv, (resid, {"path": "numseries"}), 0.0,
+            tol))
 
     # Gaussian-vs-K0 Laplace transform
     for (aa, nn) in ((1.0, 1), (1.0, 3), (0.5, 1)):
-        resid = ferrar_gaussian_bessel_check(aa, nn)
         reports.append(_aux_pair_report(
-            "aux:gaussian_bessel", aa, nn, resid, 0.0, tol, "quad"))
+            "aux:gaussian_bessel", aa, nn, _gaussian_bessel_side(aa, nn), 0.0,
+            tol))
 
     # K0 lattice identity
     reports.append(_aux_pair_report(
-        "aux:k0_lattice", 1.0, 1.0, watson_lattice_residual(1.0), 0.0, tol,
-        "numseries"))
+        "aux:k0_lattice", 1.0, 1.0,
+        (watson_lattice_residual(1.0), {"path": "numseries"}), 0.0, tol))
 
     # inverse-Mellin recoveries
     reports.append(_aux_pair_report(
-        "aux:inverse_mellin", 1.0, 2.0, inverse_mellin_gaussian_check(),
-        0.0, tol, "quad"))
+        "aux:inverse_mellin", 1.0, 2.0,
+        _inverse_mellin_gaussian_side(1.0, 1.0, 2.0, 1.0), 0.0, tol))
     reports.append(_aux_pair_report(
-        "aux:inverse_mellin_kernel", 1.0, 1.0, inverse_mellin_kernel_check(),
-        0.0, tol, "quad"))
+        "aux:inverse_mellin_kernel", 1.0, 1.0,
+        _inverse_mellin_kernel_side(1.0, 1, 1.0), 0.0, tol))
     return reports

@@ -10,7 +10,10 @@ Truncation policy: absolutely convergent sums stop when a rigorous term
 bound drops below 1e-17 or switch to an Euler-Maclaurin tail once terms
 follow their asymptotic power law; the Moebius sum is a reported partial
 sum by construction (its convergence is conjecture-grade) and carries an
-oscillation proxy instead of an error bound.
+oscillation proxy instead of an error bound.  mobius_theta_sum_and_spread
+and zero_sum_by_count do one rhl side's work in one pass: the sum with its
+proxy from one term array, and the zero sum at every zero count from one
+evaluation of the pair terms.
 """
 
 import numpy as np
@@ -197,6 +200,8 @@ def lambda_sum(alpha):
 def _mobius_terms(name, alpha, z, table, n_terms):
     """Terms mu(n)/n e^(-pi alpha^2/n^2) cos(sqrt(pi) alpha z / n), n = 1..N.
 
+    exp and cos are evaluated only at the squarefree n of the table and
+    scattered into an array of zeros, the terms where mu(n) = 0.
     Validates alpha and the term count N (default: the whole table) on
     behalf of the public function called name.
     """
@@ -210,11 +215,14 @@ def _mobius_terms(name, alpha, z, table, n_terms):
     if N < 1:
         raise ValueError("%s: need at least one term" % name)
     z = complex(z)
-    n = np.arange(1.0, N + 1.0)
-    mu = table.values[1:N + 1].astype(np.float64)
-    terms = (mu / n) * np.exp(-np.pi * alpha * alpha / (n * n))
+    k = table.squarefree[:np.searchsorted(table.squarefree, N, side="right")]
+    n = k.astype(np.float64)
+    mu = table.values[k].astype(np.float64)
+    vals = (mu / n) * np.exp(-np.pi * alpha * alpha / (n * n))
     if z != 0.0:
-        terms = terms * np.cos(np.sqrt(np.pi) * alpha * z / n)
+        vals = vals * np.cos(np.sqrt(np.pi) * alpha * z / n)
+    terms = np.zeros(N, dtype=vals.dtype)
+    terms[k - 1] = vals
     return terms
 
 
@@ -230,6 +238,18 @@ def mobius_theta_sum(alpha, z, table, n_terms=None):
     return complex(terms.sum())
 
 
+def mobius_theta_sum_and_spread(alpha, z, table, n_terms=None):
+    """(mobius_theta_sum, mobius_partial_oscillation) from one term array."""
+    terms = _mobius_terms("mobius_theta_sum_and_spread", alpha, z, table,
+                          n_terms)
+    partials = np.cumsum(terms)
+    window = partials[max(0, len(terms) // 10 - 1):]
+    spread = (window.real.max() - window.real.min())
+    if complex(z) != 0.0:
+        spread = max(spread, window.imag.max() - window.imag.min())
+    return complex(terms.sum()), float(spread)
+
+
 def mobius_partial_oscillation(alpha, z, table, n_terms=None):
     """Spread (max - min of |partial sums|) over the last decade of terms.
 
@@ -237,14 +257,7 @@ def mobius_partial_oscillation(alpha, z, table, n_terms=None):
     oscillate at the scale of the neglected tail, so their spread over
     n in [N/10, N] estimates how settled the value is.
     """
-    terms = _mobius_terms("mobius_partial_oscillation", alpha, z, table,
-                          n_terms)
-    partials = np.cumsum(terms)
-    window = partials[max(0, len(terms) // 10 - 1):]
-    spread = (window.real.max() - window.real.min())
-    if complex(z) != 0.0:
-        spread = max(spread, window.imag.max() - window.imag.min())
-    return float(spread)
+    return mobius_theta_sum_and_spread(alpha, z, table, n_terms)[1]
 
 
 def _bracket_edges(gammas, a1=0.1):
@@ -274,17 +287,31 @@ def zero_sum_bracketed(zeros, alpha, z, a1=0.1):
     through the Gamma factor, so the bracketed partial sums settle after
     a handful of zeros.
     """
+    return zero_sum_by_count(zeros, alpha, z, [len(zeros)], a1)[0]
+
+
+def zero_sum_by_count(zeros, alpha, z, counts, a1=0.1):
+    """zero_sum_bracketed(zeros[:c], alpha, z, a1) for every c in counts.
+
+    The pair terms are evaluated once, on all of zeros; each count then
+    sums its own prefix, with the bracket that straddles c closed at c,
+    exactly as zeros[:c] closes it.
+    """
     alpha = float(alpha)
     if alpha <= 0.0:
-        raise ValueError("zero_sum_bracketed: alpha must be positive")
+        raise ValueError("zero_sum_by_count: alpha must be positive")
+    counts = [int(c) for c in counts]
+    if not all(0 <= c <= len(zeros) for c in counts):
+        raise ValueError("zero_sum_by_count: counts must lie in [0, %d]"
+                         % len(zeros))
     if len(zeros) == 0:
-        return 0.0 + 0.0j
+        return [0.0 + 0.0j] * len(counts)
     z = complex(z)
     gammas = np.array([rec.gamma for rec in zeros], dtype=np.float64)
     zp = []
     for rec in zeros:
         if rec.zeta_prime is None:
-            raise ValueError("zero_sum_bracketed: zero at gamma=%.6f has no "
+            raise ValueError("zero_sum_by_count: zero at gamma=%.6f has no "
                              "zeta derivative" % rec.gamma)
         zp.append(complex(rec.zeta_prime))
     zp = np.array(zp, dtype=np.complex128)
@@ -300,5 +327,9 @@ def zero_sum_bracketed(zeros, alpha, z, a1=0.1):
     else:
         pair = upper + term(np.conj(rho), np.conj(zp))
     edges = _bracket_edges(gammas, a1)
-    brackets = np.add.reduceat(pair, edges[:-1])
-    return complex(brackets.sum())
+    sums = []
+    for c in counts:
+        starts = [e for e in edges[:-1] if e < c]
+        sums.append(complex(np.add.reduceat(pair[:c], starts).sum()) if c
+                    else 0.0 + 0.0j)
+    return sums

@@ -15,7 +15,7 @@ for the 1e-8..1e-9 verification tolerances used by the identity checks.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -296,7 +296,8 @@ def hyp1f1(a, c, z):
     For Re z < 0 the first Kummer transformation
     1F1(a; c; z) = e^z 1F1(c - a; c; -z) is applied first so the summed
     series has nonnegative argument real part, avoiding the cancellation
-    blowup of the raw alternating sum.  Documented working range |z| <= 50.
+    blowup of the raw alternating sum.  Working range |z| <= 50; any other
+    z (NaN included) raises ValueError.
 
     a, c, z broadcast; c must avoid nonpositive integers.
     """
@@ -306,6 +307,10 @@ def hyp1f1(a, c, z):
         raise ValueError("hyp1f1: parameter c at a nonpositive integer")
     aa, scalar_a = _split(a, np.complex128)
     zz, scalar_z = _split(z, np.complex128)
+    zmax = np.abs(zz).max(initial=0.0)
+    if not zmax <= 50.0:  # NaN fails too
+        raise ValueError("hyp1f1: |z| = %.6g outside the working range "
+                         "|z| <= 50" % zmax)
     neg = zz.real < 0.0
     if not np.any(neg):
         out = _hyp_series(aa, cc, zz)
@@ -454,11 +459,18 @@ class MobiusTable:
     """Moebius function values mu(1..limit).
 
     values has length limit + 1 with values[0] = 0 unused, so values[n]
-    is mu(n) for 1 <= n <= limit.
+    is mu(n) for 1 <= n <= limit.  squarefree holds, in ascending order,
+    the n with mu(n) != 0, the only n a Moebius-weighted sum needs.
     """
 
     limit: int
     values: np.ndarray
+    squarefree: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        squarefree = np.flatnonzero(self.values)
+        squarefree.flags.writeable = False
+        object.__setattr__(self, "squarefree", squarefree)
 
 
 @functools.lru_cache(maxsize=4)

@@ -161,13 +161,22 @@ class TestMain:
         assert "error" in doc["reports"][0]["diagnostics"]
 
     def test_out_of_range_argument_reports_not_raises(self):
-        # Im s = 438.7 lies past the strip where zeta is supported
+        # z^2/4 = 225 lies past hyp1f1's working range |z| <= 50
         code, out = run_cli(["--identity", "lineint", "--alpha", "1",
                              "--z", "30"])
         assert code == 1
         report = json.loads(out)["reports"][0]
         assert report["pass"] is False
-        assert "strip" in report["diagnostics"]["error"]
+        assert "working range" in report["diagnostics"]["error"]
+
+    def test_hyp1f1_range_is_a_failing_report(self):
+        code, out = run_cli(["--identity", "theta", "--alpha", "1",
+                             "--z", "15"])
+        assert code == 1
+        report = json.loads(out)["reports"][0]
+        assert report["pass"] is False
+        assert report["sides"] == {}
+        assert "|z| <= 50" in report["diagnostics"]["error"]
 
     def test_rhl_cold_and_warm_sieve_same_bytes(self, sample_zeros_path,
                                                  tmp_path):
@@ -205,6 +214,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_empty_zeros_file(self, tmp_path, capsys):
+        p = tmp_path / "empty.txt"
+        p.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["--identity", "rhl", "--zeros", str(p), "--alpha", "1"])
+        assert exc.value.code == 2
+        assert "no ordinates" in capsys.readouterr().err
 
     def test_mobius_limit_floor(self, sample_zeros_path):
         with pytest.raises(SystemExit) as exc:

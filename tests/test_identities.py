@@ -50,21 +50,28 @@ def test_xi_sides_hold_three_and_a_half_digits_below_tol():
     assert worst <= 10.0 ** -3.5 * tol
 
 
+def aux_battery(params, tol):
+    return aux_checks()
+
+
 @pytest.mark.parametrize("verify", [
     verify_theta, verify_hardy, verify_ferrar, verify_line_integral,
     verify_ramanujan_bose,
-    lambda params, tol: verify_ramanujan_digamma(params.alpha, tol)])
+    lambda params, tol: verify_ramanujan_digamma(params.alpha, tol),
+    aux_battery])
 def test_quadrature_sides_carry_their_cost_and_error(verify):
-    rep = verify(KernelParams(1.25, 1.0), 1e-8)
-    quad_sides = [name for name, d in rep.diagnostics.items()
-                  if d["path"].startswith("quad")]
-    assert quad_sides
-    for name in quad_sides:
-        d = rep.diagnostics[name]
-        assert d["path"] == "quad"
-        assert d["evaluations"] > 0
-        assert d["truncation_T"] >= 10.0
-        assert 0.0 < d["abs_error"] < 1e-8
+    reps = verify(KernelParams(1.25, 1.0), 1e-8)
+    for rep in (reps if isinstance(reps, list) else [reps]):
+        quad_sides = [name for name, d in rep.diagnostics.items()
+                      if d["path"].startswith("quad")]
+        assert quad_sides or rep.identity_id in ("aux:cotangent",
+                                                 "aux:k0_lattice")
+        for name in quad_sides:
+            d = rep.diagnostics[name]
+            assert d["path"] == "quad"
+            assert d["evaluations"] > 0
+            assert d["truncation_T"] >= 10.0
+            assert 0.0 < d["abs_error"] < 1e-8
 
 
 class TestTheta:
@@ -231,17 +238,34 @@ class TestRhl:
         assert rep.diagnostics["mobius_oscillation"] > 0.0
 
     def test_one_moebius_sum_per_side(self, zero_records, monkeypatch):
+        # one Moebius term array per side (the (alpha, z) array also gives
+        # the oscillation proxy) and one zero-sum pass per side, each
+        # over all 100 zeros, whatever the number of zero counts
         from xiverify import numseries as ns
-        calls = []
-        for name in ("mobius_theta_sum", "mobius_partial_oscillation"):
-            def counted(alpha, z, *args, _fn=getattr(ns, name), _name=name):
-                calls.append((_name, alpha, complex(z)))
-                return _fn(alpha, z, *args)
-            monkeypatch.setattr(ns, name, counted)
-        verify_rhl(KernelParams(2.0, 1.0), zero_records, 100000, 1e-3)
-        sums = [c[1:] for c in calls if c[0] == "mobius_theta_sum"]
-        assert sums == [(2.0, 1.0), (0.5, 1.0j)]
-        assert [c[0] for c in calls].count("mobius_partial_oscillation") == 1
+        arrays, passes = [], []
+        terms = ns._mobius_terms
+
+        def counted_terms(name, alpha, z, *args):
+            arrays.append((alpha, complex(z)))
+            return terms(name, alpha, z, *args)
+
+        hyp = ns.hyp1f1
+
+        def counted_hyp(a, c, w):
+            passes.append(np.size(a))
+            return hyp(a, c, w)
+
+        monkeypatch.setattr(ns, "_mobius_terms", counted_terms)
+        monkeypatch.setattr(ns, "hyp1f1", counted_hyp)
+        rep = verify_rhl(KernelParams(2.0, 1.0), zero_records, 100000, 1e-3)
+        assert rep.diagnostics["zero_counts"] == [10, 25, 50, 100]
+        assert arrays == [(2.0, 1.0), (0.5, 1.0j)]
+        # z^2 is real at both sides, so a pass is one 1F1 call
+        assert passes == [100, 100]
+
+    def test_rejects_empty_zeros(self):
+        with pytest.raises(ValueError, match="at least one zero"):
+            verify_rhl(KernelParams(2.0, 0.0), [], 100000, 1e-3)
 
     def test_requires_derivatives(self, sample_zeros_path):
         from xiverify.zeros import load_zeros

@@ -16,8 +16,9 @@ from xiverify.numseries import (_bracket_edges, _zeta_tail,
                                 cosh_theta_sum, ferrar_bessel_sum,
                                 k0_sum_direct, k0_sum_minus_pole, lambda_sum,
                                 mobius_partial_oscillation, mobius_theta_sum,
+                                mobius_theta_sum_and_spread,
                                 sqrt_lattice_sum, theta_sum,
-                                zero_sum_bracketed)
+                                zero_sum_bracketed, zero_sum_by_count)
 from xiverify.specfun import besselk0_scaled
 from xiverify.xikernel import lambda_kernel
 from xiverify.zeros import ZeroRecord
@@ -201,6 +202,28 @@ class TestMobiusThetaSum:
         spread = mobius_partial_oscillation(2.0, 0.0, mobius_100k)
         assert 0.0 < spread < 0.05
 
+    @pytest.mark.parametrize("alpha,z", [(0.8, 0.0), (0.8, 1.0),
+                                         (1.3, 1.0 + 0.5j), (0.5, 2.0j)])
+    def test_squarefree_terms_match_all_n_formula(self, mobius_100k,
+                                                  alpha, z):
+        # exp and cos run only where mu(n) != 0; the sum and the spread of
+        # the partial sums must equal the all-n formulas bit for bit
+        z = complex(z)
+        n = np.arange(1.0, mobius_100k.limit + 1.0)
+        mu = mobius_100k.values[1:].astype(np.float64)
+        terms = (mu / n) * np.exp(-np.pi * alpha * alpha / (n * n))
+        if z != 0.0:
+            terms = terms * np.cos(np.sqrt(np.pi) * alpha * z / n)
+        window = np.cumsum(terms)[len(terms) // 10 - 1:]
+        spread = window.real.max() - window.real.min()
+        if z != 0.0:
+            spread = max(spread, window.imag.max() - window.imag.min())
+        total, got_spread = mobius_theta_sum_and_spread(alpha, z, mobius_100k)
+        assert total == complex(terms.sum())
+        assert got_spread == float(spread)
+        assert mobius_theta_sum(alpha, z, mobius_100k) == total
+        assert mobius_partial_oscillation(alpha, z, mobius_100k) == got_spread
+
 
 class TestZeroSum:
     def test_frozen_value(self, zero_records):
@@ -239,6 +262,35 @@ class TestZeroSum:
         recs = [ZeroRecord(14.134725141734694)]
         with pytest.raises(ValueError):
             zero_sum_bracketed(recs, 1.0, 0.0)
+
+    @pytest.mark.parametrize("a1", [0.1, 1e-3, 1e3])
+    @pytest.mark.parametrize("z", [1.0, 2.0j, 1.0 + 0.5j])
+    def test_one_pass_matches_each_prefix(self, zero_records, a1, z):
+        # at a1 = 1e-3 gaps below about 2 share a bracket, so counts 9
+        # and 13 close a bracket early, as zeros[:c] does
+        counts = [1, 9, 10, 13, 25, 50, 100]
+        if a1 == 1e-3:
+            edges = _bracket_edges([r.gamma for r in zero_records], a1)
+            assert 9 not in edges and 13 not in edges
+        sums = zero_sum_by_count(zero_records, 0.8, z, counts, a1)
+        for c, got in zip(counts, sums):
+            _close(got, zero_sum_bracketed(zero_records[:c], 0.8, z, a1),
+                   rel=1e-15)
+
+    def test_one_pass_splits_a_synthetic_bracket(self):
+        gammas = [1.0, 1.001, 5.0]
+        recs = [ZeroRecord(g, zeta_prime=d) for g, d in
+                zip(gammas, [0.8 + 0.1j, -0.5 + 0.3j, 1.2 - 0.4j])]
+        for a1 in (0.1, 1e3):
+            sums = zero_sum_by_count(recs, 2.0, 1.0 + 0.5j, [0, 1, 2, 3], a1)
+            assert sums[0] == 0.0
+            for c, got in zip((1, 2, 3), sums[1:]):
+                _close(got, zero_sum_bracketed(recs[:c], 2.0, 1.0 + 0.5j, a1),
+                       rel=1e-15)
+
+    def test_count_out_of_range_raises(self, zero_records):
+        with pytest.raises(ValueError):
+            zero_sum_by_count(zero_records[:10], 1.0, 0.0, [11])
 
     def test_decay_with_ordinate(self, zero_records):
         # each additional bracket moves the partial sum by roughly

@@ -127,6 +127,11 @@ class TestZeta:
         _close(zeta(0.5 + 25.0j),
                0.0049845933640356754 - 0.014012301962583383j, rel=1e-11)
 
+    def test_rejects_height_past_supported_strip(self):
+        # the eta coefficients overflow past n = 380, near |Im s| = 420
+        with pytest.raises(ValueError, match="strip"):
+            zeta(0.5 + 438.7j)
+
     def test_functional_equation_region(self):
         # Re s < 1/2 goes through the reflection; check against the frozen
         # value and against the alternating-series path, which needs no
@@ -189,6 +194,15 @@ class TestHyp1f1:
             hyp1f1(1.0, 0.0, 0.5)
         with pytest.raises(ValueError):
             hyp1f1(1.0, -3.0, 0.5)
+
+    def test_rejects_argument_outside_working_range(self):
+        assert np.isfinite(hyp1f1(0.5, 0.5, 50.0))
+        assert np.isfinite(hyp1f1(0.5, 0.5, -50.0j))
+        for z in (60.0, -60.0, 40.0 + 40.0j, float("nan")):
+            with pytest.raises(ValueError, match="working range"):
+                hyp1f1(0.5, 0.5, z)
+        with pytest.raises(ValueError, match="working range"):
+            hyp1f1(0.5, 0.5, np.array([1.0, 60.0]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-10.0, 10.0), st.floats(-6.0, 6.0))
