@@ -53,6 +53,9 @@ def _once(grid):
 # reports at one point), in battery order.  Each run names its verifier when
 # called, so a module attribute rebound after import (a tracer's wrapper, a
 # test's stub) is the one used; tasks carry the family name so they pickle.
+# The run-wide extra (zeros, Moebius limit, rhl tolerance) is not in the
+# tasks: a --jobs worker receives it once, through the pool's initializer,
+# so the zeros are pickled once per worker instead of once per task.
 _FAMILIES = {
     "theta": (_each_point, lambda p, tol, x: [verify_theta(p, tol)]),
     "hardy": (_each_point, lambda p, tol, x: [verify_hardy(p, tol)]),
@@ -139,14 +142,14 @@ def report_to_dict(report):
     }
 
 
-def _run_task(task):
+def _run_task(task, extra):
     """Evaluate one (identity, grid point) cell; returns a list of dicts.
 
-    Top-level so ProcessPoolExecutor can pickle it.  A numerical failure
-    (a tolerance float64 quadrature cannot certify, an argument outside a
-    function's range) becomes a failing report, not a crash.
+    A numerical failure (a tolerance float64 quadrature cannot certify,
+    an argument outside a function's range) becomes a failing report, not
+    a crash.
     """
-    kind, alpha, z, tol, extra = task
+    kind, alpha, z, tol = task
     params = KernelParams(alpha, z)
     try:
         reports = _FAMILIES[kind][1](params, tol, extra)
@@ -156,14 +159,30 @@ def _run_task(task):
     return [report_to_dict(r) for r in reports]
 
 
+# a --jobs worker's copy of the run-wide extra, set by _init_worker
+_worker_extra = None
+
+
+def _init_worker(extra):
+    """Pool initializer: keep the run-wide extra for this worker's tasks."""
+    global _worker_extra
+    _worker_extra = extra
+
+
+def _run_in_worker(task):
+    """_run_task in a pool worker; top-level so the pool can pickle it."""
+    return _run_task(task, _worker_extra)
+
+
 def build_tasks(identity, grid, tol, extra):
-    """Expand the requested identity over the grid into worker tasks;
-    "all" is every family in table order, rhl only when extra has zeros."""
+    """Expand the requested identity over the grid into worker tasks
+    (kind, alpha, z, tol); "all" is every family in table order, rhl only
+    when extra has zeros."""
     kinds = [identity]
     if identity == "all":
         kinds = [k for k in _FAMILIES
                  if k != "rhl" or extra["zeros"] is not None]
-    return [(kind, a, z, tol, extra)
+    return [(kind, a, z, tol)
             for kind in kinds for a, z in _FAMILIES[kind][0](grid)]
 
 
@@ -275,10 +294,12 @@ def main(argv=None):
     tasks = build_tasks(args.identity, grid, args.tol, extra)
 
     if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            grouped = list(pool.map(_run_task, tasks))
+        with ProcessPoolExecutor(max_workers=args.jobs,
+                                 initializer=_init_worker,
+                                 initargs=(extra,)) as pool:
+            grouped = list(pool.map(_run_in_worker, tasks))
     else:
-        grouped = [_run_task(t) for t in tasks]
+        grouped = [_run_task(t, extra) for t in tasks]
     dicts = [d for group in grouped for d in group]
 
     text = render_json(dicts) if args.format == "json" else render_csv(dicts)

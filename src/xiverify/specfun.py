@@ -70,6 +70,17 @@ def _merge(arr, scalar):
     return arr[()] if scalar else arr
 
 
+def _require_finite(name, arr, what="argument"):
+    """Raise ValueError naming the function unless every entry is finite.
+
+    Checked once per call, before any series starts: a NaN or infinite
+    input would otherwise run a series to its term limit or end in an
+    integer conversion deep inside.
+    """
+    if not np.isfinite(arr).all():
+        raise ValueError("%s: %s must be finite" % (name, what))
+
+
 def _lanczos_lngamma(z):
     """Log-gamma via the Lanczos sum; requires Re z >= 0.5 elementwise."""
     t = z + (_LANCZOS_G - 0.5)
@@ -200,6 +211,7 @@ def zeta_eta(s, n=None):
     pass one), which the cross-check of the functional equation uses.
     """
     z, scalar = _split(s, np.complex128)
+    _require_finite("zeta_eta", z)
     if n is None:
         tmax = float(np.max(np.abs(z.imag))) if z.size else 0.0
         n = _eta_terms_needed(tmax)
@@ -220,6 +232,7 @@ def zeta_eta_prime(s):
     Same coefficients and term count as zeta_eta; one series evaluation.
     """
     z, scalar = _split(s, np.complex128)
+    _require_finite("zeta_eta_prime", z)
     tmax = float(np.max(np.abs(z.imag))) if z.size else 0.0
     e, dn = _eta_coefficients(_eta_terms_needed(tmax))
     powers, logk = _eta_powers(z, len(e))
@@ -241,9 +254,10 @@ def zeta(s):
     with a series branch near s = 0 where 1/Gamma(s/2) vanishes:
     zeta(1-s) Gamma(s/2)^-1 = (s/2)(-1/s + g0 + g1 s + ...) / Gamma(1+s/2).
 
-    Raises ValueError at the pole s = 1.
+    Raises ValueError at the pole s = 1 and at non-finite s.
     """
     z, scalar = _split(s, np.complex128)
+    _require_finite("zeta", z)
     if np.any(z == 1.0):
         raise ValueError("zeta: pole at s = 1")
     out = np.empty_like(z)
@@ -274,17 +288,34 @@ def zeta(s):
 
 
 def _hyp_series(a, c, z):
-    """Raw Taylor sum of 1F1(a; c; z) over broadcast arrays."""
-    a, c, z = np.broadcast_arrays(
-        np.asarray(a, np.complex128), np.asarray(c, np.complex128),
-        np.asarray(z, np.complex128))
-    term = np.ones(a.shape, dtype=np.complex128)
+    """Raw Taylor sum of 1F1(a; c; z); a, c, z broadcast.
+
+    A 0-d c or z stays a numpy scalar (every caller passes scalar c and
+    most pass scalar z), so only the arrays the result needs are
+    allocated.  The loop updates term and total in place and reuses its
+    magnitude buffers; each step is the same sequence of operations,
+    term * (a + n) * z / ((c + n) (n + 1)), for scalar and array c, z.
+    """
+    a = np.asarray(a, np.complex128)
+    c = np.asarray(c, np.complex128)[()]
+    z = np.asarray(z, np.complex128)[()]
+    shape = np.broadcast_shapes(a.shape, np.shape(c), np.shape(z))
+    term = np.ones(shape, dtype=np.complex128)
     total = term.copy()
+    step = np.empty_like(term)
+    mag = np.empty(shape)
+    bound = np.empty(shape)
     for n in range(_SERIES_MAX_TERMS):
-        term = term * (a + n) * z / ((c + n) * (n + 1.0))
-        total = total + term
-        bound = _SERIES_RELTOL * np.maximum(np.abs(total), 1e-300)
-        if np.all(np.abs(term) < bound):
+        np.add(a, n, out=step)
+        term *= step
+        term *= z
+        term /= (c + n) * (n + 1.0)
+        total += term
+        np.abs(total, out=bound)
+        np.maximum(bound, 1e-300, out=bound)
+        bound *= _SERIES_RELTOL
+        np.abs(term, out=mag)
+        if (mag < bound).all():
             return total
     raise RuntimeError("hyp1f1: series did not converge in %d terms"
                        % _SERIES_MAX_TERMS)
@@ -297,15 +328,19 @@ def hyp1f1(a, c, z):
     1F1(a; c; z) = e^z 1F1(c - a; c; -z) is applied first so the summed
     series has nonnegative argument real part, avoiding the cancellation
     blowup of the raw alternating sum.  Working range |z| <= 50; any other
-    z (NaN included) raises ValueError.
+    z (NaN included) raises ValueError, as does a non-finite a or c.
 
-    a, c, z broadcast; c must avoid nonpositive integers.
+    a, c, z broadcast; c must avoid nonpositive integers.  The series
+    itself is _hyp_series, which keeps a scalar c or z scalar and sums in
+    place.
     """
     cc, scalar_c = _split(c, np.complex128)
+    _require_finite("hyp1f1", cc, "parameter c")
     badc = (cc.imag == 0.0) & (cc.real <= 0.0) & (cc.real == np.floor(cc.real))
     if np.any(badc):
         raise ValueError("hyp1f1: parameter c at a nonpositive integer")
     aa, scalar_a = _split(a, np.complex128)
+    _require_finite("hyp1f1", aa, "parameter a")
     zz, scalar_z = _split(z, np.complex128)
     zmax = np.abs(zz).max(initial=0.0)
     if not zmax <= 50.0:  # NaN fails too
@@ -326,6 +361,7 @@ def hyp1f1(a, c, z):
 def hyp2f2_11(z):
     """2F2(1, 1; 3/2, 2; z) by direct series; term ratio (n+1) z / ((n+3/2)(n+2))."""
     zz, scalar = _split(z, np.complex128)
+    _require_finite("hyp2f2_11", zz)
     term = np.ones(zz.shape, dtype=np.complex128)
     total = term.copy()
     for n in range(_SERIES_MAX_TERMS):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (EULER_GAMMA, _STIELTJES_1, _STIELTJES_2, _merge,
-                      _split, digamma, hyp1f1, lngamma, zeta)
+                      _require_finite, _split, digamma, hyp1f1, lngamma,
+                      zeta)
 
 _QUARTER_LOG_PI = 0.28618247146235004  # log(pi) / 4
 
@@ -86,8 +87,10 @@ def xi_cap(t):
 
     where the bracket is the classical real-valued combination of zeta
     with its critical-line phase.  Complex t falls back to xi_small.
+    Non-finite t raises ValueError.
     """
     w, scalar = _split(t, np.complex128)
+    _require_finite("xi_cap", w)
     if np.any(w.imag != 0.0):
         return xi_small(0.5 + 1j * w)
     tv = w.real
@@ -113,9 +116,19 @@ def rho_kernel(x, z, s):
 
 
 def nabla_kernel(x, z, s):
-    """nabla(x, z, s) = rho(x, z, s) + rho(x, z, 1-s); symmetric in s <-> 1-s."""
+    """nabla(x, z, s) = rho(x, z, s) + rho(x, z, 1-s); symmetric in s <-> 1-s.
+
+    Both terms come from one rho_kernel call on the stacked pair
+    (s, 1 - s), so a single 1F1 series serves the two of them.  That
+    series stops when both rows have converged.  On the critical line
+    with real or imaginary z the rows stop together, and the result is
+    rho + rho to the bit; otherwise one row may take a term more than
+    its own call would, a change below 1e-17 of its total.
+    """
     sv = np.asarray(s, np.complex128)
-    return rho_kernel(x, z, sv) + rho_kernel(x, z, 1.0 - sv)
+    sv = np.broadcast_to(sv, np.broadcast_shapes(np.shape(x), sv.shape))
+    both = rho_kernel(x, z, np.stack([sv, 1.0 - sv]))
+    return both[0] + both[1]
 
 
 def lambda_kernel(x):

@@ -134,6 +134,28 @@ class TestMain:
         run_cli(argv + ["--jobs", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_tasks_do_not_carry_the_zeros(self, zero_records):
+        extra = {"mobius_limit": 100000, "rhl_tol": 1e-3,
+                 "zeros": zero_records}
+        tasks = cli.build_tasks("all", default_grid(), 1e-8, extra)
+        assert any(t[0] == "rhl" for t in tasks)
+        for task in tasks:
+            assert len(task) == 4
+            assert not any(field is extra for field in task)
+
+    def test_rhl_jobs_match_serial(self, tmp_path, sample_zeros_path):
+        # --jobs workers get the zeros from the pool's initializer
+        grid = tmp_path / "grid.txt"
+        grid.write_text("2.0 1.0 0.0\n0.5 0.0 2.0\n")
+        argv = ["--identity", "rhl", "--zeros", sample_zeros_path,
+                "--grid", f"file:{grid}"]
+        a = tmp_path / "serial.json"
+        b = tmp_path / "parallel.json"
+        assert run_cli(argv + ["--out", str(a)])[0] == 0
+        assert run_cli(argv + ["--jobs", "2", "--out", str(b)])[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert len(json.loads(a.read_text())["reports"]) == 2
+
     def test_grid_file_mode(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text("1.0 0.0 0.0\n2.0 0.0 0.0\n")

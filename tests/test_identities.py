@@ -100,6 +100,33 @@ class TestTheta:
         assert "pass" in repr(rep)
 
 
+    def test_default_grid_work_counts(self, monkeypatch):
+        # one 1F1 series per nabla and one integrand call per three
+        # truncation ladder steps; before, 260 series and 70 truncation
+        # calls over the default grid
+        from xiverify import cli, quad, specfun
+        calls = {"series": 0, "amp": 0}
+        series = specfun._hyp_series
+        truncation = quad._truncation_point
+
+        def counted_series(a, c, z):
+            calls["series"] += 1
+            return series(a, c, z)
+
+        def counted_truncation(amp, tol, rate):
+            def counted_amp(ts):
+                calls["amp"] += 1
+                return amp(ts)
+            return truncation(counted_amp, tol, rate)
+
+        monkeypatch.setattr(specfun, "_hyp_series", counted_series)
+        monkeypatch.setattr(quad, "_truncation_point", counted_truncation)
+        for alpha, z in cli.default_grid():
+            assert verify_theta(KernelParams(alpha, z), 1e-8).passed
+        assert calls["series"] <= 100
+        assert calls["amp"] <= 40
+
+
 class TestDigamma:
     def test_alpha_one(self):
         rep = verify_ramanujan_digamma(1.0, 1e-8)
@@ -186,7 +213,10 @@ class TestFerrar:
                                for d in rep.diagnostics.values())
         assert points["besselk0"] <= 100000
         assert points["cf2"] <= 100000
-        assert evaluations == 23844
+        # 23,844 while the truncation ladder took one step per integrand
+        # call; the batched ladder also passes the tail points of steps
+        # past the one it takes, and evaluations count every point passed
+        assert evaluations == 24315
 
 
 class TestRamanujanBose:

@@ -185,3 +185,87 @@ def test_complex_valued_integrand():
                                   1e-11, 1.0)
     want = 1.0 / (1.0 - 2j)
     assert abs(res.value - want) <= 1e-10
+
+
+def _sequential_truncation(amp, tol, rate):
+    """The one-step-per-call truncation ladder, frozen as the reference
+    for quad._truncation_point; returns (T, tail, ladder steps)."""
+    probe_t = np.linspace(0.25, 25.0, 24)
+    probe = amp(probe_t)
+    m = float(probe.max())
+    T = 10.0
+    if m > 0.0:
+        t_at = float(probe_t[int(probe.argmax())])
+        T = t_at + np.log(max(10.0 * m / (tol * rate), 2.0)) / rate
+    T = min(max(T, 10.0), quad._T_CAP)
+    steps = 0
+    while True:
+        tail = float(np.max(amp(T * np.array([0.92, 0.96, 1.0])))) / rate
+        steps += 1
+        if tail <= quad._TAIL_SHARE * tol:
+            return T, tail, steps
+        if T >= quad._T_CAP:
+            raise RuntimeError(
+                "quadrature: integrand tail still %.3e at T = %g "
+                "(needs <= %.3e); decay hint %.3g looks wrong"
+                % (tail, T, quad._TAIL_SHARE * tol, rate))
+        T = min(1.25 * T, quad._T_CAP)
+
+
+class TestTruncationLadder:
+    # |f| flat up to L, then e^(-3 (t - L)): the seed (21.0 here) is
+    # blind to L, so L sets how many 25% steps the ladder climbs
+    @staticmethod
+    def _amp(L, calls):
+        def amp(t):
+            calls.append(np.size(t))
+            return np.exp(-3.0 * np.maximum(t - L, 0.0))
+        return amp
+
+    @pytest.mark.parametrize("L,steps,amp_calls", [
+        (5.0, 1, 2), (15.0, 2, 2), (22.0, 3, 2), (35.0, 5, 3)])
+    def test_same_point_as_one_step_at_a_time(self, L, steps, amp_calls):
+        ref_calls, calls = [], []
+        T_ref, tail_ref, n = _sequential_truncation(
+            self._amp(L, ref_calls), 1e-8, 1.0)
+        assert n == steps
+        T, tail, points = quad._truncation_point(self._amp(L, calls),
+                                                 1e-8, 1.0)
+        assert (T, tail) == (T_ref, tail_ref)
+        assert len(calls) == amp_calls
+        assert points == sum(calls)
+
+    def test_cap_error_message_unchanged(self):
+        flat = lambda t: np.ones_like(t)
+        with pytest.raises(RuntimeError) as want:
+            _sequential_truncation(flat, 1e-8, 1.0)
+        with pytest.raises(RuntimeError) as got:
+            quad._truncation_point(flat, 1e-8, 1.0)
+        assert str(got.value) == str(want.value)
+        assert "T = %g" % quad._T_CAP in str(got.value)
+
+    def test_real_line_calls_f_once_per_amp_call(self, monkeypatch):
+        f_calls, amp_calls = [], []
+        real = quad._truncation_point
+
+        def g(t):
+            return np.exp(-t * t + 0.5 * t)
+
+        def spy(amp, tol, rate):
+            def counted(ts):
+                before = len(f_calls)
+                out = amp(ts)
+                amp_calls.append(len(f_calls) - before)
+                # still the larger of |f| at t and at -t
+                assert np.array_equal(
+                    out, np.maximum(np.abs(g(ts)), np.abs(g(-ts))))
+                return out
+            return real(counted, tol, rate)
+
+        def f(t):
+            f_calls.append(np.size(t))
+            return g(t)
+
+        monkeypatch.setattr(quad, "_truncation_point", spy)
+        integrate_real_line(f, 1e-10, 1.0)
+        assert amp_calls and set(amp_calls) == {1}

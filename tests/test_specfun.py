@@ -6,16 +6,19 @@ evaluation can honestly deliver.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xiverify.specfun import (EULER_GAMMA, _k0_asymp_scaled, _k0_cf2_scaled,
-                              _k0_series, besselk0, besselk0_scaled,
-                              digamma, gamma_fn, hyp1f1, hyp2f2_11, lngamma,
-                              mobius_sieve, zeta, zeta_eta)
+from xiverify.specfun import (_SERIES_MAX_TERMS, _SERIES_RELTOL,
+                              EULER_GAMMA, _hyp_series, _k0_asymp_scaled,
+                              _k0_cf2_scaled, _k0_series, besselk0,
+                              besselk0_scaled, digamma, gamma_fn, hyp1f1,
+                              hyp2f2_11, lngamma, mobius_sieve, zeta,
+                              zeta_eta, zeta_eta_prime)
 
 # arguments on both sides of the K0 branch seams at 2 and 300, and on them
 K0_GRID = np.concatenate([
@@ -210,6 +213,88 @@ class TestHyp1f1:
         lhs = hyp1f1(a, 0.5, x)
         rhs = np.exp(x) * hyp1f1(0.5 - a, 0.5, -x)
         _close(lhs, rhs, rel=1e-9, abs_tol=1e-10)
+
+
+def _broadcast_hyp_series(a, c, z):
+    """The 1F1 Taylor loop as it stood before _hyp_series kept scalar c
+    and z scalar and summed in place, frozen as its bit-level reference."""
+    a, c, z = np.broadcast_arrays(
+        np.asarray(a, np.complex128), np.asarray(c, np.complex128),
+        np.asarray(z, np.complex128))
+    term = np.ones(a.shape, dtype=np.complex128)
+    total = term.copy()
+    for n in range(_SERIES_MAX_TERMS):
+        term = term * (a + n) * z / ((c + n) * (n + 1.0))
+        total = total + term
+        bound = _SERIES_RELTOL * np.maximum(np.abs(total), 1e-300)
+        if np.all(np.abs(term) < bound):
+            return total
+    raise RuntimeError("reference series did not converge")
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+# the theta family's 1F1 parameters: a = (1 - s)/2 on the critical line
+# and at 1 - s, c = 1/2, w = z^2/4 for z = 1, 2i, 1 + 0.5i
+_S = 0.5 * (1.0 + 1j * np.linspace(0.0, 60.0, 65))
+_A = 0.5 * (1.0 - np.concatenate([_S, 1.0 - _S]))
+
+
+class TestHypSeriesLoop:
+    @pytest.mark.parametrize("w", [0.25, 1.0, 0.1875 + 0.25j, 12.5 - 3.0j])
+    def test_scalar_c_and_z(self, w):
+        assert _same_bits(_hyp_series(_A, 0.5, w),
+                          _broadcast_hyp_series(_A, 0.5, w))
+
+    def test_array_z(self):
+        z = np.linspace(0.0, 20.0, 41) * (1.0 + 0.3j)
+        assert _same_bits(_hyp_series(-0.5, 0.5, z),
+                          _broadcast_hyp_series(-0.5, 0.5, z))
+        assert _same_bits(_hyp_series(_A[:41], 0.5, z),
+                          _broadcast_hyp_series(_A[:41], 0.5, z))
+
+    def test_all_scalar(self):
+        got = _hyp_series(0.25 - 1.5j, 0.5, 0.25)
+        assert _same_bits(got, _broadcast_hyp_series(0.25 - 1.5j, 0.5, 0.25))
+
+    def test_mixed_sign_branch_of_hyp1f1(self):
+        z = np.linspace(-6.0, 6.0, 25) + 0.5j
+        a = _A[:25]
+        neg = z.real < 0.0
+        direct = _broadcast_hyp_series(a, 0.5, np.where(neg, 0.0, z))
+        flipped = np.exp(z) * _broadcast_hyp_series(
+            0.5 - a, 0.5, np.where(neg, -z, 0.0))
+        assert neg.any() and not neg.all()
+        assert _same_bits(hyp1f1(a, 0.5, z), np.where(neg, flipped, direct))
+
+
+class TestNonFiniteInput:
+    # each used to run a series to its 100,000-term limit (1-2 s) or fail
+    # converting NaN to an integer
+    @pytest.mark.parametrize("call,message", [
+        (lambda: hyp1f1(np.nan, 0.5, 1.0), "hyp1f1: parameter a"),
+        (lambda: hyp1f1(np.inf, 0.5, 1.0), "hyp1f1: parameter a"),
+        (lambda: hyp1f1(np.array([0.5, np.nan]), 0.5, 1.0),
+         "hyp1f1: parameter a"),
+        (lambda: hyp1f1(0.5, np.nan, 1.0), "hyp1f1: parameter c"),
+        (lambda: hyp1f1(0.5, complex(0.5, np.inf), 1.0),
+         "hyp1f1: parameter c"),
+        (lambda: hyp2f2_11(np.nan), "hyp2f2_11"),
+        (lambda: hyp2f2_11(np.array([1.0, np.inf])), "hyp2f2_11"),
+        (lambda: zeta(complex(0.5, np.nan)), "zeta"),
+        (lambda: zeta(np.inf), "zeta"),
+        (lambda: zeta_eta(np.nan), "zeta_eta"),
+        (lambda: zeta_eta_prime(complex(0.5, np.inf)), "zeta_eta_prime"),
+    ])
+    def test_raises_at_once_naming_the_function(self, call, message):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=message + ".*must be finite"):
+            call()
+        assert time.perf_counter() - start < 0.05
 
 
 class TestHyp2f2:

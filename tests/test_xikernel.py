@@ -1,10 +1,14 @@
 """Completed-zeta kernel layer: xi, Xi, rho, nabla, lambda."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xiverify import xikernel
+from xiverify.specfun import hyp1f1
 from xiverify.xikernel import (KernelParams, lambda_kernel, nabla_kernel,
                                rho_kernel, xi_cap, xi_small)
 
@@ -86,6 +90,15 @@ class TestXiCap:
         t = 1.0 + 0.5j
         _close(xi_cap(t), xi_small(0.5 + 1j * t), rel=1e-12)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, np.array([1.0, np.nan]),
+                                   complex(1.0, np.nan)])
+    def test_non_finite_argument_raises_at_once(self, t):
+        # NaN used to end in "cannot convert float NaN to integer"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="xi_cap: argument must be finite"):
+            xi_cap(t)
+        assert time.perf_counter() - start < 0.05
+
 
 class TestRhoNabla:
     def test_frozen_value(self):
@@ -120,6 +133,47 @@ class TestRhoNabla:
         s = 0.3 + 7.0j
         _close(nabla_kernel(2.0, 1.0, s), nabla_kernel(2.0, 1.0, 1.0 - s),
                rel=1e-14)
+
+    # One stacked series runs until both rows have converged.  On the
+    # critical line the rows' parameters are complex conjugates, so their
+    # terms have equal size: with real or imaginary z (z = 2i has
+    # Re(z^2/4) < 0 and takes Kummer's transformation) they stop on the
+    # same term, and an array of s, like a quadrature panel's, stops where
+    # its slowest point does in either row.  Then nabla is rho + rho to
+    # the bit.  A lone s with complex z can stop one row a term later than
+    # its own call would, a change below 1e-17 of that row's total.
+    @pytest.mark.parametrize("z,s", [
+        (0.0, 0.5 + 3.5j), (1.0, 0.5 + 3.5j), (2.0j, 0.5 + 3.5j),
+        (2.0j, 0.5 + 20.0j)] + [
+        (z, 0.5 * (1.0 + 1j * np.linspace(0.0, 60.0, 49)))
+        for z in (0.0, 1.0, 2.0j, 1.0 + 0.5j)])
+    def test_nabla_is_one_series_and_the_sum_of_two_rhos(self, monkeypatch,
+                                                        z, s):
+        want = rho_kernel(2.0, z, s) + rho_kernel(2.0, z, 1.0 - s)
+        calls = []
+
+        def counted(a, c, w):
+            calls.append(np.shape(a))
+            return hyp1f1(a, c, w)
+
+        monkeypatch.setattr(xikernel, "hyp1f1", counted)
+        got = nabla_kernel(2.0, z, s)
+        assert calls == [(2,) + np.shape(s)]
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_lone_s_with_complex_z_within_the_series_stop(self):
+        s, z = 0.5 + 3.5j, 1.0 + 0.5j
+        rows = abs(rho_kernel(2.0, z, s)) + abs(rho_kernel(2.0, z, 1.0 - s))
+        want = rho_kernel(2.0, z, s) + rho_kernel(2.0, z, 1.0 - s)
+        assert abs(nabla_kernel(2.0, z, s) - want) <= 1e-15 * rows
+
+    def test_nabla_broadcasts_array_x_against_scalar_s(self):
+        x = np.array([0.5, 2.0, 3.0])
+        got = nabla_kernel(x, 1.0, 0.5 + 2.0j)
+        assert got.shape == x.shape
+        for xi, g in zip(x, got):
+            _close(g, nabla_kernel(float(xi), 1.0, 0.5 + 2.0j), rel=1e-14)
 
 
 class TestLambdaKernel:
