@@ -229,8 +229,7 @@ def build_parser():
                              "(one positive real per line, ascending)")
     parser.add_argument("--mobius-limit", type=int, default=100000,
                         help="Moebius sieve cutoff for rhl (default 1e5)")
-    parser.add_argument("--tol", type=float,
-                        default=float(os.environ.get("XI_VERIFY_TOL", "1e-8")),
+    parser.add_argument("--tol", type=float, default=None,
                         help="tolerance for equality identities "
                              "(default 1e-8, env XI_VERIFY_TOL)")
     parser.add_argument("--rhl-tol", type=float, default=1e-3,
@@ -241,7 +240,8 @@ def build_parser():
     parser.add_argument("--out", type=str, default=None,
                         help="write the report here instead of stdout")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for grid evaluation")
+                        help="worker processes for grid evaluation (at most "
+                             "one per task and one per CPU)")
     return parser
 
 
@@ -251,6 +251,12 @@ def main(argv=None):
 
     if args.z is not None and args.alpha is None:
         parser.error("--z requires --alpha")
+    if args.tol is None:
+        text = os.environ.get("XI_VERIFY_TOL", "1e-8")
+        try:
+            args.tol = float(text)
+        except ValueError:
+            parser.error("XI_VERIFY_TOL: invalid float value: %r" % text)
     if args.alpha is not None and not 0.0 < args.alpha < math.inf:
         parser.error("--alpha must be finite and positive")
     if not (0.0 < args.tol < math.inf and 0.0 < args.rhl_tol < math.inf):
@@ -293,8 +299,11 @@ def main(argv=None):
 
     tasks = build_tasks(args.identity, grid, args.tol, extra)
 
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs,
+    # the pool forks all its workers at the first submit, so ask for no
+    # more than can run at once
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker,
                                  initargs=(extra,)) as pool:
             grouped = list(pool.map(_run_in_worker, tasks))

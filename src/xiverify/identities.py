@@ -351,9 +351,9 @@ def verify_rhl(params, zeros, N_mobius, tol_trend):
     The residual is recorded for zero counts {10, 25, 50, 100}; the
     claim being conditionally convergent, passing requires only the final
     residual within tol_trend and no increase over the last two steps.
-    Each side's work is done once per report: one Moebius term array (at
-    (alpha, z) it also gives the oscillation proxy, from its cumulative
-    sums) and one zero-sum pass that yields the sum at every count.  The
+    Each side's work is done once per report: one mobius_theta_sum call
+    (only the (alpha, z) oscillation proxy is kept) and one
+    zero_sum_bracketed pass that yields the sum at every count.  The
     (alpha, z) arrays are freed before the (1/alpha, iz) side is built.
     Raises ValueError on an empty zeros list.
     """
@@ -368,12 +368,12 @@ def verify_rhl(params, zeros, N_mobius, tol_trend):
     b = params.beta
     table = mobius_sieve(N_mobius)
     counts = [c for c in _RHL_COUNTS if c <= len(zeros)] or [len(zeros)]
-    mob_a, oscillation = ns.mobius_theta_sum_and_spread(a, z, table)
+    mob_a, oscillation = ns.mobius_theta_sum(a, z, table)
     sides_a = _rhl_sides(a, z, mob_a,
-                         ns.zero_sum_by_count(zeros, a, z, counts))
-    mob_b = ns.mobius_theta_sum(b, 1j * z, table)
+                         ns.zero_sum_bracketed(zeros, a, z, counts))
+    mob_b, _ = ns.mobius_theta_sum(b, 1j * z, table)
     sides_b = _rhl_sides(b, 1j * z, mob_b,
-                         ns.zero_sum_by_count(zeros, b, 1j * z, counts))
+                         ns.zero_sum_bracketed(zeros, b, 1j * z, counts))
     seq = [residual(sa, sb) for sa, sb in zip(sides_a, sides_b)]
     non_increase = all(
         seq[i + 1] <= seq[i] * (1.0 + 1e-12) + 1e-15
@@ -423,17 +423,13 @@ def verify_line_integral(params, tol):
 
 
 def log_gaussian_integral(alpha, z):
-    """Quadrature value of int_0^inf e^(-pi a^2 x^2) cos(sqrt(pi) a x z) log x dx.
+    """Quadrature value of int_0^inf e^(-pi a^2 x^2) cos(sqrt(pi) a x z) log x dx,
+    with its quadrature diagnostics: returns (value, diagnostics).
 
     Log-singular at 0, so integrated by quad.integrate_log_singular.
     Compare against log_gaussian_closed_form; the comparison itself is
     the check.
     """
-    return _log_gaussian_side(alpha, z)[0]
-
-
-def _log_gaussian_side(alpha, z):
-    """log_gaussian_integral's value with its quadrature diagnostics."""
     a = float(alpha)
     if a <= 0.0:
         raise ValueError("log_gaussian_integral: alpha must be positive")
@@ -480,12 +476,10 @@ def cotangent_partial_fraction_check(t):
 
 def ferrar_gaussian_bessel_check(alpha, n):
     """|int_0^inf e^(-a^2 t^2/(4 pi)) dt / sqrt(t^2 + 4 pi^2 n^2)
-    - (1/2) e^(x) K0(x)|, x = pi a^2 n^2 / 2; quadrature vs closed form."""
-    return _gaussian_bessel_side(alpha, n)[0]
+    - (1/2) e^(x) K0(x)|, x = pi a^2 n^2 / 2; quadrature vs closed form.
 
-
-def _gaussian_bessel_side(alpha, n):
-    """ferrar_gaussian_bessel_check's value with its quadrature diagnostics."""
+    Returns (residual, diagnostics of the quadrature).
+    """
     a = float(alpha)
     if a <= 0.0 or n < 1:
         raise ValueError("ferrar_gaussian_bessel_check: need alpha > 0, n >= 1")
@@ -526,13 +520,9 @@ def inverse_mellin_gaussian_check(alpha=1.0, b=1.0, x=2.0, c=1.0):
     (1/(2 pi i)) int_{c} (1/2) Gamma(s/2) e^(-b^2/(4a))
         1F1((1-s)/2; 1/2; b^2/(4a)) a^(s/2 - ...) x^(-s) ds reduces, at
     a = b = 1, to the quoted quarter-argument form; returns
-    |integral - e^(-a x^2) cos(b x)| at the requested point.
+    (|integral - e^(-a x^2) cos(b x)| at the requested point, diagnostics
+    of the quadrature).
     """
-    return _inverse_mellin_gaussian_side(alpha, b, x, c)[0]
-
-
-def _inverse_mellin_gaussian_side(alpha, b, x, c):
-    """inverse_mellin_gaussian_check's value with its quadrature diagnostics."""
     a = float(alpha)
     w = b * b / (4.0 * a)
 
@@ -551,13 +541,8 @@ def inverse_mellin_kernel_check(alpha=1.0, n=1, z=1.0):
 
     int Gamma(s/2) 1F1((1-s)/2; 1/2; z^2/4) (sqrt(pi) alpha n)^(-s) ds
       = 4 pi i e^(-pi alpha^2 n^2 + z^2/4) cos(sqrt(pi) alpha n z);
-    returns the absolute residual.
+    returns (absolute residual, diagnostics of the quadrature).
     """
-    return _inverse_mellin_kernel_side(alpha, n, z)[0]
-
-
-def _inverse_mellin_kernel_side(alpha, n, z):
-    """inverse_mellin_kernel_check's value with its quadrature diagnostics."""
     a = float(alpha)
     z = complex(z)
     w = 0.25 * z * z
@@ -600,7 +585,7 @@ def aux_checks(tol=1e-9):
     # log-weighted Gaussian integral, three parameter points
     for (aa, zz) in ((1.0, 0.0), (1.0, 1.0), (2.0, 0.5j)):
         reports.append(_aux_pair_report(
-            "aux:log_gaussian", aa, zz, _log_gaussian_side(aa, zz),
+            "aux:log_gaussian", aa, zz, log_gaussian_integral(aa, zz),
             log_gaussian_closed_form(aa, zz), tol))
 
     # partial-fraction closed form
@@ -613,8 +598,8 @@ def aux_checks(tol=1e-9):
     # Gaussian-vs-K0 Laplace transform
     for (aa, nn) in ((1.0, 1), (1.0, 3), (0.5, 1)):
         reports.append(_aux_pair_report(
-            "aux:gaussian_bessel", aa, nn, _gaussian_bessel_side(aa, nn), 0.0,
-            tol))
+            "aux:gaussian_bessel", aa, nn,
+            ferrar_gaussian_bessel_check(aa, nn), 0.0, tol))
 
     # K0 lattice identity
     reports.append(_aux_pair_report(
@@ -624,8 +609,8 @@ def aux_checks(tol=1e-9):
     # inverse-Mellin recoveries
     reports.append(_aux_pair_report(
         "aux:inverse_mellin", 1.0, 2.0,
-        _inverse_mellin_gaussian_side(1.0, 1.0, 2.0, 1.0), 0.0, tol))
+        inverse_mellin_gaussian_check(1.0, 1.0, 2.0, 1.0), 0.0, tol))
     reports.append(_aux_pair_report(
         "aux:inverse_mellin_kernel", 1.0, 1.0,
-        _inverse_mellin_kernel_side(1.0, 1, 1.0), 0.0, tol))
+        inverse_mellin_kernel_check(1.0, 1, 1.0), 0.0, tol))
     return reports

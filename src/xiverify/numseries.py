@@ -10,10 +10,10 @@ Truncation policy: absolutely convergent sums stop when a rigorous term
 bound drops below 1e-17 or switch to an Euler-Maclaurin tail once terms
 follow their asymptotic power law; the Moebius sum is a reported partial
 sum by construction (its convergence is conjecture-grade) and carries an
-oscillation proxy instead of an error bound.  mobius_theta_sum_and_spread
-and zero_sum_by_count do one rhl side's work in one pass: the sum with its
-proxy from one term array, and the zero sum at every zero count from one
-evaluation of the pair terms.
+oscillation proxy instead of an error bound.  mobius_theta_sum and
+zero_sum_bracketed each do one rhl side's work in one pass: the Moebius
+sum with its proxy from one term array, and the zero sum at every zero
+count from one evaluation of the pair terms.
 """
 
 import numpy as np
@@ -197,23 +197,28 @@ def lambda_sum(alpha):
     return float(head + tail)
 
 
-def _mobius_terms(name, alpha, z, table, n_terms):
-    """Terms mu(n)/n e^(-pi alpha^2/n^2) cos(sqrt(pi) alpha z / n), n = 1..N.
+def mobius_theta_sum(alpha, z, table, n_terms=None):
+    """Partial sum to N of sum mu(n)/n e^(-pi alpha^2/n^2) cos(sqrt(pi) alpha z / n)
+    and its oscillation proxy; returns (sum, spread).
 
-    exp and cos are evaluated only at the squarefree n of the table and
-    scattered into an array of zeros, the terms where mu(n) = 0.
-    Validates alpha and the term count N (default: the whole table) on
-    behalf of the public function called name.
+    Conditionally convergent at prime-number-theorem rate, and no rigorous
+    bound exists short of deep zero-free regions.  The sum is the plain
+    partial sum at N = n_terms (default: the whole table), in ascending n.
+    spread is the max - min of the partial sums' real and (z != 0)
+    imaginary parts over n in [N/10, N]: they oscillate at the scale of
+    the neglected tail, so it estimates how settled the sum is.  exp and
+    cos run only at the squarefree n of the table, scattered into an
+    array of zeros; sum and spread come from that one array.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
-        raise ValueError("%s: alpha must be positive" % name)
+        raise ValueError("mobius_theta_sum: alpha must be positive")
     N = table.limit if n_terms is None else int(n_terms)
     if N > table.limit:
-        raise ValueError("%s: table holds %d values, %d requested"
-                         % (name, table.limit, N))
+        raise ValueError("mobius_theta_sum: table holds %d values, %d "
+                         "requested" % (table.limit, N))
     if N < 1:
-        raise ValueError("%s: need at least one term" % name)
+        raise ValueError("mobius_theta_sum: need at least one term")
     z = complex(z)
     k = table.squarefree[:np.searchsorted(table.squarefree, N, side="right")]
     n = k.astype(np.float64)
@@ -223,41 +228,13 @@ def _mobius_terms(name, alpha, z, table, n_terms):
         vals = vals * np.cos(np.sqrt(np.pi) * alpha * z / n)
     terms = np.zeros(N, dtype=vals.dtype)
     terms[k - 1] = vals
-    return terms
-
-
-def mobius_theta_sum(alpha, z, table, n_terms=None):
-    """Partial sum to N of sum mu(n)/n e^(-pi alpha^2/n^2) cos(sqrt(pi) alpha z / n).
-
-    Conditionally convergent at prime-number-theorem rate; the value
-    returned is the plain partial sum at N = n_terms (default: the whole
-    table), in ascending n.  Use mobius_partial_oscillation for an error
-    proxy; no rigorous bound exists short of deep zero-free regions.
-    """
-    terms = _mobius_terms("mobius_theta_sum", alpha, z, table, n_terms)
-    return complex(terms.sum())
-
-
-def mobius_theta_sum_and_spread(alpha, z, table, n_terms=None):
-    """(mobius_theta_sum, mobius_partial_oscillation) from one term array."""
-    terms = _mobius_terms("mobius_theta_sum_and_spread", alpha, z, table,
-                          n_terms)
-    partials = np.cumsum(terms)
-    window = partials[max(0, len(terms) // 10 - 1):]
-    spread = (window.real.max() - window.real.min())
-    if complex(z) != 0.0:
+    total = complex(terms.sum())
+    # the partial sums overwrite the terms, so no second N-array is made
+    window = np.cumsum(terms, out=terms)[max(0, N // 10 - 1):]
+    spread = window.real.max() - window.real.min()
+    if z != 0.0:
         spread = max(spread, window.imag.max() - window.imag.min())
-    return complex(terms.sum()), float(spread)
-
-
-def mobius_partial_oscillation(alpha, z, table, n_terms=None):
-    """Spread (max - min of |partial sums|) over the last decade of terms.
-
-    Reported as the error proxy for mobius_theta_sum: the partial sums
-    oscillate at the scale of the neglected tail, so their spread over
-    n in [N/10, N] estimates how settled the value is.
-    """
-    return mobius_theta_sum_and_spread(alpha, z, table, n_terms)[1]
+    return total, float(spread)
 
 
 def _bracket_edges(gammas, a1=0.1):
@@ -274,8 +251,9 @@ def _bracket_edges(gammas, a1=0.1):
     return edges
 
 
-def zero_sum_bracketed(zeros, alpha, z, a1=0.1):
-    """Bracketed sum over nontrivial zeros rho = 1/2 + i gamma and conjugates:
+def zero_sum_bracketed(zeros, alpha, z, counts, a1=0.1):
+    """Bracketed sums over nontrivial zeros rho = 1/2 + i gamma and
+    conjugates, one per count c in counts, over the first c zeros:
 
         sum_rho Gamma((1-rho)/2) / zeta'(rho) 1F1((1-rho)/2; 1/2; -z^2/4)
                 pi^(rho/2) alpha^rho.
@@ -285,24 +263,16 @@ def zero_sum_bracketed(zeros, alpha, z, a1=0.1):
     closeness criterion (constant a1) are additionally grouped, though at
     desk height the gaps never trigger it.  Terms decay like e^(-pi g/4)
     through the Gamma factor, so the bracketed partial sums settle after
-    a handful of zeros.
-    """
-    return zero_sum_by_count(zeros, alpha, z, [len(zeros)], a1)[0]
-
-
-def zero_sum_by_count(zeros, alpha, z, counts, a1=0.1):
-    """zero_sum_bracketed(zeros[:c], alpha, z, a1) for every c in counts.
-
-    The pair terms are evaluated once, on all of zeros; each count then
-    sums its own prefix, with the bracket that straddles c closed at c,
-    exactly as zeros[:c] closes it.
+    a handful of zeros.  The pair terms are evaluated once, on all of
+    zeros; each count then sums its own prefix, with the bracket that
+    straddles c closed at c, exactly as zeros[:c] alone would close it.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
-        raise ValueError("zero_sum_by_count: alpha must be positive")
+        raise ValueError("zero_sum_bracketed: alpha must be positive")
     counts = [int(c) for c in counts]
     if not all(0 <= c <= len(zeros) for c in counts):
-        raise ValueError("zero_sum_by_count: counts must lie in [0, %d]"
+        raise ValueError("zero_sum_bracketed: counts must lie in [0, %d]"
                          % len(zeros))
     if len(zeros) == 0:
         return [0.0 + 0.0j] * len(counts)
@@ -311,7 +281,7 @@ def zero_sum_by_count(zeros, alpha, z, counts, a1=0.1):
     zp = []
     for rec in zeros:
         if rec.zeta_prime is None:
-            raise ValueError("zero_sum_by_count: zero at gamma=%.6f has no "
+            raise ValueError("zero_sum_bracketed: zero at gamma=%.6f has no "
                              "zeta derivative" % rec.gamma)
         zp.append(complex(rec.zeta_prime))
     zp = np.array(zp, dtype=np.complex128)

@@ -99,9 +99,11 @@ def lngamma(s):
     for the arguments used here (verified against an independent
     arbitrary-precision implementation on vertical lines up to |Im s| = 500).
 
-    Raises ValueError at nonpositive integers (poles of Gamma).
+    Raises ValueError at nonpositive integers (poles of Gamma) and at
+    non-finite input.
     """
     z, scalar = _split(s, np.complex128)
+    _require_finite("lngamma", z)
     pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
     if np.any(pole):
         raise ValueError("lngamma: pole at nonpositive integer argument")
@@ -125,13 +127,16 @@ def digamma(x):
 
     Recurrence-lift to x + 15, then the Bernoulli asymptotic series through
     the x^-12 term; the first omitted term is below 3e-18 at x >= 15.
+    Raises ValueError on the pole ray and at non-finite input.
     """
     if np.iscomplexobj(x) or isinstance(x, complex):
         v, scalar = _split(x, np.complex128)
+        _require_finite("digamma", v)
         if np.any((v.imag == 0.0) & (v.real <= 0.0)):
             raise ValueError("digamma: argument must avoid the pole ray")
     else:
         v, scalar = _split(x, np.float64)
+        _require_finite("digamma", v)
         if np.any(v <= 0.0):
             raise ValueError("digamma: argument must be positive")
     w = v + 15.0

@@ -6,13 +6,14 @@ ordinates are refined against this package's own Xi implementation by
 bracketed Illinois false position (Dowell & Jarratt, BIT 1971), after
 which zeta'(1/2 + i gamma) is attached for use in the zero sums.
 
-Refinement runs every ordinate in lockstep, one xi_cap call per step on
-the brackets still open, and the derivatives come from one zeta_eta_prime
-call.  The eta series behind both takes a term count set by the largest
-ordinate of the batch, so batched values can differ from one-at-a-time
-values in the last bits.  The repo ships a 100-ordinate sample generated
-by scanning Xi sign changes with scan_zero_brackets, so nothing external
-is required to exercise the pipeline.
+refine_zeros is the one refinement: it runs every ordinate in lockstep,
+one xi_cap call per step on the brackets still open (one ordinate is
+refine_zeros([g])[0]).  The derivatives come from one
+specfun.zeta_eta_prime call.  The eta series behind both takes a term
+count set by the largest ordinate of the batch, so a batch can differ
+from one-ordinate calls in the last bits.  The repo ships a 100-ordinate
+sample generated by scanning Xi sign changes with scan_zero_brackets, so
+nothing external is required to exercise the pipeline.
 """
 
 from dataclasses import dataclass
@@ -139,16 +140,6 @@ def refine_zeros(gammas):
     open_ = np.isnan(out)
     out[open_] = 0.5 * (lo[open_] + hi[open_])
     return out
-
-
-def refine_zero(gamma0):
-    """refine_zeros for one ordinate."""
-    return float(refine_zeros([gamma0])[0])
-
-
-def zeta_derivative(gamma):
-    """zeta'(1/2 + i gamma), differentiating the eta series term by term."""
-    return complex(zeta_eta_prime(0.5 + 1j * float(gamma)))
 
 
 def prepare_zeros(path, max_count):

@@ -253,12 +253,70 @@ class TestUsageErrors:
 
 
 def test_tol_env_default(monkeypatch):
+    argv = ["--identity", "theta", "--alpha", "2", "--z", "0"]
+
+    def reported_tol(extra=()):
+        code, out = run_cli(argv + list(extra))
+        assert code == 0
+        return json.loads(out)["reports"][0]["tolerance"]
+
     monkeypatch.setenv("XI_VERIFY_TOL", "1e-6")
-    args = build_parser().parse_args(["--identity", "aux"])
-    assert args.tol == 1e-6
+    assert reported_tol() == 1e-6
+    assert reported_tol(["--tol", "1e-7"]) == 1e-7
     monkeypatch.delenv("XI_VERIFY_TOL")
-    args = build_parser().parse_args(["--identity", "aux"])
-    assert args.tol == 1e-8
+    assert reported_tol() == 1e-8
+
+
+@pytest.mark.parametrize("value", ["abc", "", "nan", "-1"])
+def test_malformed_tol_env_is_a_usage_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("XI_VERIFY_TOL", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["--identity", "theta", "--alpha", "1"])
+    assert exc.value.code == 2
+    if value in ("abc", ""):
+        assert "XI_VERIFY_TOL" in capsys.readouterr().err
+
+
+class TestJobsWorkerCount:
+    """--jobs asks the pool for no more workers than tasks or CPUs.
+
+    The pool is a stand-in that records max_workers and runs the tasks in
+    this process, so no worker process is started.
+    """
+
+    @pytest.mark.parametrize("jobs,cpus,want", [
+        ("100000", 2, [2]),
+        ("100000", 64, [5]),     # the default grid has 5 digamma cells
+        ("3", 64, [3]),
+        ("2", 1, []),            # one usable worker: the serial path
+        ("100000", None, []),    # CPU count unknown: counted as 1
+    ])
+    def test_workers(self, jobs, cpus, want, monkeypatch):
+        code, serial = run_cli(["--identity", "digamma"])
+        assert code == 0
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                made.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_worker_extra", None)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out = run_cli(["--identity", "digamma", "--jobs", jobs])
+        assert code == 0
+        assert made == want
+        assert out == serial
 
 
 def test_render_json_trailing_newline():

@@ -74,6 +74,33 @@ def test_quadrature_sides_carry_their_cost_and_error(verify):
             assert 0.0 < d["abs_error"] < 1e-8
 
 
+def digamma_at(params, tol):
+    return verify_ramanujan_digamma(params.alpha, tol)
+
+
+# each family's twin sides, the (alpha, z) one first; digamma has no z
+SWAP_PAIRS = {verify_theta: ("alpha_series", "beta_series"),
+              verify_hardy: ("alpha_integral", "beta_integral"),
+              verify_ferrar: ("alpha_integral", "beta_integral"),
+              digamma_at: ("alpha_series", "beta_series")}
+
+
+@pytest.mark.parametrize("verify", list(SWAP_PAIRS))
+@pytest.mark.parametrize("alpha,z", [(2.0, 1.0 + 0.5j), (0.5, 2.0j),
+                                     (0.8, 1.0), (1.25, 0.0)])
+def test_swapping_alpha_and_beta_swaps_the_sides(verify, alpha, z):
+    # the paper's symmetry F(z, alpha) = F(iz, 1/alpha) at verifier level:
+    # verifying at (1/alpha, iz) computes the same sides with their roles
+    # swapped, and the same Xi integral
+    here = verify(KernelParams(alpha, z), 1e-8)
+    there = verify(KernelParams(1.0 / alpha, 1j * z), 1e-8)
+    side_a, side_b = SWAP_PAIRS[verify]
+    assert residual(here.sides[side_a], there.sides[side_b]) <= 1e-12
+    assert residual(here.sides[side_b], there.sides[side_a]) <= 1e-12
+    assert residual(here.sides["xi_integral"],
+                    there.sides["xi_integral"]) <= 1e-12
+
+
 class TestTheta:
     def test_reference_point(self):
         rep = verify_theta(KernelParams(2.0, 1.0), 1e-8)
@@ -268,16 +295,16 @@ class TestRhl:
         assert rep.diagnostics["mobius_oscillation"] > 0.0
 
     def test_one_moebius_sum_per_side(self, zero_records, monkeypatch):
-        # one Moebius term array per side (the (alpha, z) array also gives
-        # the oscillation proxy) and one zero-sum pass per side, each
+        # one Moebius sum per side (each gives its sum and oscillation
+        # proxy from one term array) and one zero-sum pass per side, each
         # over all 100 zeros, whatever the number of zero counts
         from xiverify import numseries as ns
-        arrays, passes = [], []
-        terms = ns._mobius_terms
+        sums, passes = [], []
+        mobius = ns.mobius_theta_sum
 
-        def counted_terms(name, alpha, z, *args):
-            arrays.append((alpha, complex(z)))
-            return terms(name, alpha, z, *args)
+        def counted_mobius(alpha, z, *args):
+            sums.append((alpha, complex(z)))
+            return mobius(alpha, z, *args)
 
         hyp = ns.hyp1f1
 
@@ -285,11 +312,11 @@ class TestRhl:
             passes.append(np.size(a))
             return hyp(a, c, w)
 
-        monkeypatch.setattr(ns, "_mobius_terms", counted_terms)
+        monkeypatch.setattr(ns, "mobius_theta_sum", counted_mobius)
         monkeypatch.setattr(ns, "hyp1f1", counted_hyp)
         rep = verify_rhl(KernelParams(2.0, 1.0), zero_records, 100000, 1e-3)
         assert rep.diagnostics["zero_counts"] == [10, 25, 50, 100]
-        assert arrays == [(2.0, 1.0), (0.5, 1.0j)]
+        assert sums == [(2.0, 1.0), (0.5, 1.0j)]
         # z^2 is real at both sides, so a pass is one 1F1 call
         assert passes == [100, 100]
 
@@ -324,12 +351,12 @@ class TestAuxiliaryForms:
         a = 2.0
         want = -(EULER_GAMMA + math.log(4.0 * math.pi * a * a)) / (4.0 * a)
         assert abs(log_gaussian_closed_form(a, 0.0) - want) <= 1e-14
-        got = log_gaussian_integral(a, 0.0)
+        got, _ = log_gaussian_integral(a, 0.0)
         assert abs(got - want) <= 1e-11
 
     def test_log_gaussian_complex_z(self):
         z = 0.5j
-        got = log_gaussian_integral(1.0, z)
+        got, _ = log_gaussian_integral(1.0, z)
         want = log_gaussian_closed_form(1.0, z)
         assert abs(got - want) <= 1e-11
 
@@ -348,7 +375,7 @@ class TestAuxiliaryForms:
     @pytest.mark.parametrize("alpha,n", [(1.0, 1), (1.0, 3), (0.5, 1),
                                          (2.0, 2)])
     def test_gaussian_bessel_laplace(self, alpha, n):
-        assert ferrar_gaussian_bessel_check(alpha, n) <= 1e-9
+        assert ferrar_gaussian_bessel_check(alpha, n)[0] <= 1e-9
 
     def test_gaussian_bessel_validates(self):
         with pytest.raises(ValueError):
@@ -369,5 +396,5 @@ class TestAuxiliaryForms:
         assert watson_lattice_residual(1.0) >= 1e-6
 
     def test_inverse_mellin_recoveries(self):
-        assert inverse_mellin_gaussian_check() <= 1e-10
-        assert inverse_mellin_kernel_check() <= 1e-9
+        assert inverse_mellin_gaussian_check()[0] <= 1e-10
+        assert inverse_mellin_kernel_check()[0] <= 1e-9

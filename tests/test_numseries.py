@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 from xiverify.numseries import (_bracket_edges, _zeta_tail,
                                 cosh_theta_sum, ferrar_bessel_sum,
                                 k0_sum_direct, k0_sum_minus_pole, lambda_sum,
-                                mobius_partial_oscillation, mobius_theta_sum,
-                                mobius_theta_sum_and_spread,
-                                sqrt_lattice_sum, theta_sum,
-                                zero_sum_bracketed, zero_sum_by_count)
+                                mobius_theta_sum, sqrt_lattice_sum,
+                                theta_sum, zero_sum_bracketed)
 from xiverify.specfun import besselk0_scaled
 from xiverify.xikernel import lambda_kernel
 from xiverify.zeros import ZeroRecord
@@ -180,14 +178,14 @@ class TestLambdaSum:
 class TestMobiusThetaSum:
     def test_frozen_value(self, mobius_100k):
         # independent reference: trial-division mu, plain float loop
-        got = mobius_theta_sum(1.0, 0.0, mobius_100k)
+        got, _ = mobius_theta_sum(1.0, 0.0, mobius_100k)
         _close(got, -0.5691694367366263, rel=0.0, abs_tol=5e-13)
 
     def test_short_prefix_matches_hand_sum(self, mobius_100k):
         mu = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
         want = sum(m / n * math.exp(-math.pi / (n * n))
                    for n, m in enumerate(mu, start=1))
-        got = mobius_theta_sum(1.0, 0.0, mobius_100k, n_terms=10)
+        got, _ = mobius_theta_sum(1.0, 0.0, mobius_100k, n_terms=10)
         _close(got, want, rel=1e-14)
 
     def test_term_count_validation(self, mobius_100k):
@@ -199,7 +197,7 @@ class TestMobiusThetaSum:
             mobius_theta_sum(-1.0, 0.0, mobius_100k)
 
     def test_oscillation_proxy(self, mobius_100k):
-        spread = mobius_partial_oscillation(2.0, 0.0, mobius_100k)
+        _, spread = mobius_theta_sum(2.0, 0.0, mobius_100k)
         assert 0.0 < spread < 0.05
 
     @pytest.mark.parametrize("alpha,z", [(0.8, 0.0), (0.8, 1.0),
@@ -218,34 +216,37 @@ class TestMobiusThetaSum:
         spread = window.real.max() - window.real.min()
         if z != 0.0:
             spread = max(spread, window.imag.max() - window.imag.min())
-        total, got_spread = mobius_theta_sum_and_spread(alpha, z, mobius_100k)
+        total, got_spread = mobius_theta_sum(alpha, z, mobius_100k)
         assert total == complex(terms.sum())
         assert got_spread == float(spread)
-        assert mobius_theta_sum(alpha, z, mobius_100k) == total
-        assert mobius_partial_oscillation(alpha, z, mobius_100k) == got_spread
+
+
+def _zero_sum(zeros, alpha, z, a1=0.1):
+    """The bracketed zero sum over all of zeros."""
+    return zero_sum_bracketed(zeros, alpha, z, [len(zeros)], a1)[0]
 
 
 class TestZeroSum:
     def test_frozen_value(self, zero_records):
         # reference: 25-digit mpmath over the first ten ordinate pairs
-        got = zero_sum_bracketed(zero_records[:10], 2.0, 1.0)
+        got = _zero_sum(zero_records[:10], 2.0, 1.0)
         _close(got, 0.00023941036712518003, rel=0.0, abs_tol=1e-11)
 
     def test_real_when_z_squared_real(self, zero_records):
-        val = zero_sum_bracketed(zero_records[:25], 2.0, 1.0)
+        val = _zero_sum(zero_records[:25], 2.0, 1.0)
         assert val.imag == 0.0
-        val = zero_sum_bracketed(zero_records[:25], 2.0, 2.0j)
+        val = _zero_sum(zero_records[:25], 2.0, 2.0j)
         assert val.imag == 0.0
 
     def test_conjugate_pair_path_consistency(self, zero_records):
         # generic complex z exercises the explicit conjugate-term path;
         # z with real z^2 must agree with the folded 2 Re(...) path
-        a = zero_sum_bracketed(zero_records[:25], 2.0, 1.0 + 0j)
-        b = zero_sum_bracketed(zero_records[:25], 2.0, 1.0 + 1e-30j)
+        a = _zero_sum(zero_records[:25], 2.0, 1.0 + 0j)
+        b = _zero_sum(zero_records[:25], 2.0, 1.0 + 1e-30j)
         _close(a, b, rel=1e-10, abs_tol=1e-18)
 
     def test_empty_input(self):
-        assert zero_sum_bracketed([], 1.0, 0.0) == 0.0
+        assert _zero_sum([], 1.0, 0.0) == 0.0
 
     def test_close_ordinates_share_a_bracket(self):
         # the shipped ordinates never trigger grouping, synthetic ones do
@@ -254,14 +255,14 @@ class TestZeroSum:
         assert _bracket_edges(gammas, a1=1e3) == [0, 1, 2, 3]
         recs = [ZeroRecord(g, zeta_prime=d) for g, d in
                 zip(gammas, [0.8 + 0.1j, -0.5 + 0.3j, 1.2 - 0.4j])]
-        grouped = zero_sum_bracketed(recs, 2.0, 1.0 + 0.5j)
-        ungrouped = zero_sum_bracketed(recs, 2.0, 1.0 + 0.5j, a1=1e3)
+        grouped = _zero_sum(recs, 2.0, 1.0 + 0.5j)
+        ungrouped = _zero_sum(recs, 2.0, 1.0 + 0.5j, a1=1e3)
         _close(grouped, ungrouped, rel=1e-15)
 
     def test_missing_derivative_raises(self):
         recs = [ZeroRecord(14.134725141734694)]
         with pytest.raises(ValueError):
-            zero_sum_bracketed(recs, 1.0, 0.0)
+            _zero_sum(recs, 1.0, 0.0)
 
     @pytest.mark.parametrize("a1", [0.1, 1e-3, 1e3])
     @pytest.mark.parametrize("z", [1.0, 2.0j, 1.0 + 0.5j])
@@ -272,9 +273,9 @@ class TestZeroSum:
         if a1 == 1e-3:
             edges = _bracket_edges([r.gamma for r in zero_records], a1)
             assert 9 not in edges and 13 not in edges
-        sums = zero_sum_by_count(zero_records, 0.8, z, counts, a1)
+        sums = zero_sum_bracketed(zero_records, 0.8, z, counts, a1)
         for c, got in zip(counts, sums):
-            _close(got, zero_sum_bracketed(zero_records[:c], 0.8, z, a1),
+            _close(got, _zero_sum(zero_records[:c], 0.8, z, a1),
                    rel=1e-15)
 
     def test_one_pass_splits_a_synthetic_bracket(self):
@@ -282,19 +283,19 @@ class TestZeroSum:
         recs = [ZeroRecord(g, zeta_prime=d) for g, d in
                 zip(gammas, [0.8 + 0.1j, -0.5 + 0.3j, 1.2 - 0.4j])]
         for a1 in (0.1, 1e3):
-            sums = zero_sum_by_count(recs, 2.0, 1.0 + 0.5j, [0, 1, 2, 3], a1)
+            sums = zero_sum_bracketed(recs, 2.0, 1.0 + 0.5j, [0, 1, 2, 3], a1)
             assert sums[0] == 0.0
             for c, got in zip((1, 2, 3), sums[1:]):
-                _close(got, zero_sum_bracketed(recs[:c], 2.0, 1.0 + 0.5j, a1),
+                _close(got, _zero_sum(recs[:c], 2.0, 1.0 + 0.5j, a1),
                        rel=1e-15)
 
     def test_count_out_of_range_raises(self, zero_records):
         with pytest.raises(ValueError):
-            zero_sum_by_count(zero_records[:10], 1.0, 0.0, [11])
+            zero_sum_bracketed(zero_records[:10], 1.0, 0.0, [11])
 
     def test_decay_with_ordinate(self, zero_records):
         # each additional bracket moves the partial sum by roughly
         # e^(-pi gamma / 4); zeros beyond the 25th are invisible at 1e-14
-        a = zero_sum_bracketed(zero_records[:25], 2.0, 1.0)
-        b = zero_sum_bracketed(zero_records[:100], 2.0, 1.0)
+        a = _zero_sum(zero_records[:25], 2.0, 1.0)
+        b = _zero_sum(zero_records[:100], 2.0, 1.0)
         assert abs(a - b) < 1e-14

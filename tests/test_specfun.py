@@ -289,6 +289,13 @@ class TestNonFiniteInput:
         (lambda: zeta(np.inf), "zeta"),
         (lambda: zeta_eta(np.nan), "zeta_eta"),
         (lambda: zeta_eta_prime(complex(0.5, np.inf)), "zeta_eta_prime"),
+        (lambda: lngamma(np.nan), "lngamma"),
+        (lambda: lngamma(complex(np.inf, 0.0)), "lngamma"),
+        (lambda: lngamma(np.array([1.5, complex(0.5, np.nan)])), "lngamma"),
+        (lambda: digamma(np.nan), "digamma"),
+        (lambda: digamma(np.inf), "digamma"),
+        (lambda: digamma(-np.inf), "digamma"),
+        (lambda: digamma(complex(np.nan, 1.0)), "digamma"),
     ])
     def test_raises_at_once_naming_the_function(self, call, message):
         start = time.perf_counter()

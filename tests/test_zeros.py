@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from xiverify import zeros
+from xiverify.specfun import zeta_eta_prime
 from xiverify.zeros import (ZeroRecord, load_zeros, prepare_zeros,
-                            refine_zero, refine_zeros, scan_zero_brackets,
-                            zeta_derivative)
+                            refine_zeros, scan_zero_brackets)
 
 GAMMA_1 = 14.1347251417347
 GAMMA_2 = 21.0220396387716
@@ -73,7 +73,7 @@ class TestRefineZero:
         (25.0, GAMMA_3),
     ])
     def test_refines_to_reference(self, seed, want):
-        assert abs(refine_zero(seed) - want) < 1e-9
+        assert abs(refine_zeros([seed])[0] - want) < 1e-9
 
     def test_sample_refinement_work(self, sample_zeros_path, monkeypatch):
         # Illinois steps need about 13 Xi values per zero on the sample;
@@ -87,19 +87,19 @@ class TestRefineZero:
 
         monkeypatch.setattr(zeros, "xi_cap", counted)
         for rec in load_zeros(sample_zeros_path, max_count=100):
-            assert abs(refine_zero(rec.gamma) - rec.gamma) < 1e-9
+            assert abs(refine_zeros([rec.gamma])[0] - rec.gamma) < 1e-9
         assert sum(points) <= 2000
 
     def test_no_zero_nearby_raises(self):
         # Xi has no zero below gamma_1; a seed at 5 finds no sign change
         with pytest.raises(ValueError):
-            refine_zero(5.0)
+            refine_zeros([5.0])
 
 
 def test_zeta_derivative_at_first_zero():
     # reference: 25-digit mpmath derivative at the first zero
     want = 0.78329651186703093 + 0.12469982974817109j
-    got = zeta_derivative(GAMMA_1)
+    got = zeta_eta_prime(0.5 + 1j * GAMMA_1)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -108,7 +108,7 @@ def test_zeta_derivative_at_largest_sample_zero():
     # zero, where the eta series takes the most terms of any sample zero
     gamma = 236.5242296658162
     want = 2.2455848965356822 - 3.3041746292630608j
-    got = zeta_derivative(gamma)
+    got = zeta_eta_prime(0.5 + 1j * gamma)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -194,7 +194,7 @@ class TestRefineZeros:
         for g0, rec in zip(table, zero_records):
             assert rec.refined
             assert abs(rec.gamma - g0) < 1e-9
-            assert abs(rec.gamma - refine_zero(g0)) < 1e-11
+            assert abs(rec.gamma - refine_zeros([g0])[0]) < 1e-11
 
     def test_scan_fallback_and_exact_zero(self, monkeypatch):
         # a cubic stand-in for Xi with zeros at 10.01, 10.3 and 20: the
