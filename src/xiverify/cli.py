@@ -24,8 +24,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .identities import (VerificationReport, aux_checks, verify_ferrar,
-                         verify_hardy, verify_line_integral,
+from .identities import (RHL_COUNTS, VerificationReport, aux_checks,
+                         verify_ferrar, verify_hardy, verify_line_integral,
                          verify_ramanujan_bose, verify_ramanujan_digamma,
                          verify_rhl, verify_theta)
 from .xikernel import KernelParams
@@ -53,9 +53,9 @@ def _once(grid):
 # reports at one point), in battery order.  Each run names its verifier when
 # called, so a module attribute rebound after import (a tracer's wrapper, a
 # test's stub) is the one used; tasks carry the family name so they pickle.
-# The run-wide extra (zeros, Moebius limit, rhl tolerance) is not in the
-# tasks: a --jobs worker receives it once, through the pool's initializer,
-# so the zeros are pickled once per worker instead of once per task.
+# The run-wide extra (zeros, Moebius limit) is not in the tasks: a --jobs
+# worker receives it once, through the pool's initializer, so the zeros
+# are pickled once per worker instead of once per task.
 _FAMILIES = {
     "theta": (_each_point, lambda p, tol, x: [verify_theta(p, tol)]),
     "hardy": (_each_point, lambda p, tol, x: [verify_hardy(p, tol)]),
@@ -68,7 +68,7 @@ _FAMILIES = {
                 lambda p, tol, x: [verify_line_integral(p, tol)]),
     "aux": (_once, lambda p, tol, x: aux_checks(_AUX_TOL)),
     "rhl": (_each_point, lambda p, tol, x: [verify_rhl(
-        p, x["zeros"], x["mobius_limit"], x["rhl_tol"])]),
+        p, x["zeros"], x["mobius_limit"], tol)]),
 }
 
 
@@ -227,14 +227,12 @@ def build_parser():
     parser.add_argument("--zeros", type=str, default=None,
                         help="path to a file of zero ordinates "
                              "(one positive real per line, ascending)")
-    parser.add_argument("--mobius-limit", type=int, default=100000,
-                        help="Moebius sieve cutoff for rhl (default 1e5)")
+    parser.add_argument("--mobius-limit", type=int, default=10000,
+                        help="Moebius sieve cutoff for rhl, 1 to 1e7 "
+                             "(default 1e4)")
     parser.add_argument("--tol", type=float, default=None,
                         help="tolerance for equality identities "
                              "(default 1e-8, env XI_VERIFY_TOL)")
-    parser.add_argument("--rhl-tol", type=float, default=1e-3,
-                        help="trend tolerance for the rhl residual "
-                             "(default 1e-3)")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default json)")
     parser.add_argument("--out", type=str, default=None,
@@ -259,8 +257,8 @@ def main(argv=None):
             parser.error("XI_VERIFY_TOL: invalid float value: %r" % text)
     if args.alpha is not None and not 0.0 < args.alpha < math.inf:
         parser.error("--alpha must be finite and positive")
-    if not (0.0 < args.tol < math.inf and 0.0 < args.rhl_tol < math.inf):
-        parser.error("tolerances must be finite and positive")
+    if not 0.0 < args.tol < math.inf:
+        parser.error("--tol must be finite and positive")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
 
@@ -286,14 +284,14 @@ def main(argv=None):
     needs_zeros = args.identity == "rhl"
     if needs_zeros and args.zeros is None:
         parser.error("--identity rhl requires --zeros")
-    if args.mobius_limit < 10000:
-        parser.error("--mobius-limit must be at least 10000")
+    if not 1 <= args.mobius_limit <= 10 ** 7:
+        parser.error("--mobius-limit must lie in [1, 1e7]")
 
-    extra = {"mobius_limit": args.mobius_limit, "rhl_tol": args.rhl_tol,
-             "zeros": None}
+    extra = {"mobius_limit": args.mobius_limit, "zeros": None}
     if args.zeros is not None:
         try:
-            extra["zeros"] = prepare_zeros(args.zeros, max_count=100)
+            extra["zeros"] = prepare_zeros(args.zeros,
+                                           max_count=max(RHL_COUNTS))
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
 

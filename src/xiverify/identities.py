@@ -24,6 +24,7 @@ two-sided equality and the realness of the integral are claimed, plus a
 separate z = 0 invariance in rescaled form.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,12 @@ from .xikernel import (KernelParams, nabla_kernel, rho_kernel, xi_cap,
                        xi_small)
 
 _SQRT_PI = np.sqrt(np.pi)
+
+# B_2k/(2k)! for k = 10 down to 1: 1/expm1(x) - 1/x + 1/2 is the sum of
+# B_2k x^(2k-1)/(2k)!, whose first omitted term is below 6e-18 at x < 1
+_COT_SERIES = np.array([b / math.factorial(2 * k) for k, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+     -3617 / 510, 43867 / 798, -174611 / 330), start=1)])[::-1]
 
 
 # eq=False: reports hold dicts, so they compare and hash by identity
@@ -332,64 +339,58 @@ def verify_ramanujan_bose(params, tol):
 
 
 # ---------------------------------------------------------------------------
-# Moebius / zero-sum conjecture (trend-grade)
+# Moebius / zero-sum transformation (Ramanujan-Hardy-Littlewood)
 
-_RHL_COUNTS = (10, 25, 50, 100)
-
-
-def _rhl_sides(x, w, mob, zero_sums):
-    return [np.sqrt(x) * np.exp(w * w / 8.0) * mob
-            - np.exp(w * w / 8.0) / (4.0 * _SQRT_PI * np.sqrt(x)) * zs
-            for zs in zero_sums]
+# the zero counts at which the rhl residual is recorded; verify_rhl uses
+# only the first max(RHL_COUNTS) zeros
+RHL_COUNTS = (1, 2, 3, 5, 10)
 
 
-def verify_rhl(params, zeros, N_mobius, tol_trend):
-    """Conjecture-grade check of the Moebius/zero-sum transformation.
+def _rhl_side(x, w, table, zeros, counts, path):
+    """The side at (x, w) at every zero count, and its diagnostics."""
+    mob, tail = ns.mobius_theta_sum(x, w, table)
+    scale = np.exp(w * w / 8.0)
+    values = [np.sqrt(x) * scale * mob
+              - scale / (4.0 * _SQRT_PI * np.sqrt(x)) * zs
+              for zs in ns.zero_sum_bracketed(zeros, x, w, counts)]
+    return values, {"path": path, "mobius_terms": table.limit,
+                    "mobius_tail_bound": float(np.sqrt(x) * abs(scale) * tail)}
+
+
+def verify_rhl(params, zeros, N_mobius, tol):
+    """Check of the Moebius/zero-sum transformation.
 
     Both sides are the same expression at (alpha, z) and (1/alpha, iz):
     sqrt(x) e^(w^2/8) mobius_theta_sum - e^(w^2/8)/(4 sqrt(pi x)) zero_sum.
-    The residual is recorded for zero counts {10, 25, 50, 100}; the
-    claim being conditionally convergent, passing requires only the final
-    residual within tol_trend and no increase over the last two steps.
-    Each side's work is done once per report: one mobius_theta_sum call
-    (only the (alpha, z) oscillation proxy is kept) and one
-    zero_sum_bracketed pass that yields the sum at every count.  The
-    (alpha, z) arrays are freed before the (1/alpha, iz) side is built.
-    Raises ValueError on an empty zeros list.
+    The Moebius sum to N_mobius carries a tail bound, so the zero count
+    limits the residual; it is recorded at each count of RHL_COUNTS.  A
+    report passes when every residual falls below the one before until it
+    reaches 1e-3 tol, the final one is within tol, and each side's tail
+    bound, scaled by its prefactor sqrt(x) |e^(w^2/8)|, is within tol.
+    Each side is one mobius_theta_sum call and one zero_sum_bracketed
+    pass that yields the sum at every count.  Raises ValueError on an
+    empty zeros list and on N_mobius < 1.
     """
-    if N_mobius < 10000:
-        raise ValueError("verify_rhl: need a Moebius limit of at least 1e4")
     if len(zeros) == 0:
         raise ValueError("verify_rhl: need at least one zero")
+    zeros = zeros[:max(RHL_COUNTS)]
     for rec in zeros:
         if rec.zeta_prime is None:
             raise ValueError("verify_rhl: zeros must carry zeta derivatives")
     a, z = params.alpha, params.z
-    b = params.beta
     table = mobius_sieve(N_mobius)
-    counts = [c for c in _RHL_COUNTS if c <= len(zeros)] or [len(zeros)]
-    mob_a, oscillation = ns.mobius_theta_sum(a, z, table)
-    sides_a = _rhl_sides(a, z, mob_a,
-                         ns.zero_sum_bracketed(zeros, a, z, counts))
-    mob_b, _ = ns.mobius_theta_sum(b, 1j * z, table)
-    sides_b = _rhl_sides(b, 1j * z, mob_b,
-                         ns.zero_sum_bracketed(zeros, b, 1j * z, counts))
+    counts = [c for c in RHL_COUNTS if c <= len(zeros)]
+    sides_a, diag_a = _rhl_side(a, z, table, zeros, counts, "numseries@alpha")
+    sides_b, diag_b = _rhl_side(params.beta, 1j * z, table, zeros, counts,
+                                "numseries@beta")
     seq = [residual(sa, sb) for sa, sb in zip(sides_a, sides_b)]
-    non_increase = all(
-        seq[i + 1] <= seq[i] * (1.0 + 1e-12) + 1e-15
-        for i in range(max(0, len(seq) - 3), len(seq) - 1))
-    report = _report("rhl", params, {
-        "alpha_side": (sides_a[-1], {"path": "numseries@alpha"}),
-        "beta_side": (sides_b[-1], {"path": "numseries@beta"})}, tol_trend)
-    diag = {
-        "zero_counts": list(counts),
-        "residual_sequence": seq,
-        "non_increasing": non_increase,
-        "mobius_terms": table.limit,
-        "mobius_oscillation": oscillation,
-        **report.diagnostics,
-    }
-    return replace(report, passed=report.passed and non_increase,
+    descending = all(q < p or p <= 1e-3 * tol for p, q in zip(seq, seq[1:]))
+    bounded = all(d["mobius_tail_bound"] <= tol for d in (diag_a, diag_b))
+    report = _report("rhl", params, {"alpha_side": (sides_a[-1], diag_a),
+                                     "beta_side": (sides_b[-1], diag_b)}, tol)
+    diag = {"zero_counts": counts, "residual_sequence": seq,
+            "descending": descending, **report.diagnostics}
+    return replace(report, passed=report.passed and descending and bounded,
                    diagnostics=diag)
 
 
@@ -458,7 +459,9 @@ def cotangent_partial_fraction_check(t):
 
     The series is summed directly to N ~ max(1000, 50 t) and completed
     with the Euler-Maclaurin tail int_N^inf dn/(t^2+n^2) - f(N)/2
-    - f'(N)/12, whose next omitted term is O(N^-5).
+    - f'(N)/12, whose next omitted term is O(N^-5).  Below x = 2 pi t = 1
+    the closed form's bracket is summed as its Bernoulli series, because
+    its three terms cancel to O(x).
     """
     t = float(t)
     if t <= 0.0:
@@ -467,10 +470,12 @@ def cotangent_partial_fraction_check(t):
     n = np.arange(1.0, N + 1.0)
     head = (1.0 / (t * t + n * n))[::-1].sum()
     q = t * t + N * N
-    tail = ((0.5 * np.pi - np.arctan(N / t)) / t - 0.5 / q
-            + N / (6.0 * q * q))
-    closed = (np.pi / t) * (1.0 / np.expm1(2.0 * np.pi * t)
-                            - 0.5 / (np.pi * t) + 0.5)
+    # the integral is (pi/2 - arctan(N/t))/t, taken without cancellation
+    tail = np.arctan(t / N) / t - 0.5 / q + N / (6.0 * q * q)
+    x = 2.0 * np.pi * t
+    bracket = (x * np.polyval(_COT_SERIES, x * x) if x < 1.0
+               else 1.0 / np.expm1(x) - 1.0 / x + 0.5)
+    closed = (np.pi / t) * bracket
     return abs(head + tail - closed)
 
 

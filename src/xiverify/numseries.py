@@ -3,26 +3,29 @@
 Each sum here feeds one side of an identity check: theta-type Gaussian
 sums, sums of the modified Bessel function K0, the Bessel-difference sum
 behind the z = 0 Ferrar reduction, the digamma-remainder sum, the
-conditionally convergent Moebius sum, and the sum over nontrivial zeta
-zeros with conjugate-pair bracketing.
+Moebius sum, and the sum over nontrivial zeta zeros with conjugate-pair
+bracketing.
 
-Truncation policy: absolutely convergent sums stop when a rigorous term
-bound drops below 1e-17 or switch to an Euler-Maclaurin tail once terms
-follow their asymptotic power law; the Moebius sum is a reported partial
-sum by construction (its convergence is conjecture-grade) and carries an
-oscillation proxy instead of an error bound.  mobius_theta_sum and
-zero_sum_bracketed each do one rhl side's work in one pass: the Moebius
-sum with its proxy from one term array, and the zero sum at every zero
-count from one evaluation of the pair terms.
+Truncation policy: sums stop when a rigorous term bound drops below
+1e-17 or switch to an Euler-Maclaurin tail once terms follow their
+asymptotic power law; the Moebius sum, with its two known moments taken
+out, converges absolutely and reports a rigorous bound on its tail.
+mobius_theta_sum and zero_sum_bracketed each do one rhl side's work in
+one pass: the Moebius sum from one term array, and the zero sum at every
+zero count from one evaluation of the pair terms.
 """
+
+import math
 
 import numpy as np
 
 from .specfun import (_K0_LARGE, _PSI_ASYMP, EULER_GAMMA, _merge, _split,
-                      besselk0, besselk0_scaled, hyp1f1, lngamma)
+                      besselk0, besselk0_scaled, hyp1f1, lngamma, zeta)
 from .xikernel import lambda_kernel
 
 _LOG_TERM_CUTOFF = 39.2  # -log(1e-17)
+
+_ZETA3 = float(zeta(3.0).real)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -198,17 +201,21 @@ def lambda_sum(alpha):
 
 
 def mobius_theta_sum(alpha, z, table, n_terms=None):
-    """Partial sum to N of sum mu(n)/n e^(-pi alpha^2/n^2) cos(sqrt(pi) alpha z / n)
-    and its oscillation proxy; returns (sum, spread).
+    """sum_n mu(n)/n f(1/n), f(x) = e^(-pi a^2 x^2) cos(sqrt(pi) a z x) with
+    a = alpha, summed absolutely; returns (sum, tail_bound).
 
-    Conditionally convergent at prime-number-theorem rate, and no rigorous
-    bound exists short of deep zero-free regions.  The sum is the plain
-    partial sum at N = n_terms (default: the whole table), in ascending n.
-    spread is the max - min of the partial sums' real and (z != 0)
-    imaginary parts over n in [N/10, N]: they oscillate at the scale of
-    the neglected tail, so it estimates how settled the sum is.  exp and
-    cos run only at the squarefree n of the table, scattered into an
-    array of zeros; sum and spread come from that one array.
+    f(x) = sum_m d_m x^(2m) with d_0 = 1 and d_1 = -pi alpha^2 (1 + z^2/2),
+    so the sum is the Hardy-Littlewood series sum_{m>=1} d_m/zeta(2m+1).
+    Taking out the known moments sum mu(n)/n = 0 (the prime number
+    theorem) and sum mu(n)/n^3 = 1/zeta(3) leaves O(n^-5) terms:
+
+        sum_{n<=N} mu(n)/n (f(1/n) - 1 - d_1/n^2) + d_1/zeta(3),
+
+    N = n_terms (default: the whole table).  With c = pi alpha^2
+    (1 + |z|^2), |d_m| <= c^m/m!, so the neglected tail is at most
+    tail_bound = (c^2/2) e^(c/N^2) / (4 N^4).  Raises ValueError when that
+    bound is not finite.  The terms are evaluated only at the squarefree n
+    of the table.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
@@ -220,21 +227,26 @@ def mobius_theta_sum(alpha, z, table, n_terms=None):
     if N < 1:
         raise ValueError("mobius_theta_sum: need at least one term")
     z = complex(z)
+    a2 = math.pi * alpha * alpha
+    c = a2 * (1.0 + abs(z) * abs(z))
+    # Python floats: c * c overflows to inf instead of warning
+    tail = (0.125 * c * c / N ** 4 * math.exp(c / (N * N))
+            if c / (N * N) < 700.0 else math.inf)
+    if not math.isfinite(tail):
+        raise ValueError("mobius_theta_sum: tail bound at alpha=%g, z=%s, "
+                         "N=%d is not finite" % (alpha, z, N))
     k = table.squarefree[:np.searchsorted(table.squarefree, N, side="right")]
     n = k.astype(np.float64)
     mu = table.values[k].astype(np.float64)
-    vals = (mu / n) * np.exp(-np.pi * alpha * alpha / (n * n))
+    d1 = -a2 * (1.0 + 0.5 * z * z)
+    u = -a2 / (n * n)
+    f = np.exp(u)
     if z != 0.0:
-        vals = vals * np.cos(np.sqrt(np.pi) * alpha * z / n)
-    terms = np.zeros(N, dtype=vals.dtype)
-    terms[k - 1] = vals
-    total = complex(terms.sum())
-    # the partial sums overwrite the terms, so no second N-array is made
-    window = np.cumsum(terms, out=terms)[max(0, N // 10 - 1):]
-    spread = window.real.max() - window.real.min()
-    if z != 0.0:
-        spread = max(spread, window.imag.max() - window.imag.min())
-    return total, float(spread)
+        # e^u cos(v) as two exponentials, each at most e^(|Im z|^2/4)
+        v = 1j * np.sqrt(np.pi) * alpha * z / n
+        f = 0.5 * (np.exp(u + v) + np.exp(u - v))
+    terms = (mu / n) * (f - 1.0 - d1 / (n * n))
+    return complex(terms[::-1].sum()) + d1 / _ZETA3, tail
 
 
 def _bracket_edges(gammas, a1=0.1):

@@ -26,3 +26,8 @@ def zero_records(sample_zeros_path):
 @pytest.fixture(scope="session")
 def mobius_100k():
     return mobius_sieve(100000)
+
+
+@pytest.fixture(scope="session")
+def mobius_10k():
+    return mobius_sieve(10000)

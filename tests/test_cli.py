@@ -135,8 +135,7 @@ class TestMain:
         assert a.read_bytes() == b.read_bytes()
 
     def test_tasks_do_not_carry_the_zeros(self, zero_records):
-        extra = {"mobius_limit": 100000, "rhl_tol": 1e-3,
-                 "zeros": zero_records}
+        extra = {"mobius_limit": 10000, "zeros": zero_records}
         tasks = cli.build_tasks("all", default_grid(), 1e-8, extra)
         assert any(t[0] == "rhl" for t in tasks)
         for task in tasks:
@@ -166,13 +165,22 @@ class TestMain:
         assert [r["alpha"] for r in doc["reports"]] == [1.0, 2.0]
 
     def test_failure_exit_code(self, sample_zeros_path):
-        # an absurdly tight trend tolerance forces a reported failure
+        # ten Moebius terms leave a residual of 5e-4: a reported failure
         code, out = run_cli(["--identity", "rhl", "--zeros",
                              sample_zeros_path, "--alpha", "2", "--z", "0",
-                             "--rhl-tol", "1e-9"])
+                             "--mobius-limit", "10"])
         assert code == 1
         doc = json.loads(out)
         assert doc["all_pass"] is False
+
+    def test_infinite_moebius_tail_bound_is_a_failing_report(
+            self, sample_zeros_path):
+        code, out = run_cli(["--identity", "rhl", "--zeros",
+                             sample_zeros_path, "--alpha", "1e6"])
+        assert code == 1
+        report = json.loads(out)["reports"][0]
+        assert report["pass"] is False
+        assert "tail bound" in report["diagnostics"]["error"]
 
     def test_unreachable_tol_reports_not_raises(self):
         code, out = run_cli(["--identity", "theta", "--alpha", "2",
@@ -229,8 +237,8 @@ class TestUsageErrors:
         ["--identity", "theta", "--alpha", "inf"],
         ["--identity", "theta", "--tol", "nan"],
         ["--identity", "theta", "--tol", "inf"],
-        ["--identity", "theta", "--rhl-tol", "nan"],
-        ["--identity", "theta", "--rhl-tol", "inf"],
+        ["--identity", "theta", "--rhl-tol", "1e-3"],   # flag removed
+        ["--identity", "theta", "--grid", "bogus"],
     ])
     def test_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -245,11 +253,18 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "no ordinates" in capsys.readouterr().err
 
-    def test_mobius_limit_floor(self, sample_zeros_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["--identity", "rhl", "--zeros", sample_zeros_path,
-                  "--mobius-limit", "500"])
-        assert exc.value.code == 2
+    def test_mobius_limit_range(self, sample_zeros_path, monkeypatch):
+        # rejected before the zeros are prepared or any sieve is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("range check came too late")
+
+        monkeypatch.setattr(cli, "prepare_zeros", refuse)
+        monkeypatch.setattr(cli, "_run_task", refuse)
+        for limit in (0, -5, 10 ** 12):
+            with pytest.raises(SystemExit) as exc:
+                main(["--identity", "rhl", "--zeros", sample_zeros_path,
+                      "--mobius-limit", str(limit)])
+            assert exc.value.code == 2
 
 
 def test_tol_env_default(monkeypatch):

@@ -1,8 +1,8 @@
 """Series evaluators: theta sums, Bessel-sum lattices, Moebius and zero sums.
 
 Frozen constants come from 30-digit mpmath summations (nsum with
-acceleration); the Moebius reference was recomputed with an independent
-trial-division mu in plain Python floats.
+acceleration); the Moebius references are 40-digit mpmath evaluations of
+the Hardy-Littlewood series, which involves no Moebius function.
 """
 
 import math
@@ -17,7 +17,7 @@ from xiverify.numseries import (_bracket_edges, _zeta_tail,
                                 k0_sum_direct, k0_sum_minus_pole, lambda_sum,
                                 mobius_theta_sum, sqrt_lattice_sum,
                                 theta_sum, zero_sum_bracketed)
-from xiverify.specfun import besselk0_scaled
+from xiverify.specfun import besselk0_scaled, zeta
 from xiverify.xikernel import lambda_kernel
 from xiverify.zeros import ZeroRecord
 
@@ -175,16 +175,73 @@ class TestLambdaSum:
             lambda_sum(-1.0)
 
 
+# sum_n mu(n)/n f(1/n), f(x) = e^(-pi a^2 x^2) cos(sqrt(pi) a z x), as the
+# Hardy-Littlewood series sum_{m>=1} d_m/zeta(2m+1) evaluated by
+# mpmath at 40 digits (d_m by exact convolution of the two Taylor series,
+# working precision raised to cover their cancellation)
+MOBIUS_REFERENCE = {
+    (1.0, 0.0): -0.56868220911974899136,
+    (2.0, 1.0 + 0.5j): -0.12033328828698131598 + 0.090530561412156700526j,
+    (0.5, 2.0j): 0.26568904717992498379,
+    (1.25, 1.0): -0.34052029138358521543,
+    (1.25, 2.0j): -1.0064272396451235034,
+    (5.0, 3.0): 0.0075304459758770111211,
+}
+
+
+def _hardy_littlewood(alpha, z, terms=60):
+    """sum_{m=1}^{terms} d_m/zeta(2m+1) in doubles, d_m the x^(2m)
+    coefficient of e^(-pi alpha^2 x^2) cos(sqrt(pi) alpha z x)."""
+    a = math.pi * alpha * alpha
+    b2 = a * complex(z) ** 2
+    gauss, cosine = [1.0], [1.0 + 0.0j]
+    for k in range(1, terms + 1):
+        gauss.append(gauss[-1] * -a / k)
+        cosine.append(cosine[-1] * -b2 / ((2 * k - 1) * (2 * k)))
+    return sum(sum(gauss[j] * cosine[m - j] for j in range(m + 1))
+               / complex(zeta(2.0 * m + 1.0)).real
+               for m in range(1, terms + 1))
+
+
 class TestMobiusThetaSum:
-    def test_frozen_value(self, mobius_100k):
-        # independent reference: trial-division mu, plain float loop
-        got, _ = mobius_theta_sum(1.0, 0.0, mobius_100k)
-        _close(got, -0.5691694367366263, rel=0.0, abs_tol=5e-13)
+    def test_frozen_value(self, mobius_10k):
+        got, _ = mobius_theta_sum(1.0, 0.0, mobius_10k)
+        _close(got, MOBIUS_REFERENCE[1.0, 0.0], rel=0.0, abs_tol=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.25])
+    @pytest.mark.parametrize("z", [0.0, 1.0, 2.0, 2.0j, 1.0 + 0.5j,
+                                   -1.5 + 1.0j, 1.2 + 1.6j])
+    def test_hardy_littlewood_series(self, mobius_10k, alpha, z):
+        got, _ = mobius_theta_sum(alpha, z, mobius_10k)
+        _close(got, _hardy_littlewood(alpha, z), rel=0.0, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("alpha,z", list(MOBIUS_REFERENCE))
+    def test_tail_bound_covers_the_error(self, mobius_10k, alpha, z):
+        want = MOBIUS_REFERENCE[alpha, z]
+        for N in (100, 1000, 10000):
+            got, tail = mobius_theta_sum(alpha, z, mobius_10k, n_terms=N)
+            assert abs(got - want) <= tail, (N, abs(got - want), tail)
+        _close(got, want, rel=0.0, abs_tol=1e-13)
+
+    def test_tail_bound_formula(self, mobius_10k):
+        # (c^2/2) e^(c/N^2) / (4 N^4), c = pi alpha^2 (1 + |z|^2); about
+        # 5e-14 at alpha = 2, |z| = 2, N = 1e4
+        _, tail = mobius_theta_sum(2.0, 2.0j, mobius_10k)
+        c = 20.0 * math.pi
+        assert tail == pytest.approx(c * c / 8e16 * math.exp(c / 1e8),
+                                     rel=1e-14)
+        assert 4e-14 < tail < 6e-14
+
+    def test_overflowing_tail_bound_raises(self, mobius_10k):
+        with pytest.raises(ValueError, match="tail bound"):
+            mobius_theta_sum(1e6, 0.0, mobius_10k)
 
     def test_short_prefix_matches_hand_sum(self, mobius_100k):
         mu = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-        want = sum(m / n * math.exp(-math.pi / (n * n))
+        d1 = -math.pi
+        want = sum(m / n * (math.exp(-math.pi / (n * n)) - 1.0 - d1 / (n * n))
                    for n, m in enumerate(mu, start=1))
+        want += d1 / 1.2020569031595942  # zeta(3)
         got, _ = mobius_theta_sum(1.0, 0.0, mobius_100k, n_terms=10)
         _close(got, want, rel=1e-14)
 
@@ -196,29 +253,25 @@ class TestMobiusThetaSum:
         with pytest.raises(ValueError):
             mobius_theta_sum(-1.0, 0.0, mobius_100k)
 
-    def test_oscillation_proxy(self, mobius_100k):
-        _, spread = mobius_theta_sum(2.0, 0.0, mobius_100k)
-        assert 0.0 < spread < 0.05
-
     @pytest.mark.parametrize("alpha,z", [(0.8, 0.0), (0.8, 1.0),
                                          (1.3, 1.0 + 0.5j), (0.5, 2.0j)])
-    def test_squarefree_terms_match_all_n_formula(self, mobius_100k,
+    def test_squarefree_terms_match_all_n_formula(self, mobius_10k,
                                                   alpha, z):
-        # exp and cos run only where mu(n) != 0; the sum and the spread of
-        # the partial sums must equal the all-n formulas bit for bit
+        # the terms are evaluated only where mu(n) != 0; their sum
+        # must equal the all-n formula's bit for bit
         z = complex(z)
-        n = np.arange(1.0, mobius_100k.limit + 1.0)
-        mu = mobius_100k.values[1:].astype(np.float64)
-        terms = (mu / n) * np.exp(-np.pi * alpha * alpha / (n * n))
+        n = np.arange(1.0, mobius_10k.limit + 1.0)
+        mu = mobius_10k.values[1:].astype(np.float64)
+        d1 = -math.pi * alpha * alpha * (1.0 + 0.5 * z * z)
+        u = -np.pi * alpha * alpha / (n * n)
+        f = np.exp(u)
         if z != 0.0:
-            terms = terms * np.cos(np.sqrt(np.pi) * alpha * z / n)
-        window = np.cumsum(terms)[len(terms) // 10 - 1:]
-        spread = window.real.max() - window.real.min()
-        if z != 0.0:
-            spread = max(spread, window.imag.max() - window.imag.min())
-        total, got_spread = mobius_theta_sum(alpha, z, mobius_100k)
-        assert total == complex(terms.sum())
-        assert got_spread == float(spread)
+            v = 1j * np.sqrt(np.pi) * alpha * z / n
+            f = 0.5 * (np.exp(u + v) + np.exp(u - v))
+        terms = (mu / n) * (f - 1.0 - d1 / (n * n))
+        total, _ = mobius_theta_sum(alpha, z, mobius_10k)
+        want = complex(terms[mu != 0][::-1].sum()) + d1 / 1.2020569031595942
+        assert total == want
 
 
 def _zero_sum(zeros, alpha, z, a1=0.1):
