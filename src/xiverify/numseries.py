@@ -9,7 +9,8 @@ bracketing.
 Truncation policy: sums stop when a rigorous term bound drops below
 1e-17 or switch to an Euler-Maclaurin tail once terms follow their
 asymptotic power law; the Moebius sum, with its two known moments taken
-out, converges absolutely and reports a rigorous bound on its tail.
+out, converges absolutely and reports a bound on its tail and its
+rounding.
 mobius_theta_sum and zero_sum_bracketed each do one rhl side's work in
 one pass: the Moebius sum from one term array, and the zero sum at every
 zero count from one evaluation of the pair terms.
@@ -19,8 +20,8 @@ import math
 
 import numpy as np
 
-from .specfun import (_K0_LARGE, _PSI_ASYMP, EULER_GAMMA, _merge, _split,
-                      besselk0, besselk0_scaled, hyp1f1, lngamma, zeta)
+from .specfun import (_PSI_ASYMP, EULER_GAMMA, _merge, _split, besselk0,
+                      besselk0_scaled, hyp1f1, lngamma, zeta)
 from .xikernel import lambda_kernel
 
 _LOG_TERM_CUTOFF = 39.2  # -log(1e-17)
@@ -29,9 +30,16 @@ _ZETA3 = float(zeta(3.0).real)
 
 _TWO_PI = 2.0 * np.pi
 
+_EPS = float(np.finfo(np.float64).eps)
+
 # k0_sum_minus_pole uses the lattice form below this t and the direct
 # Bessel sum from it up (see k0_sum_minus_pole for why 4)
 _K0_SUM_SEAM = 4.0
+
+# coefficients c_k of e^x K0(x) ~ sqrt(pi/(2x)) sum c_k x^(-k), from
+# c_k = -c_{k-1} (2k-1)^2 / (8k); ferrar_bessel_sum's tail takes c_1..c_4
+_K0_LARGE = np.array([1.0, -1.0 / 8.0, 9.0 / 128.0, -75.0 / 1024.0,
+                      3675.0 / 32768.0])
 
 
 def _zeta_tail(N, m):
@@ -110,13 +118,13 @@ def k0_sum_direct(t):
 
     Every row takes N = ceil(45/min(t)) terms, enough for K0(N t) < 1e-20.
     From t = 4 up that is at most 12 terms with arguments of 4 or more.
-    Less pi/(2t), its absolute error against 30-digit mpmath sums is
-    below 3e-18 at t = 4, 6, 10, 20, 40, 59, 60 and 100, and below 1e-15
-    at 37 points of [0.25, 4).  Below t = 0.2 the term count grows like
-    1/t and the sum loses digits against its pole, so smaller t is
-    rejected.  k0_sum_minus_pole takes this route from t = 4 up;
-    watson_lattice_residual calls it directly to compare it with the
-    lattice route at any t >= 0.2.
+    Against 30-digit mpmath sums its absolute error is below 1.9e-18
+    (1.7e-16 relative) at t = 4, 6, 10, 20, 40, 59, 60 and 100, and below
+    4.6e-16 (2.5e-16 relative) at 37 points of [0.25, 4).  Below t = 0.2
+    the term count grows like 1/t and the sum loses digits against its
+    pole, so smaller t is rejected.  k0_sum_minus_pole takes this route
+    from t = 4 up; watson_lattice_residual calls it directly to compare
+    it with the lattice route at any t >= 0.2.
     """
     tv, scalar = _split(t, np.float64)
     if np.any(~(tv >= 0.2)):
@@ -135,10 +143,11 @@ def k0_sum_minus_pole(t):
     analytically, so no large terms cancel; against 30-digit mpmath sums
     its absolute error is below 4e-16 at 40 points of [0.05, 4].  From
     t = 4 up the direct Bessel sum (k0_sum_direct, at most 12 terms),
-    error below 3e-18 at 8 points of [4, 100].  The lattice form is not
-    taken further: its error grows with t, to 1.5e-15 at t = 20,
-    1.1e-13 at t = 40 and 2.7e-11 at t = 100, while the ferrar
-    quadrature's truncation point reaches t = 60 on the default grid.
+    error below 1.9e-17 at 8 points of [4, 100], the rounding of taking
+    out the pole.  The lattice form is not taken further: its error
+    grows with t, to 1.5e-15 at t = 20, 1.1e-13 at t = 40 and 2.7e-11 at
+    t = 100, while the ferrar quadrature's truncation point reaches
+    t = 60 on the default grid.
     Either route is one vectorized call over its share of t.
     """
     tv, scalar = _split(t, np.float64)
@@ -202,7 +211,7 @@ def lambda_sum(alpha):
 
 def mobius_theta_sum(alpha, z, table, n_terms=None):
     """sum_n mu(n)/n f(1/n), f(x) = e^(-pi a^2 x^2) cos(sqrt(pi) a z x) with
-    a = alpha, summed absolutely; returns (sum, tail_bound).
+    a = alpha, summed absolutely; returns (sum, error_bound).
 
     f(x) = sum_m d_m x^(2m) with d_0 = 1 and d_1 = -pi alpha^2 (1 + z^2/2),
     so the sum is the Hardy-Littlewood series sum_{m>=1} d_m/zeta(2m+1).
@@ -213,9 +222,13 @@ def mobius_theta_sum(alpha, z, table, n_terms=None):
 
     N = n_terms (default: the whole table).  With c = pi alpha^2
     (1 + |z|^2), |d_m| <= c^m/m!, so the neglected tail is at most
-    tail_bound = (c^2/2) e^(c/N^2) / (4 N^4).  Raises ValueError when that
-    bound is not finite.  The terms are evaluated only at the squarefree n
-    of the table.
+    (c^2/2) e^(c/N^2) / (4 N^4).  Raises ValueError when that bound is not
+    finite.  error_bound adds the rounding, eps (4 P + |d_1/zeta(3)| +
+    ceil(log2 k) sum_n |term_n|) over the k terms, with P the sum of
+    (|f(1/n)| + 1 + |d_1|/n^2)/n: the parts of a term cancel to O(n^-5),
+    so their own rounding outweighs the terms' (about 1.3e-14 at
+    (0.2, 3i), N = 1e4, against an observed 2.2e-16).  The terms are
+    evaluated only at the squarefree n of the table.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
@@ -246,7 +259,13 @@ def mobius_theta_sum(alpha, z, table, n_terms=None):
         v = 1j * np.sqrt(np.pi) * alpha * z / n
         f = 0.5 * (np.exp(u + v) + np.exp(u - v))
     terms = (mu / n) * (f - 1.0 - d1 / (n * n))
-    return complex(terms[::-1].sum()) + d1 / _ZETA3, tail
+    # rounding: 4 ulps of each term's parts, which cancel to O(n^-5), and
+    # the pairwise sum's log2(len) ulps of the terms' magnitudes
+    parts = ((np.abs(f) + 1.0 + abs(d1) / (n * n)) / n).sum()
+    rounding = _EPS * float(4.0 * parts + abs(d1 / _ZETA3)
+                            + math.ceil(math.log2(len(n)))
+                            * np.abs(terms).sum())
+    return complex(terms[::-1].sum()) + d1 / _ZETA3, tail + rounding
 
 
 def _bracket_edges(gammas, a1=0.1):

@@ -117,7 +117,7 @@ def _adaptive_finite(f, a, b, tol):
         if not splittable.any():
             break  # refinement exhausted; report the honest remainder
         if evals + 30 * int(splittable.sum()) > _EVAL_BUDGET:
-            raise RuntimeError(
+            raise ValueError(
                 "quadrature: evaluation budget (%d) exhausted at "
                 "estimated error %.3e (tol %.3e)" % (_EVAL_BUDGET, total, tol))
         slo, shi = lo[splittable], hi[splittable]
@@ -171,7 +171,7 @@ def _truncation_point(amp, tol, rate):
             if tail <= _TAIL_SHARE * tol:
                 return T, tail, points
         if T >= _T_CAP:
-            raise RuntimeError(
+            raise ValueError(
                 "quadrature: integrand tail still %.3e at T = %g "
                 "(needs <= %.3e); decay hint %.3g looks wrong"
                 % (tail, T, _TAIL_SHARE * tol, rate))

@@ -2,25 +2,27 @@
 
 A zeros file is UTF-8 text with one positive decimal ordinate per line in
 strictly ascending order (the format of the published tables).  Loaded
-ordinates are refined against this package's own Xi implementation by
-bracketed Illinois false position (Dowell & Jarratt, BIT 1971), after
-which zeta'(1/2 + i gamma) is attached for use in the zero sums.
+ordinates are refined by Newton's method on zeta(1/2 + it), with the
+derivative from specfun.zeta_eta_prime, and each result is certified by
+a sign change of this package's own Xi; then zeta'(1/2 + i gamma) is
+attached for use in the zero sums.
 
 refine_zeros is the one refinement: it runs every ordinate in lockstep,
-one xi_cap call per step on the brackets still open (one ordinate is
-refine_zeros([g])[0]).  The derivatives come from one
-specfun.zeta_eta_prime call.  The eta series behind both takes a term
-count set by the largest ordinate of the batch, so a batch can differ
-from one-ordinate calls in the last bits.  The repo ships a 100-ordinate
-sample generated by scanning Xi sign changes with scan_zero_brackets, so
-nothing external is required to exercise the pipeline.
+one zeta_eta and one zeta_eta_prime call per Newton step and one xi_cap
+call for the certificates (one ordinate is refine_zeros([g])[0]).  The
+derivatives come from one specfun.zeta_eta_prime call.  The eta series
+behind all of them takes a term count set by the largest ordinate of the
+batch, so a batch can differ from one-ordinate calls in the last bits.
+The repo ships a 100-ordinate sample, the bracket midpoints of
+scan_zero_brackets(10, 237) refined and rounded to 9 decimals, so nothing
+external is required to exercise the pipeline.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import zeta_eta_prime
+from .specfun import zeta_eta, zeta_eta_prime
 from .xikernel import xi_cap
 
 
@@ -75,71 +77,34 @@ def load_zeros(path, max_count):
 
 
 def refine_zeros(gammas):
-    """Refine approximate ordinates against Xi, each on [g - 0.5, g + 0.5].
+    """Refine approximate ordinates to zeros of zeta(1/2 + it).
 
-    Every ordinate runs the same bracketed Illinois false position, in
-    lockstep: each step is one xi_cap call on the brackets still open.
-    A bracket whose ends agree in sign falls back to a 0.02-step scan of
-    its window for the first sign change.  Each step takes the secant
-    through the two bracket ends, clipped 0.1% inside the bracket; when
-    the same end is kept twice in a row its stored Xi value is halved, so
-    the far end cannot stall the bracket.  A bracket stops when it is
-    narrower than 1e-12, when Xi is exactly 0 at a probe (the probe is
-    returned), or after 200 steps; the result is its midpoint.  Raises
-    ValueError when Xi does not change sign anywhere in some window.
+    Newton's method on t -> zeta(1/2 + it), whose derivative is
+    i zeta'(1/2 + it), runs every ordinate in lockstep: each step is one
+    zeta_eta and one zeta_eta_prime call on the whole batch, and moves t by
+    Re(zeta / (i zeta')), kept within [g - 0.5, g + 0.5] of its seed g.
+    The steps stop when none moves t by more than 1e-14 t, or after 20.
+    One xi_cap call then certifies every result t: Xi must change sign
+    across t -+ 1e-13 t.  Raises ValueError naming the seed when it does
+    not, so a seed with no zero within 0.5 is refused.
     """
     g0 = np.asarray(gammas, dtype=np.float64).reshape(-1)
-    m = len(g0)
-    lo, hi = g0 - 0.5, g0 + 0.5
-    if m == 0:
-        return lo
-    ends = xi_cap(np.concatenate([lo, hi]))
-    flo, fhi = ends[:m], ends[m:]
-    # NaN marks a bracket still open; a window end where Xi is 0 is done
-    out = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
-    active = np.isnan(out)
-    scan = np.nonzero(active & (flo * fhi > 0.0))[0]
-    if len(scan):
-        grids = [np.arange(lo[i], hi[i] + 1e-12, 0.02) for i in scan]
-        vals = np.split(xi_cap(np.concatenate(grids)),
-                        np.cumsum([len(g) for g in grids])[:-1])
-        for i, grid, v in zip(scan, grids, vals):
-            sign_flip = np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]
-            if len(sign_flip) == 0:
-                raise ValueError("refine_zeros: Xi does not change sign on "
-                                 "[%.6f, %.6f]" % (lo[i], hi[i]))
-            j = sign_flip[0]
-            lo[i], hi[i] = grid[j], grid[j + 1]
-            flo[i], fhi[i] = v[j], v[j + 1]
-    kept = np.zeros(m, dtype=np.int8)  # end kept last step: -1 lo, +1 hi
-    for _ in range(200):
-        active &= ~(hi - lo < 1e-12)
-        idx = np.nonzero(active)[0]
-        if len(idx) == 0:
+    t = g0.copy()
+    for _ in range(20):
+        s = 0.5 + 1j * t
+        step = (zeta_eta(s) / (1j * zeta_eta_prime(s))).real
+        moved = np.clip(t - step, g0 - 0.5, g0 + 0.5)
+        done = np.abs(moved - t) <= 1e-14 * t
+        t = moved
+        if done.all():
             break
-        l, h, fl, fh = lo[idx], hi[idx], flo[idx], fhi[idx]
-        # fl and fh have opposite signs, so the secant root lies inside
-        x = h - fh * (h - l) / (fh - fl)
-        margin = 1e-3 * (h - l)
-        x = np.minimum(np.maximum(x, l + margin), h - margin)
-        fx = xi_cap(x)
-        hit = fx == 0.0
-        out[idx[hit]] = x[hit]
-        active[idx[hit]] = False
-        left = (fl * fx < 0.0) & ~hit
-        right = ~left & ~hit
-        # the root is left of x: x becomes hi and lo is kept
-        i = idx[left]
-        hi[i], fhi[i] = x[left], fx[left]
-        flo[i[kept[i] == -1]] *= 0.5
-        kept[i] = -1
-        i = idx[right]
-        lo[i], flo[i] = x[right], fx[right]
-        fhi[i[kept[i] == 1]] *= 0.5
-        kept[i] = 1
-    open_ = np.isnan(out)
-    out[open_] = 0.5 * (lo[open_] + hi[open_])
-    return out
+    ends = xi_cap(np.concatenate([t * (1.0 - 1e-13), t * (1.0 + 1e-13)]))
+    bad = np.nonzero(np.sign(ends[:len(t)]) * np.sign(ends[len(t):]) >= 0)[0]
+    if len(bad):
+        i = bad[0]
+        raise ValueError("refine_zeros: Xi does not change sign near %.6f "
+                         "within 0.5 of the seed %.6f" % (t[i], g0[i]))
+    return t
 
 
 def prepare_zeros(path, max_count):

@@ -230,33 +230,28 @@ class TestFerrar:
 
     def test_default_grid_work_counts(self, monkeypatch):
         # Over the CLI's default grid at its default tol, K0 takes 67,946
-        # points, 63,067 of them in the continued fraction; with the direct
-        # Bessel sum running from t = 0.2 it took 1,791,265 and 892,757.
-        # The quadrature does the same work on either K0-sum route.  The
-        # evaluations were 43,095 before the bracket integrals were split
-        # at t = 1 (34,455 of them in the brackets, now 15,204).
+        # points; with the direct Bessel sum running from t = 0.2 it took
+        # 1,791,265.  The quadrature does the same work on either K0-sum
+        # route.  The evaluations were 43,095 before the bracket integrals
+        # were split at t = 1 (34,455 of them in the brackets, now 15,204).
         from xiverify import cli, specfun
         from xiverify import numseries as ns
-        points = {"besselk0": 0, "cf2": 0}
+        points = 0
+        besselk0 = specfun.besselk0
 
-        def counted(key, fn):
-            def wrapper(x):
-                points[key] += np.size(x)
-                return fn(x)
-            return wrapper
+        def k0(x):
+            nonlocal points
+            points += np.size(x)
+            return besselk0(x)
 
-        k0 = counted("besselk0", specfun.besselk0)
         monkeypatch.setattr(specfun, "besselk0", k0)
         monkeypatch.setattr(ns, "besselk0", k0)
-        monkeypatch.setattr(specfun, "_k0_cf2_scaled",
-                            counted("cf2", specfun._k0_cf2_scaled))
         evaluations = 0
         for alpha, z in cli.default_grid():
             rep = verify_ferrar(KernelParams(alpha, z), 1e-8)
             evaluations += sum(d.get("evaluations", 0)
                                for d in rep.diagnostics.values())
-        assert points["besselk0"] <= 100000
-        assert points["cf2"] <= 100000
+        assert points <= 100000
         # 23,844 while the truncation ladder took one step per integrand
         # call; the batched ladder also passes the tail points of steps
         # past the one it takes, and evaluations count every point passed

@@ -186,6 +186,7 @@ MOBIUS_REFERENCE = {
     (1.25, 1.0): -0.34052029138358521543,
     (1.25, 2.0j): -1.0064272396451235034,
     (5.0, 3.0): 0.0075304459758770111211,
+    (0.2, 3.0j): 0.35585593087582357424,
 }
 
 
@@ -216,21 +217,36 @@ class TestMobiusThetaSum:
         _close(got, _hardy_littlewood(alpha, z), rel=0.0, abs_tol=1e-12)
 
     @pytest.mark.parametrize("alpha,z", list(MOBIUS_REFERENCE))
-    def test_tail_bound_covers_the_error(self, mobius_10k, alpha, z):
+    def test_tail_bound_covers_the_error(self, mobius_100k, alpha, z):
+        # the bound covers rounding too: (0.2, 3i) at N = 1e4 is off by
+        # 2.2e-16 and (2, 1 + 0.5i) at N = 1e5 by 3.0e-15, where the
+        # truncation tail alone is 2.0e-17 and 1.0e-18
         want = MOBIUS_REFERENCE[alpha, z]
-        for N in (100, 1000, 10000):
-            got, tail = mobius_theta_sum(alpha, z, mobius_10k, n_terms=N)
-            assert abs(got - want) <= tail, (N, abs(got - want), tail)
+        for N in (100, 1000, 10000, 100000):
+            got, bound = mobius_theta_sum(alpha, z, mobius_100k, n_terms=N)
+            assert abs(got - want) <= bound, (N, abs(got - want), bound)
         _close(got, want, rel=0.0, abs_tol=1e-13)
 
     def test_tail_bound_formula(self, mobius_10k):
-        # (c^2/2) e^(c/N^2) / (4 N^4), c = pi alpha^2 (1 + |z|^2); about
-        # 5e-14 at alpha = 2, |z| = 2, N = 1e4
-        _, tail = mobius_theta_sum(2.0, 2.0j, mobius_10k)
+        # the truncation tail (c^2/2) e^(c/N^2) / (4 N^4), c = pi alpha^2
+        # (1 + |z|^2), about 5e-14 at alpha = 2, |z| = 2, N = 1e4, plus
+        # the rounding term, recomputed here from the squarefree terms
+        _, bound = mobius_theta_sum(2.0, 2.0j, mobius_10k)
         c = 20.0 * math.pi
-        assert tail == pytest.approx(c * c / 8e16 * math.exp(c / 1e8),
-                                     rel=1e-14)
+        tail = c * c / 8e16 * math.exp(c / 1e8)
         assert 4e-14 < tail < 6e-14
+        n = mobius_10k.squarefree.astype(np.float64)
+        mu = mobius_10k.values[mobius_10k.squarefree]
+        d1 = -4.0 * math.pi * (1.0 + 0.5 * (2.0j) ** 2)
+        u = -4.0 * math.pi / (n * n)
+        v = 1j * math.sqrt(math.pi) * 2.0 * 2.0j / n
+        f = 0.5 * (np.exp(u + v) + np.exp(u - v))
+        terms = (mu / n) * (f - 1.0 - d1 / (n * n))
+        parts = ((np.abs(f) + 1.0 + abs(d1) / (n * n)) / n).sum()
+        rounding = np.finfo(np.float64).eps * (
+            4.0 * parts + abs(d1) / 1.2020569031595942
+            + math.ceil(math.log2(len(n))) * np.abs(terms).sum())
+        assert bound == pytest.approx(tail + rounding, rel=1e-14, abs=0.0)
 
     def test_overflowing_tail_bound_raises(self, mobius_10k):
         with pytest.raises(ValueError, match="tail bound"):

@@ -137,7 +137,7 @@ class TestLogSingular:
 
 def test_budget_exhaustion_raises():
     # a chirp needs far more panels than the evaluation budget allows
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         integrate_semi_infinite(lambda t: np.cos(80.0 * t * t) * np.exp(-t),
                                 1e-12, 1.0)
 
@@ -152,7 +152,7 @@ def test_zero_integrand_same_truncation_on_both_routes():
 
 def test_tail_error_quotes_the_tail_target():
     tol = 1e-8
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(ValueError) as info:
         integrate_semi_infinite(lambda t: np.exp(-0.01 * t), tol, 1.0)
     assert "needs <= %.3e" % (quad._TAIL_SHARE * tol) in str(info.value)
 
@@ -205,7 +205,7 @@ def _sequential_truncation(amp, tol, rate):
         if tail <= quad._TAIL_SHARE * tol:
             return T, tail, steps
         if T >= quad._T_CAP:
-            raise RuntimeError(
+            raise ValueError(
                 "quadrature: integrand tail still %.3e at T = %g "
                 "(needs <= %.3e); decay hint %.3g looks wrong"
                 % (tail, T, quad._TAIL_SHARE * tol, rate))
@@ -237,9 +237,9 @@ class TestTruncationLadder:
 
     def test_cap_error_message_unchanged(self):
         flat = lambda t: np.ones_like(t)
-        with pytest.raises(RuntimeError) as want:
+        with pytest.raises(ValueError) as want:
             _sequential_truncation(flat, 1e-8, 1.0)
-        with pytest.raises(RuntimeError) as got:
+        with pytest.raises(ValueError) as got:
             quad._truncation_point(flat, 1e-8, 1.0)
         assert str(got.value) == str(want.value)
         assert "T = %g" % quad._T_CAP in str(got.value)

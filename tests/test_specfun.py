@@ -8,43 +8,20 @@ evaluation can honestly deliver.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xiverify.specfun import (_SERIES_MAX_TERMS, _SERIES_RELTOL,
-                              EULER_GAMMA, _hyp_series, _k0_asymp_scaled,
-                              _k0_cf2_scaled, _k0_series, besselk0,
+                              EULER_GAMMA, _hyp_series, besselk0,
                               besselk0_scaled, digamma, gamma_fn, hyp1f1,
                               hyp2f2_11, lngamma, mobius_sieve, zeta,
                               zeta_eta, zeta_eta_prime)
 
-# arguments on both sides of the K0 branch seams at 2 and 300, and on them
-K0_GRID = np.concatenate([
-    np.geomspace(1e-3, 1e3, 301),
-    [2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0),
-     300.0, np.nextafter(300.0, 0.0), np.nextafter(300.0, 400.0)]])
-
-
-def _k0_reference(x, scaled):
-    """besselk0 (scaled=False) or besselk0_scaled as a chain of its own
-    branches, each function applying its exponential where it evaluates."""
-    v = np.asarray(x, np.float64)
-    out = np.empty_like(v)
-    small = v <= 2.0
-    rest = v[~small]
-    big = rest >= 300.0
-    vals = np.empty_like(rest)
-    vals[~big] = _k0_cf2_scaled(rest[~big])
-    vals[big] = _k0_asymp_scaled(rest[big])
-    if scaled:
-        out[small] = _k0_series(v[small]) * np.exp(v[small])
-        out[~small] = vals
-    else:
-        out[small] = _k0_series(v[small])
-        out[~small] = vals * np.exp(-rest)
-    return out
+# 240 log-spaced arguments over K0's tested range
+K0_GRID = np.geomspace(1e-3, 1e7, 240)
 
 
 def _close(got, want, rel=1e-13, abs_tol=0.0):
@@ -329,24 +306,36 @@ class TestBesselK0:
         _close(besselk0(5.0), besselk0_scaled(5.0) * math.exp(-5.0),
                rel=1e-14)
 
-    def test_branch_seams(self):
-        # series / continued fraction at 2, continued fraction /
-        # asymptotic at 300; offsets small enough that the function's own
-        # slope contributes < 1e-13 relative
-        for seam in (2.0, 300.0):
-            lo = besselk0_scaled(seam * (1.0 - 1e-13))
-            hi = besselk0_scaled(seam * (1.0 + 1e-13))
-            assert abs(lo - hi) <= 1e-12 * abs(hi)
+    def test_scaled_against_mpmath(self):
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.besselk(0, v) * mpmath.exp(v))
+                             for v in map(mpmath.mpf, K0_GRID)])
+        np.testing.assert_allclose(besselk0_scaled(K0_GRID), want,
+                                   rtol=1e-15, atol=0.0)
 
-    def test_bit_identical_to_branch_chains(self):
-        # the shared branch helper leaves every bit of both functions as
-        # the separate branch chains gave it, in batches and per scalar
-        for fn, scaled in ((besselk0, False), (besselk0_scaled, True)):
-            want = _k0_reference(K0_GRID, scaled)
-            assert np.array_equal(fn(K0_GRID), want)
-            assert [fn(float(x)) for x in K0_GRID] == [
-                float(_k0_reference(np.array([x]), scaled)[0])
-                for x in K0_GRID]
+    def test_unscaled_against_mpmath(self):
+        x = K0_GRID[K0_GRID <= 700.0]
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.besselk(0, v))
+                             for v in map(mpmath.mpf, x)])
+        np.testing.assert_allclose(besselk0(x), want, rtol=1e-15, atol=0.0)
+
+    def test_batch_matches_scalar_calls(self):
+        # a batch takes the step count of its smallest x, so rows can
+        # differ from one-x calls, but by a few ulps at most
+        for fn in (besselk0, besselk0_scaled):
+            batch = fn(K0_GRID)
+            single = np.array([fn(float(x)) for x in K0_GRID])
+            np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
+
+    def test_working_range_lower_end(self):
+        assert np.isfinite(besselk0(1e-12))
+        for fn in (besselk0, besselk0_scaled):
+            name = fn.__name__
+            with pytest.raises(ValueError, match=name + ": .*working range"):
+                fn(9e-13)
+            with pytest.raises(ValueError, match=name + ": .*working range"):
+                fn(np.array([1.0, 1e-13]))
 
     def test_nonpositive_raises(self):
         with pytest.raises(ValueError):
@@ -355,6 +344,8 @@ class TestBesselK0:
             besselk0_scaled(-1.0)
         with pytest.raises(ValueError):
             besselk0(np.array([1.0, np.nan]))
+        with pytest.raises(ValueError):
+            besselk0_scaled(np.inf)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.05, 30.0), st.floats(0.05, 30.0))

@@ -1,5 +1,7 @@
 """Zero-ordinate ingestion, refinement, and zeta derivatives."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from xiverify.zeros import (ZeroRecord, load_zeros, prepare_zeros,
 GAMMA_1 = 14.1347251417347
 GAMMA_2 = 21.0220396387716
 GAMMA_3 = 25.0108575801457
+
+# the first 100 zero ordinates from mpmath.zetazero (see the file header)
+ZETAZERO_100 = np.loadtxt(pathlib.Path(__file__).parent / "data"
+                          / "zetazero_100.txt")
 
 
 def test_record_validation():
@@ -76,8 +82,8 @@ class TestRefineZero:
         assert abs(refine_zeros([seed])[0] - want) < 1e-9
 
     def test_sample_refinement_work(self, sample_zeros_path, monkeypatch):
-        # Illinois steps need about 13 Xi values per zero on the sample;
-        # the bound leaves room while catching a fall back to slow steps
+        # one ordinate at a time, Xi is evaluated only for the sign
+        # certificate: two points per zero
         points = []
         xi_cap = zeros.xi_cap
 
@@ -88,11 +94,12 @@ class TestRefineZero:
         monkeypatch.setattr(zeros, "xi_cap", counted)
         for rec in load_zeros(sample_zeros_path, max_count=100):
             assert abs(refine_zeros([rec.gamma])[0] - rec.gamma) < 1e-9
-        assert sum(points) <= 2000
+        assert points == [2] * 100
 
     def test_no_zero_nearby_raises(self):
-        # Xi has no zero below gamma_1; a seed at 5 finds no sign change
-        with pytest.raises(ValueError):
+        # Xi has no zero below gamma_1; from the seed 5 Newton's steps
+        # head for t = 2.48 and stop at the window's end, 4.5
+        with pytest.raises(ValueError, match="change sign"):
             refine_zeros([5.0])
 
 
@@ -119,64 +126,13 @@ def test_scan_brackets_below_fifty():
         assert 0.0 <= lo < hi <= 50.0
 
 
-def _illinois_reference(xi, gamma0):
-    """One ordinate at a time, scalar floats: the loop refine_zeros runs
-    in lockstep, kept as the reference it must match bit for bit."""
-    lo, hi = gamma0 - 0.5, gamma0 + 0.5
-    flo, fhi = float(xi(lo)), float(xi(hi))
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        grid = np.arange(lo, hi + 1e-12, 0.02)
-        vals = xi(grid)
-        i = int(np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][0])
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo, fhi = float(vals[i]), float(vals[i + 1])
-    kept = None
-    for _ in range(200):
-        if hi - lo < 1e-12:
-            break
-        x = hi - fhi * (hi - lo) / (fhi - flo)
-        margin = 1e-3 * (hi - lo)
-        x = min(max(x, lo + margin), hi - margin)
-        fx = float(xi(x))
-        if fx == 0.0:
-            return x
-        if flo * fx < 0.0:
-            hi, fhi = x, fx
-            if kept == "lo":
-                flo *= 0.5
-            kept = "lo"
-        else:
-            lo, flo = x, fx
-            if kept == "hi":
-                fhi *= 0.5
-            kept = "hi"
-    return 0.5 * (lo + hi)
-
-
 class TestRefineZeros:
-    def test_lockstep_equals_scalar_reference(self, monkeypatch):
-        # with a stand-in whose values do not depend on the batch (Xi's
-        # eta term count follows the batch's largest ordinate), lockstep
-        # and one-at-a-time refinement must agree exactly; the chirp's
-        # sign changes close in with t, so about half the windows have
-        # ends of one sign and take the scan fallback
-        def fake_xi(t):
-            t = np.asarray(t, dtype=np.float64)
-            return np.sin(0.1 * t * t) + 0.2
-
-        seeds = np.linspace(20.0, 60.0, 400)
-        want = [_illinois_reference(fake_xi, g) for g in seeds]
-        monkeypatch.setattr(zeros, "xi_cap", fake_xi)
-        np.testing.assert_array_equal(refine_zeros(seeds), want)
-
     def test_lockstep_refinement_work(self, sample_zeros_path, monkeypatch):
-        # one xi_cap call per lockstep step (about 19 on the sample), not
-        # one per zero and step; and one zeta_eta_prime call for them all
-        calls = {"xi_cap": [], "zeta_eta_prime": []}
+        # one zeta_eta and one zeta_eta_prime call per Newton step (two
+        # on the sample), not one per zero and step; one xi_cap call for
+        # the certificates; and one zeta_eta_prime call for the
+        # derivatives of them all
+        calls = {"xi_cap": [], "zeta_eta": [], "zeta_eta_prime": []}
         for name in calls:
             def counted(x, _fn=getattr(zeros, name), _name=name):
                 calls[_name].append(np.size(x))
@@ -184,9 +140,34 @@ class TestRefineZeros:
             monkeypatch.setattr(zeros, name, counted)
         recs = prepare_zeros(sample_zeros_path, max_count=100)
         assert len(recs) == 100
-        assert len(calls["xi_cap"]) <= 30
-        assert sum(calls["xi_cap"]) <= 2000
-        assert calls["zeta_eta_prime"] == [100]
+        assert calls["xi_cap"] == [200]
+        assert calls["zeta_eta"] == [100, 100]
+        assert calls["zeta_eta_prime"] == [100, 100, 100]
+
+    def test_sample_against_mpmath(self, sample_zeros_path):
+        seeds = [rec.gamma for rec in load_zeros(sample_zeros_path, 100)]
+        got = refine_zeros(seeds)
+        assert np.max(np.abs(got - ZETAZERO_100)) <= 1e-13
+
+    @pytest.mark.parametrize("offset", [-0.4, 0.4])
+    def test_off_seeds_reach_sample_zeros(self, sample_zeros_path, offset):
+        # a seed 0.4 off can sit nearer a neighbouring zero (the sample's
+        # smallest gap is about 0.72); each must reach a zero of the
+        # sample within 0.5 of itself, most of them their own
+        seeds = np.array([rec.gamma for rec in
+                          load_zeros(sample_zeros_path, 100)]) + offset
+        got = refine_zeros(seeds)
+        dist = np.abs(got[:, None] - ZETAZERO_100[None, :])
+        assert np.max(dist.min(axis=1)) <= 1e-13
+        assert np.max(np.abs(got - seeds)) <= 0.5
+        assert np.mean(np.abs(got - ZETAZERO_100) <= 1e-13) >= 0.95
+
+    def test_sample_file_provenance(self, sample_zeros_path):
+        # the sample is the refined midpoints of the scan's brackets,
+        # rounded to 9 decimals
+        mids = [0.5 * (lo + hi) for lo, hi in scan_zero_brackets(10.0, 237.0)]
+        table = [rec.gamma for rec in load_zeros(sample_zeros_path, 1000)]
+        assert np.round(refine_zeros(mids), 9).tolist() == table
 
     def test_matches_table_and_scalar_refinement(self, sample_zeros_path,
                                                  zero_records):
@@ -195,21 +176,6 @@ class TestRefineZeros:
             assert rec.refined
             assert abs(rec.gamma - g0) < 1e-9
             assert abs(rec.gamma - refine_zeros([g0])[0]) < 1e-11
-
-    def test_scan_fallback_and_exact_zero(self, monkeypatch):
-        # a cubic stand-in for Xi with zeros at 10.01, 10.3 and 20: the
-        # window of 9.9 has ends of one sign, so it is scanned for the
-        # first sign change; the windows of 20.5 and 19.5 end exactly on
-        # the zero at 20, at their lo and hi end
-        def fake_xi(t):
-            t = np.asarray(t, dtype=np.float64)
-            return (t - 10.01) * (t - 10.3) * (t - 20.0)
-
-        monkeypatch.setattr(zeros, "xi_cap", fake_xi)
-        got = refine_zeros([9.9, 20.5, 19.5])
-        assert abs(got[0] - 10.01) < 1e-12
-        assert got[1] == 20.0
-        assert got[2] == 20.0
 
     def test_one_bad_window_raises(self):
         with pytest.raises(ValueError, match="change sign"):
@@ -220,23 +186,24 @@ class TestRefineZeros:
 
 
 def test_batched_derivatives_against_mpmath(zero_records):
-    # 30-digit mpmath zeta'(1/2 + i gamma) at every 10th refined sample
-    # zero, all taken from one zeta_eta_prime call in prepare_zeros
+    # 30-digit mpmath zeta'(rho) at rho = mpmath.zetazero(k + 1) for every
+    # 10th sample zero k, all taken from one zeta_eta_prime call in
+    # prepare_zeros
     refs = [
-        (0, 14.134725141734705, 0.7832965118670335 + 0.12469982974816403j),
-        (10, 52.970321477714485, 2.344970632667489 + 0.6240181923931485j),
-        (20, 79.33737502024937, 1.9673676408202196 + 1.7572444965098593j),
-        (30, 103.72553804047854, 1.9181860435380136 - 1.009082869189628j),
-        (40, 124.25681855434578, 0.8537247685918992 + 2.1528388832675156j),
-        (50, 146.00098248676557, 2.40197726307774 - 2.186227667979196j),
-        (60, 165.53706918790039, 2.647128028842095 - 2.1246249414886136j),
-        (70, 184.8744678483875, 0.2041888430357504 - 1.4803208726149923j),
-        (80, 202.4935945141405, 2.1807129078074445 - 0.48084393200469105j),
-        (90, 220.71491883931452, 0.9862408927781265 - 1.0981201867296475j),
+        (0, 14.134725141734695, 0.783296511867031 + 0.12469982974817109j),
+        (10, 52.970321477714464, 2.344970632667445 + 0.6240181923932675j),
+        (20, 79.33737502024937, 1.9673676408202183 + 1.7572444965098601j),
+        (30, 103.72553804047834, 1.9181860435388025 - 1.0090828691886666j),
+        (40, 124.25681855434577, 0.8537247685917665 + 2.152838883267503j),
+        (50, 146.0009824867655, 2.4019772630781726 - 2.186227667978945j),
+        (60, 165.5370691879004, 2.6471280288417987 - 2.124624941488847j),
+        (70, 184.8744678483875, 0.20418884303568094 - 1.4803208726149486j),
+        (80, 202.49359451414054, 2.1807129078074152 - 0.48084393200486647j),
+        (90, 220.714918839314, 0.986240892781184 - 1.098120186728983j),
     ]
     for i, gamma, want in refs:
         rec = zero_records[i]
-        assert abs(rec.gamma - gamma) < 1e-11
+        assert abs(rec.gamma - gamma) < 1e-13
         assert abs(rec.zeta_prime - want) <= 1e-12 * abs(want)
 
 
