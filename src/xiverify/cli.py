@@ -28,13 +28,12 @@ from .identities import (RHL_COUNTS, VerificationReport, aux_checks,
                          verify_ferrar, verify_hardy, verify_line_integral,
                          verify_ramanujan_bose, verify_ramanujan_digamma,
                          verify_rhl, verify_theta)
+from .numseries import MAX_TERMS
 from .xikernel import KernelParams
 from .zeros import prepare_zeros
 
 _DEFAULT_ALPHAS = (0.5, 0.8, 1.0, 1.25, 2.0)
 _DEFAULT_ZS = (0.0 + 0.0j, 1.0 + 0.0j, 2.0j, 1.0 + 0.5j)
-
-_AUX_TOL = 1e-9
 
 
 def _each_point(grid):
@@ -66,7 +65,7 @@ _FAMILIES = {
                 lambda p, tol, x: [verify_ramanujan_digamma(p.alpha, tol)]),
     "lineint": (_each_point,
                 lambda p, tol, x: [verify_line_integral(p, tol)]),
-    "aux": (_once, lambda p, tol, x: aux_checks(_AUX_TOL)),
+    "aux": (_once, lambda p, tol, x: aux_checks()),
     "rhl": (_each_point, lambda p, tol, x: [verify_rhl(
         p, x["zeros"], x["mobius_limit"], tol)]),
 }
@@ -284,7 +283,7 @@ def main(argv=None):
     needs_zeros = args.identity == "rhl"
     if needs_zeros and args.zeros is None:
         parser.error("--identity rhl requires --zeros")
-    if not 1 <= args.mobius_limit <= 10 ** 7:
+    if not 1 <= args.mobius_limit <= MAX_TERMS:
         parser.error("--mobius-limit must lie in [1, 1e7]")
 
     extra = {"mobius_limit": args.mobius_limit, "zeros": None}

@@ -10,7 +10,8 @@ Truncation policy: sums stop when a rigorous term bound drops below
 1e-17 or switch to an Euler-Maclaurin tail once terms follow their
 asymptotic power law; the Moebius sum, with its two known moments taken
 out, converges absolutely and reports a bound on its tail and its
-rounding.
+rounding.  A term count above MAX_TERMS raises ValueError before any
+term is allocated.
 mobius_theta_sum and zero_sum_bracketed each do one rhl side's work in
 one pass: the Moebius sum from one term array, and the zero sum at every
 zero count from one evaluation of the pair terms.
@@ -25,6 +26,9 @@ from .specfun import (_PSI_ASYMP, EULER_GAMMA, _merge, _split, besselk0,
 from .xikernel import lambda_kernel
 
 _LOG_TERM_CUTOFF = 39.2  # -log(1e-17)
+
+# the most terms a series may take, the --mobius-limit ceiling too
+MAX_TERMS = 10 ** 7
 
 _ZETA3 = float(zeta(3.0).real)
 
@@ -49,21 +53,31 @@ def _zeta_tail(N, m):
             - (m * (m + 1.0) * (m + 2.0) / 720.0) * N ** (-m - 3.0))
 
 
+def _term_count(name, count):
+    """ceil(count) as an int; ValueError naming the function above
+    MAX_TERMS."""
+    if not count <= MAX_TERMS:
+        raise ValueError("%s: %.3g terms needed, above the ceiling of %d"
+                         % (name, count, MAX_TERMS))
+    return int(math.ceil(count))
+
+
 def theta_sum(alpha, z):
     """sum_{n>=1} e^(-pi alpha^2 n^2) cos(sqrt(pi) alpha n z).
 
     Truncated once the term bound e^(-pi a^2 n^2 + sqrt(pi) a n |Im z|)
     falls below 1e-17; the bound is the positive root of the exponent
-    quadratic, so no trial summation is needed.
+    quadratic, so no trial summation is needed.  The root is taken with
+    alpha factored out, so no alpha over- or underflows it.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("theta_sum: alpha must be positive")
     z = complex(z)
     a = np.pi * alpha * alpha
-    b = np.sqrt(np.pi) * alpha * abs(z.imag)
-    N = int(np.ceil((b + np.sqrt(b * b + 4.0 * a * _LOG_TERM_CUTOFF))
-                    / (2.0 * a))) + 1
+    root = ((abs(z.imag) + math.sqrt(z.imag ** 2 + 4.0 * _LOG_TERM_CUTOFF))
+            / (2.0 * math.sqrt(math.pi) * alpha))
+    N = _term_count("theta_sum", root) + 1
     n = np.arange(1.0, N + 1.0)
     terms = np.exp(-a * n * n) * np.cos(np.sqrt(np.pi) * alpha * n * z)
     return complex(terms[::-1].sum())
@@ -81,9 +95,9 @@ def cosh_theta_sum(beta, z):
         raise ValueError("cosh_theta_sum: beta must be positive")
     z = complex(z)
     a = np.pi * beta * beta
-    b = np.sqrt(np.pi) * beta * abs(z.real)
-    N = int(np.ceil((b + np.sqrt(b * b + 4.0 * a * _LOG_TERM_CUTOFF))
-                    / (2.0 * a))) + 1
+    root = ((abs(z.real) + math.sqrt(z.real ** 2 + 4.0 * _LOG_TERM_CUTOFF))
+            / (2.0 * math.sqrt(math.pi) * beta))
+    N = _term_count("cosh_theta_sum", root) + 1
     n = np.arange(1.0, N + 1.0)
     terms = np.exp(-a * n * n) * np.cosh(np.sqrt(np.pi) * beta * n * z)
     return complex(terms[::-1].sum())
@@ -200,7 +214,7 @@ def lambda_sum(alpha):
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("lambda_sum: alpha must be positive")
-    K = max(1000, int(np.ceil(50.0 / alpha)))
+    K = max(1000, _term_count("lambda_sum", 50.0 / alpha))
     k = np.arange(1.0, K + 1.0)
     head = lambda_kernel(k * alpha)[::-1].sum()
     # lambda(x) = -sum_j B_{2j}/(2j x^{2j}), the tail of psi's expansion
@@ -309,13 +323,7 @@ def zero_sum_bracketed(zeros, alpha, z, counts, a1=0.1):
         return [0.0 + 0.0j] * len(counts)
     z = complex(z)
     gammas = np.array([rec.gamma for rec in zeros], dtype=np.float64)
-    zp = []
-    for rec in zeros:
-        if rec.zeta_prime is None:
-            raise ValueError("zero_sum_bracketed: zero at gamma=%.6f has no "
-                             "zeta derivative" % rec.gamma)
-        zp.append(complex(rec.zeta_prime))
-    zp = np.array(zp, dtype=np.complex128)
+    zp = np.array([rec.zeta_prime for rec in zeros], dtype=np.complex128)
     rho = 0.5 + 1j * gammas
     arg = -0.25 * z * z
     def term(r, d):

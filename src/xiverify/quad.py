@@ -6,14 +6,14 @@ whose estimate exceeds their share of the global budget are bisected,
 all pending panels being evaluated in one vectorized call so integrands
 written on numpy arrays stay fast.
 
-Semi-infinite and whole-line integrals truncate at a point T where a
-sampled exponential-decay model bounds the discarded tail below a
-hundredth of the requested tolerance; one helper seeds and extends T for
-both, sampling up to three steps of its T ladder per integrand call, and
-T is then reported so callers can audit it.  A result's evaluations
-count every point passed to the integrand, ladder steps past the chosen
-T included.  A half-line
-integrand with a log singularity at 0 is split at 1, the first piece
+A semi-infinite integral truncates at a point T where a sampled
+exponential-decay model bounds the discarded tail below a hundredth of
+the requested tolerance, sampling up to three steps of its T ladder per
+integrand call; T is then reported so callers can audit it.  A result's
+evaluations count every point passed to the integrand, ladder steps past
+the chosen T included.  Other ranges reduce to the half line: the whole
+line folds onto it as f(t) + f(-t) (as QUADPACK's QAGI does), a vertical
+line is a whole line, and a log singularity at 0 is split off at 1 and
 taken through x = e^(-u) (integrate_log_singular).
 Integrands must accept a 1-d numpy array and return an array of values.
 """
@@ -134,25 +134,25 @@ def _adaptive_finite(f, a, b, tol):
     return complex(vals[order].sum()), float(errs.sum()), evals
 
 
-def _truncation_point(amp, tol, rate):
-    """Probe amp = |f| on (0, 25], seed T, then grow T until the tail fits.
+def _truncation_point(f, tol, rate):
+    """Probe |f| on (0, 25], seed T, then grow T until the tail fits.
 
     The seed is where the model m e^(-rate (T - t_m)) / rate, built from
     the largest probe m (at t_m), falls to tol/10.  The decay hint
     undershoots the true decay of most integrands, so the probes at the
     seed usually show the tail already within the target (202 of 328
     truncations in the default battery).  T starts at 10 or more and
-    grows by 25% until the sampled tail max amp(T [0.92, 0.96, 1]) / rate
+    grows by 25% until the sampled tail max |f(T [0.92, 0.96, 1])| / rate
     is at most _TAIL_SHARE * tol.  The tail points of up to
     _LADDER_STEPS steps of that ladder (T, 1.25 T, 1.5625 T, capped at
-    _T_CAP) go to amp in one call and the first step that fits is taken,
+    _T_CAP) go to f in one call and the first step that fits is taken,
     so T and the tail are those of the step-by-step rule.  No truncation
     in the default battery or the benchmark's xi_sweep grid needs more
-    than three steps, so each makes two amp calls.  Returns (T, tail,
-    number of points passed to amp, steps past T included).
+    than three steps, so each makes two f calls.  Returns (T, tail,
+    number of points passed to f, steps past T included).
     """
     probe_t = np.linspace(0.25, 25.0, 24)
-    probe = amp(probe_t)
+    probe = np.abs(f(probe_t))
     m = float(probe.max())
     T = 10.0
     if m > 0.0:
@@ -164,7 +164,8 @@ def _truncation_point(amp, tol, rate):
         ladder = [T]
         while len(ladder) < _LADDER_STEPS and ladder[-1] < _T_CAP:
             ladder.append(min(1.25 * ladder[-1], _T_CAP))
-        vals = amp(np.concatenate([t * _TAIL_FRACTIONS for t in ladder]))
+        vals = np.abs(f(np.concatenate([t * _TAIL_FRACTIONS
+                                        for t in ladder])))
         points += vals.size
         for T, top in zip(ladder, vals.reshape(len(ladder), -1).max(axis=1)):
             tail = float(top) / rate
@@ -188,24 +189,21 @@ def integrate_semi_infinite(f, tol, decay_hint):
     rate = float(decay_hint)
     if rate <= 0.0:
         raise ValueError("integrate_semi_infinite: decay_hint must be > 0")
-    T, tail, evals = _truncation_point(lambda ts: np.abs(f(ts)), tol, rate)
+    T, tail, evals = _truncation_point(f, tol, rate)
     value, err, ev = _adaptive_finite(f, 0.0, T, 0.9 * tol)
     return QuadratureResult(value, err + tail, evals + ev, T)
 
 
 def integrate_real_line(f, tol, decay_hint):
-    """Integrate f over the whole line; symmetric two-sided truncation."""
-    rate = float(decay_hint)
-    if rate <= 0.0:
-        raise ValueError("integrate_real_line: decay_hint must be > 0")
+    """Integrate f over the whole line as the half-line integral of
+    f(t) + f(-t); each batch is one f call on the stacked [t, -t], and
+    evaluations count both halves."""
+    def folded(t):
+        y = f(np.concatenate([t, -t]))
+        return y[:len(t)] + y[len(t):]
 
-    def amp(ts):
-        both = np.abs(f(np.concatenate([ts, -ts])))
-        return np.maximum(both[:len(ts)], both[len(ts):])
-
-    T, tail, points = _truncation_point(amp, tol, rate)
-    value, err, ev = _adaptive_finite(f, -T, T, 0.9 * tol)
-    return QuadratureResult(value, err + 2.0 * tail, 2 * points + ev, T)
+    res = integrate_semi_infinite(folded, tol, decay_hint)
+    return replace(res, evaluations=2 * res.evaluations)
 
 
 def integrate_vertical_line(g, c, tol, decay_hint=0.5):

@@ -3,9 +3,10 @@
 Everything downstream (kernels, series, quadrature integrands) is built on
 the functions in this module: complex log-gamma, real digamma, the Riemann
 zeta function on and off the critical line and its derivative, the
-confluent hypergeometric series 1F1 and the single 2F2 parameter set the
-identities need, the modified Bessel function K0 (a trapezoid rule on
-its integral representation), and a Moebius sieve.
+confluent hypergeometric 1F1 and the single 2F2 parameter set the
+identities need (both summed by one Taylor loop, _hyp_series), the
+modified Bessel function K0 (a trapezoid rule on its integral
+representation), and a Moebius sieve.
 
 Functions here, in xikernel and in numseries that take scalars or numpy
 arrays tell them apart only through _split (coerce, note a scalar) and
@@ -295,29 +296,34 @@ def zeta(s):
     return _merge(out, scalar)
 
 
-def _hyp_series(a, c, z):
-    """Raw Taylor sum of 1F1(a; c; z); a, c, z broadcast.
+def _hyp_series(name, num, den, z):
+    """Raw Taylor sum of pFq(num; den; z); the parameters and z broadcast.
 
-    A 0-d c or z stays a numpy scalar (every caller passes scalar c and
-    most pass scalar z), so only the arrays the result needs are
-    allocated.  The loop updates term and total in place and reuses its
-    magnitude buffers; each step is the same sequence of operations,
-    term * (a + n) * z / ((c + n) (n + 1)), for scalar and array c, z.
+    num and den are tuples of parameters; a 0-d one, or z, stays a numpy
+    scalar, so only the arrays the result needs are allocated.  The loop
+    updates term and total in place; each step multiplies term by every
+    (a_i + n) and by z, then divides by prod_j (c_j + n) (n + 1).  A
+    series that has not converged raises ValueError naming name.
     """
-    a = np.asarray(a, np.complex128)
-    c = np.asarray(c, np.complex128)[()]
+    num = [np.asarray(a, np.complex128)[()] for a in num]
+    den = [np.asarray(c, np.complex128)[()] for c in den]
     z = np.asarray(z, np.complex128)[()]
-    shape = np.broadcast_shapes(a.shape, np.shape(c), np.shape(z))
+    shape = np.broadcast_shapes(*map(np.shape, num), *map(np.shape, den),
+                                np.shape(z))
     term = np.ones(shape, dtype=np.complex128)
     total = term.copy()
     step = np.empty_like(term)
     mag = np.empty(shape)
     bound = np.empty(shape)
     for n in range(_SERIES_MAX_TERMS):
-        np.add(a, n, out=step)
-        term *= step
+        for a in num:
+            np.add(a, n, out=step)
+            term *= step
         term *= z
-        term /= (c + n) * (n + 1.0)
+        d = n + 1.0
+        for c in den:
+            d = (c + n) * d
+        term /= d
         total += term
         np.abs(total, out=bound)
         np.maximum(bound, 1e-300, out=bound)
@@ -325,22 +331,21 @@ def _hyp_series(a, c, z):
         np.abs(term, out=mag)
         if (mag < bound).all():
             return total
-    raise ValueError("hyp1f1: series did not converge in %d terms"
-                     % _SERIES_MAX_TERMS)
+    raise ValueError("%s: series did not converge in %d terms"
+                     % (name, _SERIES_MAX_TERMS))
 
 
 def hyp1f1(a, c, z):
     """Confluent hypergeometric 1F1(a; c; z) by Taylor series.
 
-    For Re z < 0 the first Kummer transformation
-    1F1(a; c; z) = e^z 1F1(c - a; c; -z) is applied first so the summed
-    series has nonnegative argument real part, avoiding the cancellation
-    blowup of the raw alternating sum.  Working range |z| <= 50; any other
-    z (NaN included) raises ValueError, as does a non-finite a or c.
+    Where Re z < 0 the first Kummer transformation
+    1F1(a; c; z) = e^z 1F1(c - a; c; -z) is applied, elementwise, so the
+    one summed series has nonnegative argument real part, avoiding the
+    cancellation blowup of the raw alternating sum.  Working range
+    |z| <= 50; any other z (NaN included) raises ValueError, as does a
+    non-finite a or c.
 
-    a, c, z broadcast; c must avoid nonpositive integers.  The series
-    itself is _hyp_series, which keeps a scalar c or z scalar and sums in
-    place.
+    a, c, z broadcast; c must avoid nonpositive integers.
     """
     cc, scalar_c = _split(c, np.complex128)
     _require_finite("hyp1f1", cc, "parameter c")
@@ -355,30 +360,18 @@ def hyp1f1(a, c, z):
         raise ValueError("hyp1f1: |z| = %.6g outside the working range "
                          "|z| <= 50" % zmax)
     neg = zz.real < 0.0
-    if not np.any(neg):
-        out = _hyp_series(aa, cc, zz)
-    elif np.all(neg):
-        out = np.exp(zz) * _hyp_series(cc - aa, cc, -zz)
-    else:
-        direct = _hyp_series(aa, cc, np.where(neg, 0.0, zz))
-        flipped = np.exp(zz) * _hyp_series(cc - aa, cc, np.where(neg, -zz, 0.0))
-        out = np.where(neg, flipped, direct)
+    # e^z first: numpy's complex product may fuse a multiply-add, so the
+    # operand order fixes the last bit
+    out = np.where(neg, np.exp(zz), 1.0) * _hyp_series(
+        "hyp1f1", (np.where(neg, cc - aa, aa),), (cc,), np.where(neg, -zz, zz))
     return _merge(out, scalar_a and scalar_c and scalar_z)
 
 
 def hyp2f2_11(z):
-    """2F2(1, 1; 3/2, 2; z) by direct series; term ratio (n+1) z / ((n+3/2)(n+2))."""
+    """2F2(1, 1; 3/2, 2; z) by its Taylor series."""
     zz, scalar = _split(z, np.complex128)
     _require_finite("hyp2f2_11", zz)
-    term = np.ones(zz.shape, dtype=np.complex128)
-    total = term.copy()
-    for n in range(_SERIES_MAX_TERMS):
-        term = term * (n + 1.0) * zz / ((n + 1.5) * (n + 2.0))
-        total = total + term
-        bound = _SERIES_RELTOL * np.maximum(np.abs(total), 1e-300)
-        if np.all(np.abs(term) < bound):
-            return _merge(total, scalar)
-    raise ValueError("hyp2f2_11: series did not converge")
+    return _merge(_hyp_series("hyp2f2_11", (1, 1), (1.5, 2), zz), scalar)
 
 
 def _k0_trapezoid(name, x):

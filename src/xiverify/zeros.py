@@ -5,7 +5,7 @@ strictly ascending order (the format of the published tables).  Loaded
 ordinates are refined by Newton's method on zeta(1/2 + it), with the
 derivative from specfun.zeta_eta_prime, and each result is certified by
 a sign change of this package's own Xi; then zeta'(1/2 + i gamma) is
-attached for use in the zero sums.
+attached for use in the zero sums: a ZeroRecord cannot exist without it.
 
 refine_zeros is the one refinement: it runs every ordinate in lockstep,
 one zeta_eta and one zeta_eta_prime call per Newton step and one xi_cap
@@ -28,11 +28,10 @@ from .xikernel import xi_cap
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """Ordinate of a nontrivial zero, refinement flag, zeta'(rho)."""
+    """Ordinate gamma of a zero rho = 1/2 + i gamma, and zeta'(rho)."""
 
     gamma: float
-    refined: bool = False
-    zeta_prime: complex | None = None
+    zeta_prime: complex
 
     def __post_init__(self):
         gamma = float(self.gamma)
@@ -40,7 +39,7 @@ class ZeroRecord:
             raise ValueError(
                 "ZeroRecord: ordinate must be finite and positive")
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "refined", bool(self.refined))
+        object.__setattr__(self, "zeta_prime", complex(self.zeta_prime))
 
 
 def load_zeros(path, max_count):
@@ -48,16 +47,16 @@ def load_zeros(path, max_count):
 
     Raises ValueError naming the offending line for anything that does
     not parse as a positive decimal or that breaks ascending order.
-    Records come back unrefined, with no derivative attached.
+    Returns the ordinates as a list of floats, unrefined.
     """
-    records = []
+    gammas = []
     prev = 0.0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            if len(records) >= max_count:
+            if len(gammas) >= max_count:
                 break
             try:
                 g = float(line)
@@ -72,8 +71,8 @@ def load_zeros(path, max_count):
                                  "ascending (%r after %r)"
                                  % (path, lineno, g, prev))
             prev = g
-            records.append(ZeroRecord(g))
-    return records
+            gammas.append(g)
+    return gammas
 
 
 def refine_zeros(gammas):
@@ -114,13 +113,12 @@ def prepare_zeros(path, max_count):
     in one zeta_eta_prime call.  Raises ValueError when the file holds
     no ordinate.
     """
-    records = load_zeros(path, max_count)
-    if not records:
+    seeds = load_zeros(path, max_count)
+    if not seeds:
         raise ValueError("%s: zeros file holds no ordinates" % path)
-    gammas = refine_zeros([rec.gamma for rec in records])
+    gammas = refine_zeros(seeds)
     derivs = zeta_eta_prime(0.5 + 1j * gammas)
-    return [ZeroRecord(g, refined=True, zeta_prime=complex(d))
-            for g, d in zip(gammas, derivs)]
+    return [ZeroRecord(g, d) for g, d in zip(gammas, derivs)]
 
 
 def scan_zero_brackets(t_min, t_max, step=0.05):

@@ -208,6 +208,19 @@ class TestMain:
         assert report["sides"] == {}
         assert "|z| <= 50" in report["diagnostics"]["error"]
 
+    @pytest.mark.parametrize("argv,name", [
+        (["--identity", "digamma", "--alpha", "1e-9"], "lambda_sum"),
+        (["--identity", "theta", "--alpha", "1e-12"], "theta_sum"),
+    ])
+    def test_series_term_ceiling_is_a_failing_report(self, argv, name):
+        # each used to end in numpy's MemoryError, asking for 373 GiB and
+        # 25.7 TiB
+        code, out = run_cli(argv)
+        assert code == 1
+        report = json.loads(out)["reports"][0]
+        assert report["pass"] is False
+        assert report["diagnostics"]["error"].startswith(name + ": ")
+
     def test_rhl_cold_and_warm_sieve_same_bytes(self, sample_zeros_path,
                                                  tmp_path):
         argv = ["--identity", "rhl", "--zeros", sample_zeros_path,

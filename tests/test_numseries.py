@@ -6,6 +6,8 @@ the Hardy-Littlewood series, which involves no Moebius function.
 """
 
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -52,6 +54,26 @@ class TestThetaSums:
             theta_sum(0.0, 1.0)
         with pytest.raises(ValueError):
             cosh_theta_sum(-2.0, 1.0)
+
+
+class TestTermCeiling:
+    # each count would have numpy allocate gigabytes to terabytes of
+    # terms; the ceiling refuses it before any array exists
+    @pytest.mark.parametrize("call,message", [
+        (lambda: theta_sum(1e-12, 0.0), "theta_sum: 3.53e+12 terms"),
+        (lambda: theta_sum(1.0, 1e11j), "theta_sum: 5.64e+10 terms"),
+        (lambda: cosh_theta_sum(1e-12, 0.0), "cosh_theta_sum: 3.53e+12"),
+        (lambda: lambda_sum(1e-9), "lambda_sum: 5e+10 terms"),
+        # pi alpha^2 underflows to 0 here and 50/alpha overflows; the
+        # parent's counts were NaN or failed to convert
+        (lambda: theta_sum(1e-300, 0.0), "theta_sum: 3.53e+300 terms"),
+        (lambda: lambda_sum(1e-320), "lambda_sum: inf terms"),
+    ])
+    def test_refused_at_once_naming_the_function(self, call, message):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+        assert time.perf_counter() - start < 0.05
 
 
 def _k0_sum(t):
@@ -327,11 +349,6 @@ class TestZeroSum:
         grouped = _zero_sum(recs, 2.0, 1.0 + 0.5j)
         ungrouped = _zero_sum(recs, 2.0, 1.0 + 0.5j, a1=1e3)
         _close(grouped, ungrouped, rel=1e-15)
-
-    def test_missing_derivative_raises(self):
-        recs = [ZeroRecord(14.134725141734694)]
-        with pytest.raises(ValueError):
-            _zero_sum(recs, 1.0, 0.0)
 
     @pytest.mark.parametrize("a1", [0.1, 1e-3, 1e3])
     @pytest.mark.parametrize("z", [1.0, 2.0j, 1.0 + 0.5j])

@@ -80,6 +80,18 @@ def test_real_line_sech():
     assert abs(res.value - np.pi) <= 1e-11
 
 
+def test_real_line_shifted_gaussian():
+    # the fold pairs f(t) with f(-t); off-centre mass must still total sqrt(pi)
+    res = integrate_real_line(lambda t: np.exp(-(t - 1.0) ** 2), 1e-12, 1.0)
+    assert abs(res.value - SQRT_PI) <= 1e-12
+    assert res.abs_error <= 1e-12
+
+
+def test_real_line_odd_integrand_vanishes():
+    res = integrate_real_line(lambda t: t * np.exp(-t * t), 1e-12, 1.0)
+    assert res.value == 0.0
+
+
 def test_vertical_line_inverse_mellin():
     # (1/(2 pi i)) int_{Re s = 1} (1/2) Gamma(s/2) e^(-1/4)
     #   1F1((1-s)/2; 1/2; 1/4) 2^(-s) ds = e^(-4) cos 2
@@ -244,28 +256,30 @@ class TestTruncationLadder:
         assert str(got.value) == str(want.value)
         assert "T = %g" % quad._T_CAP in str(got.value)
 
-    def test_real_line_calls_f_once_per_amp_call(self, monkeypatch):
-        f_calls, amp_calls = [], []
+    def test_real_line_calls_f_once_per_folded_batch(self, monkeypatch):
+        # every batch the truncation ladder samples reaches f as one call
+        # on the stacked [t, -t], and its amplitude is |f(t) + f(-t)|
+        f_args, batches = [], []
         real = quad._truncation_point
 
         def g(t):
             return np.exp(-t * t + 0.5 * t)
 
-        def spy(amp, tol, rate):
+        def spy(folded, tol, rate):
             def counted(ts):
-                before = len(f_calls)
-                out = amp(ts)
-                amp_calls.append(len(f_calls) - before)
-                # still the larger of |f| at t and at -t
-                assert np.array_equal(
-                    out, np.maximum(np.abs(g(ts)), np.abs(g(-ts))))
+                before = len(f_args)
+                out = folded(ts)
+                batches.append(len(f_args) - before)
+                assert np.array_equal(f_args[-1], np.concatenate([ts, -ts]))
+                assert np.array_equal(out, g(ts) + g(-ts))
                 return out
             return real(counted, tol, rate)
 
         def f(t):
-            f_calls.append(np.size(t))
+            f_args.append(t.copy())
             return g(t)
 
         monkeypatch.setattr(quad, "_truncation_point", spy)
-        integrate_real_line(f, 1e-10, 1.0)
-        assert amp_calls and set(amp_calls) == {1}
+        res = integrate_real_line(f, 1e-10, 1.0)
+        assert batches and set(batches) == {1}
+        assert res.evaluations == sum(np.size(t) for t in f_args)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xiverify import specfun
 from xiverify.specfun import (_SERIES_MAX_TERMS, _SERIES_RELTOL,
                               EULER_GAMMA, _hyp_series, besselk0,
                               besselk0_scaled, digamma, gamma_fn, hyp1f1,
@@ -224,18 +225,18 @@ _A = 0.5 * (1.0 - np.concatenate([_S, 1.0 - _S]))
 class TestHypSeriesLoop:
     @pytest.mark.parametrize("w", [0.25, 1.0, 0.1875 + 0.25j, 12.5 - 3.0j])
     def test_scalar_c_and_z(self, w):
-        assert _same_bits(_hyp_series(_A, 0.5, w),
+        assert _same_bits(_hyp_series("hyp1f1", (_A,), (0.5,), w),
                           _broadcast_hyp_series(_A, 0.5, w))
 
     def test_array_z(self):
         z = np.linspace(0.0, 20.0, 41) * (1.0 + 0.3j)
-        assert _same_bits(_hyp_series(-0.5, 0.5, z),
+        assert _same_bits(_hyp_series("hyp1f1", (-0.5,), (0.5,), z),
                           _broadcast_hyp_series(-0.5, 0.5, z))
-        assert _same_bits(_hyp_series(_A[:41], 0.5, z),
+        assert _same_bits(_hyp_series("hyp1f1", (_A[:41],), (0.5,), z),
                           _broadcast_hyp_series(_A[:41], 0.5, z))
 
     def test_all_scalar(self):
-        got = _hyp_series(0.25 - 1.5j, 0.5, 0.25)
+        got = _hyp_series("hyp1f1", (0.25 - 1.5j,), (0.5,), 0.25)
         assert _same_bits(got, _broadcast_hyp_series(0.25 - 1.5j, 0.5, 0.25))
 
     def test_mixed_sign_branch_of_hyp1f1(self):
@@ -247,6 +248,19 @@ class TestHypSeriesLoop:
             0.5 - a, 0.5, np.where(neg, -z, 0.0))
         assert neg.any() and not neg.all()
         assert _same_bits(hyp1f1(a, 0.5, z), np.where(neg, flipped, direct))
+
+    def test_mixed_sign_against_mpmath(self):
+        z = np.linspace(-6.0, 6.0, 25) + 0.5j
+        got = hyp1f1(_A[:25], 0.5, z)
+        for g, a, w in zip(got, _A[:25], z):
+            _close(g, mpmath.hyp1f1(complex(a), 0.5, complex(w)), rel=1e-14)
+
+    def test_non_convergence_names_the_public_function(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 3)
+        with pytest.raises(ValueError, match="hyp1f1: series did not"):
+            hyp1f1(0.5, 0.5, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="hyp2f2_11: series did not"):
+            hyp2f2_11(1.0)
 
 
 class TestNonFiniteInput:
@@ -282,6 +296,20 @@ class TestNonFiniteInput:
 
 
 class TestHyp2f2:
+    # |z| <= 10; away from the positive axis the terms cancel, and at
+    # |z| = 10 there the series keeps 13 digits (6e-14 relative at 10i),
+    # within the module's 1e-12 design accuracy
+    @pytest.mark.parametrize("z,rel", [
+        (0.25, 1e-14), (-0.0625, 1e-14), (1.0 + 1.0j, 1e-14),
+        (-2.0 + 0.5j, 1e-14), (5.0j, 1e-14), (10.0, 1e-14),
+        (3.0 - 4.0j, 1e-14), (7.0 + 7.0j, 1e-14),
+        (-10.0, 1e-12), (10.0j, 1e-12), (-6.0 + 8.0j, 1e-12),
+        (-7.0 - 7.0j, 1e-12)])
+    def test_against_mpmath(self, z, rel):
+        with mpmath.workdps(30):
+            want = mpmath.hyp2f2(1, 1, 1.5, 2, z)
+        _close(hyp2f2_11(z), want, rel=rel)
+
     def test_frozen_value(self):
         _close(hyp2f2_11(0.25), 1.0892002535044484)
 
