@@ -24,6 +24,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from .identities import (RHL_COUNTS, VerificationReport, aux_checks,
                          verify_ferrar, verify_hardy, verify_line_integral,
                          verify_ramanujan_bose, verify_ramanujan_digamma,
@@ -145,16 +147,20 @@ def _run_task(task, extra):
     """Evaluate one (identity, grid point) cell; returns a list of dicts.
 
     A numerical failure (a tolerance float64 quadrature cannot certify,
-    an argument outside a function's range) becomes a failing report, not
-    a crash.
+    an argument outside a function's range, a numpy overflow, division by
+    zero or invalid operation, raised rather than computed on as inf or
+    NaN) becomes a failing report, not a crash.
     """
     kind, alpha, z, tol = task
     params = KernelParams(alpha, z)
     try:
-        reports = _FAMILIES[kind][1](params, tol, extra)
-    except ValueError as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            reports = _FAMILIES[kind][1](params, tol, extra)
+    except (ValueError, FloatingPointError) as exc:
+        prefix = ("floating-point error: "
+                  if isinstance(exc, FloatingPointError) else "")
         reports = [VerificationReport(kind, params, {}, {}, tol, False,
-                                      {"error": str(exc)})]
+                                      {"error": prefix + str(exc)})]
     return [report_to_dict(r) for r in reports]
 
 

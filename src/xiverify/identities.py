@@ -15,13 +15,17 @@ theorem's integral class
 
 written once here as _xi_nabla_integral; each family supplies its weight
 w and decay rate (theta 1, hardy 1/cosh(pi t/2), ferrar
-|Gamma((1+it)/4)|^2, the line integral's real-axis side 4).  Every
-verifier hands _report one (value, diagnostics) record per side.
+|Gamma((1+it)/4)|^2, the line integral's real-axis side 4).  The twin
+integral sides are transforms against one physical-side kernel,
+int_0^inf phi(t) e^(-pi x^2 t^2) cos(sqrt(pi) x t w) dt, whose integrand
+_gaussian_cosine builds (phi: hardy psi(t+1) - log t, ferrar the
+pole-subtracted K0 sum at x = alpha/(2 pi), Bose t/(e^(2 pi t) - 1)).
+Every verifier hands _report one (value, diagnostics) record per side.
 
 The solitary exception is the Bose-type formula, whose kernel
 rho(alpha, z, (3+it)/2) breaks the alpha <-> beta swap; there only the
 two-sided equality and the realness of the integral are claimed, plus a
-separate z = 0 invariance in rescaled form.
+separate z = 0 invariance, alpha lhs(alpha, 0) = beta lhs(beta, 0).
 """
 
 import math
@@ -122,6 +126,15 @@ def _xi_nabla_integral(params, tol, rate, weight=None):
     return quad.integrate_semi_infinite(f, tol, rate)
 
 
+def _gaussian_cosine(phi, x, w):
+    """The integrand t -> phi(t) e^(-pi x^2 t^2) cos(sqrt(pi) x t w)."""
+    def g(t):
+        return phi(t) * np.exp(-np.pi * x * x * t * t) \
+            * np.cos(_SQRT_PI * x * t * w)
+
+    return g
+
+
 # ---------------------------------------------------------------------------
 # theta transformation
 
@@ -136,10 +149,12 @@ def verify_theta(params, tol):
     a, z = params.alpha, params.z
     b = params.beta
     qtol = 0.25 * tol
+    # sums first: their term ceiling must speak before a prefactor overflows
+    sum_a, sum_b = ns.theta_sum(a, z), ns.cosh_theta_sum(b, z)
     side_alpha = np.sqrt(a) * (np.exp(-z * z / 8.0) / (2.0 * a)
-                               - np.exp(z * z / 8.0) * ns.theta_sum(a, z))
+                               - np.exp(z * z / 8.0) * sum_a)
     side_beta = np.sqrt(b) * (np.exp(z * z / 8.0) / (2.0 * b)
-                              - np.exp(-z * z / 8.0) * ns.cosh_theta_sum(b, z))
+                              - np.exp(-z * z / 8.0) * sum_b)
     res = _xi_nabla_integral(params, qtol, np.pi / 8.0)
     return _report("theta", params, {
         "alpha_series": (side_alpha, {"path": "numseries.theta_sum"}),
@@ -165,18 +180,20 @@ def verify_ramanujan_digamma(alpha, tol):
     qtol = 0.25 * tol
 
     def series_side(x):
+        s = ns.lambda_sum(x)  # before 1/(2x) can overflow, as in theta
         return np.sqrt(x) * ((EULER_GAMMA - np.log(2.0 * np.pi * x))
-                             / (2.0 * x) + ns.lambda_sum(x))
+                             / (2.0 * x) + s)
 
     def f(t):
         w = xi_cap(0.5 * t)
         gg = np.exp(2.0 * np.real(lngamma(0.25 * (-1.0 + 1j * t))))
         return w * w * gg * np.cos(0.5 * t * np.log(a)) / (1.0 + t * t)
 
+    side_alpha, side_beta = series_side(a), series_side(b)
     res = quad.integrate_semi_infinite(f, qtol, np.pi / 4.0)
     return _report("digamma", params, {
-        "alpha_series": (series_side(a), {"path": "numseries.lambda_sum"}),
-        "beta_series": (series_side(b), {"path": "numseries.lambda_sum"}),
+        "alpha_series": (side_alpha, {"path": "numseries.lambda_sum"}),
+        "beta_series": (side_beta, {"path": "numseries.lambda_sum"}),
         "xi_integral": (-res.value / np.pi ** 1.5, _quad_diag(res))}, tol)
 
 
@@ -184,28 +201,23 @@ def verify_ramanujan_digamma(alpha, tol):
 # Hardy-type integral transformation
 
 
-def _psi_gaussian_integral(a, w, tol):
-    """int_0^inf (psi(x+1) - log x) e^(-pi a^2 x^2) cos(sqrt(pi) a x w) dx,
-    log-singular at x = 0."""
-    def g(x):
-        return (digamma(x + 1.0) - np.log(x)) \
-            * np.exp(-np.pi * a * a * x * x) * np.cos(_SQRT_PI * a * x * w)
-
-    return quad.integrate_log_singular(g, tol, max(0.5, np.pi * a * a))
-
-
 def verify_hardy(params, tol):
     """Three-way check of the digamma-Gaussian integral transformation.
 
     sqrt(a) e^(z^2/8) X(a, z) = sqrt(b) e^(-z^2/8) X(b, iz)
       = int_0^inf Xi(t/2)/(1+t^2) nabla(a,z,(1+it)/2) / cosh(pi t/2) dt,
-    X the psi-Gaussian integral above.
+    X(x, w) = int_0^inf (psi(t+1) - log t) e^(-pi x^2 t^2)
+    cos(sqrt(pi) x t w) dt, log-singular at t = 0.
     """
     a, z = params.alpha, params.z
     b = params.beta
     qtol = 0.25 * tol
-    ra = _psi_gaussian_integral(a, z, qtol)
-    rb = _psi_gaussian_integral(b, 1j * z, qtol)
+
+    def side(x, w):
+        g = _gaussian_cosine(lambda t: digamma(t + 1.0) - np.log(t), x, w)
+        return quad.integrate_log_singular(g, qtol, max(0.5, np.pi * x * x))
+
+    ra, rb = side(a, z), side(b, 1j * z)
     res = _xi_nabla_integral(params, qtol, np.pi / 2.0,
                              lambda t: 1.0 / np.cosh(0.5 * np.pi * t))
     return _report("hardy", params, {
@@ -218,19 +230,6 @@ def verify_hardy(params, tol):
 
 # ---------------------------------------------------------------------------
 # Ferrar-type Bessel-sum transformation
-
-
-def _bessel_bracket_integral(a, w, tol):
-    """int_0^inf e^(-a^2 t^2/(4 pi)) cos(a t w/(2 sqrt(pi)))
-    (sum_n K0(n t) - pi/(2t)) dt.  With the pole subtracted the bracket
-    is (gamma + log(t/(4 pi)))/2 + O(t^2) near 0: log-singular, not
-    bounded."""
-    def g(t):
-        return (np.exp(-a * a * t * t / (4.0 * np.pi))
-                * np.cos(a * t * w / (2.0 * _SQRT_PI))
-                * ns.k0_sum_minus_pole(t))
-
-    return quad.integrate_log_singular(g, tol, max(0.4, a * a))
 
 
 def ferrar_bessel_closed_form(alpha):
@@ -248,17 +247,22 @@ def ferrar_bessel_closed_form(alpha):
 def verify_ferrar(params, tol):
     """Three-way check of the K0-sum transformation; four-way at z = 0.
 
-    sqrt(a) e^(z^2/8) . (bracket integral at (a, z))
-      = sqrt(b) e^(-z^2/8) . (bracket integral at (b, iz))
+    sqrt(a) e^(z^2/8) B(a, z) = sqrt(b) e^(-z^2/8) B(b, iz)
       = -(1/(2 sqrt(pi))) int_0^inf Gamma((1+it)/4) Gamma((1-it)/4)
             Xi(t/2)/(1+t^2) nabla(a,z,(1+it)/2) dt,
-    and at z = 0 also the closed Bessel-difference series form.
+    and at z = 0 also the closed Bessel-difference series form.  B is the
+    Gaussian-cosine transform at width x/(2 pi) of sum_n K0(n t) - pi/(2t),
+    which is (gamma + log(t/(4 pi)))/2 + O(t^2) near 0: log-singular.
     """
     a, z = params.alpha, params.z
     b = params.beta
     qtol = 0.25 * tol
-    ra = _bessel_bracket_integral(a, z, qtol)
-    rb = _bessel_bracket_integral(b, 1j * z, qtol)
+
+    def side(x, w):
+        g = _gaussian_cosine(ns.k0_sum_minus_pole, x / (2.0 * np.pi), w)
+        return quad.integrate_log_singular(g, qtol, max(0.4, x * x))
+
+    ra, rb = side(a, z), side(b, 1j * z)
     res = _xi_nabla_integral(
         params, qtol, np.pi / 8.0,
         lambda t: np.exp(2.0 * np.real(lngamma(0.25 * (1.0 + 1j * t)))))
@@ -279,25 +283,12 @@ def verify_ferrar(params, tol):
 
 def _bose_left_side(a, z, tol):
     """a^(-1/2) e^(-z^2/8) - 4 pi a^(1/2) e^(z^2/8)
-    int_0^inf x e^(-pi a^2 x^2) cos(sqrt(pi) a x z)/(e^(2 pi x) - 1) dx."""
-    def g(x):
-        return (x * np.exp(-np.pi * a * a * x * x)
-                * np.cos(_SQRT_PI * a * x * z) / np.expm1(2.0 * np.pi * x))
-
+    int_0^inf t e^(-pi a^2 t^2) cos(sqrt(pi) a t z)/(e^(2 pi t) - 1) dt,
+    with the quadrature result."""
+    g = _gaussian_cosine(lambda t: t / np.expm1(2.0 * np.pi * t), a, z)
     r = quad.integrate_semi_infinite(g, tol, max(0.5, np.pi * a * a))
     return (np.exp(-z * z / 8.0) / np.sqrt(a)
             - 4.0 * np.pi * np.sqrt(a) * np.exp(z * z / 8.0) * r.value), r
-
-
-def _bose_scaled_left_side(a, tol):
-    """The z = 0 invariant form a^(-1/2) - 4 pi a^(-3/2)
-    int_0^inf x e^(-pi x^2/a^2)/(e^(2 pi x) - 1) dx; equals its own value
-    at 1/a."""
-    def g(x):
-        return x * np.exp(-np.pi * x * x / (a * a)) / np.expm1(2.0 * np.pi * x)
-
-    r = quad.integrate_semi_infinite(g, tol, 1.0)
-    return (a ** -0.5 - 4.0 * np.pi * a ** -1.5 * r.value), r
 
 
 def verify_ramanujan_bose(params, tol):
@@ -308,8 +299,10 @@ def verify_ramanujan_bose(params, tol):
         Xi(t/2) rho(a, z, (3+it)/2) dt.
     The 3/2 in rho destroys the alpha <-> beta swap, so no twin side; the
     integral must be real (conjugate-symmetric integrand) when z^2 is
-    real, and at z = 0 the rescaled left side is checked against its own
-    value at 1/alpha.
+    real.  At z = 0 the left side is checked for the invariance
+    alpha lhs(alpha, 0) = beta lhs(beta, 0): invariant_beta is alpha times
+    the weighted side already computed, so only invariant_alpha costs a
+    quadrature.
     """
     a, z = params.alpha, params.z
     qtol = 0.25 * tol
@@ -329,10 +322,10 @@ def verify_ramanujan_bose(params, tol):
     if zsq.imag == 0.0:
         extra["xi_integral_imag"] = abs(rhs.imag) / (1.0 + abs(rhs))
     if z == 0.0:
-        fa, ria = _bose_scaled_left_side(a, qtol)
-        fb, rib = _bose_scaled_left_side(params.beta, qtol)
-        sides["invariant_alpha"] = (fa, _quad_diag(ria))
-        sides["invariant_beta"] = (fb, _quad_diag(rib))
+        b = params.beta
+        lb, rb = _bose_left_side(b, 0.0, qtol)
+        sides["invariant_alpha"] = (b * lb, _quad_diag(rb))
+        sides["invariant_beta"] = (a * lhs, {"path": "weighted_integral"})
         pairs.append(("invariant_alpha", "invariant_beta"))
     return _report("ramanujan", params, sides, tol, pairs=pairs,
                    extra_residuals=extra)
@@ -433,11 +426,8 @@ def log_gaussian_integral(alpha, z):
         raise ValueError("log_gaussian_integral: alpha must be positive")
     z = complex(z)
 
-    def g(x):
-        return (np.exp(-np.pi * a * a * x * x)
-                * np.cos(_SQRT_PI * a * x * z) * np.log(x))
-
-    r = quad.integrate_log_singular(g, 1e-12, max(0.5, np.pi * a * a))
+    r = quad.integrate_log_singular(_gaussian_cosine(np.log, a, z), 1e-12,
+                                    max(0.5, np.pi * a * a))
     return r.value, _quad_diag(r)
 
 
@@ -486,10 +476,9 @@ def ferrar_gaussian_bessel_check(alpha, n):
     if a <= 0.0 or n < 1:
         raise ValueError("ferrar_gaussian_bessel_check: need alpha > 0, n >= 1")
 
-    def g(t):
-        return (np.exp(-a * a * t * t / (4.0 * np.pi))
-                / np.sqrt(t * t + 4.0 * np.pi * np.pi * n * n))
-
+    g = _gaussian_cosine(
+        lambda t: 1.0 / np.sqrt(t * t + 4.0 * np.pi * np.pi * n * n),
+        a / (2.0 * np.pi), 0.0)
     r = quad.integrate_semi_infinite(g, 1e-12, max(0.4, 0.5 * a * a))
     closed = 0.5 * besselk0_scaled(0.5 * np.pi * a * a * n * n)
     return abs(r.value - closed), _quad_diag(r)
@@ -571,13 +560,13 @@ def aux_checks(tol=1e-9):
 
     # Gaussian cosine integral and its first moment
     a, zv = 1.0, 0.5
-    f1 = lambda t: np.exp(-np.pi * a * a * t * t) * np.cos(_SQRT_PI * a * t * zv)
-    r = quad.integrate_semi_infinite(f1, 1e-12, 2.0)
+    r = quad.integrate_semi_infinite(
+        _gaussian_cosine(lambda t: 1.0, a, zv), 1e-12, 2.0)
     reports.append(_aux_pair_report(
         "aux:gaussian_cosine", a, zv, (r.value, _quad_diag(r)),
         np.exp(-zv * zv / 4.0) / (2.0 * a), tol))
-    f2 = lambda t: t * np.exp(-np.pi * a * a * t * t) * np.cos(_SQRT_PI * a * t * zv)
-    r = quad.integrate_semi_infinite(f2, 1e-12, 2.0)
+    r = quad.integrate_semi_infinite(
+        _gaussian_cosine(lambda t: t, a, zv), 1e-12, 2.0)
     want = (np.exp(-zv * zv / 4.0) / (2.0 * np.pi * a * a)
             * complex(hyp1f1(-0.5, 0.5, zv * zv / 4.0)))
     reports.append(_aux_pair_report(

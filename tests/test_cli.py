@@ -221,6 +221,17 @@ class TestMain:
         assert report["pass"] is False
         assert report["diagnostics"]["error"].startswith(name + ": ")
 
+    def test_floating_point_error_is_a_failing_report(self):
+        # alpha z = 4e6 i puts cosh(7.1e6 t) into the alpha side's
+        # integrand; left as a warning, its overflow makes NaN on which
+        # the quadrature spends its whole evaluation budget
+        extra = {"mobius_limit": 10000, "zeros": None}
+        report, = cli._run_task(("hardy", 1e5, 40j, 1e-8), extra)
+        assert report["pass"] is False
+        assert report["sides"] == {}
+        assert report["diagnostics"]["error"].startswith(
+            "floating-point error: overflow")
+
     def test_rhl_cold_and_warm_sieve_same_bytes(self, sample_zeros_path,
                                                  tmp_path):
         argv = ["--identity", "rhl", "--zeros", sample_zeros_path,

@@ -170,6 +170,12 @@ class TestTheta:
         assert calls["series"] <= 100
         assert calls["f"] <= 40
 
+    def test_series_refuses_before_its_prefactor_overflows(self):
+        # e^(-z^2/8) overflows at z = 1e11 i; the sum's term ceiling
+        # must speak first
+        with pytest.raises(ValueError, match="^theta_sum: "):
+            verify_theta(KernelParams(1.0, 1e11j), 1e-8)
+
 
 class TestDigamma:
     def test_alpha_one(self):
@@ -183,6 +189,11 @@ class TestDigamma:
         rep = verify_ramanujan_digamma(alpha, 1e-8)
         assert rep.passed
         assert max(rep.residuals.values()) <= 1e-10
+
+    def test_series_refuses_before_its_prefactor_overflows(self):
+        # (gamma - log(2 pi x))/(2x) overflows at x = 1e-320
+        with pytest.raises(ValueError, match="^lambda_sum: "):
+            verify_ramanujan_digamma(1e-320, 1e-8)
 
 
 class TestHardy:
@@ -273,6 +284,39 @@ class TestRamanujanBose:
         # and relates to the plain side by one power of alpha
         assert abs(rep.sides["invariant_alpha"]
                    - 2.0 * rep.sides["weighted_integral"]) <= 1e-10
+
+    def test_z_zero_invariant_reuses_the_weighted_side(self, monkeypatch):
+        # alpha lhs(alpha, 0) is the weighted side times alpha, so z = 0
+        # adds one quadrature, lhs(beta, 0); each side's evaluations are
+        # the points its integrand saw (the Xi side's fold passes each
+        # as t and -t)
+        from xiverify import quad
+        semi = quad.integrate_semi_infinite
+        points = []
+
+        def spy(f, tol, rate):
+            seen = 0
+
+            def counted(t):
+                nonlocal seen
+                seen += np.size(t)
+                return f(t)
+
+            res = semi(counted, tol, rate)
+            points.append(seen)
+            return res
+
+        monkeypatch.setattr(quad, "integrate_semi_infinite", spy)
+        rep = verify_ramanujan_bose(KernelParams(2.0, 0.0), 1e-8)
+        assert rep.passed
+        assert len(points) == 3
+        d = rep.diagnostics
+        assert d["invariant_beta"] == {"path": "weighted_integral"}
+        assert rep.sides["invariant_beta"] == 2.0 * rep.sides[
+            "weighted_integral"]
+        evaluations = [d[name]["evaluations"] for name in
+                       ("weighted_integral", "xi_integral", "invariant_alpha")]
+        assert evaluations == [points[0], 2 * points[1], points[2]]
 
     def test_mixed_z_skips_imag_residual(self):
         rep = verify_ramanujan_bose(KernelParams(1.25, 1.0 + 0.5j), 1e-8)
