@@ -14,8 +14,12 @@ theorem's integral class
     int_0^inf Xi(t/2)/(1+t^2) nabla(alpha, z, (1+it)/2) w(t) dt,
 
 written once here as _xi_nabla_integral; each family supplies its weight
-w and decay rate (theta 1, hardy 1/cosh(pi t/2), ferrar
-|Gamma((1+it)/4)|^2, the line integral's real-axis side 4).  The twin
+w (theta 1, hardy 1/cosh(pi t/2), ferrar |Gamma((1+it)/4)|^2, the line
+integral's real-axis side 4).  Every Xi side, these and the digamma,
+Bose and contour ones, integrates a weight that does not depend on
+(alpha, z), tabulated once per process on shared double-exponential
+nodes (quad.NodeTable), against a kernel that does, one kernel call per
+level of the rule (quad.integrate_tabulated).  The twin
 integral sides are transforms against one physical-side kernel,
 int_0^inf phi(t) e^(-pi x^2 t^2) cos(sqrt(pi) x t w) dt, whose integrand
 _gaussian_cosine builds (phi: hardy psi(t+1) - log t, ferrar the
@@ -106,24 +110,70 @@ def _report(identity_id, params, sides, tol, pairs=None,
                               passed, diagnostics)
 
 
-def _quad_diag(res):
-    return {"path": "quad", "evaluations": res.evaluations,
+# the path of a side integrated on a quad.NodeTable
+_TABULATED = "quad.tabulated"
+
+
+def _quad_diag(res, path="quad"):
+    return {"path": path, "evaluations": res.evaluations,
             "truncation_T": res.truncation_T, "abs_error": res.abs_error}
 
 
-def _xi_nabla_integral(params, tol, rate, weight=None):
-    """int_0^inf Xi(t/2)/(1+t^2) nabla(alpha, z, (1+it)/2) w(t) dt.
+def _abs_gamma_sq(s):
+    """|Gamma(s)|^2 from the real part of lngamma."""
+    return np.exp(2.0 * np.real(lngamma(s)))
 
-    weight is w (1 when None); rate is the decay hint for the quadrature.
-    """
+
+def _sech(x):
+    """1/cosh(x) for x >= 0, without overflow far out."""
+    e = np.exp(-x)
+    return 2.0 * e / (1.0 + e * e)
+
+
+# The Xi-side weights, each tabulated once per process on the shared
+# double-exponential nodes (quad.NodeTable), so a Xi side costs one kernel
+# call per level; all but the contour's derive from one table of Xi(t/2).
+_XI_HALF = quad.NodeTable(lambda t: xi_cap(0.5 * t))
+# Xi(t/2)/(1+t^2) times theta's weight 1, hardy's, ferrar's and the line
+# integral's real-axis 4
+_XI_NABLA = _XI_HALF.derive(lambda t, xi: xi / (1.0 + t * t))
+_XI_HARDY = _XI_NABLA.derive(lambda t, w: w * _sech(0.5 * np.pi * t))
+_XI_FERRAR = _XI_NABLA.derive(
+    lambda t, w: w * _abs_gamma_sq(0.25 * (1.0 + 1j * t)))
+_XI_AXIS = _XI_NABLA.derive(lambda t, w: 4.0 * w)
+_XI_DIGAMMA = _XI_HALF.derive(
+    lambda t, xi: xi * xi * _abs_gamma_sq(0.25 * (-1.0 + 1j * t))
+    / (1.0 + t * t))
+_XI_BOSE = _XI_HALF.derive(
+    lambda t, xi: _abs_gamma_sq(0.25 * (-1.0 + 1j * t)) * xi)
+
+
+def _contour_weight(u):
+    """xi(s)/(s(1-s)) at s = 1/2 + iu and 1/2 - iu, one row each."""
+    s = 0.5 + 1j * np.stack([u, -u])
+    return xi_small(s) / (s * (1.0 - s))
+
+
+_XI_CONTOUR = quad.NodeTable(_contour_weight)
+
+
+def _nabla_at(params):
+    """t -> nabla(alpha, z, (1+it)/2), the kernel of the integral class."""
     a, z = params.alpha, params.z
+    return lambda t: nabla_kernel(a, z, 0.5 * (1.0 + 1j * t))
 
-    def f(t):
-        v = (xi_cap(0.5 * t) / (1.0 + t * t)
-             * nabla_kernel(a, z, 0.5 * (1.0 + 1j * t)))
-        return v if weight is None else v * weight(t)
 
-    return quad.integrate_semi_infinite(f, tol, rate)
+def _rho_pair_at(params, c, k):
+    """t -> rho(alpha, z, c + ikt) and rho(alpha, z, c - ikt), one row
+    each: a whole-line integrand folded onto [0, inf) in one call."""
+    a, z = params.alpha, params.z
+    return lambda t: rho_kernel(a, z, c + 1j * k * np.stack([t, -t]))
+
+
+def _xi_nabla_integral(params, tol, table):
+    """int_0^inf Xi(t/2)/(1+t^2) nabla(alpha, z, (1+it)/2) w(t) dt, with
+    Xi(t/2)/(1+t^2) w(t) tabulated in table."""
+    return quad.integrate_tabulated(_nabla_at(params), table, tol)
 
 
 def _gaussian_cosine(phi, x, w):
@@ -155,11 +205,12 @@ def verify_theta(params, tol):
                                - np.exp(z * z / 8.0) * sum_a)
     side_beta = np.sqrt(b) * (np.exp(z * z / 8.0) / (2.0 * b)
                               - np.exp(-z * z / 8.0) * sum_b)
-    res = _xi_nabla_integral(params, qtol, np.pi / 8.0)
+    res = _xi_nabla_integral(params, qtol, _XI_NABLA)
     return _report("theta", params, {
         "alpha_series": (side_alpha, {"path": "numseries.theta_sum"}),
         "beta_series": (side_beta, {"path": "numseries.cosh_theta_sum"}),
-        "xi_integral": (res.value / np.pi, _quad_diag(res))}, tol)
+        "xi_integral": (res.value / np.pi,
+                        _quad_diag(res, _TABULATED))}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +235,14 @@ def verify_ramanujan_digamma(alpha, tol):
         return np.sqrt(x) * ((EULER_GAMMA - np.log(2.0 * np.pi * x))
                              / (2.0 * x) + s)
 
-    def f(t):
-        w = xi_cap(0.5 * t)
-        gg = np.exp(2.0 * np.real(lngamma(0.25 * (-1.0 + 1j * t))))
-        return w * w * gg * np.cos(0.5 * t * np.log(a)) / (1.0 + t * t)
-
     side_alpha, side_beta = series_side(a), series_side(b)
-    res = quad.integrate_semi_infinite(f, qtol, np.pi / 4.0)
+    res = quad.integrate_tabulated(lambda t: np.cos(0.5 * t * np.log(a)),
+                                   _XI_DIGAMMA, qtol)
     return _report("digamma", params, {
         "alpha_series": (side_alpha, {"path": "numseries.lambda_sum"}),
         "beta_series": (side_beta, {"path": "numseries.lambda_sum"}),
-        "xi_integral": (-res.value / np.pi ** 1.5, _quad_diag(res))}, tol)
+        "xi_integral": (-res.value / np.pi ** 1.5,
+                        _quad_diag(res, _TABULATED))}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +266,13 @@ def verify_hardy(params, tol):
         return quad.integrate_log_singular(g, qtol, max(0.5, np.pi * x * x))
 
     ra, rb = side(a, z), side(b, 1j * z)
-    res = _xi_nabla_integral(params, qtol, np.pi / 2.0,
-                             lambda t: 1.0 / np.cosh(0.5 * np.pi * t))
+    res = _xi_nabla_integral(params, qtol, _XI_HARDY)
     return _report("hardy", params, {
         "alpha_integral": (np.sqrt(a) * np.exp(z * z / 8.0) * ra.value,
                            _quad_diag(ra)),
         "beta_integral": (np.sqrt(b) * np.exp(-z * z / 8.0) * rb.value,
                           _quad_diag(rb)),
-        "xi_integral": (res.value, _quad_diag(res))}, tol)
+        "xi_integral": (res.value, _quad_diag(res, _TABULATED))}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +310,13 @@ def verify_ferrar(params, tol):
         return quad.integrate_log_singular(g, qtol, max(0.4, x * x))
 
     ra, rb = side(a, z), side(b, 1j * z)
-    res = _xi_nabla_integral(
-        params, qtol, np.pi / 8.0,
-        lambda t: np.exp(2.0 * np.real(lngamma(0.25 * (1.0 + 1j * t)))))
+    res = _xi_nabla_integral(params, qtol, _XI_FERRAR)
     sides = {"alpha_integral": (np.sqrt(a) * np.exp(z * z / 8.0) * ra.value,
                                 _quad_diag(ra)),
              "beta_integral": (np.sqrt(b) * np.exp(-z * z / 8.0) * rb.value,
                                _quad_diag(rb)),
-             "xi_integral": (-res.value / (2.0 * _SQRT_PI), _quad_diag(res))}
+             "xi_integral": (-res.value / (2.0 * _SQRT_PI),
+                             _quad_diag(res, _TABULATED))}
     if z == 0.0:
         sides["bessel_series"] = (ferrar_bessel_closed_form(a),
                                   {"path": "numseries.ferrar_bessel_sum"})
@@ -307,15 +353,11 @@ def verify_ramanujan_bose(params, tol):
     a, z = params.alpha, params.z
     qtol = 0.25 * tol
     lhs, rl = _bose_left_side(a, z, qtol)
-
-    def f(t):
-        gg = np.exp(2.0 * np.real(lngamma(0.25 * (-1.0 + 1j * t))))
-        return gg * xi_cap(0.5 * t) * rho_kernel(a, z, 0.5 * (3.0 + 1j * t))
-
-    res = quad.integrate_real_line(f, qtol, np.pi / 4.0)
+    res = quad.integrate_tabulated(_rho_pair_at(params, 1.5, 0.5), _XI_BOSE,
+                                   qtol)
     rhs = res.value / (8.0 * np.pi ** 1.5)
     sides = {"weighted_integral": (lhs, _quad_diag(rl)),
-             "xi_integral": (rhs, _quad_diag(res))}
+             "xi_integral": (rhs, _quad_diag(res, _TABULATED))}
     pairs = [("weighted_integral", "xi_integral")]
     extra = {}
     zsq = z * z
@@ -394,19 +436,18 @@ def verify_line_integral(params, tol):
     int_0^inf (4/(1+t^2)) Xi(t/2) nabla(a,z,(1+it)/2) dt
       = (2/i) int_{1/2-i inf}^{1/2+i inf} xi(s) rho(a,z,s)/(s(1-s)) ds.
     The weight 4/(1+t^2) is f(t/2) for f(t) = 1/(t^2 + 1/4), which is the
-    (s(1-s))^(-1) factor restricted to s = (1+it)/2.
+    (s(1-s))^(-1) factor restricted to s = (1+it)/2.  The two sides take
+    their own nodes (t on the real axis, u = Im s on the contour), their
+    own Xi (xi_cap, xi_small) and their own kernel (nabla, rho).
     """
-    a, z = params.alpha, params.z
     qtol = 0.25 * tol
-    r_axis = _xi_nabla_integral(params, qtol, np.pi / 8.0, lambda t: 4.0)
-
-    def g(s):
-        return xi_small(s) * rho_kernel(a, z, s) / (s * (1.0 - s))
-
-    r_line = quad.integrate_vertical_line(g, 0.5, qtol, np.pi / 8.0)
+    r_axis = _xi_nabla_integral(params, qtol, _XI_AXIS)
+    # s = 1/2 + iu with u and -u as rows, and ds = i du
+    r_line = quad.integrate_tabulated(_rho_pair_at(params, 0.5, 1.0),
+                                      _XI_CONTOUR, qtol)
     return _report("lineint", params, {
-        "real_axis": (r_axis.value, _quad_diag(r_axis)),
-        "contour": ((2.0 / 1j) * r_line.value, _quad_diag(r_line))}, tol)
+        "real_axis": (r_axis.value, _quad_diag(r_axis, _TABULATED)),
+        "contour": (2.0 * r_line.value, _quad_diag(r_line, _TABULATED))}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +589,21 @@ def inverse_mellin_kernel_check(alpha=1.0, n=1, z=1.0):
     return abs(r.value - closed), _quad_diag(r)
 
 
+def xi_rule_check(alpha=1.25, z=1.0 + 0.5j):
+    """theta's Xi integral by both quadrature rules, each to 1e-12: the
+    tabulated double-exponential rule every Xi side takes, and adaptive
+    Gauss-Kronrod on the same integrand, its weight computed afresh.
+
+    Returns the (value, diagnostics) records of the two.
+    """
+    kernel = _nabla_at(KernelParams(alpha, z))
+    tab = quad.integrate_tabulated(kernel, _XI_NABLA, 1e-12)
+    ada = quad.integrate_semi_infinite(lambda t: _XI_NABLA(t) * kernel(t),
+                                       1e-12, np.pi / 8.0)
+    return ((tab.value, _quad_diag(tab, _TABULATED)),
+            (ada.value, _quad_diag(ada)))
+
+
 def _aux_pair_report(name, alpha, z, computed, want, tol):
     """computed is the (value, diagnostics) record of the computed side."""
     return _report(name, KernelParams(alpha, z), {
@@ -604,4 +660,10 @@ def aux_checks(tol=1e-9):
     reports.append(_aux_pair_report(
         "aux:inverse_mellin_kernel", 1.0, 1.0,
         inverse_mellin_kernel_check(1.0, 1, 1.0), 0.0, tol))
+
+    # the Xi sides' rule against adaptive quadrature
+    a, zv = 1.25, 1.0 + 0.5j
+    tab, ada = xi_rule_check(a, zv)
+    reports.append(_report("aux:xi_rules", KernelParams(a, zv),
+                           {"tabulated": tab, "adaptive": ada}, tol))
     return reports

@@ -16,8 +16,16 @@ line folds onto it as f(t) + f(-t) (as QUADPACK's QAGI does), a vertical
 line is a whole line, and a log singularity at 0 is split off at 1 and
 taken through x = e^(-u) (integrate_log_singular).
 Integrands must accept a 1-d numpy array and return an array of values.
+
+A weight w(t) that many integrals over [0, infinity) share is tabulated
+instead (NodeTable): the double-exponential rule of Takahasi and Mori
+(1974), in the form t = exp(u - e^(-u)) of Mori and Sugihara (2001) for
+exponentially decaying integrands, is the trapezoid rule in u on nested
+levels, and integrate_tabulated evaluates only the other factor, the
+kernel, on the shared nodes.
 """
 
+import functools
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -71,6 +79,25 @@ _TAIL_SHARE = 0.01
 # each step samples its tail, as fractions of its T
 _LADDER_STEPS = 3
 _TAIL_FRACTIONS = np.array([0.92, 0.96, 1.0])
+# a probe set that reads 0 everywhere moves toward 0 by this factor, at
+# most _PROBE_MOVES times, starting on the decay hint's length scale
+_PROBE_SHRINK = 100.0
+_PROBE_MOVES = 8
+
+# The double-exponential rule: u runs over [_DE_U_LO, _DE_U_HI], so t over
+# [8.9e-42, 243.7]; level L has step _DE_H0 / 2^L and adds the odd
+# multiples of its step to the nodes of the levels before.  An integral
+# starts at level _DE_START (h = 1/32, 321 nodes) and refines to at most
+# _DE_FINEST (h = 1/128, 1281 nodes).
+_DE_U_LO, _DE_U_HI = -4.5, 5.5
+_DE_H0 = 1.0 / 16.0
+_DE_START = 1
+_DE_FINEST = 3
+# rounding allowance, per unit of h sum |terms|.  At one ulp the h = 1/32
+# and h = 1/64 sums of ferrar's Xi side on the default grid differed by
+# up to 1.3 times the estimate; at 16 ulps the Xi sides at (1, 10) and
+# (1, 10i), near 6e4, could no longer meet tol/4 = 2.5e-9.
+_DE_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -140,26 +167,48 @@ def _truncation_point(f, tol, rate):
     The seed is where the model m e^(-rate (T - t_m)) / rate, built from
     the largest probe m (at t_m), falls to tol/10.  The decay hint
     undershoots the true decay of most integrands, so the probes at the
-    seed usually show the tail already within the target (202 of 328
-    truncations in the default battery).  T starts at 10 or more and
-    grows by 25% until the sampled tail max |f(T [0.92, 0.96, 1])| / rate
-    is at most _TAIL_SHARE * tol.  The tail points of up to
-    _LADDER_STEPS steps of that ladder (T, 1.25 T, 1.5625 T, capped at
-    _T_CAP) go to f in one call and the first step that fits is taken,
-    so T and the tail are those of the step-by-step rule.  No truncation
-    in the default battery or the benchmark's xi_sweep grid needs more
-    than three steps, so each makes two f calls.  Returns (T, tail,
-    number of points passed to f, steps past T included).
+    seed usually show the tail already within the target.  T starts at
+    10 or more and grows by 25% until the sampled tail
+    max |f(T [0.92, 0.96, 1])| / (rate min(1, T)) is at most
+    _TAIL_SHARE * tol.  The tail points of up to _LADDER_STEPS steps of
+    that ladder (T, 1.25 T, 1.5625 T, capped at _T_CAP) go to f in one
+    call and the first step that fits is taken, so T and the tail are
+    those of the step-by-step rule.  No truncation in the default battery
+    or the benchmark's xi_sweep grid needs more than three steps, so each
+    makes two f calls.
+
+    Probes that all read 0 may straddle a peak narrower than their
+    spacing near 0 (e^(-pi a^2 t^2) at a = 1e3).  They then move toward
+    0, first onto the hint's length scale (0, 25/rate] when that is
+    shorter, then by factors of 100, until one is nonzero; the seed and
+    the floor of 10 shrink with them, so the partition starts where f
+    lives.  A hint like pi a^2 for that Gaussian holds from t = 1 on;
+    below it the local decay rate is at least rate * t, hence the
+    min(1, T) in the tail model.  No truncation in the default battery
+    or on the xi_sweep grid moves its probes, and none has T < 1.
+
+    Returns (T, tail, number of points passed to f, steps past T
+    included).
     """
     probe_t = np.linspace(0.25, 25.0, 24)
     probe = np.abs(f(probe_t))
+    points = probe.size
+    scale, shrink = 1.0, max(rate, _PROBE_SHRINK)
+    for _ in range(_PROBE_MOVES):
+        if probe.any():
+            break
+        scale /= shrink
+        shrink = _PROBE_SHRINK
+        probe = np.abs(f(scale * probe_t))
+        points += probe.size
+    if not probe.any():
+        scale = 1.0
     m = float(probe.max())
     T = 10.0
     if m > 0.0:
-        t_at = float(probe_t[int(probe.argmax())])
+        t_at = scale * float(probe_t[int(probe.argmax())])
         T = t_at + np.log(max(10.0 * m / (tol * rate), 2.0)) / rate
-    T = min(max(T, 10.0), _T_CAP)
-    points = len(probe_t)
+    T = min(max(T, 10.0 * scale), _T_CAP)
     while True:
         ladder = [T]
         while len(ladder) < _LADDER_STEPS and ladder[-1] < _T_CAP:
@@ -168,7 +217,7 @@ def _truncation_point(f, tol, rate):
                                         for t in ladder])))
         points += vals.size
         for T, top in zip(ladder, vals.reshape(len(ladder), -1).max(axis=1)):
-            tail = float(top) / rate
+            tail = float(top) / (rate * min(1.0, T))
             if tail <= _TAIL_SHARE * tol:
                 return T, tail, points
         if T >= _T_CAP:
@@ -243,3 +292,106 @@ def integrate_log_singular(g, tol, decay_hint):
                             near.abs_error + far.abs_error,
                             near.evaluations + far.evaluations,
                             1.0 + far.truncation_T)
+
+
+@functools.lru_cache(maxsize=None)
+def _de_batch(level):
+    """The nodes t that level adds and dt/du there, as read-only arrays.
+
+    Level 0 runs over the whole range, endpoints first and last; each
+    finer level adds the odd multiples of its step.  Every u is a dyadic
+    rational, so a node is the same double at every level that has it.
+    """
+    h = _DE_H0 / 2 ** level
+    n = round((_DE_U_HI - _DE_U_LO) / h)
+    k = np.arange(n + 1.0) if level == 0 else np.arange(1.0, n, 2.0)
+    u = _DE_U_LO + k * h
+    e = np.exp(-u)
+    t = np.exp(u - e)
+    jac = t * (1.0 + e)
+    t.flags.writeable = jac.flags.writeable = False
+    return t, jac
+
+
+class NodeTable:
+    """A weight w(t) tabulated on the double-exponential nodes of
+    [0, infinity), one batch per level, each built on first use and kept
+    for the life of the process.
+
+    weight maps an array of t to w(t), shaped (len(t),) or (rows,
+    len(t)).  A derived table (derive) takes its weight as a function of
+    t and the base table's values there, so a factor the two share is
+    computed once.  An entry depends on its node alone, never on which
+    integral asked first, so tables come out bit-identical in any order
+    of use.
+    """
+
+    def __init__(self, weight, base=None):
+        self._weight = weight
+        self._base = base
+        self._batches = []
+
+    def derive(self, weight):
+        """The table of weight(t, w(t)), built from this one's entries."""
+        return NodeTable(weight, base=self)
+
+    def __call__(self, t):
+        """w at arbitrary t, computed afresh (for cross-checks)."""
+        if self._base is None:
+            return self._weight(t)
+        return self._weight(t, self._base(t))
+
+    def batch(self, level):
+        """(t, dt/du, w(t)) on the nodes that level adds."""
+        while len(self._batches) <= level:
+            L = len(self._batches)
+            t, jac = _de_batch(L)
+            w = np.asarray(self._weight(t) if self._base is None
+                           else self._weight(t, self._base.batch(L)[2]))
+            w.flags.writeable = False
+            self._batches.append((t, jac, w))
+        return self._batches[level]
+
+
+def integrate_tabulated(kernel, table, tol):
+    """Integrate w(t) kernel(t) over [0, infinity), w tabulated in table.
+
+    The double-exponential trapezoid sum Q_h = h sum_u w(t) kernel(t)
+    dt/du is taken at the step of _DE_START, with one kernel call on all
+    its nodes.  Its error estimate is |Q_h - Q_2h| (Q_2h sums the nodes
+    of the levels before, no kernel call of its own), plus
+    |w kernel dt/du| at both ends of the u
+    range (each truncated tail falls double exponentially in u), plus
+    _DE_ROUNDING h sum |terms| for rounding.  While the estimate exceeds
+    tol, h halves, with one kernel call on the nodes the new level adds;
+    at _DE_FINEST it raises ValueError instead.  kernel(t) and w(t)
+    broadcast, (len(t),) against (rows, len(t)), and the rows of their
+    product are summed.  evaluations counts the nodes passed to kernel;
+    truncation_T is the largest node.
+    """
+    sums, mags, evals = [], [], 0
+    for level in range(_DE_START, _DE_FINEST + 1):
+        batches = [table.batch(L) for L in (
+            range(level + 1) if level == _DE_START else [level])]
+        y = np.asarray(kernel(np.concatenate([b[0] for b in batches])),
+                       dtype=np.complex128)
+        start = 0
+        for t, jac, w in batches:
+            part = jac * w * y[..., start:start + t.size]
+            part = part.reshape(-1, t.size).sum(axis=0)
+            start += t.size
+            if not sums:  # level 0: the endpoints first and last
+                ends = abs(part[0]) + abs(part[-1])
+            sums.append(part.sum())
+            mags.append(np.abs(part).sum())
+        evals += start
+        h = _DE_H0 / 2 ** level
+        value = h * sum(sums)
+        err = (abs(value - 2.0 * h * sum(sums[:-1])) + ends
+               + _DE_ROUNDING * h * sum(mags))
+        if err <= tol:
+            return QuadratureResult(value, err, evals, _de_batch(0)[0][-1])
+    raise ValueError(
+        "quad: double-exponential rule at its finest step h = 1/%d "
+        "(%d nodes) estimates error %.3e (tol %.3e)"
+        % (round(1.0 / h), evals, err, tol))

@@ -103,7 +103,7 @@ class TestMain:
         code, out = run_cli(["--identity", "aux"])
         assert code == 0
         doc = json.loads(out)
-        assert len(doc["reports"]) == 14
+        assert len(doc["reports"]) == 15
 
     def test_csv_format(self):
         code, out = run_cli(["--identity", "digamma", "--alpha", "1.5",

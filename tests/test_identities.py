@@ -59,12 +59,22 @@ def aux_battery(params, tol):
     return aux_checks()
 
 
+# the sides integrated against a tabulated Xi weight, and the nodes the
+# double-exponential rule passes to a kernel at its starting step
+XI_SIDES = ("xi_integral", "real_axis", "contour")
+START_NODES = 321
+
+
 @pytest.mark.parametrize("verify", [
     verify_theta, verify_hardy, verify_ferrar, verify_line_integral,
     verify_ramanujan_bose,
     lambda params, tol: verify_ramanujan_digamma(params.alpha, tol),
     aux_battery])
 def test_quadrature_sides_carry_their_cost_and_error(verify):
+    # every Xi side takes the tabulated double-exponential rule, 321
+    # kernel nodes at its starting step out to t = 243.7; every other
+    # quadrature side, and the adaptive half of aux:xi_rules, adaptive
+    # Gauss-Kronrod
     reps = verify(KernelParams(1.25, 1.0), 1e-8)
     for rep in (reps if isinstance(reps, list) else [reps]):
         quad_sides = [name for name, d in rep.diagnostics.items()
@@ -73,9 +83,14 @@ def test_quadrature_sides_carry_their_cost_and_error(verify):
                                                  "aux:k0_lattice")
         for name in quad_sides:
             d = rep.diagnostics[name]
-            assert d["path"] == "quad"
-            assert d["evaluations"] > 0
-            assert d["truncation_T"] >= 10.0
+            if name in XI_SIDES or name == "tabulated":
+                assert d["path"] == "quad.tabulated"
+                assert d["evaluations"] == START_NODES
+                assert d["truncation_T"] == pytest.approx(243.694, abs=1e-3)
+            else:
+                assert d["path"] == "quad"
+                assert d["evaluations"] > 0
+                assert d["truncation_T"] >= 10.0
             assert 0.0 < d["abs_error"] < 1e-8
 
 
@@ -145,9 +160,10 @@ class TestTheta:
 
 
     def test_default_grid_work_counts(self, monkeypatch):
-        # one 1F1 series per nabla and one integrand call per three
-        # truncation ladder steps; before, 260 series and 70 truncation
-        # calls over the default grid
+        # one 1F1 series per nabla, and one nabla per cell on the shared
+        # nodes, with no truncation ladder; before, 260 series and 70
+        # truncation calls over the default grid, then at most 100 and 40
+        # with an adaptive Xi side
         from xiverify import cli, quad, specfun
         calls = {"series": 0, "f": 0}
         series = specfun._hyp_series
@@ -167,8 +183,8 @@ class TestTheta:
         monkeypatch.setattr(quad, "_truncation_point", counted_truncation)
         for alpha, z in cli.default_grid():
             assert verify_theta(KernelParams(alpha, z), 1e-8).passed
-        assert calls["series"] <= 100
-        assert calls["f"] <= 40
+        assert calls["series"] == 20
+        assert calls["f"] == 0
 
     def test_series_refuses_before_its_prefactor_overflows(self):
         # e^(-z^2/8) overflows at z = 1e11 i; the sum's term ceiling
@@ -265,8 +281,10 @@ class TestFerrar:
         assert points <= 100000
         # 23,844 while the truncation ladder took one step per integrand
         # call; the batched ladder also passes the tail points of steps
-        # past the one it takes, and evaluations count every point passed
-        assert evaluations == 24315
+        # past the one it takes, and evaluations count every point passed.
+        # 24,315 while the Xi side ran its own adaptive quadrature (8,760
+        # points); now it passes START_NODES tabulated nodes per cell
+        assert evaluations == 15555 + 20 * START_NODES
 
 
 class TestRamanujanBose:
@@ -287,36 +305,59 @@ class TestRamanujanBose:
 
     def test_z_zero_invariant_reuses_the_weighted_side(self, monkeypatch):
         # alpha lhs(alpha, 0) is the weighted side times alpha, so z = 0
-        # adds one quadrature, lhs(beta, 0); each side's evaluations are
-        # the points its integrand saw (the Xi side's fold passes each
-        # as t and -t)
+        # adds one adaptive quadrature, lhs(beta, 0), to the weighted
+        # side's; the Xi side is one tabulated integral, whose kernel sees
+        # each node once (the t and -t halves as two rows of one call).
+        # Each side's evaluations are the points its integrand or kernel
+        # saw
         from xiverify import quad
         semi = quad.integrate_semi_infinite
-        points = []
+        tabulated = quad.integrate_tabulated
+        points, nodes = [], []
+
+        def counted(f, seen):
+            def g(t):
+                seen[-1] += np.size(t)
+                return f(t)
+            return g
 
         def spy(f, tol, rate):
-            seen = 0
+            points.append(0)
+            return semi(counted(f, points), tol, rate)
 
-            def counted(t):
-                nonlocal seen
-                seen += np.size(t)
-                return f(t)
-
-            res = semi(counted, tol, rate)
-            points.append(seen)
-            return res
+        def spy_tabulated(kernel, table, tol):
+            nodes.append(0)
+            return tabulated(counted(kernel, nodes), table, tol)
 
         monkeypatch.setattr(quad, "integrate_semi_infinite", spy)
+        monkeypatch.setattr(quad, "integrate_tabulated", spy_tabulated)
         rep = verify_ramanujan_bose(KernelParams(2.0, 0.0), 1e-8)
         assert rep.passed
-        assert len(points) == 3
+        assert len(points) == 2 and nodes == [START_NODES]
         d = rep.diagnostics
         assert d["invariant_beta"] == {"path": "weighted_integral"}
         assert rep.sides["invariant_beta"] == 2.0 * rep.sides[
             "weighted_integral"]
         evaluations = [d[name]["evaluations"] for name in
                        ("weighted_integral", "xi_integral", "invariant_alpha")]
-        assert evaluations == [points[0], 2 * points[1], points[2]]
+        assert evaluations == [points[0], nodes[0], points[1]]
+
+    @pytest.mark.parametrize("alpha", [1e3, 1e4, 1e5])
+    def test_narrow_gaussian_weighted_side_covers_its_error(self, alpha):
+        # e^(-pi alpha^2 t^2) is zero at every truncation probe on
+        # (0, 25]; the probes move toward 0 first.  Either the cell
+        # passes, or the weighted side's abs_error, scaled by its
+        # prefactor 4 pi sqrt(alpha), covers its distance from the Xi side
+        rep = verify_ramanujan_bose(KernelParams(alpha, 0.0), 1e-8)
+        d = rep.diagnostics
+        gap = abs(rep.sides["weighted_integral"] - rep.sides["xi_integral"])
+        assert rep.passed or gap <= (
+            4.0 * np.pi * np.sqrt(alpha) * d["weighted_integral"]["abs_error"]
+            + d["xi_integral"]["abs_error"] / (8.0 * np.pi ** 1.5))
+        assert d["weighted_integral"]["truncation_T"] < 1.0
+        # lhs = alpha^(-3/2) (1 - (pi/6)/alpha + ...) as alpha grows
+        lead = rep.sides["xi_integral"] * alpha ** 1.5
+        assert abs(lead - 1.0) <= 1.0 / alpha
 
     def test_mixed_z_skips_imag_residual(self):
         rep = verify_ramanujan_bose(KernelParams(1.25, 1.0 + 0.5j), 1e-8)
@@ -338,6 +379,169 @@ class TestLineIntegral:
         lhs = li.sides["real_axis"]
         rhs = 4.0 * np.pi * th.sides["xi_integral"]
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+# the box anchors of the benchmark grids: alpha at its ends, Im z = +-2,
+# Re z in {-1, 0, 1}
+ANCHORS = [(a, complex(re, im)) for a in (0.5, 2.0) for re in (-1.0, 0.0, 1.0)
+           for im in (-2.0, 2.0)]
+DEFAULT_GRID = [(a, z) for a in (0.5, 0.8, 1.0, 1.25, 2.0)
+                for z in (0j, 1 + 0j, 2j, 1 + 0.5j)]
+
+# family -> its Xi sides and the factor each side's quadrature value is
+# divided by to give the side (abs_error is the quadrature's)
+XI_SIDE_SCALES = {
+    verify_theta: {"xi_integral": np.pi},
+    verify_hardy: {"xi_integral": 1.0},
+    verify_ferrar: {"xi_integral": -2.0 * np.sqrt(np.pi)},
+    verify_line_integral: {"real_axis": 1.0, "contour": 0.5},
+    verify_ramanujan_bose: {"xi_integral": 8.0 * np.pi ** 1.5},
+    digamma_at: {"xi_integral": -np.pi ** 1.5},
+}
+
+
+def _clear_xi_tables(monkeypatch):
+    """Empty every Xi weight table, as in a fresh process."""
+    from xiverify import identities, quad
+    for name, table in vars(identities).items():
+        if isinstance(table, quad.NodeTable):
+            monkeypatch.setattr(table, "_batches", [])
+
+
+def _seeded_box(n, seed=1):
+    """The anchors and n points drawn log-uniformly in alpha over
+    [0.5, 2] and uniformly in Re z over [-1, 1] and Im z over [-2, 2]."""
+    rng = np.random.default_rng(seed)
+    a = np.exp(rng.uniform(np.log(0.5), np.log(2.0), n))
+    z = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+    return ANCHORS + list(zip(a.tolist(), z.tolist()))
+
+
+class TestTabulatedXiSides:
+    """Every Xi side integrates a shared, once-tabulated weight."""
+
+    @pytest.mark.parametrize("verify", [
+        verify_theta, verify_hardy, verify_ramanujan_bose,
+        verify_line_integral, digamma_at])
+    def test_xi_points_do_not_grow_with_cells(self, verify, monkeypatch):
+        # Xi is evaluated once per process, one batch per level: a spy on
+        # xi_cap and xi_small sees the same points for 1 cell and for 48
+        from xiverify import identities
+        seen = {"xi_cap": 0, "xi_small": 0}
+        for name in seen:
+            real = getattr(identities, name)
+
+            def spy(s, real=real, name=name):
+                seen[name] += np.size(s)
+                return real(s)
+
+            monkeypatch.setattr(identities, name, spy)
+        counts = []
+        for cells in (_seeded_box(0)[:1], _seeded_box(36)):
+            _clear_xi_tables(monkeypatch)
+            for key in seen:
+                seen[key] = 0
+            for alpha, z in cells:
+                assert verify(KernelParams(alpha, z), 1e-8).passed
+            counts.append(dict(seen))
+        assert counts[0] == counts[1]
+        # 321 ordinates; the contour's xi_small takes u and -u as rows
+        contour = verify is verify_line_integral
+        assert counts[0] == {"xi_cap": START_NODES,
+                             "xi_small": 2 * START_NODES if contour else 0}
+
+    def test_tables_come_out_the_same_in_any_order(self, monkeypatch):
+        from xiverify import identities, quad
+        tables = {name: t for name, t in vars(identities).items()
+                  if isinstance(t, quad.NodeTable)}
+        runs = [(verify_theta, KernelParams(0.5, -1.0 + 2.0j)),
+                (digamma_at, KernelParams(2.0, 0.0)),
+                (verify_ramanujan_bose, KernelParams(2.0, 1.0 - 2.0j)),
+                (verify_line_integral, KernelParams(0.8, 1.0)),
+                (verify_ferrar, KernelParams(1.25, 2.0j)),
+                (verify_hardy, KernelParams(0.5, 1.0 + 0.5j))]
+        snapshots = []
+        for order in (runs, runs[::-1]):
+            _clear_xi_tables(monkeypatch)
+            sides = {}
+            for verify, params in order:
+                rep = verify(params, 1e-8)
+                sides[verify] = {k: rep.sides[k]
+                                 for k in XI_SIDE_SCALES[verify]}
+            bits = {name: [w.tobytes() for _, _, w in t._batches]
+                    for name, t in tables.items()}
+            snapshots.append((sides, bits))
+        assert snapshots[0] == snapshots[1]
+        assert all(len(b) == 2 for b in snapshots[0][1].values())
+
+    @pytest.mark.parametrize("verify", list(XI_SIDE_SCALES))
+    def test_abs_error_covers_the_next_finer_step(self, verify, monkeypatch):
+        from xiverify import quad
+        grid = ANCHORS + DEFAULT_GRID
+        if verify is digamma_at:
+            grid = [(a, 0j) for a in dict.fromkeys(a for a, _ in grid)]
+        reps = [verify(KernelParams(a, z), 1e-8) for a, z in grid]
+        monkeypatch.setattr(quad, "_DE_START", quad._DE_START + 1)
+        finer = [verify(KernelParams(a, z), 1e-8) for a, z in grid]
+        for rep, fine in zip(reps, finer):
+            for side, scale in XI_SIDE_SCALES[verify].items():
+                d = rep.diagnostics[side]
+                assert d["evaluations"] == START_NODES
+                assert fine.diagnostics[side]["evaluations"] == 641
+                gap = abs(rep.sides[side] - fine.sides[side]) * abs(scale)
+                assert gap <= d["abs_error"]
+
+    def test_tabulated_and_adaptive_rules_agree_on_the_anchors(self):
+        # each Xi integral by the tabulated rule at the sides' tolerance
+        # and by adaptive Gauss-Kronrod at 1e-13 on the same integrand
+        from xiverify import identities as I
+        from xiverify import quad
+        worst = 0.0
+        for alpha, z in ANCHORS:
+            p = KernelParams(alpha, z)
+            nabla = I._nabla_at(p)
+            for kernel, table, rate in (
+                    (nabla, I._XI_NABLA, np.pi / 8.0),
+                    (nabla, I._XI_HARDY, np.pi / 2.0),
+                    (nabla, I._XI_FERRAR, np.pi / 8.0),
+                    (nabla, I._XI_AXIS, np.pi / 8.0),
+                    (lambda t: np.cos(0.5 * t * np.log(alpha)),
+                     I._XI_DIGAMMA, np.pi / 4.0),
+                    (I._rho_pair_at(p, 1.5, 0.5), I._XI_BOSE, np.pi / 4.0),
+                    (I._rho_pair_at(p, 0.5, 1.0), I._XI_CONTOUR,
+                     np.pi / 4.0)):
+                tab = quad.integrate_tabulated(kernel, table, 2.5e-9)
+
+                def f(t, kernel=kernel, table=table):
+                    return (table(t) * kernel(t)).reshape(-1, t.size).sum(0)
+
+                ada = quad.integrate_semi_infinite(f, 1e-13, rate)
+                worst = max(worst, abs(tab.value - ada.value))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("verify", [
+        verify_theta, verify_line_integral, verify_ramanujan_bose])
+    def test_edge_cell_fails_fast_at_the_finest_step(self, verify,
+                                                     monkeypatch):
+        # at (1, 14) the Xi sides cannot reach tol/4 (the sides are about
+        # 1e10); the rule stops after 1281 kernel nodes, where adaptive
+        # quadrature spent its 100,000-point budget
+        from xiverify import quad
+        real = quad.integrate_tabulated
+        nodes = []
+
+        def spy(kernel, table, tol):
+            def counted(t):
+                nodes.append(t.size)
+                return kernel(t)
+            return real(counted, table, tol)
+
+        monkeypatch.setattr(quad, "integrate_tabulated", spy)
+        with pytest.raises(ValueError, match=(
+                r"^quad: double-exponential rule at its finest step "
+                r"h = 1/128 \(1281 nodes\) estimates error")):
+            verify(KernelParams(1.0, 14.0), 1e-8)
+        assert nodes == [START_NODES, 320, 640]
 
 
 class TestRhl:
@@ -404,13 +608,14 @@ class TestRhl:
 class TestAuxiliaryForms:
     def test_battery_passes(self):
         reports = aux_checks()
-        assert len(reports) == 14
+        assert len(reports) == 15
         assert all(r.passed for r in reports)
         ids = {r.identity_id for r in reports}
         assert ids == {"aux:gaussian_cosine", "aux:gaussian_cosine_moment",
                        "aux:log_gaussian", "aux:cotangent",
                        "aux:gaussian_bessel", "aux:k0_lattice",
-                       "aux:inverse_mellin", "aux:inverse_mellin_kernel"}
+                       "aux:inverse_mellin", "aux:inverse_mellin_kernel",
+                       "aux:xi_rules"}
 
     def test_log_gaussian_closed_form_z_zero(self):
         # at z = 0 the 2F2 drops out: -(gamma + log(4 pi a^2))/(4a)

@@ -283,3 +283,134 @@ class TestTruncationLadder:
         res = integrate_real_line(f, 1e-10, 1.0)
         assert batches and set(batches) == {1}
         assert res.evaluations == sum(np.size(t) for t in f_args)
+
+
+class TestTabulatedRule:
+    """The nested double-exponential rule on shared node tables."""
+
+    START, FINEST = 321, 1281  # nodes up to _DE_START and _DE_FINEST
+
+    def test_levels_nest_into_one_trapezoid_grid(self):
+        # levels 0..L together are t = exp(u - e^(-u)) at u = lo + k h_L,
+        # each node once and the same double at every level
+        for L in range(quad._DE_FINEST + 1):
+            t = np.sort(np.concatenate([quad._de_batch(j)[0]
+                                        for j in range(L + 1)]))
+            h = quad._DE_H0 / 2 ** L
+            u = quad._DE_U_LO + h * np.arange(
+                round((quad._DE_U_HI - quad._DE_U_LO) / h) + 1.0)
+            assert np.array_equal(t, np.exp(u - np.exp(-u)))
+        sizes = [quad._de_batch(j)[0].size
+                 for j in range(quad._DE_FINEST + 1)]
+        assert sum(sizes[:quad._DE_START + 1]) == self.START
+        assert sum(sizes) == self.FINEST
+
+    @pytest.mark.parametrize("b", [0.0, 1.0, 3.0])
+    def test_exponential_cosine(self, b):
+        # int_0^inf e^(-t) cos(b t) dt = 1/(1 + b^2), at the start step
+        table = quad.NodeTable(lambda t: np.exp(-t))
+        res = quad.integrate_tabulated(lambda t: np.cos(b * t), table, 1e-12)
+        assert abs(res.value - 1.0 / (1.0 + b * b)) <= 1e-14
+        assert res.abs_error <= 1e-12
+        assert res.evaluations == self.START
+        assert res.truncation_T == quad._de_batch(0)[0][-1]
+
+    def test_endpoint_singularity(self):
+        # int_0^inf t^(-1/2) e^(-t) dt = sqrt(pi): the map clusters nodes
+        # at 0 double exponentially
+        table = quad.NodeTable(lambda t: np.exp(-t) / np.sqrt(t))
+        res = quad.integrate_tabulated(np.ones_like, table, 1e-12)
+        assert abs(res.value - SQRT_PI) <= 1e-14
+
+    def test_rows_are_summed(self):
+        table = quad.NodeTable(lambda t: np.stack([np.exp(-t),
+                                                   2.0 * np.exp(-t)]))
+        res = quad.integrate_tabulated(np.ones_like, table, 1e-12)
+        assert abs(res.value - 3.0) <= 1e-14
+
+    def test_refines_one_level_per_kernel_call(self):
+        # cos(10 t) outruns the start step and needs the finest; each
+        # finer level is one more kernel call on the nodes it adds
+        calls = []
+
+        def kernel(t):
+            calls.append(t.size)
+            return np.cos(10.0 * t)
+
+        table = quad.NodeTable(lambda t: np.exp(-t))
+        res = quad.integrate_tabulated(kernel, table, 1e-12)
+        assert calls == [self.START, 320, 640]
+        assert res.evaluations == self.FINEST
+        assert abs(res.value - 1.0 / 101.0) <= res.abs_error <= 1e-12
+
+    def test_finest_step_fails_fast_and_names_its_estimate(self):
+        # a kernel that cancels the weight's decay leaves the ends of the
+        # range far from 0: the rule stops at its finest step
+        calls = []
+
+        def kernel(t):
+            calls.append(t.size)
+            return np.exp(0.99 * t)
+
+        table = quad.NodeTable(lambda t: np.exp(-t))
+        with pytest.raises(ValueError, match=(
+                r"^quad: double-exponential rule at its finest step "
+                r"h = 1/128 \(1281 nodes\) estimates error \S+ "
+                r"\(tol 1\.000e-08\)$")):
+            quad.integrate_tabulated(kernel, table, 1e-8)
+        assert sum(calls) == self.FINEST and len(calls) == 3
+
+    def test_weight_tabulated_once_per_level(self):
+        calls = []
+
+        def weight(t):
+            calls.append(t.size)
+            return np.exp(-t)
+
+        table = quad.NodeTable(weight)
+        for b in (1.0, 2.0):
+            quad.integrate_tabulated(lambda t: np.cos(b * t), table, 1e-12)
+        assert calls == [161, 160]
+
+    def test_derived_table_is_built_from_its_base(self):
+        base_calls = []
+
+        def base_weight(t):
+            base_calls.append(t.size)
+            return np.exp(-t)
+
+        base = quad.NodeTable(base_weight)
+        derived = base.derive(lambda t, w: w / (1.0 + t * t))
+        quad.integrate_tabulated(np.ones_like, derived, 1e-12)
+        quad.integrate_tabulated(np.ones_like, base, 1e-12)
+        assert base_calls == [161, 160]
+        for level in (0, 1):
+            t, jac, w = derived.batch(level)
+            assert np.array_equal(w, base.batch(level)[2] / (1.0 + t * t))
+        t = np.array([0.5, 2.0])
+        assert np.array_equal(derived(t), np.exp(-t) / (1.0 + t * t))
+
+
+class TestNarrowPeakAtZero:
+    """Probes that all read 0 move toward 0 before T is seeded."""
+
+    @pytest.mark.parametrize("a", [1e3, 1e4, 1e5])
+    def test_narrow_gaussian(self, a):
+        # int_0^inf e^(-pi a^2 t^2) dt = 1/(2a); every probe on (0, 25]
+        # reads 0, and the hint pi a^2 holds from t = 1 on
+        res = integrate_semi_infinite(
+            lambda t: np.exp(-np.pi * a * a * t * t), 1e-12,
+            np.pi * a * a)
+        assert abs(res.value - 0.5 / a) <= max(res.abs_error, 1e-15)
+        assert res.truncation_T < 1.0
+
+    def test_probes_that_see_the_integrand_do_not_move(self):
+        # the rule as before wherever a probe on (0, 25] is nonzero
+        points = []
+
+        def f(t):
+            points.append(np.size(t))
+            return np.exp(-t * t)
+
+        quad._truncation_point(f, 1e-10, 1.0)
+        assert points[0] == 24 and len(points) == 2
