@@ -2,8 +2,9 @@
 
 The package computes each side of a family of alpha <-> 1/alpha
 transformation identities by independent routes (special-function series,
-adaptive quadrature, contour integrals against the completed zeta
-function) and reports normalized residuals.  Everything numerical is
+quadrature of elementary and special functions, contour integrals against
+the completed zeta function, all integrals on one double-exponential
+rule) and reports normalized residuals.  Everything numerical is
 built on numpy alone; no special-function library is used at runtime.
 The package root exports the verifier API only; import anything else from
 its own module.

@@ -15,15 +15,16 @@ theorem's integral class
 
 written once here as _xi_nabla_integral; each family supplies its weight
 w (theta 1, hardy 1/cosh(pi t/2), ferrar |Gamma((1+it)/4)|^2, the line
-integral's real-axis side 4).  Every Xi side, these and the digamma,
-Bose and contour ones, integrates a weight that does not depend on
-(alpha, z), tabulated once per process on shared double-exponential
-nodes (quad.NodeTable), against a kernel that does, one kernel call per
-level of the rule (quad.integrate_tabulated).  The twin
-integral sides are transforms against one physical-side kernel,
-int_0^inf phi(t) e^(-pi x^2 t^2) cos(sqrt(pi) x t w) dt, whose integrand
+integral's real-axis side 4).  The twin integral sides are transforms
+against one physical-side kernel,
+int_0^inf phi(t) e^(-pi x^2 t^2) cos(sqrt(pi) x t w) dt, which
 _gaussian_cosine builds (phi: hardy psi(t+1) - log t, ferrar the
 pole-subtracted K0 sum at x = alpha/(2 pi), Bose t/(e^(2 pi t) - 1)).
+Every integral, Xi side, physical side or auxiliary check, integrates a
+weight that does not depend on (alpha, z), tabulated once per process on
+shared double-exponential nodes (quad.NodeTable), against a kernel that
+does, one kernel call per level of the rule (quad.integrate_tabulated).
+Physical and Xi sides share that rule and nothing else.
 Every verifier hands _report one (value, diagnostics) record per side.
 
 The solitary exception is the Bose-type formula, whose kernel
@@ -110,12 +111,8 @@ def _report(identity_id, params, sides, tol, pairs=None,
                               passed, diagnostics)
 
 
-# the path of a side integrated on a quad.NodeTable
-_TABULATED = "quad.tabulated"
-
-
-def _quad_diag(res, path="quad"):
-    return {"path": path, "evaluations": res.evaluations,
+def _quad_diag(res):
+    return {"path": "quad.tabulated", "evaluations": res.evaluations,
             "truncation_T": res.truncation_T, "abs_error": res.abs_error}
 
 
@@ -156,6 +153,16 @@ def _contour_weight(u):
 
 _XI_CONTOUR = quad.NodeTable(_contour_weight)
 
+# The physical sides' phi and the aux checks' weights, tabulated the same
+# way.  Bose's t/(e^(2 pi t) - 1) is taken through e^(-2 pi t), because
+# e^(2 pi t) overflows at the last node.
+_PHI_HARDY = quad.NodeTable(lambda t: digamma(t + 1.0) - np.log(t))
+_PHI_FERRAR = quad.NodeTable(ns.k0_sum_minus_pole)
+_PHI_BOSE = quad.NodeTable(
+    lambda t: t * np.exp(-2.0 * np.pi * t) / -np.expm1(-2.0 * np.pi * t))
+_LOG = quad.NodeTable(np.log)
+_ONES = quad.NodeTable(np.ones_like)
+
 
 def _nabla_at(params):
     """t -> nabla(alpha, z, (1+it)/2), the kernel of the integral class."""
@@ -176,13 +183,17 @@ def _xi_nabla_integral(params, tol, table):
     return quad.integrate_tabulated(_nabla_at(params), table, tol)
 
 
-def _gaussian_cosine(phi, x, w):
-    """The integrand t -> phi(t) e^(-pi x^2 t^2) cos(sqrt(pi) x t w)."""
-    def g(t):
-        return phi(t) * np.exp(-np.pi * x * x * t * t) \
-            * np.cos(_SQRT_PI * x * t * w)
+def _gaussian_cosine(x, w):
+    """The kernel t -> e^(-pi x^2 t^2) cos(sqrt(pi) x t w) as its two
+    rows e^(-pi x^2 t^2 +- i sqrt(pi) x t w)/2: one exponential each, so
+    no factor overflows where the product would not (the real part of
+    the exponent is at most (Im w)^2/4)."""
+    def kernel(t):
+        gauss = -np.pi * x * x * t * t
+        phase = 1j * _SQRT_PI * x * w * t
+        return 0.5 * np.exp(np.stack([gauss + phase, gauss - phase]))
 
-    return g
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +220,7 @@ def verify_theta(params, tol):
     return _report("theta", params, {
         "alpha_series": (side_alpha, {"path": "numseries.theta_sum"}),
         "beta_series": (side_beta, {"path": "numseries.cosh_theta_sum"}),
-        "xi_integral": (res.value / np.pi,
-                        _quad_diag(res, _TABULATED))}, tol)
+        "xi_integral": (res.value / np.pi, _quad_diag(res))}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +251,7 @@ def verify_ramanujan_digamma(alpha, tol):
     return _report("digamma", params, {
         "alpha_series": (side_alpha, {"path": "numseries.lambda_sum"}),
         "beta_series": (side_beta, {"path": "numseries.lambda_sum"}),
-        "xi_integral": (-res.value / np.pi ** 1.5,
-                        _quad_diag(res, _TABULATED))}, tol)
+        "xi_integral": (-res.value / np.pi ** 1.5, _quad_diag(res))}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +271,8 @@ def verify_hardy(params, tol):
     qtol = 0.25 * tol
 
     def side(x, w):
-        g = _gaussian_cosine(lambda t: digamma(t + 1.0) - np.log(t), x, w)
-        return quad.integrate_log_singular(g, qtol, max(0.5, np.pi * x * x))
+        return quad.integrate_tabulated(_gaussian_cosine(x, w), _PHI_HARDY,
+                                        qtol)
 
     ra, rb = side(a, z), side(b, 1j * z)
     res = _xi_nabla_integral(params, qtol, _XI_HARDY)
@@ -272,7 +281,7 @@ def verify_hardy(params, tol):
                            _quad_diag(ra)),
         "beta_integral": (np.sqrt(b) * np.exp(-z * z / 8.0) * rb.value,
                           _quad_diag(rb)),
-        "xi_integral": (res.value, _quad_diag(res, _TABULATED))}, tol)
+        "xi_integral": (res.value, _quad_diag(res))}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +315,8 @@ def verify_ferrar(params, tol):
     qtol = 0.25 * tol
 
     def side(x, w):
-        g = _gaussian_cosine(ns.k0_sum_minus_pole, x / (2.0 * np.pi), w)
-        return quad.integrate_log_singular(g, qtol, max(0.4, x * x))
+        return quad.integrate_tabulated(
+            _gaussian_cosine(x / (2.0 * np.pi), w), _PHI_FERRAR, qtol)
 
     ra, rb = side(a, z), side(b, 1j * z)
     res = _xi_nabla_integral(params, qtol, _XI_FERRAR)
@@ -315,8 +324,7 @@ def verify_ferrar(params, tol):
                                 _quad_diag(ra)),
              "beta_integral": (np.sqrt(b) * np.exp(-z * z / 8.0) * rb.value,
                                _quad_diag(rb)),
-             "xi_integral": (-res.value / (2.0 * _SQRT_PI),
-                             _quad_diag(res, _TABULATED))}
+             "xi_integral": (-res.value / (2.0 * _SQRT_PI), _quad_diag(res))}
     if z == 0.0:
         sides["bessel_series"] = (ferrar_bessel_closed_form(a),
                                   {"path": "numseries.ferrar_bessel_sum"})
@@ -331,8 +339,7 @@ def _bose_left_side(a, z, tol):
     """a^(-1/2) e^(-z^2/8) - 4 pi a^(1/2) e^(z^2/8)
     int_0^inf t e^(-pi a^2 t^2) cos(sqrt(pi) a t z)/(e^(2 pi t) - 1) dt,
     with the quadrature result."""
-    g = _gaussian_cosine(lambda t: t / np.expm1(2.0 * np.pi * t), a, z)
-    r = quad.integrate_semi_infinite(g, tol, max(0.5, np.pi * a * a))
+    r = quad.integrate_tabulated(_gaussian_cosine(a, z), _PHI_BOSE, tol)
     return (np.exp(-z * z / 8.0) / np.sqrt(a)
             - 4.0 * np.pi * np.sqrt(a) * np.exp(z * z / 8.0) * r.value), r
 
@@ -357,7 +364,7 @@ def verify_ramanujan_bose(params, tol):
                                    qtol)
     rhs = res.value / (8.0 * np.pi ** 1.5)
     sides = {"weighted_integral": (lhs, _quad_diag(rl)),
-             "xi_integral": (rhs, _quad_diag(res, _TABULATED))}
+             "xi_integral": (rhs, _quad_diag(res))}
     pairs = [("weighted_integral", "xi_integral")]
     extra = {}
     zsq = z * z
@@ -446,8 +453,8 @@ def verify_line_integral(params, tol):
     r_line = quad.integrate_tabulated(_rho_pair_at(params, 0.5, 1.0),
                                       _XI_CONTOUR, qtol)
     return _report("lineint", params, {
-        "real_axis": (r_axis.value, _quad_diag(r_axis, _TABULATED)),
-        "contour": (2.0 * r_line.value, _quad_diag(r_line, _TABULATED))}, tol)
+        "real_axis": (r_axis.value, _quad_diag(r_axis)),
+        "contour": (2.0 * r_line.value, _quad_diag(r_line))}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +465,7 @@ def log_gaussian_integral(alpha, z):
     """Quadrature value of int_0^inf e^(-pi a^2 x^2) cos(sqrt(pi) a x z) log x dx,
     with its quadrature diagnostics: returns (value, diagnostics).
 
-    Log-singular at 0, so integrated by quad.integrate_log_singular.
+    Log-singular at 0, where the double-exponential nodes cluster.
     Compare against log_gaussian_closed_form; the comparison itself is
     the check.
     """
@@ -467,8 +474,7 @@ def log_gaussian_integral(alpha, z):
         raise ValueError("log_gaussian_integral: alpha must be positive")
     z = complex(z)
 
-    r = quad.integrate_log_singular(_gaussian_cosine(np.log, a, z), 1e-12,
-                                    max(0.5, np.pi * a * a))
+    r = quad.integrate_tabulated(_gaussian_cosine(a, z), _LOG, 1e-12)
     return r.value, _quad_diag(r)
 
 
@@ -517,10 +523,10 @@ def ferrar_gaussian_bessel_check(alpha, n):
     if a <= 0.0 or n < 1:
         raise ValueError("ferrar_gaussian_bessel_check: need alpha > 0, n >= 1")
 
-    g = _gaussian_cosine(
-        lambda t: 1.0 / np.sqrt(t * t + 4.0 * np.pi * np.pi * n * n),
-        a / (2.0 * np.pi), 0.0)
-    r = quad.integrate_semi_infinite(g, 1e-12, max(0.4, 0.5 * a * a))
+    gauss = _gaussian_cosine(a / (2.0 * np.pi), 0.0)
+    r = quad.integrate_tabulated(
+        lambda t: gauss(t) / np.sqrt(t * t + 4.0 * np.pi * np.pi * n * n),
+        _ONES, 1e-12)
     closed = 0.5 * besselk0_scaled(0.5 * np.pi * a * a * n * n)
     return abs(r.value - closed), _quad_diag(r)
 
@@ -563,8 +569,10 @@ def inverse_mellin_gaussian_check(alpha=1.0, b=1.0, x=2.0, c=1.0):
                 * hyp1f1(0.5 * (1.0 - s), 0.5, w)
                 * np.exp(-s * np.log(x * np.sqrt(a))))
 
-    r = quad.integrate_vertical_line(g, c, 1e-11, np.pi / 8.0)
-    value = r.value / (2j * np.pi)
+    # ds = i du on s = c + iu, u and -u as rows
+    r = quad.integrate_tabulated(lambda u: g(c + 1j * np.stack([u, -u])),
+                                 _ONES, 1e-11)
+    value = r.value / (2.0 * np.pi)
     return abs(value - np.exp(-a * x * x) * np.cos(b * x)), _quad_diag(r)
 
 
@@ -583,25 +591,12 @@ def inverse_mellin_kernel_check(alpha=1.0, n=1, z=1.0):
         return (np.exp(lngamma(0.5 * s)) * hyp1f1(0.5 * (1.0 - s), 0.5, w)
                 * np.exp(-s * np.log(_SQRT_PI * a * n)))
 
-    r = quad.integrate_vertical_line(g, 1.5, 1e-11, np.pi / 8.0)
-    closed = (4j * np.pi * np.exp(-np.pi * a * a * n * n + 0.25 * z * z)
+    # ds = i du on s = 3/2 + iu, so the u integral is the closed form / i
+    r = quad.integrate_tabulated(lambda u: g(1.5 + 1j * np.stack([u, -u])),
+                                 _ONES, 1e-11)
+    closed = (4.0 * np.pi * np.exp(-np.pi * a * a * n * n + 0.25 * z * z)
               * np.cos(_SQRT_PI * a * n * z))
     return abs(r.value - closed), _quad_diag(r)
-
-
-def xi_rule_check(alpha=1.25, z=1.0 + 0.5j):
-    """theta's Xi integral by both quadrature rules, each to 1e-12: the
-    tabulated double-exponential rule every Xi side takes, and adaptive
-    Gauss-Kronrod on the same integrand, its weight computed afresh.
-
-    Returns the (value, diagnostics) records of the two.
-    """
-    kernel = _nabla_at(KernelParams(alpha, z))
-    tab = quad.integrate_tabulated(kernel, _XI_NABLA, 1e-12)
-    ada = quad.integrate_semi_infinite(lambda t: _XI_NABLA(t) * kernel(t),
-                                       1e-12, np.pi / 8.0)
-    return ((tab.value, _quad_diag(tab, _TABULATED)),
-            (ada.value, _quad_diag(ada)))
 
 
 def _aux_pair_report(name, alpha, z, computed, want, tol):
@@ -616,13 +611,12 @@ def aux_checks(tol=1e-9):
 
     # Gaussian cosine integral and its first moment
     a, zv = 1.0, 0.5
-    r = quad.integrate_semi_infinite(
-        _gaussian_cosine(lambda t: 1.0, a, zv), 1e-12, 2.0)
+    gauss = _gaussian_cosine(a, zv)
+    r = quad.integrate_tabulated(gauss, _ONES, 1e-12)
     reports.append(_aux_pair_report(
         "aux:gaussian_cosine", a, zv, (r.value, _quad_diag(r)),
         np.exp(-zv * zv / 4.0) / (2.0 * a), tol))
-    r = quad.integrate_semi_infinite(
-        _gaussian_cosine(lambda t: t, a, zv), 1e-12, 2.0)
+    r = quad.integrate_tabulated(lambda t: t * gauss(t), _ONES, 1e-12)
     want = (np.exp(-zv * zv / 4.0) / (2.0 * np.pi * a * a)
             * complex(hyp1f1(-0.5, 0.5, zv * zv / 4.0)))
     reports.append(_aux_pair_report(
@@ -660,10 +654,4 @@ def aux_checks(tol=1e-9):
     reports.append(_aux_pair_report(
         "aux:inverse_mellin_kernel", 1.0, 1.0,
         inverse_mellin_kernel_check(1.0, 1, 1.0), 0.0, tol))
-
-    # the Xi sides' rule against adaptive quadrature
-    a, zv = 1.25, 1.0 + 0.5j
-    tab, ada = xi_rule_check(a, zv)
-    reports.append(_report("aux:xi_rules", KernelParams(a, zv),
-                           {"tabulated": tab, "adaptive": ada}, tol))
     return reports

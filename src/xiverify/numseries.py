@@ -160,8 +160,10 @@ def k0_sum_minus_pole(t):
     error below 1.9e-17 at 8 points of [4, 100], the rounding of taking
     out the pole.  The lattice form is not taken further: its error
     grows with t, to 1.5e-15 at t = 20, 1.1e-13 at t = 40 and 2.7e-11 at
-    t = 100, while the ferrar quadrature's truncation point reaches
-    t = 60 on the default grid.
+    t = 100, while ferrar's physical sides tabulate this sum on the
+    double-exponential nodes, which reach t = 243.7; at those nodes it
+    is within 4e-16 of mpmath, and at the first, 8.9e-42, of the small-t
+    form (gamma + log(t/(4 pi)))/2.
     Either route is one vectorized call over its share of t.
     """
     tv, scalar = _split(t, np.float64)

@@ -197,18 +197,28 @@ def _eta_coefficients(n):
     return e, d[n]
 
 
-def _eta_powers(z, n):
-    """(k+1)^(-s) for k = 0..n-1, one row per entry of z, and log(k+1).
+# rows of the (points x terms) matrix of powers formed at a time
+_ETA_ROWS = 32
 
-    Callers weight the rows in place and sum them along axis 1 rather than
-    take a matrix-vector product: `@` goes to BLAS, whose helper thread
+
+def _eta_powers(z, n):
+    """Yield (rows, powers, logk) for the entries of the 1-d array z,
+    _ETA_ROWS at a time: powers[i, k] = (k+1)^(-s) for s = z[rows][i], and
+    log(k+1).
+
+    A batch of any size holds at most _ETA_ROWS rows of powers at a time
+    (74 KB at 144 terms).  Callers weight each chunk in place and sum its
+    rows along axis 1, each row on its own, so the sums do not depend on
+    the chunking.  Row sums, not a matrix-vector product: `@` goes to BLAS, whose helper thread
     spins on the other core between calls and slows every --jobs worker
     beside it.
     """
     logk = np.log(np.arange(1.0, n + 1.0))
-    powers = np.outer(-z.reshape(-1), logk)
-    np.exp(powers, out=powers)
-    return powers, logk
+    for start in range(0, z.size, _ETA_ROWS):
+        rows = slice(start, start + _ETA_ROWS)
+        powers = np.outer(-z[rows], logk)
+        np.exp(powers, out=powers)
+        yield rows, powers, logk
 
 
 def zeta_eta(s, n=None):
@@ -225,9 +235,11 @@ def zeta_eta(s, n=None):
         tmax = float(np.max(np.abs(z.imag))) if z.size else 0.0
         n = _eta_terms_needed(tmax)
     e, dn = _eta_coefficients(n)
-    powers, _ = _eta_powers(z, n)
-    powers *= e
-    total = powers.sum(axis=1).reshape(z.shape)
+    total = np.empty(z.size, np.complex128)
+    for rows, powers, _ in _eta_powers(z.reshape(-1), n):
+        powers *= e
+        total[rows] = powers.sum(axis=1)
+    total = total.reshape(z.shape)
     out = -total / (dn * (1.0 - np.exp((1.0 - z) * np.log(2.0))))
     return _merge(out, scalar)
 
@@ -244,11 +256,14 @@ def zeta_eta_prime(s):
     _require_finite("zeta_eta_prime", z)
     tmax = float(np.max(np.abs(z.imag))) if z.size else 0.0
     e, dn = _eta_coefficients(_eta_terms_needed(tmax))
-    powers, logk = _eta_powers(z, len(e))
-    powers *= e
-    total = powers.sum(axis=1).reshape(z.shape)
-    powers *= logk
-    dtotal = -powers.sum(axis=1).reshape(z.shape)
+    total = np.empty(z.size, np.complex128)
+    dtotal = np.empty_like(total)
+    for rows, powers, logk in _eta_powers(z.reshape(-1), len(e)):
+        powers *= e
+        total[rows] = powers.sum(axis=1)
+        powers *= logk
+        dtotal[rows] = -powers.sum(axis=1)
+    total, dtotal = total.reshape(z.shape), dtotal.reshape(z.shape)
     two = np.exp((1.0 - z) * np.log(2.0))
     d = 1.0 - two
     out = (total * two * np.log(2.0) / d - dtotal) / (dn * d)

@@ -103,7 +103,7 @@ class TestMain:
         code, out = run_cli(["--identity", "aux"])
         assert code == 0
         doc = json.loads(out)
-        assert len(doc["reports"]) == 15
+        assert len(doc["reports"]) == 14
 
     def test_csv_format(self):
         code, out = run_cli(["--identity", "digamma", "--alpha", "1.5",
@@ -222,11 +222,11 @@ class TestMain:
         assert report["diagnostics"]["error"].startswith(name + ": ")
 
     def test_floating_point_error_is_a_failing_report(self):
-        # alpha z = 4e6 i puts cosh(7.1e6 t) into the alpha side's
-        # integrand; left as a warning, its overflow makes NaN on which
-        # the quadrature spends its whole evaluation budget
+        # z = 40i puts cos(sqrt(pi) alpha n z) = cosh(70.9 n) into the
+        # alpha series, which overflows from n = 11; left as a warning, it
+        # would make a NaN side
         extra = {"mobius_limit": 10000, "zeros": None}
-        report, = cli._run_task(("hardy", 1e5, 40j, 1e-8), extra)
+        report, = cli._run_task(("theta", 1.0, 40j, 1e-8), extra)
         assert report["pass"] is False
         assert report["sides"] == {}
         assert report["diagnostics"]["error"].startswith(

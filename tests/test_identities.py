@@ -59,9 +59,8 @@ def aux_battery(params, tol):
     return aux_checks()
 
 
-# the sides integrated against a tabulated Xi weight, and the nodes the
-# double-exponential rule passes to a kernel at its starting step
-XI_SIDES = ("xi_integral", "real_axis", "contour")
+# the nodes the double-exponential rule passes to a kernel at its
+# starting step
 START_NODES = 321
 
 
@@ -71,10 +70,9 @@ START_NODES = 321
     lambda params, tol: verify_ramanujan_digamma(params.alpha, tol),
     aux_battery])
 def test_quadrature_sides_carry_their_cost_and_error(verify):
-    # every Xi side takes the tabulated double-exponential rule, 321
-    # kernel nodes at its starting step out to t = 243.7; every other
-    # quadrature side, and the adaptive half of aux:xi_rules, adaptive
-    # Gauss-Kronrod
+    # every quadrature side, Xi, physical or auxiliary, takes the
+    # tabulated double-exponential rule, 321 kernel nodes at its starting
+    # step out to t = 243.7
     reps = verify(KernelParams(1.25, 1.0), 1e-8)
     for rep in (reps if isinstance(reps, list) else [reps]):
         quad_sides = [name for name, d in rep.diagnostics.items()
@@ -83,14 +81,9 @@ def test_quadrature_sides_carry_their_cost_and_error(verify):
                                                  "aux:k0_lattice")
         for name in quad_sides:
             d = rep.diagnostics[name]
-            if name in XI_SIDES or name == "tabulated":
-                assert d["path"] == "quad.tabulated"
-                assert d["evaluations"] == START_NODES
-                assert d["truncation_T"] == pytest.approx(243.694, abs=1e-3)
-            else:
-                assert d["path"] == "quad"
-                assert d["evaluations"] > 0
-                assert d["truncation_T"] >= 10.0
+            assert d["path"] == "quad.tabulated"
+            assert d["evaluations"] == START_NODES
+            assert d["truncation_T"] == pytest.approx(243.694, abs=1e-3)
             assert 0.0 < d["abs_error"] < 1e-8
 
 
@@ -161,30 +154,30 @@ class TestTheta:
 
     def test_default_grid_work_counts(self, monkeypatch):
         # one 1F1 series per nabla, and one nabla per cell on the shared
-        # nodes, with no truncation ladder; before, 260 series and 70
-        # truncation calls over the default grid, then at most 100 and 40
-        # with an adaptive Xi side
+        # nodes, one kernel call at the starting step; before, 260 series
+        # and 70 truncation calls over the default grid, then at most 100
+        # and 40 with an adaptive Xi side
         from xiverify import cli, quad, specfun
-        calls = {"series": 0, "f": 0}
+        calls = {"series": 0, "kernel": 0}
         series = specfun._hyp_series
-        truncation = quad._truncation_point
+        tabulated = quad.integrate_tabulated
 
         def counted_series(*args):
             calls["series"] += 1
             return series(*args)
 
-        def counted_truncation(f, tol, rate):
-            def counted_f(ts):
-                calls["f"] += 1
-                return f(ts)
-            return truncation(counted_f, tol, rate)
+        def counted_tabulated(kernel, table, tol):
+            def counted_kernel(t):
+                calls["kernel"] += 1
+                return kernel(t)
+            return tabulated(counted_kernel, table, tol)
 
         monkeypatch.setattr(specfun, "_hyp_series", counted_series)
-        monkeypatch.setattr(quad, "_truncation_point", counted_truncation)
+        monkeypatch.setattr(quad, "integrate_tabulated", counted_tabulated)
         for alpha, z in cli.default_grid():
             assert verify_theta(KernelParams(alpha, z), 1e-8).passed
         assert calls["series"] == 20
-        assert calls["f"] == 0
+        assert calls["kernel"] == 20
 
     def test_series_refuses_before_its_prefactor_overflows(self):
         # e^(-z^2/8) overflows at z = 1e11 i; the sum's term ceiling
@@ -256,13 +249,14 @@ class TestFerrar:
         assert abs(rep.sides["beta_integral"] - want) <= 1e-11
 
     def test_default_grid_work_counts(self, monkeypatch):
-        # Over the CLI's default grid at its default tol, K0 takes 67,946
-        # points; with the direct Bessel sum running from t = 0.2 it took
-        # 1,791,265.  The quadrature does the same work on either K0-sum
-        # route.  The evaluations were 43,095 before the bracket integrals
-        # were split at t = 1 (34,455 of them in the brackets, now 15,204).
+        # Over the CLI's default grid at its default tol, in a fresh
+        # process, K0 takes 1,449 points: the K0-sum table on the 321
+        # nodes of the starting step, once, and the z = 0 Bessel series.
+        # The adaptive bracket integrals took 67,946 (1,791,265 with the
+        # direct Bessel sum running from t = 0.2).
         from xiverify import cli, specfun
         from xiverify import numseries as ns
+        _clear_tables(monkeypatch)
         points = 0
         besselk0 = specfun.besselk0
 
@@ -278,13 +272,10 @@ class TestFerrar:
             rep = verify_ferrar(KernelParams(alpha, z), 1e-8)
             evaluations += sum(d.get("evaluations", 0)
                                for d in rep.diagnostics.values())
-        assert points <= 100000
-        # 23,844 while the truncation ladder took one step per integrand
-        # call; the batched ladder also passes the tail points of steps
-        # past the one it takes, and evaluations count every point passed.
-        # 24,315 while the Xi side ran its own adaptive quadrature (8,760
-        # points); now it passes START_NODES tabulated nodes per cell
-        assert evaluations == 15555 + 20 * START_NODES
+        assert points <= 1500
+        # every side, physical or Xi, passes START_NODES tabulated nodes to
+        # its kernel; the adaptive physical sides passed 15,555 points
+        assert evaluations == 3 * 20 * START_NODES
 
 
 class TestRamanujanBose:
@@ -305,56 +296,51 @@ class TestRamanujanBose:
 
     def test_z_zero_invariant_reuses_the_weighted_side(self, monkeypatch):
         # alpha lhs(alpha, 0) is the weighted side times alpha, so z = 0
-        # adds one adaptive quadrature, lhs(beta, 0), to the weighted
-        # side's; the Xi side is one tabulated integral, whose kernel sees
-        # each node once (the t and -t halves as two rows of one call).
-        # Each side's evaluations are the points its integrand or kernel
-        # saw
+        # adds one quadrature, lhs(beta, 0), to the weighted side's; both
+        # integrate the Bose weight's table, the Xi side the Xi table.
+        # Each kernel sees each node once (the two halves of a fold, or
+        # of a cosine, as two rows of one call), and each side's
+        # evaluations are the nodes its kernel saw
+        from xiverify import identities as I
         from xiverify import quad
-        semi = quad.integrate_semi_infinite
         tabulated = quad.integrate_tabulated
-        points, nodes = [], []
-
-        def counted(f, seen):
-            def g(t):
-                seen[-1] += np.size(t)
-                return f(t)
-            return g
-
-        def spy(f, tol, rate):
-            points.append(0)
-            return semi(counted(f, points), tol, rate)
+        tables, nodes = [], []
 
         def spy_tabulated(kernel, table, tol):
+            tables.append(table)
             nodes.append(0)
-            return tabulated(counted(kernel, nodes), table, tol)
 
-        monkeypatch.setattr(quad, "integrate_semi_infinite", spy)
+            def counted(t):
+                nodes[-1] += t.shape[-1]
+                return kernel(t)
+            return tabulated(counted, table, tol)
+
         monkeypatch.setattr(quad, "integrate_tabulated", spy_tabulated)
         rep = verify_ramanujan_bose(KernelParams(2.0, 0.0), 1e-8)
         assert rep.passed
-        assert len(points) == 2 and nodes == [START_NODES]
+        assert tables == [I._PHI_BOSE, I._XI_BOSE, I._PHI_BOSE]
+        assert nodes == [START_NODES] * 3
         d = rep.diagnostics
         assert d["invariant_beta"] == {"path": "weighted_integral"}
         assert rep.sides["invariant_beta"] == 2.0 * rep.sides[
             "weighted_integral"]
         evaluations = [d[name]["evaluations"] for name in
                        ("weighted_integral", "xi_integral", "invariant_alpha")]
-        assert evaluations == [points[0], nodes[0], points[1]]
+        assert evaluations == nodes
 
     @pytest.mark.parametrize("alpha", [1e3, 1e4, 1e5])
     def test_narrow_gaussian_weighted_side_covers_its_error(self, alpha):
-        # e^(-pi alpha^2 t^2) is zero at every truncation probe on
-        # (0, 25]; the probes move toward 0 first.  Either the cell
-        # passes, or the weighted side's abs_error, scaled by its
-        # prefactor 4 pi sqrt(alpha), covers its distance from the Xi side
+        # e^(-pi alpha^2 t^2) is gone by t = 1e-3; the double-exponential
+        # nodes cluster at 0, where it lives.  Either the cell passes, or
+        # the weighted side's abs_error, scaled by its prefactor
+        # 4 pi sqrt(alpha), covers its distance from the Xi side
         rep = verify_ramanujan_bose(KernelParams(alpha, 0.0), 1e-8)
         d = rep.diagnostics
         gap = abs(rep.sides["weighted_integral"] - rep.sides["xi_integral"])
         assert rep.passed or gap <= (
             4.0 * np.pi * np.sqrt(alpha) * d["weighted_integral"]["abs_error"]
             + d["xi_integral"]["abs_error"] / (8.0 * np.pi ** 1.5))
-        assert d["weighted_integral"]["truncation_T"] < 1.0
+        assert d["weighted_integral"]["path"] == "quad.tabulated"
         # lhs = alpha^(-3/2) (1 - (pi/6)/alpha + ...) as alpha grows
         lead = rep.sides["xi_integral"] * alpha ** 1.5
         assert abs(lead - 1.0) <= 1.0 / alpha
@@ -400,8 +386,24 @@ XI_SIDE_SCALES = {
 }
 
 
-def _clear_xi_tables(monkeypatch):
-    """Empty every Xi weight table, as in a fresh process."""
+# The reference rule: 48-point Gauss-Legendre on [0, 1e-12] and on 40
+# geometric panels over [1e-12, 250], nodes the double-exponential rule
+# does not share.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(48)
+_GL_EDGES = np.concatenate([[0.0], np.geomspace(1e-12, 250.0, 41)])
+_GL_HALF = 0.5 * np.diff(_GL_EDGES)
+GL_NODES = ((_GL_EDGES[:-1] + _GL_HALF)[:, None]
+            + _GL_HALF[:, None] * _GL_X).ravel()
+
+
+def gauss_legendre(values):
+    """int_0^250 f(t) dt from f at GL_NODES, its rows summed."""
+    y = np.asarray(values).reshape(-1, _GL_HALF.size, _GL_X.size).sum(0)
+    return _GL_HALF @ (y @ _GL_W)
+
+
+def _clear_tables(monkeypatch):
+    """Empty every weight table, Xi or phi, as in a fresh process."""
     from xiverify import identities, quad
     for name, table in vars(identities).items():
         if isinstance(table, quad.NodeTable):
@@ -438,7 +440,7 @@ class TestTabulatedXiSides:
             monkeypatch.setattr(identities, name, spy)
         counts = []
         for cells in (_seeded_box(0)[:1], _seeded_box(36)):
-            _clear_xi_tables(monkeypatch)
+            _clear_tables(monkeypatch)
             for key in seen:
                 seen[key] = 0
             for alpha, z in cells:
@@ -462,17 +464,17 @@ class TestTabulatedXiSides:
                 (verify_hardy, KernelParams(0.5, 1.0 + 0.5j))]
         snapshots = []
         for order in (runs, runs[::-1]):
-            _clear_xi_tables(monkeypatch)
+            _clear_tables(monkeypatch)
             sides = {}
             for verify, params in order:
-                rep = verify(params, 1e-8)
-                sides[verify] = {k: rep.sides[k]
-                                 for k in XI_SIDE_SCALES[verify]}
+                sides[verify] = verify(params, 1e-8).sides
             bits = {name: [w.tobytes() for _, _, w in t._batches]
                     for name, t in tables.items()}
             snapshots.append((sides, bits))
         assert snapshots[0] == snapshots[1]
-        assert all(len(b) == 2 for b in snapshots[0][1].values())
+        # only the auxiliary checks use the log and ones tables
+        assert {name: len(b) for name, b in snapshots[0][1].items()} == {
+            name: 0 if name in ("_LOG", "_ONES") else 2 for name in tables}
 
     @pytest.mark.parametrize("verify", list(XI_SIDE_SCALES))
     def test_abs_error_covers_the_next_finer_step(self, verify, monkeypatch):
@@ -492,31 +494,35 @@ class TestTabulatedXiSides:
                 assert gap <= d["abs_error"]
 
     def test_tabulated_and_adaptive_rules_agree_on_the_anchors(self):
-        # each Xi integral by the tabulated rule at the sides' tolerance
-        # and by adaptive Gauss-Kronrod at 1e-13 on the same integrand
+        # every tabulated integral, Xi or physical side, by the
+        # double-exponential rule at the sides' tolerance and by the
+        # reference rule on the same weight and kernel
         from xiverify import identities as I
         from xiverify import quad
+        tables = (I._XI_NABLA, I._XI_HARDY, I._XI_FERRAR, I._XI_AXIS,
+                  I._XI_DIGAMMA, I._XI_BOSE, I._XI_CONTOUR, I._PHI_HARDY,
+                  I._PHI_FERRAR, I._PHI_BOSE)
+        weights = {table: table(GL_NODES) for table in tables}
         worst = 0.0
         for alpha, z in ANCHORS:
             p = KernelParams(alpha, z)
             nabla = I._nabla_at(p)
-            for kernel, table, rate in (
-                    (nabla, I._XI_NABLA, np.pi / 8.0),
-                    (nabla, I._XI_HARDY, np.pi / 2.0),
-                    (nabla, I._XI_FERRAR, np.pi / 8.0),
-                    (nabla, I._XI_AXIS, np.pi / 8.0),
+            k = 0.5 / np.pi
+            for kernel, table in (
+                    (nabla, I._XI_NABLA), (nabla, I._XI_HARDY),
+                    (nabla, I._XI_FERRAR), (nabla, I._XI_AXIS),
                     (lambda t: np.cos(0.5 * t * np.log(alpha)),
-                     I._XI_DIGAMMA, np.pi / 4.0),
-                    (I._rho_pair_at(p, 1.5, 0.5), I._XI_BOSE, np.pi / 4.0),
-                    (I._rho_pair_at(p, 0.5, 1.0), I._XI_CONTOUR,
-                     np.pi / 4.0)):
+                     I._XI_DIGAMMA),
+                    (I._rho_pair_at(p, 1.5, 0.5), I._XI_BOSE),
+                    (I._rho_pair_at(p, 0.5, 1.0), I._XI_CONTOUR),
+                    (I._gaussian_cosine(alpha, z), I._PHI_HARDY),
+                    (I._gaussian_cosine(1.0 / alpha, 1j * z), I._PHI_HARDY),
+                    (I._gaussian_cosine(k * alpha, z), I._PHI_FERRAR),
+                    (I._gaussian_cosine(k / alpha, 1j * z), I._PHI_FERRAR),
+                    (I._gaussian_cosine(alpha, z), I._PHI_BOSE)):
                 tab = quad.integrate_tabulated(kernel, table, 2.5e-9)
-
-                def f(t, kernel=kernel, table=table):
-                    return (table(t) * kernel(t)).reshape(-1, t.size).sum(0)
-
-                ada = quad.integrate_semi_infinite(f, 1e-13, rate)
-                worst = max(worst, abs(tab.value - ada.value))
+                ref = gauss_legendre(weights[table] * kernel(GL_NODES))
+                worst = max(worst, abs(tab.value - ref))
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("verify", [
@@ -524,8 +530,8 @@ class TestTabulatedXiSides:
     def test_edge_cell_fails_fast_at_the_finest_step(self, verify,
                                                      monkeypatch):
         # at (1, 14) the Xi sides cannot reach tol/4 (the sides are about
-        # 1e10); the rule stops after 1281 kernel nodes, where adaptive
-        # quadrature spent its 100,000-point budget
+        # 1e10); the rule stops after 1281 kernel nodes.  Bose's weighted
+        # side runs first, and passes at the starting step
         from xiverify import quad
         real = quad.integrate_tabulated
         nodes = []
@@ -541,7 +547,62 @@ class TestTabulatedXiSides:
                 r"^quad: double-exponential rule at its finest step "
                 r"h = 1/128 \(1281 nodes\) estimates error")):
             verify(KernelParams(1.0, 14.0), 1e-8)
-        assert nodes == [START_NODES, 320, 640]
+        weighted = [START_NODES] if verify is verify_ramanujan_bose else []
+        assert nodes == weighted + [START_NODES, 320, 640]
+
+
+class TestTabulatedPhysicalSides:
+    """hardy's, ferrar's and Bose's phi, tabulated like the Xi weights."""
+
+    @pytest.mark.parametrize("verify,alpha,z", [
+        (verify_hardy, 10.0, 2j), (verify_hardy, 5.0, 4j),
+        (verify_ramanujan_bose, 10.0, 2j)])
+    def test_no_overflow_past_alpha_times_imaginary_z_of_16(self, verify,
+                                                           alpha, z):
+        # e^(-pi x^2 t^2) cos(sqrt(pi) x t w), taken as a product, overflowed
+        # cos here; as two exponentials each stays below e^(|Im w|^2/4)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            rep = verify(KernelParams(alpha, z), 1e-8)
+        assert rep.passed
+        assert max(rep.residuals.values()) <= 1e-14
+
+    @pytest.mark.parametrize("verify", [verify_hardy, verify_ferrar])
+    def test_physical_sides_match_the_xi_side(self, verify):
+        worst = 0.0
+        for alpha, z in DEFAULT_GRID:
+            rep = verify(KernelParams(alpha, z), 1e-8)
+            worst = max(worst, rep.residuals["alpha_integral|xi_integral"],
+                        rep.residuals["beta_integral|xi_integral"])
+        assert worst <= 1e-13
+
+    # nodes of the level-0 batch, t = exp(u - e^(-u)) at u = -4.5 + k/16:
+    # the first and last (8.9e-42 and 243.7) and some between
+    NODES = (0, 24, 70, 81, 97, 99, 127, 160)
+    # sum_n K0(n t) - pi/(2t) by 30-digit mpmath sums of besselk at the
+    # nodes from k = 70 on
+    K0_SUMS = {70: -1.606592445279515394461634,
+               81: -0.9879289795606315401577645,
+               97: -0.3929119153524228483842012,
+               99: -0.3431086153969028128314396,
+               127: -0.05214263434060306316094331,
+               160: -0.006445774215508534942011229}
+
+    def test_phi_across_the_node_range(self):
+        import mpmath
+        from xiverify import identities as I
+        from xiverify import quad
+        t = quad._de_batch(0)[0][list(self.NODES)]
+        assert (t[0], t[-1]) == (pytest.approx(8.948e-42, rel=1e-3),
+                                 pytest.approx(243.694, rel=1e-5))
+        hardy, ferrar = I._PHI_HARDY(t), I._PHI_FERRAR(t)
+        for k, tk, h, f in zip(self.NODES, t, hardy, ferrar):
+            with mpmath.workdps(30):
+                want = mpmath.digamma(tk + 1) - mpmath.log(tk)
+            assert abs(h - float(want)) <= 1e-15 * max(1.0, abs(h))
+            # below t = 1e-8 the small-t form, whose next term is O(t^2)
+            want = self.K0_SUMS.get(
+                k, 0.5 * (EULER_GAMMA + np.log(tk / (4.0 * np.pi))))
+            assert abs(f - want) <= 1e-15 * max(1.0, abs(f))
 
 
 class TestRhl:
@@ -608,14 +669,13 @@ class TestRhl:
 class TestAuxiliaryForms:
     def test_battery_passes(self):
         reports = aux_checks()
-        assert len(reports) == 15
+        assert len(reports) == 14
         assert all(r.passed for r in reports)
         ids = {r.identity_id for r in reports}
         assert ids == {"aux:gaussian_cosine", "aux:gaussian_cosine_moment",
                        "aux:log_gaussian", "aux:cotangent",
                        "aux:gaussian_bessel", "aux:k0_lattice",
-                       "aux:inverse_mellin", "aux:inverse_mellin_kernel",
-                       "aux:xi_rules"}
+                       "aux:inverse_mellin", "aux:inverse_mellin_kernel"}
 
     def test_log_gaussian_closed_form_z_zero(self):
         # at z = 0 the 2F2 drops out: -(gamma + log(4 pi a^2))/(4a)

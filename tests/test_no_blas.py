@@ -75,18 +75,22 @@ def test_zeta_eta_matches_matrix_product(m, n):
     assert np.max(np.abs(zeta_eta(z, n) - want) / size) <= 1e-14
 
 
-@pytest.mark.parametrize("panels", [1, 64, 3000])
-def test_panel_rule_matches_matrix_product(panels):
-    def f(t):
-        return np.exp((1j - 0.05) * t) / (1.0 + t * t)
+@pytest.mark.parametrize("rows", [1, 64, 3000])
+def test_panel_rule_matches_matrix_product(rows):
+    # integrate_tabulated's reduction: the rows of weight times kernel
+    # summed, then each level's terms, against h (jac w) @ kernel rows
+    freqs = np.linspace(0.0, 2.0, rows)
 
-    edges = np.linspace(0.0, 40.0, panels + 1)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    y = f(0.5 * (lo + hi)[:, None] + half[:, None] * quad._NODES)
-    k15_want = half * (y @ quad._KRONROD_W)
-    err_want = np.abs(k15_want - half * (y @ quad._GAUSS_W))
-    size = half * (np.abs(y) @ quad._KRONROD_W)
-    k15, err = quad._panel_rule(f, lo, hi)
-    assert np.max(np.abs(k15 - k15_want) / size) <= 1e-14
-    assert np.max(np.abs(err - err_want) / size) <= 1e-14
+    def kernel(t):
+        return np.exp(1j * freqs[:, None] * t) / (1.0 + t * t)
+
+    table = quad.NodeTable(lambda t: np.exp(-0.05 * t))
+    res = quad.integrate_tabulated(kernel, table, 1.0)
+    t, jac, w = (np.concatenate(parts) for parts in zip(
+        *(table.batch(L) for L in range(quad._DE_START + 1))))
+    y = kernel(t)
+    h = quad._DE_H0 / 2 ** quad._DE_START
+    want = h * (np.ones(rows) @ y @ (jac * w))
+    size = h * (np.ones(rows) @ np.abs(y) @ (jac * w))
+    assert res.evaluations == t.size
+    assert abs(res.value - want) / size <= 1e-14
