@@ -67,7 +67,7 @@ _FAMILIES = {
                 lambda p, tol, x: [verify_ramanujan_digamma(p.alpha, tol)]),
     "lineint": (_each_point,
                 lambda p, tol, x: [verify_line_integral(p, tol)]),
-    "aux": (_once, lambda p, tol, x: aux_checks()),
+    "aux": (_once, lambda p, tol, x: aux_checks(tol)),
     "rhl": (_each_point, lambda p, tol, x: [verify_rhl(
         p, x["zeros"], x["mobius_limit"], tol)]),
 }

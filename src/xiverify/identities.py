@@ -13,13 +13,16 @@ theorem's integral class
 
     int_0^inf Xi(t/2)/(1+t^2) nabla(alpha, z, (1+it)/2) w(t) dt,
 
-written once here as _xi_nabla_integral; each family supplies its weight
-w (theta 1, hardy 1/cosh(pi t/2), ferrar |Gamma((1+it)/4)|^2, the line
-integral's real-axis side 4).  The twin integral sides are transforms
-against one physical-side kernel,
+nabla(alpha, z, s) = rho(alpha, z, s) + rho(alpha, z, 1-s): one
+whole-line rho integral folded onto the half line.  Every Xi side is such
+a rho integral, written once here as _xi_side; a family supplies its
+weight (theta 1, hardy 1/cosh(pi t/2), ferrar |Gamma((1+it)/4)|^2, the
+line integral's real-axis side 4) and the line c + ikt of its rho.  The
+twin integral sides are transforms against one physical-side kernel,
 int_0^inf phi(t) e^(-pi x^2 t^2) cos(sqrt(pi) x t w) dt, which
-_gaussian_cosine builds (phi: hardy psi(t+1) - log t, ferrar the
-pole-subtracted K0 sum at x = alpha/(2 pi), Bose t/(e^(2 pi t) - 1)).
+_gaussian_cosine builds and _gaussian_twin takes at both points (phi:
+hardy psi(t+1) - log t, ferrar the pole-subtracted K0 sum at
+x = alpha/(2 pi), Bose t/(e^(2 pi t) - 1)).
 Every integral, Xi side, physical side or auxiliary check, integrates a
 weight that does not depend on (alpha, z), tabulated once per process on
 shared double-exponential nodes (quad.NodeTable), against a kernel that
@@ -42,8 +45,7 @@ from . import numseries as ns
 from . import quad
 from .specfun import (EULER_GAMMA, besselk0_scaled, digamma, hyp1f1,
                       hyp2f2_11, lngamma, mobius_sieve)
-from .xikernel import (KernelParams, nabla_kernel, rho_kernel, xi_cap,
-                       xi_small)
+from .xikernel import KernelParams, rho_kernel, xi_cap, xi_small
 
 _SQRT_PI = np.sqrt(np.pi)
 
@@ -63,7 +65,7 @@ class VerificationReport:
     "name_a|name_b" to the normalized difference.  passed is True iff all
     residuals (including any imaginary-part residuals added by the
     operation) are within tolerance.  diagnostics carries per-side
-    provenance: evaluation counts and truncation points for quadrature
+    provenance: evaluation counts and error estimates for quadrature
     sides, term/zero counts for series sides, or, when a check could not
     be evaluated, the reason under "error" (with no sides or residuals).
     """
@@ -113,7 +115,7 @@ def _report(identity_id, params, sides, tol, pairs=None,
 
 def _quad_diag(res):
     return {"path": "quad.tabulated", "evaluations": res.evaluations,
-            "truncation_T": res.truncation_T, "abs_error": res.abs_error}
+            "abs_error": res.abs_error}
 
 
 def _abs_gamma_sq(s):
@@ -164,23 +166,17 @@ _LOG = quad.NodeTable(np.log)
 _ONES = quad.NodeTable(np.ones_like)
 
 
-def _nabla_at(params):
-    """t -> nabla(alpha, z, (1+it)/2), the kernel of the integral class."""
+def _xi_side(params, c, k, table, tol):
+    """int_{-inf}^{inf} W(t) rho(alpha, z, c + ikt) dt, folded onto the
+    half line: W is tabulated in table, one row if it is even, else W(t)
+    and W(-t), and rho at c +- ikt are the two rows of one rho_kernel
+    call, one 1F1 series that stops when both rows have converged.  At
+    c = 1/2 the rows are s and 1 - s and sum to nabla(alpha, z, s).
+    """
     a, z = params.alpha, params.z
-    return lambda t: nabla_kernel(a, z, 0.5 * (1.0 + 1j * t))
-
-
-def _rho_pair_at(params, c, k):
-    """t -> rho(alpha, z, c + ikt) and rho(alpha, z, c - ikt), one row
-    each: a whole-line integrand folded onto [0, inf) in one call."""
-    a, z = params.alpha, params.z
-    return lambda t: rho_kernel(a, z, c + 1j * k * np.stack([t, -t]))
-
-
-def _xi_nabla_integral(params, tol, table):
-    """int_0^inf Xi(t/2)/(1+t^2) nabla(alpha, z, (1+it)/2) w(t) dt, with
-    Xi(t/2)/(1+t^2) w(t) tabulated in table."""
-    return quad.integrate_tabulated(_nabla_at(params), table, tol)
+    return quad.integrate_tabulated(
+        lambda t: rho_kernel(a, z, c + 1j * k * np.stack([t, -t])), table,
+        tol)
 
 
 def _gaussian_cosine(x, w):
@@ -194,6 +190,18 @@ def _gaussian_cosine(x, w):
         return 0.5 * np.exp(np.stack([gauss + phase, gauss - phase]))
 
     return kernel
+
+
+def _gaussian_twin(params, phi, scale, tol):
+    """The twin sides sqrt(x) e^(w^2/8) int_0^inf phi(t) e^(-pi y^2 t^2)
+    cos(sqrt(pi) y t w) dt, y = x/scale, phi a table, as (value,
+    diagnostics) records at (x, w) = (alpha, z) and (beta, iz)."""
+    def side(x, w):
+        r = quad.integrate_tabulated(_gaussian_cosine(x / scale, w), phi,
+                                     tol)
+        return np.sqrt(x) * np.exp(w * w / 8.0) * r.value, _quad_diag(r)
+
+    return side(params.alpha, params.z), side(params.beta, 1j * params.z)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +224,7 @@ def verify_theta(params, tol):
                                - np.exp(z * z / 8.0) * sum_a)
     side_beta = np.sqrt(b) * (np.exp(z * z / 8.0) / (2.0 * b)
                               - np.exp(-z * z / 8.0) * sum_b)
-    res = _xi_nabla_integral(params, qtol, _XI_NABLA)
+    res = _xi_side(params, 0.5, 0.5, _XI_NABLA, qtol)
     return _report("theta", params, {
         "alpha_series": (side_alpha, {"path": "numseries.theta_sum"}),
         "beta_series": (side_beta, {"path": "numseries.cosh_theta_sum"}),
@@ -234,6 +242,8 @@ def verify_ramanujan_digamma(alpha, tol):
     evaluated at alpha and at 1/alpha, against
     -(1/pi^(3/2)) int_0^inf Xi(t/2)^2 |Gamma((-1+it)/4)|^2
                              cos((t/2) log alpha) / (1+t^2) dt.
+    The integral is half the Xi side at z = 0, whose rho pair at
+    (1 +- it)/2 is 2 cos((t/2) log alpha); its target doubles with it.
     """
     a = float(alpha)
     params = KernelParams(a, 0.0)
@@ -246,12 +256,12 @@ def verify_ramanujan_digamma(alpha, tol):
                              / (2.0 * x) + s)
 
     side_alpha, side_beta = series_side(a), series_side(b)
-    res = quad.integrate_tabulated(lambda t: np.cos(0.5 * t * np.log(a)),
-                                   _XI_DIGAMMA, qtol)
+    res = _xi_side(params, 0.5, 0.5, _XI_DIGAMMA, 2.0 * qtol)
     return _report("digamma", params, {
         "alpha_series": (side_alpha, {"path": "numseries.lambda_sum"}),
         "beta_series": (side_beta, {"path": "numseries.lambda_sum"}),
-        "xi_integral": (-res.value / np.pi ** 1.5, _quad_diag(res))}, tol)
+        "xi_integral": (-0.5 * res.value / np.pi ** 1.5, _quad_diag(res))},
+        tol)
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +276,11 @@ def verify_hardy(params, tol):
     X(x, w) = int_0^inf (psi(t+1) - log t) e^(-pi x^2 t^2)
     cos(sqrt(pi) x t w) dt, log-singular at t = 0.
     """
-    a, z = params.alpha, params.z
-    b = params.beta
     qtol = 0.25 * tol
-
-    def side(x, w):
-        return quad.integrate_tabulated(_gaussian_cosine(x, w), _PHI_HARDY,
-                                        qtol)
-
-    ra, rb = side(a, z), side(b, 1j * z)
-    res = _xi_nabla_integral(params, qtol, _XI_HARDY)
+    side_a, side_b = _gaussian_twin(params, _PHI_HARDY, 1.0, qtol)
+    res = _xi_side(params, 0.5, 0.5, _XI_HARDY, qtol)
     return _report("hardy", params, {
-        "alpha_integral": (np.sqrt(a) * np.exp(z * z / 8.0) * ra.value,
-                           _quad_diag(ra)),
-        "beta_integral": (np.sqrt(b) * np.exp(-z * z / 8.0) * rb.value,
-                          _quad_diag(rb)),
+        "alpha_integral": side_a, "beta_integral": side_b,
         "xi_integral": (res.value, _quad_diag(res))}, tol)
 
 
@@ -310,23 +310,13 @@ def verify_ferrar(params, tol):
     Gaussian-cosine transform at width x/(2 pi) of sum_n K0(n t) - pi/(2t),
     which is (gamma + log(t/(4 pi)))/2 + O(t^2) near 0: log-singular.
     """
-    a, z = params.alpha, params.z
-    b = params.beta
     qtol = 0.25 * tol
-
-    def side(x, w):
-        return quad.integrate_tabulated(
-            _gaussian_cosine(x / (2.0 * np.pi), w), _PHI_FERRAR, qtol)
-
-    ra, rb = side(a, z), side(b, 1j * z)
-    res = _xi_nabla_integral(params, qtol, _XI_FERRAR)
-    sides = {"alpha_integral": (np.sqrt(a) * np.exp(z * z / 8.0) * ra.value,
-                                _quad_diag(ra)),
-             "beta_integral": (np.sqrt(b) * np.exp(-z * z / 8.0) * rb.value,
-                               _quad_diag(rb)),
+    side_a, side_b = _gaussian_twin(params, _PHI_FERRAR, 2.0 * np.pi, qtol)
+    res = _xi_side(params, 0.5, 0.5, _XI_FERRAR, qtol)
+    sides = {"alpha_integral": side_a, "beta_integral": side_b,
              "xi_integral": (-res.value / (2.0 * _SQRT_PI), _quad_diag(res))}
-    if z == 0.0:
-        sides["bessel_series"] = (ferrar_bessel_closed_form(a),
+    if params.z == 0.0:
+        sides["bessel_series"] = (ferrar_bessel_closed_form(params.alpha),
                                   {"path": "numseries.ferrar_bessel_sum"})
     return _report("ferrar", params, sides, tol)
 
@@ -360,15 +350,13 @@ def verify_ramanujan_bose(params, tol):
     a, z = params.alpha, params.z
     qtol = 0.25 * tol
     lhs, rl = _bose_left_side(a, z, qtol)
-    res = quad.integrate_tabulated(_rho_pair_at(params, 1.5, 0.5), _XI_BOSE,
-                                   qtol)
+    res = _xi_side(params, 1.5, 0.5, _XI_BOSE, qtol)
     rhs = res.value / (8.0 * np.pi ** 1.5)
     sides = {"weighted_integral": (lhs, _quad_diag(rl)),
              "xi_integral": (rhs, _quad_diag(res))}
     pairs = [("weighted_integral", "xi_integral")]
     extra = {}
-    zsq = z * z
-    if zsq.imag == 0.0:
+    if (z * z).imag == 0.0:
         extra["xi_integral_imag"] = abs(rhs.imag) / (1.0 + abs(rhs))
     if z == 0.0:
         b = params.beta
@@ -445,13 +433,13 @@ def verify_line_integral(params, tol):
     The weight 4/(1+t^2) is f(t/2) for f(t) = 1/(t^2 + 1/4), which is the
     (s(1-s))^(-1) factor restricted to s = (1+it)/2.  The two sides take
     their own nodes (t on the real axis, u = Im s on the contour), their
-    own Xi (xi_cap, xi_small) and their own kernel (nabla, rho).
+    own Xi (xi_cap, xi_small) and their own rho pair ((1 +- it)/2 and
+    1/2 +- iu).
     """
     qtol = 0.25 * tol
-    r_axis = _xi_nabla_integral(params, qtol, _XI_AXIS)
+    r_axis = _xi_side(params, 0.5, 0.5, _XI_AXIS, qtol)
     # s = 1/2 + iu with u and -u as rows, and ds = i du
-    r_line = quad.integrate_tabulated(_rho_pair_at(params, 0.5, 1.0),
-                                      _XI_CONTOUR, qtol)
+    r_line = _xi_side(params, 0.5, 1.0, _XI_CONTOUR, qtol)
     return _report("lineint", params, {
         "real_axis": (r_axis.value, _quad_diag(r_axis)),
         "contour": (2.0 * r_line.value, _quad_diag(r_line))}, tol)
@@ -472,9 +460,8 @@ def log_gaussian_integral(alpha, z):
     a = float(alpha)
     if a <= 0.0:
         raise ValueError("log_gaussian_integral: alpha must be positive")
-    z = complex(z)
-
-    r = quad.integrate_tabulated(_gaussian_cosine(a, z), _LOG, 1e-12)
+    r = quad.integrate_tabulated(_gaussian_cosine(a, complex(z)), _LOG,
+                                 1e-12)
     return r.value, _quad_diag(r)
 
 
@@ -489,7 +476,8 @@ def log_gaussian_closed_form(alpha, z):
 
 
 def cotangent_partial_fraction_check(t):
-    """|sum_n 1/(t^2+n^2) - (pi/t)(1/(e^(2 pi t)-1) - 1/(2 pi t) + 1/2)|.
+    """sum_n 1/(t^2+n^2) and its closed form
+    (pi/t)(1/(e^(2 pi t)-1) - 1/(2 pi t) + 1/2), returned as a pair.
 
     The series is summed directly to N ~ max(1000, 50 t) and completed
     with the Euler-Maclaurin tail int_N^inf dn/(t^2+n^2) - f(N)/2
@@ -509,94 +497,64 @@ def cotangent_partial_fraction_check(t):
     x = 2.0 * np.pi * t
     bracket = (x * np.polyval(_COT_SERIES, x * x) if x < 1.0
                else 1.0 / np.expm1(x) - 1.0 / x + 0.5)
-    closed = (np.pi / t) * bracket
-    return abs(head + tail - closed)
+    return head + tail, (np.pi / t) * bracket
 
 
 def ferrar_gaussian_bessel_check(alpha, n):
-    """|int_0^inf e^(-a^2 t^2/(4 pi)) dt / sqrt(t^2 + 4 pi^2 n^2)
-    - (1/2) e^(x) K0(x)|, x = pi a^2 n^2 / 2; quadrature vs closed form.
+    """int_0^inf e^(-a^2 t^2/(4 pi)) dt / sqrt(t^2 + 4 pi^2 n^2) by
+    quadrature and its closed form (1/2) e^(x) K0(x), x = pi a^2 n^2 / 2.
 
-    Returns (residual, diagnostics of the quadrature).
+    Returns (quadrature value, closed form, diagnostics of the quadrature).
     """
     a = float(alpha)
     if a <= 0.0 or n < 1:
         raise ValueError("ferrar_gaussian_bessel_check: need alpha > 0, n >= 1")
-
     gauss = _gaussian_cosine(a / (2.0 * np.pi), 0.0)
     r = quad.integrate_tabulated(
         lambda t: gauss(t) / np.sqrt(t * t + 4.0 * np.pi * np.pi * n * n),
         _ONES, 1e-12)
     closed = 0.5 * besselk0_scaled(0.5 * np.pi * a * a * n * n)
-    return abs(r.value - closed), _quad_diag(r)
+    return r.value, closed, _quad_diag(r)
 
 
 def watson_lattice_residual(t):
-    """Residual of the K0-sum lattice identity at t, combining the direct
-    Bessel route with the square-root lattice route:
+    """The two sides of the K0-sum lattice identity at t, the direct
+    Bessel route and the square-root lattice route, returned as a pair:
 
-    |2 sum K0(n t) - pi (1/t + 2 S(t)) - gamma - log(t/2) + log(2 pi)|,
+    2 sum K0(n t) = pi (1/t + 2 S(t)) + gamma + log(t/2) - log(2 pi),
     S(t) = sum_n (1/sqrt(t^2 + 4 pi^2 n^2) - 1/(2 pi n)).
 
     The Bessel sum comes from numseries.k0_sum_direct at every t >= 0.2
     (smaller t raises ValueError), not from k0_sum_minus_pole, which
     takes the lattice route itself below t = 4; so the two routes stay
-    independent on both sides of that seam.  The residual is at most
+    independent on both sides of that seam.  The two differ by at most
     3.1e-15 at 100 points of [0.2, 4] and 8.9e-16 at 100 points of
     [4, 10].
     """
     t = float(t)
-    direct = ns.k0_sum_direct(t)
-    lattice = ns.sqrt_lattice_sum(t)
-    return abs(2.0 * direct - np.pi * (1.0 / t + 2.0 * lattice)
-               - EULER_GAMMA - np.log(0.5 * t) + np.log(2.0 * np.pi))
+    return (2.0 * ns.k0_sum_direct(t),
+            np.pi * (1.0 / t + 2.0 * ns.sqrt_lattice_sum(t)) + EULER_GAMMA
+            + np.log(0.5 * t) - np.log(2.0 * np.pi))
 
 
-def inverse_mellin_gaussian_check(alpha=1.0, b=1.0, x=2.0, c=1.0):
-    """Vertical-line recovery of e^(-a x^2) cos(b x) from its Mellin image.
+def inverse_mellin_check(x, z, c):
+    """e^(-x^2) cos(xz) recovered from the Mellin image of rho on the
+    vertical line s = c + iu, c > 0:
 
-    (1/(2 pi i)) int_{c} (1/2) Gamma(s/2) e^(-b^2/(4a))
-        1F1((1-s)/2; 1/2; b^2/(4a)) a^(s/2 - ...) x^(-s) ds reduces, at
-    a = b = 1, to the quoted quarter-argument form; returns
-    (|integral - e^(-a x^2) cos(b x)| at the requested point, diagnostics
-    of the quadrature).
+    (1/(2 pi)) int Gamma(s/2) rho(x, z, s) du = 2 sqrt(x) e^(z^2/8 - x^2)
+    cos(xz).  Returns (recovered e^(-x^2) cos(xz), diagnostics of the
+    quadrature).
     """
-    a = float(alpha)
-    w = b * b / (4.0 * a)
+    x, z = float(x), complex(z)
 
-    def g(s):
-        return (0.5 * np.exp(lngamma(0.5 * s)) * np.exp(-w)
-                * hyp1f1(0.5 * (1.0 - s), 0.5, w)
-                * np.exp(-s * np.log(x * np.sqrt(a))))
+    def kernel(u):
+        # u and -u as rows
+        s = c + 1j * np.stack([u, -u])
+        return np.exp(lngamma(0.5 * s)) * rho_kernel(x, z, s)
 
-    # ds = i du on s = c + iu, u and -u as rows
-    r = quad.integrate_tabulated(lambda u: g(c + 1j * np.stack([u, -u])),
-                                 _ONES, 1e-11)
-    value = r.value / (2.0 * np.pi)
-    return abs(value - np.exp(-a * x * x) * np.cos(b * x)), _quad_diag(r)
-
-
-def inverse_mellin_kernel_check(alpha=1.0, n=1, z=1.0):
-    """Vertical-line form of the Gaussian-cosine kernel at Re s = 3/2:
-
-    int Gamma(s/2) 1F1((1-s)/2; 1/2; z^2/4) (sqrt(pi) alpha n)^(-s) ds
-      = 4 pi i e^(-pi alpha^2 n^2 + z^2/4) cos(sqrt(pi) alpha n z);
-    returns (absolute residual, diagnostics of the quadrature).
-    """
-    a = float(alpha)
-    z = complex(z)
-    w = 0.25 * z * z
-
-    def g(s):
-        return (np.exp(lngamma(0.5 * s)) * hyp1f1(0.5 * (1.0 - s), 0.5, w)
-                * np.exp(-s * np.log(_SQRT_PI * a * n)))
-
-    # ds = i du on s = 3/2 + iu, so the u integral is the closed form / i
-    r = quad.integrate_tabulated(lambda u: g(1.5 + 1j * np.stack([u, -u])),
-                                 _ONES, 1e-11)
-    closed = (4.0 * np.pi * np.exp(-np.pi * a * a * n * n + 0.25 * z * z)
-              * np.cos(_SQRT_PI * a * n * z))
-    return abs(r.value - closed), _quad_diag(r)
+    r = quad.integrate_tabulated(kernel, _ONES, 1e-11)
+    scale = 4.0 * np.pi * np.sqrt(x) * np.exp(z * z / 8.0)
+    return r.value / scale, _quad_diag(r)
 
 
 def _aux_pair_report(name, alpha, z, computed, want, tol):
@@ -605,7 +563,7 @@ def _aux_pair_report(name, alpha, z, computed, want, tol):
         "computed": computed, "closed_form": (want, None)}, tol)
 
 
-def aux_checks(tol=1e-9):
+def aux_checks(tol):
     """The battery of auxiliary closed-form checks, one report each."""
     reports = []
 
@@ -631,27 +589,28 @@ def aux_checks(tol=1e-9):
 
     # partial-fraction closed form
     for tv in (1.0, 1e-3, 10.0):
-        resid = cotangent_partial_fraction_check(tv)
+        series, closed = cotangent_partial_fraction_check(tv)
         reports.append(_aux_pair_report(
-            "aux:cotangent", 1.0, tv, (resid, {"path": "numseries"}), 0.0,
-            tol))
+            "aux:cotangent", 1.0, tv, (series, {"path": "numseries"}),
+            closed, tol))
 
     # Gaussian-vs-K0 Laplace transform
     for (aa, nn) in ((1.0, 1), (1.0, 3), (0.5, 1)):
+        value, closed, diag = ferrar_gaussian_bessel_check(aa, nn)
         reports.append(_aux_pair_report(
-            "aux:gaussian_bessel", aa, nn,
-            ferrar_gaussian_bessel_check(aa, nn), 0.0, tol))
+            "aux:gaussian_bessel", aa, nn, (value, diag), closed, tol))
 
     # K0 lattice identity
+    direct, lattice = watson_lattice_residual(1.0)
     reports.append(_aux_pair_report(
-        "aux:k0_lattice", 1.0, 1.0,
-        (watson_lattice_residual(1.0), {"path": "numseries"}), 0.0, tol))
+        "aux:k0_lattice", 1.0, 1.0, (direct, {"path": "numseries"}),
+        lattice, tol))
 
-    # inverse-Mellin recoveries
-    reports.append(_aux_pair_report(
-        "aux:inverse_mellin", 1.0, 2.0,
-        inverse_mellin_gaussian_check(1.0, 1.0, 2.0, 1.0), 0.0, tol))
-    reports.append(_aux_pair_report(
-        "aux:inverse_mellin_kernel", 1.0, 1.0,
-        inverse_mellin_kernel_check(1.0, 1, 1.0), 0.0, tol))
+    # inverse-Mellin recoveries of e^(-x^2) cos(xz) at z = 1, on the
+    # lines Re s = 1 and 3/2
+    for name, x, c in (("aux:inverse_mellin", 2.0, 1.0),
+                       ("aux:inverse_mellin_kernel", _SQRT_PI, 1.5)):
+        reports.append(_aux_pair_report(
+            name, x, 1.0, inverse_mellin_check(x, 1.0, c),
+            np.exp(-x * x) * np.cos(x), tol))
     return reports

@@ -225,7 +225,7 @@ def lambda_sum(alpha):
     return float(head + tail)
 
 
-def mobius_theta_sum(alpha, z, table, n_terms=None):
+def mobius_theta_sum(alpha, z, table):
     """sum_n mu(n)/n f(1/n), f(x) = e^(-pi a^2 x^2) cos(sqrt(pi) a z x) with
     a = alpha, summed absolutely; returns (sum, error_bound).
 
@@ -236,7 +236,7 @@ def mobius_theta_sum(alpha, z, table, n_terms=None):
 
         sum_{n<=N} mu(n)/n (f(1/n) - 1 - d_1/n^2) + d_1/zeta(3),
 
-    N = n_terms (default: the whole table).  With c = pi alpha^2
+    N = table.limit, the whole table.  With c = pi alpha^2
     (1 + |z|^2), |d_m| <= c^m/m!, so the neglected tail is at most
     (c^2/2) e^(c/N^2) / (4 N^4).  Raises ValueError when that bound is not
     finite.  error_bound adds the rounding, eps (4 P + |d_1/zeta(3)| +
@@ -249,12 +249,7 @@ def mobius_theta_sum(alpha, z, table, n_terms=None):
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("mobius_theta_sum: alpha must be positive")
-    N = table.limit if n_terms is None else int(n_terms)
-    if N > table.limit:
-        raise ValueError("mobius_theta_sum: table holds %d values, %d "
-                         "requested" % (table.limit, N))
-    if N < 1:
-        raise ValueError("mobius_theta_sum: need at least one term")
+    N = table.limit
     z = complex(z)
     a2 = math.pi * alpha * alpha
     c = a2 * (1.0 + abs(z) * abs(z))
@@ -264,7 +259,7 @@ def mobius_theta_sum(alpha, z, table, n_terms=None):
     if not math.isfinite(tail):
         raise ValueError("mobius_theta_sum: tail bound at alpha=%g, z=%s, "
                          "N=%d is not finite" % (alpha, z, N))
-    k = table.squarefree[:np.searchsorted(table.squarefree, N, side="right")]
+    k = table.squarefree
     n = k.astype(np.float64)
     mu = table.values[k].astype(np.float64)
     d1 = -a2 * (1.0 + 0.5 * z * z)
@@ -284,9 +279,13 @@ def mobius_theta_sum(alpha, z, table, n_terms=None):
     return complex(terms[::-1].sum()) + d1 / _ZETA3, tail + rounding
 
 
-def _bracket_edges(gammas, a1=0.1):
+_BRACKET_A1 = 0.1  # the closeness constant a1 of the zero-sum brackets
+
+
+def _bracket_edges(gammas):
     """Split ordinates into brackets: consecutive zeros whose gap is below
     exp(-a1 g/log g) + exp(-a1 g'/log g') share a bracket."""
+    a1 = _BRACKET_A1
     edges = [0]
     for i in range(1, len(gammas)):
         g0, g1 = gammas[i - 1], gammas[i]
@@ -298,7 +297,7 @@ def _bracket_edges(gammas, a1=0.1):
     return edges
 
 
-def zero_sum_bracketed(zeros, alpha, z, counts, a1=0.1):
+def zero_sum_bracketed(zeros, alpha, z, counts):
     """Bracketed sums over nontrivial zeros rho = 1/2 + i gamma and
     conjugates, one per count c in counts, over the first c zeros:
 
@@ -307,8 +306,8 @@ def zero_sum_bracketed(zeros, alpha, z, counts, a1=0.1):
 
     Each ordinate contributes its conjugate pair in one bracket, which
     makes the sum real for real alpha and z^2; ordinates closer than the
-    closeness criterion (constant a1) are additionally grouped, though at
-    desk height the gaps never trigger it.  Terms decay like e^(-pi g/4)
+    closeness criterion (constant _BRACKET_A1) are additionally grouped,
+    though at desk height the gaps never trigger it.  Terms decay like e^(-pi g/4)
     through the Gamma factor, so the bracketed partial sums settle after
     a handful of zeros.  The pair terms are evaluated once, on all of
     zeros; each count then sums its own prefix, with the bracket that
@@ -337,7 +336,7 @@ def zero_sum_bracketed(zeros, alpha, z, counts, a1=0.1):
         pair = 2.0 * upper.real + 0.0j
     else:
         pair = upper + term(np.conj(rho), np.conj(zp))
-    edges = _bracket_edges(gammas, a1)
+    edges = _bracket_edges(gammas)
     sums = []
     for c in counts:
         starts = [e for e in edges[:-1] if e < c]

@@ -2,14 +2,15 @@
 
 This module assembles the completed zeta function xi(s) and its
 critical-line restriction Xi(t), the hypergeometric kernel
-rho(x, z, s) = x^(1/2-s) e^(-z^2/8) 1F1((1-s)/2; 1/2; z^2/4), its
-symmetrization nabla = rho(x,z,s) + rho(x,z,1-s), and the digamma
-remainder lambda(x) = psi(x) + 1/(2x) - log x.
+rho(x, z, s) = x^(1/2-s) e^(-z^2/8) 1F1((1-s)/2; 1/2; z^2/4) and the
+digamma remainder lambda(x) = psi(x) + 1/(2x) - log x.
 
-nabla generalizes 2 cos((t/2) log x): at z = 0 and s = (1+it)/2 the
-two rho terms are x^(-it/2) and x^(it/2).  Kummer's transformation of
-1F1 makes nabla invariant under (x, z) -> (1/x, iz) on the critical
-line, which is the engine behind every verified identity here.
+Every Xi side integrates rho at a pair c +- ikt (identities._xi_side).
+On the critical line the pair is s, 1 - s, and rho(x, z, s) +
+rho(x, z, 1-s) generalizes 2 cos((t/2) log x): at z = 0 and
+s = (1+it)/2 the terms are x^(-it/2) and x^(it/2).  Kummer's
+transformation of 1F1 makes the sum invariant under (x, z) -> (1/x, iz)
+on the critical line, the engine behind every verified identity here.
 """
 
 from dataclasses import dataclass
@@ -113,22 +114,6 @@ def rho_kernel(x, z, s):
     power = np.exp((0.5 - sv) * np.log(xv))
     out = power * np.exp(-0.5 * w) * hyp1f1(0.5 * (1.0 - sv), 0.5, w)
     return _merge(out, scalar_x and scalar_s)
-
-
-def nabla_kernel(x, z, s):
-    """nabla(x, z, s) = rho(x, z, s) + rho(x, z, 1-s); symmetric in s <-> 1-s.
-
-    Both terms come from one rho_kernel call on the stacked pair
-    (s, 1 - s), so a single 1F1 series serves the two of them.  That
-    series stops when both rows have converged.  On the critical line
-    with real or imaginary z the rows stop together, and the result is
-    rho + rho to the bit; otherwise one row may take a term more than
-    its own call would, a change below 1e-17 of its total.
-    """
-    sv = np.asarray(s, np.complex128)
-    sv = np.broadcast_to(sv, np.broadcast_shapes(np.shape(x), sv.shape))
-    both = rho_kernel(x, z, np.stack([sv, 1.0 - sv]))
-    return both[0] + both[1]
 
 
 def lambda_kernel(x):

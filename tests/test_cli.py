@@ -99,11 +99,21 @@ class TestMain:
         assert len(doc["reports"]) == 1
         assert doc["reports"][0]["identity"] == "theta"
 
-    def test_aux_battery(self):
+    def test_aux_battery(self, monkeypatch):
         code, out = run_cli(["--identity", "aux"])
         assert code == 0
         doc = json.loads(out)
         assert len(doc["reports"]) == 14
+        # the aux reports take the run's tol, from --tol or XI_VERIFY_TOL,
+        # like every other family
+        assert {r["tolerance"] for r in doc["reports"]} == {1e-8}
+        for argv, env in ((["--tol", "1e-6"], None), ([], "1e-7")):
+            if env:
+                monkeypatch.setenv("XI_VERIFY_TOL", env)
+            code, out = run_cli(["--identity", "aux"] + argv)
+            assert code == 0
+            assert {r["tolerance"] for r in json.loads(out)["reports"]} == {
+                float(env or argv[1])}
 
     def test_csv_format(self):
         code, out = run_cli(["--identity", "digamma", "--alpha", "1.5",

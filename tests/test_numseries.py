@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xiverify import numseries as ns
 from xiverify.numseries import (_bracket_edges, _zeta_tail,
                                 cosh_theta_sum, ferrar_bessel_sum,
                                 k0_sum_direct, k0_sum_minus_pole, lambda_sum,
                                 mobius_theta_sum, sqrt_lattice_sum,
                                 theta_sum, zero_sum_bracketed)
-from xiverify.specfun import besselk0_scaled, zeta
+from xiverify.specfun import besselk0_scaled, mobius_sieve, zeta
 from xiverify.xikernel import lambda_kernel
 from xiverify.zeros import ZeroRecord
 
@@ -239,13 +240,13 @@ class TestMobiusThetaSum:
         _close(got, _hardy_littlewood(alpha, z), rel=0.0, abs_tol=1e-12)
 
     @pytest.mark.parametrize("alpha,z", list(MOBIUS_REFERENCE))
-    def test_tail_bound_covers_the_error(self, mobius_100k, alpha, z):
+    def test_tail_bound_covers_the_error(self, alpha, z):
         # the bound covers rounding too: (0.2, 3i) at N = 1e4 is off by
         # 2.2e-16 and (2, 1 + 0.5i) at N = 1e5 by 3.0e-15, where the
         # truncation tail alone is 2.0e-17 and 1.0e-18
         want = MOBIUS_REFERENCE[alpha, z]
         for N in (100, 1000, 10000, 100000):
-            got, bound = mobius_theta_sum(alpha, z, mobius_100k, n_terms=N)
+            got, bound = mobius_theta_sum(alpha, z, mobius_sieve(N))
             assert abs(got - want) <= bound, (N, abs(got - want), bound)
         _close(got, want, rel=0.0, abs_tol=1e-13)
 
@@ -274,21 +275,20 @@ class TestMobiusThetaSum:
         with pytest.raises(ValueError, match="tail bound"):
             mobius_theta_sum(1e6, 0.0, mobius_10k)
 
-    def test_short_prefix_matches_hand_sum(self, mobius_100k):
+    def test_short_prefix_matches_hand_sum(self):
         mu = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
         d1 = -math.pi
         want = sum(m / n * (math.exp(-math.pi / (n * n)) - 1.0 - d1 / (n * n))
                    for n, m in enumerate(mu, start=1))
         want += d1 / 1.2020569031595942  # zeta(3)
-        got, _ = mobius_theta_sum(1.0, 0.0, mobius_100k, n_terms=10)
+        got, _ = mobius_theta_sum(1.0, 0.0, mobius_sieve(10))
         _close(got, want, rel=1e-14)
 
     def test_term_count_validation(self, mobius_100k):
-        with pytest.raises(ValueError):
-            mobius_theta_sum(1.0, 0.0, mobius_100k, n_terms=100001)
-        with pytest.raises(ValueError):
-            mobius_theta_sum(1.0, 0.0, mobius_100k, n_terms=0)
-        with pytest.raises(ValueError):
+        # the sum takes the whole table, so the term count is the sieve's
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            mobius_sieve(0)
+        with pytest.raises(ValueError, match="alpha must be positive"):
             mobius_theta_sum(-1.0, 0.0, mobius_100k)
 
     @pytest.mark.parametrize("alpha,z", [(0.8, 0.0), (0.8, 1.0),
@@ -312,9 +312,9 @@ class TestMobiusThetaSum:
         assert total == want
 
 
-def _zero_sum(zeros, alpha, z, a1=0.1):
+def _zero_sum(zeros, alpha, z):
     """The bracketed zero sum over all of zeros."""
-    return zero_sum_bracketed(zeros, alpha, z, [len(zeros)], a1)[0]
+    return zero_sum_bracketed(zeros, alpha, z, [len(zeros)])[0]
 
 
 class TestZeroSum:
@@ -339,41 +339,43 @@ class TestZeroSum:
     def test_empty_input(self):
         assert _zero_sum([], 1.0, 0.0) == 0.0
 
-    def test_close_ordinates_share_a_bracket(self):
+    def test_close_ordinates_share_a_bracket(self, monkeypatch):
         # the shipped ordinates never trigger grouping, synthetic ones do
         gammas = [1.0, 1.001, 5.0]
-        assert _bracket_edges(gammas) == [0, 2, 3]
-        assert _bracket_edges(gammas, a1=1e3) == [0, 1, 2, 3]
         recs = [ZeroRecord(g, zeta_prime=d) for g, d in
                 zip(gammas, [0.8 + 0.1j, -0.5 + 0.3j, 1.2 - 0.4j])]
+        assert _bracket_edges(gammas) == [0, 2, 3]
         grouped = _zero_sum(recs, 2.0, 1.0 + 0.5j)
-        ungrouped = _zero_sum(recs, 2.0, 1.0 + 0.5j, a1=1e3)
+        monkeypatch.setattr(ns, "_BRACKET_A1", 1e3)
+        assert _bracket_edges(gammas) == [0, 1, 2, 3]
+        ungrouped = _zero_sum(recs, 2.0, 1.0 + 0.5j)
         _close(grouped, ungrouped, rel=1e-15)
 
     @pytest.mark.parametrize("a1", [0.1, 1e-3, 1e3])
     @pytest.mark.parametrize("z", [1.0, 2.0j, 1.0 + 0.5j])
-    def test_one_pass_matches_each_prefix(self, zero_records, a1, z):
+    def test_one_pass_matches_each_prefix(self, zero_records, a1, z,
+                                          monkeypatch):
         # at a1 = 1e-3 gaps below about 2 share a bracket, so counts 9
         # and 13 close a bracket early, as zeros[:c] does
+        monkeypatch.setattr(ns, "_BRACKET_A1", a1)
         counts = [1, 9, 10, 13, 25, 50, 100]
         if a1 == 1e-3:
-            edges = _bracket_edges([r.gamma for r in zero_records], a1)
+            edges = _bracket_edges([r.gamma for r in zero_records])
             assert 9 not in edges and 13 not in edges
-        sums = zero_sum_bracketed(zero_records, 0.8, z, counts, a1)
+        sums = zero_sum_bracketed(zero_records, 0.8, z, counts)
         for c, got in zip(counts, sums):
-            _close(got, _zero_sum(zero_records[:c], 0.8, z, a1),
-                   rel=1e-15)
+            _close(got, _zero_sum(zero_records[:c], 0.8, z), rel=1e-15)
 
-    def test_one_pass_splits_a_synthetic_bracket(self):
+    def test_one_pass_splits_a_synthetic_bracket(self, monkeypatch):
         gammas = [1.0, 1.001, 5.0]
         recs = [ZeroRecord(g, zeta_prime=d) for g, d in
                 zip(gammas, [0.8 + 0.1j, -0.5 + 0.3j, 1.2 - 0.4j])]
         for a1 in (0.1, 1e3):
-            sums = zero_sum_bracketed(recs, 2.0, 1.0 + 0.5j, [0, 1, 2, 3], a1)
+            monkeypatch.setattr(ns, "_BRACKET_A1", a1)
+            sums = zero_sum_bracketed(recs, 2.0, 1.0 + 0.5j, [0, 1, 2, 3])
             assert sums[0] == 0.0
             for c, got in zip((1, 2, 3), sums[1:]):
-                _close(got, _zero_sum(recs[:c], 2.0, 1.0 + 0.5j, a1),
-                       rel=1e-15)
+                _close(got, _zero_sum(recs[:c], 2.0, 1.0 + 0.5j), rel=1e-15)
 
     def test_count_out_of_range_raises(self, zero_records):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ f(-t); a vertical line is a whole line in its imaginary coordinate.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,11 +182,14 @@ def test_zero_integrand_same_truncation_on_both_routes():
 
 def test_tail_error_quotes_the_tail_target():
     # e^(-t/100) is still 0.09 at the last node: the rule raises, naming
-    # the target it missed
+    # the target it missed, tol (1 + |value|), with value near 91.3, the
+    # integral up to the last node
     tol = 1e-8
     with pytest.raises(ValueError) as info:
         half_line(lambda t: np.exp(-0.01 * t), tol)
-    assert "(tol %.3e)" % tol in str(info.value)
+    target = re.search(r"\(target (\S+) = tol %.3e \(1 \+ \|value\|\)\)$"
+                       % tol, str(info.value))
+    assert 92.0 * tol < float(target.group(1)) < 92.5 * tol
 
 
 def test_result_fields():
@@ -284,9 +288,19 @@ class TestTabulatedRule:
         with pytest.raises(ValueError, match=(
                 r"^quad: double-exponential rule at its finest step "
                 r"h = 1/128 \(1281 nodes\) estimates error \S+ "
-                r"\(tol 1\.000e-08\)$")):
+                r"\(target \S+ = tol 1\.000e-08 \(1 \+ \|value\|\)\)$")):
             quad.integrate_tabulated(kernel, table, 1e-8)
         assert sum(calls) == self.FINEST and len(calls) == 3
+
+    def test_target_is_relative_to_the_value(self):
+        # 1e8 e^(-t): the rounding allowance alone, four ulps of the
+        # summed terms, is near 1e-7, above an absolute 1e-12, but the
+        # target tol (1 + |value|) is 1e-4, met at the starting step
+        table = quad.NodeTable(lambda t: 1e8 * np.exp(-t))
+        res = quad.integrate_tabulated(np.ones_like, table, 1e-12)
+        assert 1e-12 < res.abs_error <= 1e-12 * (1.0 + abs(res.value))
+        assert res.evaluations == self.START
+        assert abs(res.value - 1e8) <= 1e-12 * 1e8
 
     def test_weight_tabulated_once_per_level(self):
         calls = []

@@ -1,4 +1,4 @@
-"""Completed-zeta kernel layer: xi, Xi, rho, nabla, lambda."""
+"""Completed-zeta kernel layer: xi, Xi, rho and its pairs, lambda."""
 
 import time
 
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from xiverify import xikernel
 from xiverify.specfun import hyp1f1
-from xiverify.xikernel import (KernelParams, lambda_kernel, nabla_kernel,
-                               rho_kernel, xi_cap, xi_small)
+from xiverify.xikernel import (KernelParams, lambda_kernel, rho_kernel,
+                               xi_cap, xi_small)
 
 
 def _close(got, want, rel=1e-12, abs_tol=0.0):
@@ -100,6 +100,11 @@ class TestXiCap:
         assert time.perf_counter() - start < 0.05
 
 
+def _rho_pair(x, z, s):
+    """rho(x, z, s) + rho(x, z, 1-s), the nabla of the integral class."""
+    return rho_kernel(x, z, s) + rho_kernel(x, z, 1.0 - s)
+
+
 class TestRhoNabla:
     def test_frozen_value(self):
         _close(rho_kernel(2.0, 1.0, 0.5 + 3.0j),
@@ -112,8 +117,9 @@ class TestRhoNabla:
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.1, 40.0), st.sampled_from([0.5, 2.0, 3.0]))
     def test_nabla_cosine_reduction(self, t, alpha):
-        # nabla(alpha, 0, (1+it)/2) = 2 cos((t/2) log alpha)
-        got = nabla_kernel(alpha, 0.0, 0.5 * (1.0 + 1j * t))
+        # the digamma family's kernel: at z = 0 the pair at (1 +- it)/2
+        # sums to 2 cos((t/2) log alpha)
+        got = _rho_pair(alpha, 0.0, 0.5 * (1.0 + 1j * t))
         want = 2.0 * np.cos(0.5 * t * np.log(alpha))
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
@@ -121,27 +127,29 @@ class TestRhoNabla:
     @given(st.floats(0.3, 3.0), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
            st.floats(0.05, 0.95), st.floats(-20.0, 20.0))
     def test_alpha_beta_swap(self, alpha, zr, zi, sigma, t):
-        # the Kummer transformation makes nabla invariant under
-        # (alpha, z) -> (1/alpha, iz)
+        # the Kummer transformation makes rho(s) + rho(1-s) invariant
+        # under (alpha, z) -> (1/alpha, iz)
         z = complex(zr, zi)
         s = complex(sigma, t)
-        a = nabla_kernel(alpha, z, s)
-        b = nabla_kernel(1.0 / alpha, 1j * z, s)
+        a = _rho_pair(alpha, z, s)
+        b = _rho_pair(1.0 / alpha, 1j * z, s)
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
     def test_nabla_reflection_symmetry(self):
         s = 0.3 + 7.0j
-        _close(nabla_kernel(2.0, 1.0, s), nabla_kernel(2.0, 1.0, 1.0 - s),
+        _close(_rho_pair(2.0, 1.0, s), _rho_pair(2.0, 1.0, 1.0 - s),
                rel=1e-14)
 
-    # One stacked series runs until both rows have converged.  On the
-    # critical line the rows' parameters are complex conjugates, so their
-    # terms have equal size: with real or imaginary z (z = 2i has
-    # Re(z^2/4) < 0 and takes Kummer's transformation) they stop on the
-    # same term, and an array of s, like a quadrature panel's, stops where
-    # its slowest point does in either row.  Then nabla is rho + rho to
-    # the bit.  A lone s with complex z can stop one row a term later than
-    # its own call would, a change below 1e-17 of that row's total.
+    # A Xi side's kernel call evaluates rho at c + ikt and c - ikt as two
+    # rows of one stacked series, which runs until both rows have
+    # converged.  On the critical line (c = k = 1/2) the rows' parameters
+    # are complex conjugates, so their terms have equal size: with real or
+    # imaginary z (z = 2i has Re(z^2/4) < 0 and takes Kummer's
+    # transformation) they stop on the same term, and an array of t, like
+    # a quadrature level's, stops where its slowest point does in either
+    # row.  Then the rows sum to rho + rho to the bit.  A lone t with
+    # complex z can stop one row a term later than its own call would, a
+    # change below 1e-17 of that row's total.
     @pytest.mark.parametrize("z,s", [
         (0.0, 0.5 + 3.5j), (1.0, 0.5 + 3.5j), (2.0j, 0.5 + 3.5j),
         (2.0j, 0.5 + 20.0j)] + [
@@ -149,31 +157,48 @@ class TestRhoNabla:
         for z in (0.0, 1.0, 2.0j, 1.0 + 0.5j)])
     def test_nabla_is_one_series_and_the_sum_of_two_rhos(self, monkeypatch,
                                                         z, s):
-        want = rho_kernel(2.0, z, s) + rho_kernel(2.0, z, 1.0 - s)
-        calls = []
-
-        def counted(a, c, w):
-            calls.append(np.shape(a))
-            return hyp1f1(a, c, w)
-
-        monkeypatch.setattr(xikernel, "hyp1f1", counted)
-        got = nabla_kernel(2.0, z, s)
-        assert calls == [(2,) + np.shape(s)]
+        want = _rho_pair(2.0, z, s)
+        rows = _xi_side_rows(monkeypatch, 2.0, z, s)
+        assert rows["calls"] == [(2,) + np.shape(s)]
+        got = rows["value"][0] + rows["value"][1]
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-    def test_lone_s_with_complex_z_within_the_series_stop(self):
+    def test_lone_s_with_complex_z_within_the_series_stop(self, monkeypatch):
         s, z = 0.5 + 3.5j, 1.0 + 0.5j
-        rows = abs(rho_kernel(2.0, z, s)) + abs(rho_kernel(2.0, z, 1.0 - s))
-        want = rho_kernel(2.0, z, s) + rho_kernel(2.0, z, 1.0 - s)
-        assert abs(nabla_kernel(2.0, z, s) - want) <= 1e-15 * rows
+        want = [rho_kernel(2.0, z, s), rho_kernel(2.0, z, 1.0 - s)]
+        rows = _xi_side_rows(monkeypatch, 2.0, z, s)["value"]
+        assert abs(rows[0] + rows[1] - want[0] - want[1]) <= 1e-15 * (
+            abs(want[0]) + abs(want[1]))
 
     def test_nabla_broadcasts_array_x_against_scalar_s(self):
         x = np.array([0.5, 2.0, 3.0])
-        got = nabla_kernel(x, 1.0, 0.5 + 2.0j)
+        got = _rho_pair(x, 1.0, 0.5 + 2.0j)
         assert got.shape == x.shape
         for xi, g in zip(x, got):
-            _close(g, nabla_kernel(float(xi), 1.0, 0.5 + 2.0j), rel=1e-14)
+            _close(g, _rho_pair(float(xi), 1.0, 0.5 + 2.0j), rel=1e-14)
+
+
+def _xi_side_rows(monkeypatch, alpha, z, s):
+    """The kernel rows one identities._xi_side call at c = k = 1/2 makes
+    at t = (s - 1/2)/(i/2), with the shapes of the hyp1f1 calls behind
+    them."""
+    from xiverify import identities, quad
+    t = np.real((np.asarray(s) - 0.5) / 0.5j)
+    out = {"calls": []}
+
+    def counted(a, c, w):
+        out["calls"].append(np.shape(a))
+        return hyp1f1(a, c, w)
+
+    def one_call(kernel, table, tol):
+        out["value"] = kernel(t)
+        return quad.QuadratureResult(0.0, 0.0, np.size(t), 0.0)
+
+    monkeypatch.setattr(xikernel, "hyp1f1", counted)
+    monkeypatch.setattr(quad, "integrate_tabulated", one_call)
+    identities._xi_side(KernelParams(alpha, z), 0.5, 0.5, None, 1e-9)
+    return out
 
 
 class TestLambdaKernel:
