@@ -2,11 +2,12 @@
 
 Everything downstream (kernels, series, quadrature integrands) is built on
 the functions in this module: complex log-gamma, real digamma, the Riemann
-zeta function on and off the critical line and its derivative, the
-confluent hypergeometric 1F1 and the single 2F2 parameter set the
-identities need (both summed by one Taylor loop, _hyp_series), the
-modified Bessel function K0 (a trapezoid rule on its integral
-representation), and a Moebius sieve.
+zeta function and its derivative on the half plane Re s >= 1/2 (the
+critical line, the zeros and zeta(3), every point the package evaluates,
+lie there), the confluent hypergeometric 1F1 and the single 2F2
+parameter set the identities need (both summed by one Taylor loop,
+_hyp_series), the modified Bessel function K0 (a trapezoid rule on its
+integral representation), and a Moebius sieve.
 
 Functions here, in xikernel and in numseries that take scalars or numpy
 arrays tell them apart only through _split (coerce, note a scalar) and
@@ -24,11 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
-
-# Stieltjes constants gamma_1, gamma_2 for the zeta Laurent expansion
-# zeta(w) = 1/(w-1) + gamma_0 - gamma_1 (w-1) + gamma_2 (w-1)^2 / 2 - ...
-_STIELTJES_1 = -0.07281584548367672486
-_STIELTJES_2 = -0.00969036319287231848
 
 # Lanczos approximation, g = 7, 9 coefficients.  Gamma(z) for Re z >= 1/2 is
 #   sqrt(2 pi) * t^(z - 1/2) * exp(-t) * A(z),  t = z + 6.5,
@@ -121,28 +117,20 @@ def lngamma(s):
     return _merge(_lanczos_lngamma(zz) - shift, scalar)
 
 
-def gamma_fn(s):
-    """Gamma(s) = exp(lngamma(s)); branch-free since exp kills 2 pi i shifts."""
-    return np.exp(lngamma(s))
-
-
 def digamma(x):
-    """Digamma psi(x) for real x > 0 or complex x off the pole ray.
+    """Digamma psi(x) for real x > 0.
 
     Recurrence-lift to x + 15, then the Bernoulli asymptotic series through
     the x^-12 term; the first omitted term is below 3e-18 at x >= 15.
-    Raises ValueError on the pole ray and at non-finite input.
+    Raises ValueError at x <= 0, at non-finite x and at complex x.
     """
-    if np.iscomplexobj(x) or isinstance(x, complex):
-        v, scalar = _split(x, np.complex128)
-        _require_finite("digamma", v)
-        if np.any((v.imag == 0.0) & (v.real <= 0.0)):
-            raise ValueError("digamma: argument must avoid the pole ray")
-    else:
-        v, scalar = _split(x, np.float64)
-        _require_finite("digamma", v)
-        if np.any(v <= 0.0):
-            raise ValueError("digamma: argument must be positive")
+    v = np.asarray(x)
+    _require_finite("digamma", v)
+    if np.iscomplexobj(v):
+        raise ValueError("digamma: argument must be real")
+    v, scalar = _split(v, np.float64)
+    if np.any(v <= 0.0):
+        raise ValueError("digamma: argument must be positive")
     w = v + 15.0
     rec = np.zeros_like(w)
     for j in range(15):
@@ -158,31 +146,29 @@ def digamma(x):
 
 _LN_ETA_BASE = 1.7627471740390860505  # log(3 + sqrt(8))
 _ETA_MAX_N = 380
-_eta_coeff_cache = {}
 
 
-def _eta_terms_needed(tmax):
+def _eta_terms_needed(name, tmax):
     """Terms for the accelerated alternating series at |Im s| <= tmax."""
     n = int(np.ceil((39.0 + 0.5 * np.pi * tmax + np.log1p(2.0 * tmax))
                     / _LN_ETA_BASE)) + 10
     n = max(60, n)
     if n > _ETA_MAX_N:
         raise ValueError(
-            "zeta: |Im s| = %.1f beyond the supported strip (coefficient "
-            "overflow past n = %d)" % (tmax, _ETA_MAX_N))
+            "%s: |Im s| = %.1f beyond the supported strip (coefficient "
+            "overflow past n = %d)" % (name, tmax, _ETA_MAX_N))
     return n
 
 
+@functools.lru_cache(maxsize=None)
 def _eta_coefficients(n):
     """Chebyshev-polynomial weights d_k for the accelerated eta series.
 
     d_k = n * sum_{i=0}^{k} (n+i-1)! 4^i / ((n-i)! (2i)!), built by the term
     ratio 4 (n+i)(n-i) / ((2i+1)(2i+2)).  Returns (e, d_n) with
-    e[k] = (-1)^k (d_k - d_n) for k = 0..n-1.
+    e[k] = (-1)^k (d_k - d_n) for k = 0..n-1; e is memoized per process
+    by n and read-only for that reason.
     """
-    cached = _eta_coeff_cache.get(n)
-    if cached is not None:
-        return cached
     d = np.empty(n + 1)
     term = 1.0 / n
     acc = term
@@ -193,122 +179,80 @@ def _eta_coefficients(n):
         d[i + 1] = n * acc
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     e = signs * (d[:n] - d[n])
-    _eta_coeff_cache[n] = (e, d[n])
+    e.flags.writeable = False
     return e, d[n]
 
 
-# rows of the (points x terms) matrix of powers formed at a time
+# rows of the (points x terms) matrix of powers formed at a time: at most
+# 74 KB at 144 terms, for a batch of any size
 _ETA_ROWS = 32
 
 
-def _eta_powers(z, n):
-    """Yield (rows, powers, logk) for the entries of the 1-d array z,
-    _ETA_ROWS at a time: powers[i, k] = (k+1)^(-s) for s = z[rows][i], and
-    log(k+1).
+def _eta_series(name, s, prime):
+    """zeta(s), and with prime zeta'(s) too, by the accelerated
+    alternating (eta) series of Borwein (2000), for Re s >= 1/2.
 
-    A batch of any size holds at most _ETA_ROWS rows of powers at a time
-    (74 KB at 144 terms).  Callers weight each chunk in place and sum its
-    rows along axis 1, each row on its own, so the sums do not depend on
-    the chunking.  Row sums, not a matrix-vector product: `@` goes to BLAS, whose helper thread
-    spins on the other core between calls and slows every --jobs worker
-    beside it.
-    """
-    logk = np.log(np.arange(1.0, n + 1.0))
-    for start in range(0, z.size, _ETA_ROWS):
-        rows = slice(start, start + _ETA_ROWS)
-        powers = np.outer(-z[rows], logk)
-        np.exp(powers, out=powers)
-        yield rows, powers, logk
+    With S(s) = sum_{k<n} e_k (k+1)^(-s) and D(s) = 1 - 2^(1-s),
+    zeta = -S / (d_n D), and its term-wise derivative is
+    zeta' = (S D' / D - S') / (d_n D) with S'(s) = -sum_k e_k log(k+1)
+    (k+1)^(-s) and D'(s) = 2^(1-s) log 2.  The term count n is set by the
+    largest |Im s| of the batch; the error falls geometrically in n on
+    Re s >= 1/2.  zeta comes out of the same operations with or without
+    prime, so the two entry points agree bit for bit.  Raises ValueError
+    naming name at non-finite s, at the pole s = 1 and at Re s < 1/2.
 
-
-def zeta_eta(s, n=None):
-    """Zeta via the accelerated alternating (eta) series.
-
-    zeta(s) = -1/(d_n (1 - 2^(1-s))) * sum_{k=0}^{n-1} (-1)^k (d_k - d_n)
-    (k+1)^(-s).  Convergence is geometric in n for Re s >= 1/2; for
-    0 < Re s < 1/2 it still converges but needs a larger n (the caller can
-    pass one), which the cross-check of the functional equation uses.
+    The powers (k+1)^(-s) are formed _ETA_ROWS points at a time and each
+    row is summed on its own, so the sums do not depend on the chunking.
+    Row sums, not a matrix-vector product: `@` goes to BLAS, whose helper
+    thread spins on the other core between calls and slows every --jobs
+    worker beside it.
     """
     z, scalar = _split(s, np.complex128)
-    _require_finite("zeta_eta", z)
-    if n is None:
-        tmax = float(np.max(np.abs(z.imag))) if z.size else 0.0
-        n = _eta_terms_needed(tmax)
-    e, dn = _eta_coefficients(n)
-    total = np.empty(z.size, np.complex128)
-    for rows, powers, _ in _eta_powers(z.reshape(-1), n):
-        powers *= e
-        total[rows] = powers.sum(axis=1)
-    total = total.reshape(z.shape)
-    out = -total / (dn * (1.0 - np.exp((1.0 - z) * np.log(2.0))))
-    return _merge(out, scalar)
-
-
-def zeta_eta_prime(s):
-    """zeta'(s) for Re s >= 1/2 by the term-wise derivative of zeta_eta.
-
-    With S(s) = sum_k e_k (k+1)^(-s) and D(s) = 1 - 2^(1-s), zeta_eta is
-    -S / (d_n D), so zeta' = (S D' / D - S') / (d_n D) where
-    S'(s) = -sum_k e_k log(k+1) (k+1)^(-s) and D'(s) = 2^(1-s) log 2.
-    Same coefficients and term count as zeta_eta; one series evaluation.
-    """
-    z, scalar = _split(s, np.complex128)
-    _require_finite("zeta_eta_prime", z)
+    _require_finite(name, z)
+    if np.any(z == 1.0):
+        raise ValueError("%s: pole at s = 1" % name)
+    if np.any(z.real < 0.5):
+        raise ValueError("%s: Re s < 1/2 outside the working range" % name)
     tmax = float(np.max(np.abs(z.imag))) if z.size else 0.0
-    e, dn = _eta_coefficients(_eta_terms_needed(tmax))
+    e, dn = _eta_coefficients(_eta_terms_needed(name, tmax))
+    logk = np.log(np.arange(1.0, len(e) + 1.0))
+    flat = z.reshape(-1)
     total = np.empty(z.size, np.complex128)
     dtotal = np.empty_like(total)
-    for rows, powers, logk in _eta_powers(z.reshape(-1), len(e)):
+    for start in range(0, z.size, _ETA_ROWS):
+        rows = slice(start, start + _ETA_ROWS)
+        powers = np.outer(-flat[rows], logk)
+        np.exp(powers, out=powers)
         powers *= e
         total[rows] = powers.sum(axis=1)
-        powers *= logk
-        dtotal[rows] = -powers.sum(axis=1)
+        if prime:
+            powers *= logk
+            dtotal[rows] = -powers.sum(axis=1)
     total, dtotal = total.reshape(z.shape), dtotal.reshape(z.shape)
     two = np.exp((1.0 - z) * np.log(2.0))
     d = 1.0 - two
-    out = (total * two * np.log(2.0) / d - dtotal) / (dn * d)
-    return _merge(out, scalar)
+    value = _merge(-total / (dn * d), scalar)
+    if not prime:
+        return value
+    return value, _merge((total * two * np.log(2.0) / d - dtotal) / (dn * d),
+                         scalar)
 
 
 def zeta(s):
-    """Riemann zeta with analytic continuation.
+    """Riemann zeta for Re s >= 1/2, by the accelerated eta series.
 
-    Re s >= 1/2: accelerated alternating series.  Re s < 1/2: functional
-    equation zeta(s) = pi^(s-1/2) Gamma((1-s)/2) / Gamma(s/2) * zeta(1-s),
-    with a series branch near s = 0 where 1/Gamma(s/2) vanishes:
-    zeta(1-s) Gamma(s/2)^-1 = (s/2)(-1/s + g0 + g1 s + ...) / Gamma(1+s/2).
-
-    Raises ValueError at the pole s = 1 and at non-finite s.
+    Raises ValueError at Re s < 1/2, at the pole s = 1, at |Im s| past
+    the supported strip and at non-finite s.
     """
-    z, scalar = _split(s, np.complex128)
-    _require_finite("zeta", z)
-    if np.any(z == 1.0):
-        raise ValueError("zeta: pole at s = 1")
-    out = np.empty_like(z)
-    right = z.real >= 0.5
-    if np.any(right):
-        out[right] = zeta_eta(z[right])
-    left = ~right
-    if np.any(left):
-        w = z[left]
-        near0 = np.abs(w) < 1e-3
-        res = np.empty_like(w)
-        if np.any(~near0):
-            v = w[~near0]
-            ratio = np.exp(lngamma((1.0 - v) / 2.0) - lngamma(v / 2.0))
-            res[~near0] = (np.exp((v - 0.5) * np.log(np.pi)) * ratio
-                           * zeta_eta(1.0 - v))
-        if np.any(near0):
-            v = w[near0]
-            # (s/2) * zeta(1-s) expanded through s^3; exact at s = 0
-            ser = (-0.5 + 0.5 * EULER_GAMMA * v
-                   + 0.5 * _STIELTJES_1 * v * v
-                   + 0.25 * _STIELTJES_2 * v ** 3)
-            res[near0] = (np.exp((v - 0.5) * np.log(np.pi))
-                          * gamma_fn((1.0 - v) / 2.0) * ser
-                          / gamma_fn(1.0 + v / 2.0))
-        out[left] = res
-    return _merge(out, scalar)
+    return _eta_series("zeta", s, prime=False)
+
+
+def zeta_and_prime(s):
+    """(zeta(s), zeta'(s)) for Re s >= 1/2 from one pass of the eta series.
+
+    The zeta value is bit-identical to zeta(s); the refusals are zeta's.
+    """
+    return _eta_series("zeta_and_prime", s, prime=True)
 
 
 def _hyp_series(name, num, den, z):

@@ -17,11 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (EULER_GAMMA, _STIELTJES_1, _STIELTJES_2, _merge,
-                      _require_finite, _split, digamma, hyp1f1, lngamma,
-                      zeta)
+from .specfun import (EULER_GAMMA, _merge, _require_finite, _split,
+                      digamma, hyp1f1, lngamma, zeta)
 
 _QUARTER_LOG_PI = 0.28618247146235004  # log(pi) / 4
+
+# Stieltjes constants gamma_1, gamma_2 for the zeta Laurent expansion
+# zeta(w) = 1/(w-1) + gamma_0 - gamma_1 (w-1) + gamma_2 (w-1)^2 / 2 - ...
+_STIELTJES_1 = -0.07281584548367672486
+_STIELTJES_2 = -0.00969036319287231848
 
 
 @dataclass(frozen=True)
@@ -50,16 +54,18 @@ class KernelParams:
 def xi_small(s):
     """Completed zeta xi(s) = (1/2) s (s-1) pi^(-s/2) Gamma(s/2) zeta(s).
 
-    Entire; the zeta pole at s = 1 is cancelled by the (s-1) factor and is
-    evaluated through the truncated Laurent product
-    (s-1) zeta(s) = 1 + g0 (s-1) - g1 (s-1)^2 + g2 (s-1)^3 / 2.
+    Entire; the zeta pole at s = 1 is cancelled by the (s-1) factor.
+    At |s-1| < 2e-3, where the eta series loses digits to the pole, the
+    truncated Laurent product (s-1) zeta(s) = 1 + g0 (s-1) - g1 (s-1)^2
+    + g2 (s-1)^3 / 2 stands in for the pair (within 5.6e-15 of it at
+    |s-1| = 2e-3).
     Arguments with Re s < 1/2 are reflected first through xi(s) = xi(1-s),
     so the Gamma factor never meets its poles.
     """
     w, scalar = _split(s, np.complex128)
     w = np.where(w.real < 0.5, 1.0 - w, w)
     out = np.empty_like(w)
-    near1 = np.abs(w - 1.0) < 1e-6
+    near1 = np.abs(w - 1.0) < 2e-3
     if np.any(~near1):
         v = w[~near1]
         out[~near1] = (0.5 * v * (v - 1.0)
@@ -87,13 +93,13 @@ def xi_cap(t):
                 * Re[e^(i theta(t)) zeta(1/2 + it)],
 
     where the bracket is the classical real-valued combination of zeta
-    with its critical-line phase.  Complex t falls back to xi_small.
-    Non-finite t raises ValueError.
+    with its critical-line phase.  Non-finite t raises ValueError, and so
+    does t off the real axis (xi_small takes xi there).
     """
     w, scalar = _split(t, np.complex128)
     _require_finite("xi_cap", w)
     if np.any(w.imag != 0.0):
-        return xi_small(0.5 + 1j * w)
+        raise ValueError("xi_cap: argument must be real")
     tv = w.real
     lg = lngamma(0.25 + 0.5j * tv)
     theta = lg.imag - 0.5 * tv * np.log(np.pi)

@@ -2,17 +2,18 @@
 
 A zeros file is UTF-8 text with one positive decimal ordinate per line in
 strictly ascending order (the format of the published tables).  Loaded
-ordinates are refined by Newton's method on zeta(1/2 + it), with the
-derivative from specfun.zeta_eta_prime, and each result is certified by
-a sign change of this package's own Xi; then zeta'(1/2 + i gamma) is
-attached for use in the zero sums: a ZeroRecord cannot exist without it.
+ordinates are refined by Newton's method on zeta(1/2 + it), with zeta
+and its derivative from specfun.zeta_and_prime, and each result is
+certified by a sign change of this package's own Xi; then
+zeta'(1/2 + i gamma) is attached for use in the zero sums: a ZeroRecord
+cannot exist without it.
 
 refine_zeros is the one refinement: it runs every ordinate in lockstep,
-one zeta_eta and one zeta_eta_prime call per Newton step and one xi_cap
-call for the certificates (one ordinate is refine_zeros([g])[0]).  The
-derivatives come from one specfun.zeta_eta_prime call.  The eta series
-behind all of them takes a term count set by the largest ordinate of the
-batch, so a batch can differ from one-ordinate calls in the last bits.
+one zeta_and_prime call per Newton step and one xi_cap call for the
+certificates (one ordinate is refine_zeros([g])[0]).  The derivatives
+come from one more zeta_and_prime call.  The eta series behind all of
+them takes a term count set by the largest ordinate of the batch, so a
+batch can differ from one-ordinate calls in the last bits.
 The repo ships a 100-ordinate sample, the bracket midpoints of
 scan_zero_brackets(10, 237) refined and rounded to 9 decimals, so nothing
 external is required to exercise the pipeline.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import zeta_eta, zeta_eta_prime
+from .specfun import zeta_and_prime
 from .xikernel import xi_cap
 
 
@@ -80,7 +81,7 @@ def refine_zeros(gammas):
 
     Newton's method on t -> zeta(1/2 + it), whose derivative is
     i zeta'(1/2 + it), runs every ordinate in lockstep: each step is one
-    zeta_eta and one zeta_eta_prime call on the whole batch, and moves t by
+    zeta_and_prime call on the whole batch, and moves t by
     Re(zeta / (i zeta')), kept within [g - 0.5, g + 0.5] of its seed g.
     The steps stop when none moves t by more than 1e-14 t, or after 20.
     One xi_cap call then certifies every result t: Xi must change sign
@@ -91,7 +92,8 @@ def refine_zeros(gammas):
     t = g0.copy()
     for _ in range(20):
         s = 0.5 + 1j * t
-        step = (zeta_eta(s) / (1j * zeta_eta_prime(s))).real
+        value, deriv = zeta_and_prime(s)
+        step = (value / (1j * deriv)).real
         moved = np.clip(t - step, g0 - 0.5, g0 + 0.5)
         done = np.abs(moved - t) <= 1e-14 * t
         t = moved
@@ -110,14 +112,14 @@ def prepare_zeros(path, max_count):
     """Load, refine, and attach derivatives; the one-call pipeline.
 
     All ordinates are refined in one refine_zeros call and differentiated
-    in one zeta_eta_prime call.  Raises ValueError when the file holds
+    in one zeta_and_prime call.  Raises ValueError when the file holds
     no ordinate.
     """
     seeds = load_zeros(path, max_count)
     if not seeds:
         raise ValueError("%s: zeros file holds no ordinates" % path)
     gammas = refine_zeros(seeds)
-    derivs = zeta_eta_prime(0.5 + 1j * gammas)
+    derivs = zeta_and_prime(0.5 + 1j * gammas)[1]
     return [ZeroRecord(g, d) for g, d in zip(gammas, derivs)]
 
 

@@ -48,8 +48,10 @@ def test_special_function_identities():
         lhs = hyp1f1(a, c, w)
         rhs = np.exp(w) * hyp1f1(c - a, c, -w)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    # zeta functional equation
-    for s in [0.3, -2.5 + 1.0j, 0.5 + 8.0j, 2.2 - 3.0j]:
+    # zeta functional equation on the critical line, zeta(s) = chi(s)
+    # zeta(1 - s): both sides from the eta series, at +t and -t
+    for t in [3.0, 8.0, 14.134725141734694, 40.0]:
+        s = 0.5 + 1j * t
         lhs = zeta(s)
         rhs = (2.0 ** s * np.pi ** (s - 1.0) * np.sin(np.pi * s / 2.0)
                * np.exp(lngamma(1.0 - s)) * zeta(1.0 - s))

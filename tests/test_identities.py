@@ -499,7 +499,7 @@ class TestTabulatedXiSides:
         # reference rule on the same weight and kernel
         from xiverify import identities as I
         from xiverify import quad
-        tables = (I._XI_NABLA, I._XI_HARDY, I._XI_FERRAR, I._XI_AXIS,
+        tables = (I._XI_NABLA, I._XI_HARDY, I._XI_FERRAR,
                   I._XI_DIGAMMA, I._XI_BOSE, I._XI_CONTOUR, I._PHI_HARDY,
                   I._PHI_FERRAR, I._PHI_BOSE)
         weights = {table: table(GL_NODES) for table in tables}
@@ -517,7 +517,7 @@ class TestTabulatedXiSides:
                                  rho_kernel(alpha, z, 0.5 - 1j * t)])
 
             xi_sides = [(0.5, 0.5, p, pair(0.5, 0.5), table) for table in (
-                I._XI_NABLA, I._XI_HARDY, I._XI_FERRAR, I._XI_AXIS)]
+                I._XI_NABLA, I._XI_HARDY, I._XI_FERRAR)]
             xi_sides += [
                 (0.5, 0.5, KernelParams(alpha, 0.0), pair(0.5, 0.5, 0.0),
                  I._XI_DIGAMMA),
@@ -544,7 +544,8 @@ class TestTabulatedXiSides:
     def test_edge_cell_fails_fast_at_the_finest_step(self, verify,
                                                      monkeypatch):
         # at (1, 10+10i) the Xi sides cancel: their estimates (4.2e5 for
-        # theta, 1.7e6 for lineint, 2.7e3 for Bose) stay above the
+        # theta and for lineint, whose real-axis side is 4 times theta's
+        # integral, 2.7e3 for Bose) stay above the
         # relative target tol/4 (1 + |value|), and the rule stops after
         # 1281 kernel nodes.  Bose's weighted side runs first, and passes
         # one step finer than the start

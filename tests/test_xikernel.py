@@ -2,6 +2,7 @@
 
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,10 +54,27 @@ class TestXiSmall:
         _close(xi_small(1.0 + 1e-7), 0.50000000115478557, rel=1e-12)
 
     def test_branch_continuity_at_switch(self):
-        # the |s-1| < 1e-6 neighborhood uses a local product expansion
-        inner = xi_small(1.0 + 9.9e-7)
-        outer = xi_small(1.0 + 1.01e-6)
-        assert abs(inner - outer) <= 1e-8 * abs(outer)
+        # the |s-1| < 2e-3 neighborhood uses a local product expansion;
+        # just inside and just outside it the two branches agree
+        u = 2e-3 * np.exp(2j * np.pi * np.arange(12) / 12)
+        inner = xi_small(1.0 + u * (1.0 - 1e-12))
+        outer = xi_small(1.0 + u * (1.0 + 1e-12))
+        assert np.max(np.abs(inner - outer) / np.abs(outer)) <= 2e-13
+
+    def test_near_pole_against_mpmath(self):
+        # 12 angles on each of 40 rings, radii 1e-8 to 2e-2, around the
+        # pole of zeta: on either side of the switch the eta route and the
+        # Laurent product each keep about 13 digits (the switch at
+        # |s-1| = 1e-6 lost four just outside it)
+        r = np.geomspace(1e-8, 2e-2, 40)
+        turn = np.exp(2j * np.pi * np.arange(12) / 12)
+        s = (1.0 + r[:, None] * turn).reshape(-1)
+        with mpmath.workdps(30):
+            want = np.array([complex(
+                0.5 * v * (v - 1) * mpmath.pi ** (-v / 2)
+                * mpmath.gamma(v / 2) * mpmath.zeta(v))
+                for v in map(mpmath.mpc, s)])
+        assert np.max(np.abs(xi_small(s) - want) / np.abs(want)) <= 2e-13
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-2.0, 3.0), st.floats(-12.0, 12.0))
@@ -86,9 +104,12 @@ class TestXiCap:
     def test_vanishes_at_first_zero(self):
         assert abs(xi_cap(14.134725141734694)) < 1e-12
 
-    def test_complex_argument_reduces_to_xi(self):
-        t = 1.0 + 0.5j
-        _close(xi_cap(t), xi_small(0.5 + 1j * t), rel=1e-12)
+    def test_complex_argument_raises(self):
+        # off the real axis xi is xi_small's
+        for t in (1.0 + 0.5j, np.array([1.0, 2.0 - 1e-3j])):
+            with pytest.raises(ValueError,
+                               match="xi_cap: argument must be real"):
+                xi_cap(t)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, np.array([1.0, np.nan]),
                                    complex(1.0, np.nan)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xiverify import zeros
-from xiverify.specfun import zeta_eta_prime
+from xiverify.specfun import zeta_and_prime
 from xiverify.zeros import (ZeroRecord, load_zeros, prepare_zeros,
                             refine_zeros, scan_zero_brackets)
 
@@ -112,7 +112,7 @@ class TestRefineZero:
 def test_zeta_derivative_at_first_zero():
     # reference: 25-digit mpmath derivative at the first zero
     want = 0.78329651186703093 + 0.12469982974817109j
-    got = zeta_eta_prime(0.5 + 1j * GAMMA_1)
+    got = zeta_and_prime(0.5 + 1j * GAMMA_1)[1]
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -121,7 +121,7 @@ def test_zeta_derivative_at_largest_sample_zero():
     # zero, where the eta series takes the most terms of any sample zero
     gamma = 236.5242296658162
     want = 2.2455848965356822 - 3.3041746292630608j
-    got = zeta_eta_prime(0.5 + 1j * gamma)
+    got = zeta_and_prime(0.5 + 1j * gamma)[1]
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -134,11 +134,10 @@ def test_scan_brackets_below_fifty():
 
 class TestRefineZeros:
     def test_lockstep_refinement_work(self, sample_zeros_path, monkeypatch):
-        # one zeta_eta and one zeta_eta_prime call per Newton step (two
-        # on the sample), not one per zero and step; one xi_cap call for
-        # the certificates; and one zeta_eta_prime call for the
-        # derivatives of them all
-        calls = {"xi_cap": [], "zeta_eta": [], "zeta_eta_prime": []}
+        # one zeta_and_prime call per Newton step (two on the sample), not
+        # one per zero and step; one xi_cap call for the certificates; and
+        # one more zeta_and_prime call for the derivatives of them all
+        calls = {"xi_cap": [], "zeta_and_prime": []}
         for name in calls:
             def counted(x, _fn=getattr(zeros, name), _name=name):
                 calls[_name].append(np.size(x))
@@ -147,8 +146,7 @@ class TestRefineZeros:
         recs = prepare_zeros(sample_zeros_path, max_count=100)
         assert len(recs) == 100
         assert calls["xi_cap"] == [200]
-        assert calls["zeta_eta"] == [100, 100]
-        assert calls["zeta_eta_prime"] == [100, 100, 100]
+        assert calls["zeta_and_prime"] == [100, 100, 100]
 
     def test_sample_against_mpmath(self, sample_zeros_path):
         seeds = load_zeros(sample_zeros_path, 100)
@@ -191,7 +189,7 @@ class TestRefineZeros:
 
 def test_batched_derivatives_against_mpmath(zero_records):
     # 30-digit mpmath zeta'(rho) at rho = mpmath.zetazero(k + 1) for every
-    # 10th sample zero k, all taken from one zeta_eta_prime call in
+    # 10th sample zero k, all taken from one zeta_and_prime call in
     # prepare_zeros
     refs = [
         (0, 14.134725141734695, 0.783296511867031 + 0.12469982974817109j),
