@@ -27,6 +27,11 @@ Every integral, Xi side, physical side or auxiliary check, integrates a
 weight that does not depend on (alpha, z), tabulated once per process on
 shared double-exponential nodes (quad.NodeTable), against a kernel that
 does, one kernel call per level of the rule (quad.integrate_tabulated).
+A Xi side's kernel is xikernel.rho_rows, whose 1F1 rows depend on
+z^2/4, the line and the node batch but not on alpha: they are cached per
+process, so sides at other alphas, in other families on the same line,
+or at -z take the series rows the first one computed and only multiply
+in alpha's power.
 Physical and Xi sides share that rule and nothing else.
 Every verifier hands _report one (value, diagnostics) record per side.
 
@@ -45,7 +50,8 @@ from . import numseries as ns
 from . import quad
 from .specfun import (EULER_GAMMA, besselk0_scaled, digamma, hyp1f1,
                       hyp2f2_11, lngamma, mobius_sieve)
-from .xikernel import KernelParams, rho_kernel, xi_cap, xi_small
+from .xikernel import (KernelParams, rho_kernel, rho_rows, xi_cap,
+                       xi_small)
 
 _SQRT_PI = np.sqrt(np.pi)
 
@@ -156,9 +162,10 @@ _XI_CONTOUR = quad.NodeTable(_contour_weight)
 
 # The physical sides' phi and the aux checks' weights, tabulated the same
 # way.  Bose's t/(e^(2 pi t) - 1) is taken through e^(-2 pi t), because
-# e^(2 pi t) overflows at the last node.
+# e^(2 pi t) overflows at the last node.  Each weight looks its functions
+# up when a batch is built, so a rebound module attribute is seen.
 _PHI_HARDY = quad.NodeTable(lambda t: digamma(t + 1.0) - np.log(t))
-_PHI_FERRAR = quad.NodeTable(ns.k0_sum_minus_pole)
+_PHI_FERRAR = quad.NodeTable(lambda t: ns.k0_sum_minus_pole(t))
 _PHI_BOSE = quad.NodeTable(
     lambda t: t * np.exp(-2.0 * np.pi * t) / -np.expm1(-2.0 * np.pi * t))
 _LOG = quad.NodeTable(np.log)
@@ -168,14 +175,15 @@ _ONES = quad.NodeTable(np.ones_like)
 def _xi_side(params, c, k, table, tol):
     """int_{-inf}^{inf} W(t) rho(alpha, z, c + ikt) dt, folded onto the
     half line: W is tabulated in table, one row if it is even, else W(t)
-    and W(-t), and rho at c +- ikt are the two rows of one rho_kernel
+    and W(-t), and rho at c +- ikt are the two rows of one rho_rows
     call, one 1F1 series that stops when both rows have converged.  At
     c = 1/2 the rows are s and 1 - s and sum to nabla(alpha, z, s).
+    The series rows are cached per (z^2/4, c, k, node batch), so sides
+    at other alphas or in other families on the same line reuse them.
     """
     a, z = params.alpha, params.z
-    return quad.integrate_tabulated(
-        lambda t: rho_kernel(a, z, c + 1j * k * np.stack([t, -t])), table,
-        tol)
+    return quad.integrate_tabulated(lambda t: rho_rows(a, z, c, k, t),
+                                    table, tol)
 
 
 def _gaussian_cosine(x, w):

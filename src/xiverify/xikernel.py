@@ -5,14 +5,23 @@ critical-line restriction Xi(t), the hypergeometric kernel
 rho(x, z, s) = x^(1/2-s) e^(-z^2/8) 1F1((1-s)/2; 1/2; z^2/4) and the
 digamma remainder lambda(x) = psi(x) + 1/(2x) - log x.
 
-Every Xi side integrates rho at a pair c +- ikt (identities._xi_side).
-On the critical line the pair is s, 1 - s, and rho(x, z, s) +
-rho(x, z, 1-s) generalizes 2 cos((t/2) log x): at z = 0 and
-s = (1+it)/2 the terms are x^(-it/2) and x^(it/2).  Kummer's
-transformation of 1F1 makes the sum invariant under (x, z) -> (1/x, iz)
-on the critical line, the engine behind every verified identity here.
+Every Xi side integrates rho at a pair c +- ikt (identities._xi_side),
+as the two rows of one rho_rows call.  On the critical line the pair is
+s, 1 - s, and rho(x, z, s) + rho(x, z, 1-s) generalizes
+2 cos((t/2) log x): at z = 0 and s = (1+it)/2 the terms are x^(-it/2)
+and x^(it/2).  Kummer's transformation of 1F1 makes the sum invariant
+under (x, z) -> (1/x, iz) on the critical line, the engine behind every
+verified identity here.
+
+Only the power x^(1/2-s) depends on x, so rho_rows keeps the 1F1 rows in
+a per-process LRU cache of at most _RHO_ROW_KEYS entries, one per
+(w = z^2/4, c, k, node batch): every alpha, every family on one line,
+and z and -z share one series.  The batch is part of the key because a
+series stops only when its whole batch has converged; so the rows, and
+every report, are the same bits whichever calls filled the cache.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +118,17 @@ def xi_cap(t):
     return _merge(-0.5 * (tv * tv + 0.25) * mag * hardy_z, scalar)
 
 
+def _rho(x, w, s, series):
+    """rho(x, z, s) from w = z^2/4 and its 1F1 factor series; the one
+    place its formula is written, the operand order fixing the last bit."""
+    return np.exp((0.5 - s) * np.log(x)) * np.exp(-0.5 * w) * series
+
+
+def _rho_series(s, w):
+    """1F1((1-s)/2; 1/2; w), through the module's hyp1f1 binding."""
+    return hyp1f1(0.5 * (1.0 - s), 0.5, w)
+
+
 def rho_kernel(x, z, s):
     """rho(x, z, s) = x^(1/2 - s) e^(-z^2/8) 1F1((1-s)/2; 1/2; z^2/4), x > 0."""
     xv, scalar_x = _split(x, np.float64)
@@ -117,9 +137,52 @@ def rho_kernel(x, z, s):
     sv, scalar_s = _split(s, np.complex128)
     zc = complex(z)
     w = 0.25 * zc * zc
-    power = np.exp((0.5 - sv) * np.log(xv))
-    out = power * np.exp(-0.5 * w) * hyp1f1(0.5 * (1.0 - sv), 0.5, w)
-    return _merge(out, scalar_x and scalar_s)
+    return _merge(_rho(xv, w, sv, _rho_series(sv, w)), scalar_x and scalar_s)
+
+
+def _line(c, k, t):
+    """s = c + ikt and c - ikt, one row each."""
+    return c + 1j * k * np.stack([t, -t])
+
+
+# A key's rows take at most 2 x 640 nodes x 16 B = 20 KB (the finest
+# level's batch), its node bytes 5 KB more; the usual key, a start batch
+# of 321 nodes, takes 12.8 KB.  64 keys cap the cache at 1.6 MB and hold
+# 0.8 MB of start batches: the default battery's 12 (4 distinct w, 3
+# lines) many times over.
+_RHO_ROW_KEYS = 64
+
+
+@functools.lru_cache(maxsize=_RHO_ROW_KEYS)
+def _rho_series_rows(w, c, k, shape, nodes):
+    """_rho_series at s = c +- ikt for the batch of t whose float64 bytes
+    are nodes, read-only.  The batch is part of the key because a series
+    stops only when its whole batch has converged: rows taken from a
+    larger or smaller batch could differ in their last bits.  For real z,
+    z and -z give w imaginary parts of opposite zero sign; the keys
+    compare equal and the rows come out the same bits."""
+    rows = _rho_series(_line(c, k, np.frombuffer(nodes).reshape(shape)), w)
+    rows.flags.writeable = False
+    return rows
+
+
+def rho_rows(x, z, c, k, t):
+    """rho(x, z, c + ikt) and rho(x, z, c - ikt) as two rows, x > 0 a
+    float.
+
+    The 1F1 rows depend on w = z^2/4, c, k and the batch t, not on x, so
+    they come from a per-process LRU cache of _RHO_ROW_KEYS batches;
+    only x's power and e^(-w/2) are multiplied in per call.  The result
+    is bit-identical to rho_kernel at _line(c, k, t) evaluated afresh,
+    whichever calls filled the cache.
+    """
+    if not x > 0.0:
+        raise ValueError("rho_rows: x must be positive")
+    tv = np.asarray(t, np.float64)
+    zc = complex(z)
+    w = 0.25 * zc * zc
+    rows = _rho_series_rows(w, c, k, tv.shape, tv.tobytes())
+    return _rho(x, w, _line(c, k, tv), rows)
 
 
 def lambda_kernel(x):

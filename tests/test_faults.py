@@ -6,8 +6,9 @@ looks up, by (1 + DELTA cos|x0|), x0 its first numeric argument, and runs
 every family at three points.  The fault depends on the argument: a
 uniform factor on both sides of a self-dual identity cancels (a uniform
 1e-5 in mobius_theta_sum left rhl passing, at residuals up to 1.6e-9).
-The Xi weights are tabulated once per process, so every node table of
-identities is emptied before and after a case and rebuilt from the
+The Xi weights are tabulated once per process and rho's 1F1 rows are
+cached per process, so every node table of identities and the row cache
+of xikernel are emptied before and after a case and rebuilt from the
 faulty primitive.
 
 Blind spots, not gated here: lineint's two sides are one integral in two
@@ -39,6 +40,8 @@ CASES = [
     (identities, "lngamma", {"ferrar", "ramanujan", "digamma"}),
     (identities, "digamma", {"hardy"}),
     (xikernel, "digamma", {"digamma"}),
+    (numseries, "k0_sum_minus_pole", {"ferrar"}),
+    (numseries, "lambda_sum", {"digamma"}),
     (numseries, "lngamma", {"rhl"}),
     (numseries, "hyp1f1", {"rhl"}),
     (numseries, "mobius_theta_sum", {"rhl"}),
@@ -90,9 +93,11 @@ def fresh_tables():
               if isinstance(t, quad.NodeTable)]
     for t in tables:
         t._batches.clear()
+    xikernel._rho_series_rows.cache_clear()
     yield
     for t in tables:
         t._batches.clear()
+    xikernel._rho_series_rows.cache_clear()
 
 
 def test_every_family_passes_without_a_fault(zero_records):
@@ -106,3 +111,14 @@ def test_fault_is_seen(module, name, families, zero_records, monkeypatch,
                        fresh_tables):
     monkeypatch.setattr(module, name, _faulty(getattr(module, name)))
     assert families <= _failing(zero_records)
+
+
+def test_fault_in_1f1_is_seen_after_a_warm_row_cache(zero_records,
+                                                    monkeypatch, request):
+    # rows cached at POINTS before the fault would hide it from every
+    # family; the fixture's emptying of the cache makes the fault count
+    assert _failing(zero_records) == set()
+    assert xikernel._rho_series_rows.cache_info().currsize > 0
+    request.getfixturevalue("fresh_tables")
+    monkeypatch.setattr(xikernel, "hyp1f1", _faulty(xikernel.hyp1f1))
+    assert XI_FAMILIES - {"lineint"} <= _failing(zero_records)

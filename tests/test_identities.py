@@ -152,11 +152,13 @@ class TestTheta:
 
 
     def test_default_grid_work_counts(self, monkeypatch):
-        # one 1F1 series per nabla, and one nabla per cell on the shared
-        # nodes, one kernel call at the starting step; before, 260 series
-        # and 70 truncation calls over the default grid, then at most 100
-        # and 40 with an adaptive Xi side
-        from xiverify import cli, quad, specfun
+        # one nabla per cell on the shared nodes, one kernel call at the
+        # starting step, and one 1F1 series per distinct z^2/4 (4 on the
+        # default grid) from an empty row cache; before, 260 series and
+        # 70 truncation calls over the default grid, then at most 100 and
+        # 40 with an adaptive Xi side, then one series per cell
+        from xiverify import cli, quad, specfun, xikernel
+        xikernel._rho_series_rows.cache_clear()
         calls = {"series": 0, "kernel": 0}
         series = specfun._hyp_series
         tabulated = quad.integrate_tabulated
@@ -175,7 +177,7 @@ class TestTheta:
         monkeypatch.setattr(quad, "integrate_tabulated", counted_tabulated)
         for alpha, z in cli.default_grid():
             assert verify_theta(KernelParams(alpha, z), 1e-8).passed
-        assert calls["series"] == 20
+        assert calls["series"] == 4
         assert calls["kernel"] == 20
 
     def test_series_refuses_before_its_prefactor_overflows(self):
@@ -403,11 +405,13 @@ def gauss_legendre(values):
 
 
 def _clear_tables(monkeypatch):
-    """Empty every weight table, Xi or phi, as in a fresh process."""
-    from xiverify import identities, quad
+    """Empty every weight table, Xi or phi, and rho's 1F1 row cache, as
+    in a fresh process."""
+    from xiverify import identities, quad, xikernel
     for name, table in vars(identities).items():
         if isinstance(table, quad.NodeTable):
             monkeypatch.setattr(table, "_batches", [])
+    xikernel._rho_series_rows.cache_clear()
 
 
 def _seeded_box(n, seed=1):
@@ -568,6 +572,100 @@ class TestTabulatedXiSides:
         weighted = ([START_NODES, 320] if verify is verify_ramanujan_bose
                     else [])
         assert nodes == weighted + [START_NODES, 320, 640]
+
+
+class TestRhoRowCache:
+    """rho's 1F1 rows, cached per (z^2/4, c, k, node batch) and shared by
+    every Xi side on one line."""
+
+    @staticmethod
+    def _sides():
+        # every line a Xi side takes rho on, and two families on (1/2, 1/2)
+        from xiverify import identities as I
+        return [(0.5, 0.5, I._XI_NABLA), (0.5, 0.5, I._XI_HARDY),
+                (1.5, 0.5, I._XI_BOSE), (0.5, 1.0, I._XI_CONTOUR)]
+
+    def test_warm_equals_cold(self):
+        # z and -z share rows; z = 14 refines to 641 nodes at alpha 0.5
+        # and to 1281 at alpha 2, so every batch of the rule is cached
+        from xiverify import identities as I
+        from xiverify import xikernel
+        zs = (1.0 + 0.5j, -1.0 - 0.5j, 2j, 1.0, -1.0, 14.0, -14.0)
+
+        def bits(r):
+            return (np.array([r.value]).tobytes(),
+                    np.array([r.abs_error]).tobytes(), r.evaluations)
+
+        def run(alpha, z, c, k, table):
+            return bits(I._xi_side(KernelParams(alpha, z), c, k, table,
+                                   2.5e-9))
+
+        cold = {}
+        for alpha in (0.5, 2.0):
+            for z in zs:
+                for side in self._sides():
+                    xikernel._rho_series_rows.cache_clear()
+                    cold[alpha, z, side] = run(alpha, z, *side)
+        for sides in (self._sides(), self._sides()[::-1]):
+            for alphas in ((0.5, 2.0), (2.0, 0.5)):
+                xikernel._rho_series_rows.cache_clear()
+                for alpha in alphas:
+                    for side in sides:
+                        for z in zs:
+                            assert run(alpha, z, *side) == cold[
+                                alpha, z, side], (alpha, z, side[:2])
+                assert xikernel._rho_series_rows.cache_info().hits > 0
+
+    def test_z_and_minus_z_share_one_entry(self):
+        from xiverify import identities as I
+        from xiverify import xikernel
+        rows = xikernel._rho_series_rows
+        rows.cache_clear()
+        for z in (1.0 + 0.5j, -1.0 - 0.5j):
+            I._xi_side(KernelParams(0.8, z), 0.5, 0.5, I._XI_NABLA, 2.5e-9)
+        info = rows.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_cache_holds_at_most_its_bound(self):
+        from xiverify import identities as I
+        from xiverify import xikernel
+        rows = xikernel._rho_series_rows
+        rows.cache_clear()
+        n = xikernel._RHO_ROW_KEYS + 8
+        for z in np.linspace(0.1, 3.0, n):
+            I._xi_side(KernelParams(1.0, z), 0.5, 0.5, I._XI_NABLA, 2.5e-9)
+        info = rows.cache_info()
+        assert info.maxsize == xikernel._RHO_ROW_KEYS
+        assert (info.misses, info.currsize) == (n, xikernel._RHO_ROW_KEYS)
+
+    def test_default_grid_runs_one_series_per_w_and_line(self, monkeypatch):
+        # 125 Xi sides (20 cells each for theta, hardy, ferrar, Bose and
+        # lineint's two sides, 5 alphas for digamma) take rho on 4
+        # distinct z^2/4 and 3 lines: 12 series, where each side ran its
+        # own before
+        from xiverify import cli, identities, xikernel
+        counts = {"sides": 0, "series": 0}
+        rows, series = identities.rho_rows, xikernel.hyp1f1
+
+        def counted_rows(*args):
+            counts["sides"] += 1
+            return rows(*args)
+
+        def counted_series(*args):
+            counts["series"] += 1
+            return series(*args)
+
+        monkeypatch.setattr(identities, "rho_rows", counted_rows)
+        monkeypatch.setattr(xikernel, "hyp1f1", counted_series)
+        xikernel._rho_series_rows.cache_clear()
+        grid = cli.default_grid()
+        for verify in (verify_theta, verify_hardy, verify_ferrar,
+                       verify_ramanujan_bose, verify_line_integral):
+            for alpha, z in grid:
+                assert verify(KernelParams(alpha, z), 1e-8).passed
+        for alpha in dict.fromkeys(a for a, _ in grid):
+            assert verify_ramanujan_digamma(alpha, 1e-8).passed
+        assert counts == {"sides": 125, "series": 12}
 
 
 # cells whose sides reach 1e4 to 1e10, where an absolute quadrature

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from xiverify import xikernel
 from xiverify.specfun import hyp1f1
 from xiverify.xikernel import (KernelParams, lambda_kernel, rho_kernel,
-                               xi_cap, xi_small)
+                               rho_rows, xi_cap, xi_small)
 
 
 def _close(got, want, rel=1e-12, abs_tol=0.0):
@@ -200,11 +200,40 @@ class TestRhoNabla:
             _close(g, _rho_pair(float(xi), 1.0, 0.5 + 2.0j), rel=1e-14)
 
 
+class TestRhoRows:
+    @pytest.mark.parametrize("c,k", [(0.5, 0.5), (1.5, 0.5), (0.5, 1.0)])
+    def test_rows_are_rho_kernel_to_the_bit(self, c, k):
+        # the second alpha and -z take their 1F1 rows from the cache; two
+        # batches of one size keep rows of their own
+        xikernel._rho_series_rows.cache_clear()
+        for x in (0.5, 2.0):
+            for t in (np.linspace(0.1, 30.0, 57), np.linspace(0.2, 40.0, 57)):
+                s = c + 1j * k * np.stack([t, -t])
+                for z in (1.0 + 0.5j, -1.0 - 0.5j, 2j):
+                    got = rho_rows(x, z, c, k, t)
+                    assert got.shape == (2, t.size)
+                    assert got.tobytes() == rho_kernel(x, z, s).tobytes()
+        assert xikernel._rho_series_rows.cache_info().misses == 4
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, float("nan")])
+    def test_x_must_be_positive(self, x):
+        with pytest.raises(ValueError, match="^rho_rows: x must be positive"):
+            rho_rows(x, 1.0, 0.5, 0.5, np.array([1.0]))
+
+    def test_cached_rows_are_read_only(self):
+        # every later side at this (w, c, k, batch) shares the array
+        t = np.array([0.5, 2.0])
+        rows = xikernel._rho_series_rows(0.25, 0.5, 0.5, t.shape,
+                                         t.tobytes())
+        assert rows.shape == (2, 2) and not rows.flags.writeable
+
+
 def _xi_side_rows(monkeypatch, alpha, z, s):
     """The kernel rows one identities._xi_side call at c = k = 1/2 makes
     at t = (s - 1/2)/(i/2), with the shapes of the hyp1f1 calls behind
-    them."""
+    them, on an emptied 1F1 row cache."""
     from xiverify import identities, quad
+    xikernel._rho_series_rows.cache_clear()
     t = np.real((np.asarray(s) - 0.5) / 0.5j)
     out = {"calls": []}
 
