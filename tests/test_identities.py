@@ -367,6 +367,19 @@ class TestLineIntegral:
         rhs = 4.0 * np.pi * th.sides["xi_integral"]
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
+    def test_sides_scale_value_and_abs_error_alike(self):
+        # the real axis is 4 times the (1/2, 1/2) integral and the contour
+        # 2 times the (1/2, 1) one; each error estimate scales with its
+        # value
+        from xiverify import identities as I
+        p = KernelParams(0.8, 1.0 + 0.5j)
+        rep = verify_line_integral(p, 1e-8)
+        for side, k, table, scale in (("real_axis", 0.5, I._XI_NABLA, 4.0),
+                                      ("contour", 1.0, I._XI_CONTOUR, 2.0)):
+            r = I._xi_side(p, 0.5, k, table, 2.5e-9)
+            assert rep.sides[side] == scale * r.value
+            assert rep.diagnostics[side]["abs_error"] == scale * r.abs_error
+
 
 # the box anchors of the benchmark grids: alpha at its ends, Im z = +-2,
 # Re z in {-1, 0, 1}
@@ -376,12 +389,13 @@ DEFAULT_GRID = [(a, z) for a in (0.5, 0.8, 1.0, 1.25, 2.0)
                 for z in (0j, 1 + 0j, 2j, 1 + 0.5j)]
 
 # family -> its Xi sides and the factor each side's quadrature value is
-# divided by to give the side (abs_error is the quadrature's)
+# divided by to give the side (abs_error is the quadrature's; lineint
+# scales its sides' abs_error with their values)
 XI_SIDE_SCALES = {
     verify_theta: {"xi_integral": np.pi},
     verify_hardy: {"xi_integral": 1.0},
     verify_ferrar: {"xi_integral": -2.0 * np.sqrt(np.pi)},
-    verify_line_integral: {"real_axis": 1.0, "contour": 0.5},
+    verify_line_integral: {"real_axis": 1.0, "contour": 1.0},
     verify_ramanujan_bose: {"xi_integral": 8.0 * np.pi ** 1.5},
     # the digamma Xi side's kernel is the rho pair, 2 cos((t/2) log alpha)
     digamma_at: {"xi_integral": -2.0 * np.pi ** 1.5},
