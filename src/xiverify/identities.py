@@ -27,11 +27,8 @@ Every integral, Xi side, physical side or auxiliary check, integrates a
 weight that does not depend on (alpha, z), tabulated once per process on
 shared double-exponential nodes (quad.NodeTable), against a kernel that
 does, one kernel call per level of the rule (quad.integrate_tabulated).
-A Xi side's kernel is xikernel.rho_rows, whose 1F1 rows depend on
-z^2/4, the line and the node batch but not on alpha: they are cached per
-process, so sides at other alphas, in other families on the same line,
-or at -z take the series rows the first one computed and only multiply
-in alpha's power.
+A Xi side's kernel is xikernel.rho_rows, whose 1F1 rows do not depend
+on alpha and are cached per process by (z^2/4, line, node batch).
 Physical and Xi sides share that rule and nothing else.
 Every verifier hands _report one (value, diagnostics) record per side.
 
@@ -178,8 +175,8 @@ def _xi_side(params, c, k, table, tol):
     and W(-t), and rho at c +- ikt are the two rows of one rho_rows
     call, one 1F1 series that stops when both rows have converged.  At
     c = 1/2 the rows are s and 1 - s and sum to nabla(alpha, z, s).
-    The series rows are cached per (z^2/4, c, k, node batch), so sides
-    at other alphas or in other families on the same line reuse them.
+    Sides at other alphas, in other families on the same line or at -z
+    reuse the series rows.
     """
     a, z = params.alpha, params.z
     return quad.integrate_tabulated(lambda t: rho_rows(a, z, c, k, t),

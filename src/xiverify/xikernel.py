@@ -14,11 +14,8 @@ under (x, z) -> (1/x, iz) on the critical line, the engine behind every
 verified identity here.
 
 Only the power x^(1/2-s) depends on x, so rho_rows keeps the 1F1 rows in
-a per-process LRU cache of at most _RHO_ROW_KEYS entries, one per
-(w = z^2/4, c, k, node batch): every alpha, every family on one line,
-and z and -z share one series.  The batch is part of the key because a
-series stops only when its whole batch has converged; so the rows, and
-every report, are the same bits whichever calls filled the cache.
+a per-process LRU cache, one entry per (w = z^2/4, c, k, node batch):
+every alpha, every family on one line, and z and -z share one series.
 """
 
 import functools
@@ -170,11 +167,9 @@ def rho_rows(x, z, c, k, t):
     """rho(x, z, c + ikt) and rho(x, z, c - ikt) as two rows, x > 0 a
     float.
 
-    The 1F1 rows depend on w = z^2/4, c, k and the batch t, not on x, so
-    they come from a per-process LRU cache of _RHO_ROW_KEYS batches;
-    only x's power and e^(-w/2) are multiplied in per call.  The result
-    is bit-identical to rho_kernel at _line(c, k, t) evaluated afresh,
-    whichever calls filled the cache.
+    The 1F1 rows come from _rho_series_rows' cache; only x's power and
+    e^(-w/2) are multiplied in per call.  The result is bit-identical to
+    rho_kernel at _line(c, k, t), whichever calls filled the cache.
     """
     if not x > 0.0:
         raise ValueError("rho_rows: x must be positive")
