@@ -655,8 +655,7 @@ class TestRhoRowCache:
     def test_default_grid_runs_one_series_per_w_and_line(self, monkeypatch):
         # 125 Xi sides (20 cells each for theta, hardy, ferrar, Bose and
         # lineint's two sides, 5 alphas for digamma) take rho on 4
-        # distinct z^2/4 and 3 lines: 12 series, where each side ran its
-        # own before
+        # distinct z^2/4 and 3 lines: 12 series, one per (w, line)
         from xiverify import cli, identities, xikernel
         counts = {"sides": 0, "series": 0}
         rows, series = identities.rho_rows, xikernel.hyp1f1
