@@ -11,12 +11,16 @@ Output is deterministic: given the same inputs and tolerance, the bytes
 written are identical run to run (reports carry no timestamps, dict keys
 are sorted, floats print as their shortest round-trip form).
 
+Every family runs at --tol (default 1e-8), and rhl's Moebius sums run to
+identities.RHL_MOBIUS_LIMIT.
+
 Exit status: 0 when every report passes, 1 when any report fails, 2 for
 usage errors (bad flags, malformed z or grid file, rhl without zeros).
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -30,7 +34,6 @@ from .identities import (RHL_COUNTS, VerificationReport, aux_checks,
                          verify_ferrar, verify_hardy, verify_line_integral,
                          verify_ramanujan_bose, verify_ramanujan_digamma,
                          verify_rhl, verify_theta)
-from .numseries import MAX_TERMS
 from .xikernel import KernelParams
 from .zeros import prepare_zeros
 
@@ -51,12 +54,10 @@ def _once(grid):
 
 
 # family -> (cells: the (alpha, z) points it runs at on a grid, run: its
-# reports at one point), in battery order.  Each run names its verifier when
-# called, so a module attribute rebound after import (a tracer's wrapper, a
-# test's stub) is the one used; tasks carry the family name so they pickle.
-# The run-wide extra (zeros, Moebius limit) is not in the tasks: a --jobs
-# worker receives it once, through the pool's initializer, so the zeros
-# are pickled once per worker instead of once per task.
+# reports at one point, given the run's zeros), in battery order.  Each run
+# names its verifier when called, so a module attribute rebound after
+# import (a tracer's wrapper, a test's stub) is the one used; tasks carry
+# the family name so they pickle.
 _FAMILIES = {
     "theta": (_each_point, lambda p, tol, x: [verify_theta(p, tol)]),
     "hardy": (_each_point, lambda p, tol, x: [verify_hardy(p, tol)]),
@@ -68,8 +69,7 @@ _FAMILIES = {
     "lineint": (_each_point,
                 lambda p, tol, x: [verify_line_integral(p, tol)]),
     "aux": (_once, lambda p, tol, x: aux_checks(tol)),
-    "rhl": (_each_point, lambda p, tol, x: [verify_rhl(
-        p, x["zeros"], x["mobius_limit"], tol)]),
+    "rhl": (_each_point, lambda p, tol, zeros: [verify_rhl(p, zeros, tol)]),
 }
 
 
@@ -144,7 +144,8 @@ def report_to_dict(report):
 
 
 def _run_task(task, extra):
-    """Evaluate one (identity, grid point) cell; returns a list of dicts.
+    """Evaluate one (identity, grid point) cell, with extra the run's zeros
+    (or None); returns a list of dicts.
 
     A numerical failure (a tolerance float64 quadrature cannot certify,
     an argument outside a function's range, a numpy overflow, division by
@@ -164,29 +165,13 @@ def _run_task(task, extra):
     return [report_to_dict(r) for r in reports]
 
 
-# a --jobs worker's copy of the run-wide extra, set by _init_worker
-_worker_extra = None
-
-
-def _init_worker(extra):
-    """Pool initializer: keep the run-wide extra for this worker's tasks."""
-    global _worker_extra
-    _worker_extra = extra
-
-
-def _run_in_worker(task):
-    """_run_task in a pool worker; top-level so the pool can pickle it."""
-    return _run_task(task, _worker_extra)
-
-
-def build_tasks(identity, grid, tol, extra):
+def build_tasks(identity, grid, tol, zeros):
     """Expand the requested identity over the grid into worker tasks
     (kind, alpha, z, tol); "all" is every family in table order, rhl only
-    when extra has zeros."""
+    when there are zeros."""
     kinds = [identity]
     if identity == "all":
-        kinds = [k for k in _FAMILIES
-                 if k != "rhl" or extra["zeros"] is not None]
+        kinds = [k for k in _FAMILIES if k != "rhl" or zeros is not None]
     return [(kind, a, z, tol)
             for kind in kinds for a, z in _FAMILIES[kind][0](grid)]
 
@@ -232,12 +217,9 @@ def build_parser():
     parser.add_argument("--zeros", type=str, default=None,
                         help="path to a file of zero ordinates "
                              "(one positive real per line, ascending)")
-    parser.add_argument("--mobius-limit", type=int, default=10000,
-                        help="Moebius sieve cutoff for rhl, 1 to 1e7 "
-                             "(default 1e4)")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=float, default=1e-8,
                         help="tolerance for equality identities "
-                             "(default 1e-8, env XI_VERIFY_TOL)")
+                             "(default 1e-8)")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default json)")
     parser.add_argument("--out", type=str, default=None,
@@ -254,12 +236,6 @@ def main(argv=None):
 
     if args.z is not None and args.alpha is None:
         parser.error("--z requires --alpha")
-    if args.tol is None:
-        text = os.environ.get("XI_VERIFY_TOL", "1e-8")
-        try:
-            args.tol = float(text)
-        except ValueError:
-            parser.error("XI_VERIFY_TOL: invalid float value: %r" % text)
     if args.alpha is not None and not 0.0 < args.alpha < math.inf:
         parser.error("--alpha must be finite and positive")
     if not 0.0 < args.tol < math.inf:
@@ -286,32 +262,27 @@ def main(argv=None):
     else:
         parser.error("--grid must be 'default' or 'file:PATH'")
 
-    needs_zeros = args.identity == "rhl"
-    if needs_zeros and args.zeros is None:
+    if args.identity == "rhl" and args.zeros is None:
         parser.error("--identity rhl requires --zeros")
-    if not 1 <= args.mobius_limit <= MAX_TERMS:
-        parser.error("--mobius-limit must lie in [1, 1e7]")
-
-    extra = {"mobius_limit": args.mobius_limit, "zeros": None}
+    zeros = None
     if args.zeros is not None:
         try:
-            extra["zeros"] = prepare_zeros(args.zeros,
-                                           max_count=max(RHL_COUNTS))
+            zeros = prepare_zeros(args.zeros, max_count=max(RHL_COUNTS))
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
 
-    tasks = build_tasks(args.identity, grid, args.tol, extra)
+    tasks = build_tasks(args.identity, grid, args.tol, zeros)
 
     # the pool forks all its workers at the first submit, so ask for no
-    # more than can run at once
+    # more than can run at once; each task takes the zeros along, at most
+    # max(RHL_COUNTS) records
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_worker,
-                                 initargs=(extra,)) as pool:
-            grouped = list(pool.map(_run_in_worker, tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            grouped = list(pool.map(
+                functools.partial(_run_task, extra=zeros), tasks))
     else:
-        grouped = [_run_task(t, extra) for t in tasks]
+        grouped = [_run_task(t, zeros) for t in tasks]
     dicts = [d for group in grouped for d in group]
 
     text = render_json(dicts) if args.format == "json" else render_csv(dicts)

@@ -375,9 +375,10 @@ def verify_ramanujan_bose(params, tol):
 # ---------------------------------------------------------------------------
 # Moebius / zero-sum transformation (Ramanujan-Hardy-Littlewood)
 
-# the zero counts at which the rhl residual is recorded; verify_rhl uses
-# only the first max(RHL_COUNTS) zeros
+# the zero counts at which the rhl residual is recorded (verify_rhl uses
+# only the first max(RHL_COUNTS) zeros), and the Moebius sums' cutoff N
 RHL_COUNTS = (1, 2, 3, 5, 10)
+RHL_MOBIUS_LIMIT = 10 ** 4
 
 
 def _rhl_side(x, w, table, zeros, counts, path):
@@ -391,25 +392,26 @@ def _rhl_side(x, w, table, zeros, counts, path):
                     "mobius_tail_bound": float(np.sqrt(x) * abs(scale) * tail)}
 
 
-def verify_rhl(params, zeros, N_mobius, tol):
+def verify_rhl(params, zeros, tol):
     """Check of the Moebius/zero-sum transformation.
 
     Both sides are the same expression at (alpha, z) and (1/alpha, iz):
     sqrt(x) e^(w^2/8) mobius_theta_sum - e^(w^2/8)/(4 sqrt(pi x)) zero_sum.
-    The Moebius sum to N_mobius carries a tail bound, so the zero count
-    limits the residual; it is recorded at each count of RHL_COUNTS.  A
-    report passes when every residual falls below the one before until it
-    reaches 1e-3 tol, the final one is within tol, and each side's tail
-    bound, scaled by its prefactor sqrt(x) |e^(w^2/8)|, is within tol.
+    The Moebius sum to N = RHL_MOBIUS_LIMIT carries a tail bound, so the
+    zero count limits the residual; it is recorded at each count of
+    RHL_COUNTS.  A report passes when every residual falls below the one
+    before until it reaches 1e-3 tol, the final one is within tol, and
+    each side's tail bound, scaled by its prefactor sqrt(x) |e^(w^2/8)|,
+    is within tol.
     Each side is one mobius_theta_sum call and one zero_sum_bracketed
     pass that yields the sum at every count.  Raises ValueError on an
-    empty zeros list and on N_mobius < 1.
+    empty zeros list.
     """
     if len(zeros) == 0:
         raise ValueError("verify_rhl: need at least one zero")
     zeros = zeros[:max(RHL_COUNTS)]
     a, z = params.alpha, params.z
-    table = mobius_sieve(N_mobius)
+    table = mobius_sieve(RHL_MOBIUS_LIMIT)
     counts = [c for c in RHL_COUNTS if c <= len(zeros)]
     sides_a, diag_a = _rhl_side(a, z, table, zeros, counts, "numseries@alpha")
     sides_b, diag_b = _rhl_side(params.beta, 1j * z, table, zeros, counts,

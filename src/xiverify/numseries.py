@@ -3,8 +3,7 @@
 Each sum here feeds one side of an identity check: theta-type Gaussian
 sums, sums of the modified Bessel function K0, the Bessel-difference sum
 behind the z = 0 Ferrar reduction, the digamma-remainder sum, the
-Moebius sum, and the sum over nontrivial zeta zeros with conjugate-pair
-bracketing.
+Moebius sum, and the sum over nontrivial zeta zeros in conjugate pairs.
 
 Truncation policy: sums stop when a rigorous term bound drops below
 1e-17 or switch to an Euler-Maclaurin tail once terms follow their
@@ -27,7 +26,7 @@ from .xikernel import lambda_kernel
 
 _LOG_TERM_CUTOFF = 39.2  # -log(1e-17)
 
-# the most terms a series may take, the --mobius-limit ceiling too
+# the most terms a series may take
 MAX_TERMS = 10 ** 7
 
 _ZETA3 = float(zeta(3.0).real)
@@ -279,39 +278,22 @@ def mobius_theta_sum(alpha, z, table):
     return complex(terms[::-1].sum()) + d1 / _ZETA3, tail + rounding
 
 
-_BRACKET_A1 = 0.1  # the closeness constant a1 of the zero-sum brackets
-
-
-def _bracket_edges(gammas):
-    """Split ordinates into brackets: consecutive zeros whose gap is below
-    exp(-a1 g/log g) + exp(-a1 g'/log g') share a bracket."""
-    a1 = _BRACKET_A1
-    edges = [0]
-    for i in range(1, len(gammas)):
-        g0, g1 = gammas[i - 1], gammas[i]
-        close = (np.exp(-a1 * g0 / np.log(max(g0, 2.0)))
-                 + np.exp(-a1 * g1 / np.log(max(g1, 2.0))))
-        if g1 - g0 >= close:
-            edges.append(i)
-    edges.append(len(gammas))
-    return edges
-
-
 def zero_sum_bracketed(zeros, alpha, z, counts):
-    """Bracketed sums over nontrivial zeros rho = 1/2 + i gamma and
-    conjugates, one per count c in counts, over the first c zeros:
+    """Sums over nontrivial zeros rho = 1/2 + i gamma and conjugates, one
+    per count c in counts, over the first c zeros:
 
         sum_rho Gamma((1-rho)/2) / zeta'(rho) 1F1((1-rho)/2; 1/2; -z^2/4)
                 pi^(rho/2) alpha^rho.
 
-    Each ordinate contributes its conjugate pair in one bracket, which
-    makes the sum real for real alpha and z^2; ordinates closer than the
-    closeness criterion (constant _BRACKET_A1) are additionally grouped,
-    though at desk height the gaps never trigger it.  Terms decay like e^(-pi g/4)
-    through the Gamma factor, so the bracketed partial sums settle after
-    a handful of zeros.  The pair terms are evaluated once, on all of
-    zeros; each count then sums its own prefix, with the bracket that
-    straddles c closed at c, exactly as zeros[:c] alone would close it.
+    Each ordinate contributes its conjugate pair as one bracket, which
+    makes the sum real for real alpha and z^2.  Hardy and Littlewood also
+    group ordinates closer than exp(-a1 g/log g) + exp(-a1 g'/log g')
+    (a1 = 0.1); that only changes the order of the same terms, and no two
+    zeros below t = 386 come that close (the 193 there are at least 0.498
+    apart), so none is grouped here.  Terms decay like e^(-pi g/4)
+    through the Gamma factor, so the partial sums settle after a handful
+    of zeros.  The pair terms are evaluated once, on all of zeros; each
+    count then sums its own prefix.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
@@ -336,10 +318,4 @@ def zero_sum_bracketed(zeros, alpha, z, counts):
         pair = 2.0 * upper.real + 0.0j
     else:
         pair = upper + term(np.conj(rho), np.conj(zp))
-    edges = _bracket_edges(gammas)
-    sums = []
-    for c in counts:
-        starts = [e for e in edges[:-1] if e < c]
-        sums.append(complex(np.add.reduceat(pair[:c], starts).sum()) if c
-                    else 0.0 + 0.0j)
-    return sums
+    return [complex(pair[:c].sum()) for c in counts]

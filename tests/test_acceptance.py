@@ -194,7 +194,7 @@ def test_zero_sum_trend(sample_zeros_path):
     lines = []
     trend_ok = True
     for z in (0.0, 1.0):
-        rep = verify_rhl(KernelParams(2.0, z), zeros, 10000, 1e-8)
+        rep = verify_rhl(KernelParams(2.0, z), zeros, 1e-8)
         diag = rep.diagnostics
         final = diag["residual_sequence"][-1]
         bound = "met" if final <= 1e-8 else "missed"

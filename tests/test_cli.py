@@ -99,21 +99,17 @@ class TestMain:
         assert len(doc["reports"]) == 1
         assert doc["reports"][0]["identity"] == "theta"
 
-    def test_aux_battery(self, monkeypatch):
+    def test_aux_battery(self):
         code, out = run_cli(["--identity", "aux"])
         assert code == 0
         doc = json.loads(out)
         assert len(doc["reports"]) == 14
-        # the aux reports take the run's tol, from --tol or XI_VERIFY_TOL,
+        # the aux reports take the run's tol, from --tol (default 1e-8),
         # like every other family
         assert {r["tolerance"] for r in doc["reports"]} == {1e-8}
-        for argv, env in ((["--tol", "1e-6"], None), ([], "1e-7")):
-            if env:
-                monkeypatch.setenv("XI_VERIFY_TOL", env)
-            code, out = run_cli(["--identity", "aux"] + argv)
-            assert code == 0
-            assert {r["tolerance"] for r in json.loads(out)["reports"]} == {
-                float(env or argv[1])}
+        code, out = run_cli(["--identity", "aux", "--tol", "1e-6"])
+        assert code == 0
+        assert {r["tolerance"] for r in json.loads(out)["reports"]} == {1e-6}
 
     def test_csv_format(self):
         code, out = run_cli(["--identity", "digamma", "--alpha", "1.5",
@@ -145,15 +141,15 @@ class TestMain:
         assert a.read_bytes() == b.read_bytes()
 
     def test_tasks_do_not_carry_the_zeros(self, zero_records):
-        extra = {"mobius_limit": 10000, "zeros": zero_records}
-        tasks = cli.build_tasks("all", default_grid(), 1e-8, extra)
+        tasks = cli.build_tasks("all", default_grid(), 1e-8, zero_records)
         assert any(t[0] == "rhl" for t in tasks)
         for task in tasks:
-            assert len(task) == 4
-            assert not any(field is extra for field in task)
+            kind, alpha, z, tol = task
+            assert kind in cli._FAMILIES
+            assert (type(alpha), type(z), tol) == (float, complex, 1e-8)
 
     def test_rhl_jobs_match_serial(self, tmp_path, sample_zeros_path):
-        # --jobs workers get the zeros from the pool's initializer
+        # each --jobs task takes the zeros along
         grid = tmp_path / "grid.txt"
         grid.write_text("2.0 1.0 0.0\n0.5 0.0 2.0\n")
         argv = ["--identity", "rhl", "--zeros", sample_zeros_path,
@@ -174,11 +170,11 @@ class TestMain:
         doc = json.loads(out)
         assert [r["alpha"] for r in doc["reports"]] == [1.0, 2.0]
 
-    def test_failure_exit_code(self, sample_zeros_path):
-        # ten Moebius terms leave a residual of 5e-4: a reported failure
+    def test_failure_exit_code(self, sample_zeros_path, monkeypatch):
+        # ten Moebius terms leave a tail bound above tol: a reported failure
+        monkeypatch.setattr(identities, "RHL_MOBIUS_LIMIT", 10)
         code, out = run_cli(["--identity", "rhl", "--zeros",
-                             sample_zeros_path, "--alpha", "2", "--z", "0",
-                             "--mobius-limit", "10"])
+                             sample_zeros_path, "--alpha", "2", "--z", "0"])
         assert code == 1
         doc = json.loads(out)
         assert doc["all_pass"] is False
@@ -235,8 +231,7 @@ class TestMain:
         # z = 40i puts cos(sqrt(pi) alpha n z) = cosh(70.9 n) into the
         # alpha series, which overflows from n = 11; left as a warning, it
         # would make a NaN side
-        extra = {"mobius_limit": 10000, "zeros": None}
-        report, = cli._run_task(("theta", 1.0, 40j, 1e-8), extra)
+        report, = cli._run_task(("theta", 1.0, 40j, 1e-8), None)
         assert report["pass"] is False
         assert report["sides"] == {}
         assert report["diagnostics"]["error"].startswith(
@@ -272,6 +267,7 @@ class TestUsageErrors:
         ["--identity", "theta", "--tol", "nan"],
         ["--identity", "theta", "--tol", "inf"],
         ["--identity", "theta", "--rhl-tol", "1e-3"],   # flag removed
+        ["--identity", "theta", "--mobius-limit", "10"],  # flag removed
         ["--identity", "theta", "--grid", "bogus"],
     ])
     def test_exit_two(self, argv, capsys):
@@ -286,44 +282,6 @@ class TestUsageErrors:
             main(["--identity", "rhl", "--zeros", str(p), "--alpha", "1"])
         assert exc.value.code == 2
         assert "no ordinates" in capsys.readouterr().err
-
-    def test_mobius_limit_range(self, sample_zeros_path, monkeypatch):
-        # rejected before the zeros are prepared or any sieve is built
-        def refuse(*args, **kwargs):
-            raise AssertionError("range check came too late")
-
-        monkeypatch.setattr(cli, "prepare_zeros", refuse)
-        monkeypatch.setattr(cli, "_run_task", refuse)
-        for limit in (0, -5, 10 ** 12):
-            with pytest.raises(SystemExit) as exc:
-                main(["--identity", "rhl", "--zeros", sample_zeros_path,
-                      "--mobius-limit", str(limit)])
-            assert exc.value.code == 2
-
-
-def test_tol_env_default(monkeypatch):
-    argv = ["--identity", "theta", "--alpha", "2", "--z", "0"]
-
-    def reported_tol(extra=()):
-        code, out = run_cli(argv + list(extra))
-        assert code == 0
-        return json.loads(out)["reports"][0]["tolerance"]
-
-    monkeypatch.setenv("XI_VERIFY_TOL", "1e-6")
-    assert reported_tol() == 1e-6
-    assert reported_tol(["--tol", "1e-7"]) == 1e-7
-    monkeypatch.delenv("XI_VERIFY_TOL")
-    assert reported_tol() == 1e-8
-
-
-@pytest.mark.parametrize("value", ["abc", "", "nan", "-1"])
-def test_malformed_tol_env_is_a_usage_error(value, monkeypatch, capsys):
-    monkeypatch.setenv("XI_VERIFY_TOL", value)
-    with pytest.raises(SystemExit) as exc:
-        main(["--identity", "theta", "--alpha", "1"])
-    assert exc.value.code == 2
-    if value in ("abc", ""):
-        assert "XI_VERIFY_TOL" in capsys.readouterr().err
 
 
 class TestJobsWorkerCount:
@@ -346,9 +304,8 @@ class TestJobsWorkerCount:
         made = []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 made.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -360,7 +317,6 @@ class TestJobsWorkerCount:
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "_worker_extra", None)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, out = run_cli(["--identity", "digamma", "--jobs", jobs])
         assert code == 0

@@ -26,7 +26,6 @@ from xiverify.xikernel import KernelParams
 DELTA = 1e-5
 TOL = 1e-8
 POINTS = [(0.8, 1.0 + 0.5j), (1.25, 2.0j), (2.0, 0.0j)]
-N_MOBIUS = 10 ** 4
 
 XI_FAMILIES = {"theta", "hardy", "ferrar", "ramanujan", "digamma",
                "lineint"}
@@ -62,7 +61,7 @@ def _run(family, params, zeros):
         return identities.verify_ramanujan_digamma(params.alpha, TOL)
     if family == "lineint":
         return identities.verify_line_integral(params, TOL)
-    return identities.verify_rhl(params, zeros, N_MOBIUS, TOL)
+    return identities.verify_rhl(params, zeros, TOL)
 
 
 def _failing(zeros):

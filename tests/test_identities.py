@@ -97,7 +97,7 @@ def _ten_zeros():
 
 
 def rhl_at(params, tol):
-    return verify_rhl(params, _ten_zeros(), 10000, tol)
+    return verify_rhl(params, _ten_zeros(), tol)
 
 
 # each family's twin sides, the (alpha, z) one first; digamma has no z
@@ -754,7 +754,7 @@ class TestTabulatedPhysicalSides:
 
 class TestRhl:
     def test_trend_at_reference_points(self, zero_records, mobius_10k):
-        rep = verify_rhl(KernelParams(2.0, 0.0), zero_records, 10000, 1e-8)
+        rep = verify_rhl(KernelParams(2.0, 0.0), zero_records, 1e-8)
         assert rep.passed
         seq = rep.diagnostics["residual_sequence"]
         assert rep.diagnostics["zero_counts"] == [1, 2, 3, 5, 10]
@@ -783,7 +783,7 @@ class TestRhl:
 
         monkeypatch.setattr(ns, "mobius_theta_sum", counted_mobius)
         monkeypatch.setattr(ns, "hyp1f1", counted_hyp)
-        rep = verify_rhl(KernelParams(2.0, 1.0), zero_records, 10000, 1e-8)
+        rep = verify_rhl(KernelParams(2.0, 1.0), zero_records, 1e-8)
         assert rep.diagnostics["zero_counts"] == [1, 2, 3, 5, 10]
         assert sums == [(2.0, 1.0), (0.5, 1.0j)]
         # z^2 is real at both sides, so a pass is one 1F1 call
@@ -791,26 +791,25 @@ class TestRhl:
 
     def test_rejects_empty_zeros(self):
         with pytest.raises(ValueError, match="at least one zero"):
-            verify_rhl(KernelParams(2.0, 0.0), [], 10000, 1e-8)
+            verify_rhl(KernelParams(2.0, 0.0), [], 1e-8)
 
-    def test_requires_mobius_depth(self, zero_records):
-        with pytest.raises(ValueError, match="N must be >= 1"):
-            verify_rhl(KernelParams(2.0, 0.0), zero_records, 0, 1e-8)
+    def test_requires_mobius_depth(self, zero_records, monkeypatch):
         # ten Moebius terms leave a tail the gate cannot certify
-        rep = verify_rhl(KernelParams(2.0, 0.0), zero_records, 10, 1e-8)
+        from xiverify import identities as I
+        monkeypatch.setattr(I, "RHL_MOBIUS_LIMIT", 10)
+        rep = verify_rhl(KernelParams(2.0, 0.0), zero_records, 1e-8)
         assert not rep.passed
         assert rep.diagnostics["alpha_side"]["mobius_tail_bound"] > 1e-8
 
     def test_no_overflow_at_large_alpha_times_imaginary_z(self, zero_records):
         # cos(sqrt(pi) alpha z / n) alone overflows here (RuntimeWarning,
         # an error under this suite); the sum's terms stay finite
-        rep = verify_rhl(KernelParams(100.0, 5.0j), zero_records, 10000,
-                         1e-8)
+        rep = verify_rhl(KernelParams(100.0, 5.0j), zero_records, 1e-8)
         assert all(np.isfinite(v) for v in rep.sides.values())
 
     def test_overflowing_tail_bound_says_why(self, zero_records):
         with pytest.raises(ValueError, match="tail bound"):
-            verify_rhl(KernelParams(1e6, 0.0), zero_records, 10000, 1e-8)
+            verify_rhl(KernelParams(1e6, 0.0), zero_records, 1e-8)
 
 
 class TestAuxiliaryForms:

@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xiverify import numseries as ns
-from xiverify.numseries import (_bracket_edges, _zeta_tail,
-                                cosh_theta_sum, ferrar_bessel_sum,
-                                k0_sum_direct, k0_sum_minus_pole, lambda_sum,
+from xiverify.numseries import (_zeta_tail, cosh_theta_sum,
+                                ferrar_bessel_sum, k0_sum_direct,
+                                k0_sum_minus_pole, lambda_sum,
                                 mobius_theta_sum, sqrt_lattice_sum,
                                 theta_sum, zero_sum_bracketed)
 from xiverify.specfun import besselk0_scaled, mobius_sieve, zeta
@@ -339,43 +338,23 @@ class TestZeroSum:
     def test_empty_input(self):
         assert _zero_sum([], 1.0, 0.0) == 0.0
 
-    def test_close_ordinates_share_a_bracket(self, monkeypatch):
-        # the shipped ordinates never trigger grouping, synthetic ones do
-        gammas = [1.0, 1.001, 5.0]
-        recs = [ZeroRecord(g, zeta_prime=d) for g, d in
-                zip(gammas, [0.8 + 0.1j, -0.5 + 0.3j, 1.2 - 0.4j])]
-        assert _bracket_edges(gammas) == [0, 2, 3]
-        grouped = _zero_sum(recs, 2.0, 1.0 + 0.5j)
-        monkeypatch.setattr(ns, "_BRACKET_A1", 1e3)
-        assert _bracket_edges(gammas) == [0, 1, 2, 3]
-        ungrouped = _zero_sum(recs, 2.0, 1.0 + 0.5j)
-        _close(grouped, ungrouped, rel=1e-15)
-
-    @pytest.mark.parametrize("a1", [0.1, 1e-3, 1e3])
     @pytest.mark.parametrize("z", [1.0, 2.0j, 1.0 + 0.5j])
-    def test_one_pass_matches_each_prefix(self, zero_records, a1, z,
-                                          monkeypatch):
-        # at a1 = 1e-3 gaps below about 2 share a bracket, so counts 9
-        # and 13 close a bracket early, as zeros[:c] does
-        monkeypatch.setattr(ns, "_BRACKET_A1", a1)
+    def test_one_pass_matches_each_prefix(self, zero_records, z):
         counts = [1, 9, 10, 13, 25, 50, 100]
-        if a1 == 1e-3:
-            edges = _bracket_edges([r.gamma for r in zero_records])
-            assert 9 not in edges and 13 not in edges
         sums = zero_sum_bracketed(zero_records, 0.8, z, counts)
         for c, got in zip(counts, sums):
             _close(got, _zero_sum(zero_records[:c], 0.8, z), rel=1e-15)
 
-    def test_one_pass_splits_a_synthetic_bracket(self, monkeypatch):
+    def test_one_pass_splits_a_synthetic_bracket(self):
+        # 1.0 and 1.001 lie closer than Hardy and Littlewood's grouping
+        # criterion; count 1 still takes the first pair alone
         gammas = [1.0, 1.001, 5.0]
         recs = [ZeroRecord(g, zeta_prime=d) for g, d in
                 zip(gammas, [0.8 + 0.1j, -0.5 + 0.3j, 1.2 - 0.4j])]
-        for a1 in (0.1, 1e3):
-            monkeypatch.setattr(ns, "_BRACKET_A1", a1)
-            sums = zero_sum_bracketed(recs, 2.0, 1.0 + 0.5j, [0, 1, 2, 3])
-            assert sums[0] == 0.0
-            for c, got in zip((1, 2, 3), sums[1:]):
-                _close(got, _zero_sum(recs[:c], 2.0, 1.0 + 0.5j), rel=1e-15)
+        sums = zero_sum_bracketed(recs, 2.0, 1.0 + 0.5j, [0, 1, 2, 3])
+        assert sums[0] == 0.0
+        for c, got in zip((1, 2, 3), sums[1:]):
+            _close(got, _zero_sum(recs[:c], 2.0, 1.0 + 0.5j), rel=1e-15)
 
     def test_count_out_of_range_raises(self, zero_records):
         with pytest.raises(ValueError):
