@@ -13,9 +13,15 @@ rounding.  A term count above MAX_TERMS raises ValueError before any
 term is allocated.
 mobius_theta_sum and zero_sum_bracketed each do one rhl side's work in
 one pass: the Moebius sum from one term array, and the zero sum at every
-zero count from one evaluation of the pair terms.
+zero count from one evaluation of the pair terms.  A side pays only for
+what depends on its own (alpha, z).  The Moebius sum reads n, mu(n)/n
+and 1/n^2 from the shared MobiusTable and takes its terms in real
+arithmetic.  The zero sum keeps its log-Gamma factors per zero set and
+its 1F1 rows per zero set and z^2 in per-process LRU caches, whose
+entries are the bits an uncached call would compute.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -32,6 +38,8 @@ MAX_TERMS = 10 ** 7
 _ZETA3 = float(zeta(3.0).real)
 
 _TWO_PI = 2.0 * np.pi
+
+_SQRT_PI = math.sqrt(math.pi)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -240,10 +248,18 @@ def mobius_theta_sum(alpha, z, table):
     (c^2/2) e^(c/N^2) / (4 N^4).  Raises ValueError when that bound is not
     finite.  error_bound adds the rounding, eps (4 P + |d_1/zeta(3)| +
     ceil(log2 k) sum_n |term_n|) over the k terms, with P the sum of
-    (|f(1/n)| + 1 + |d_1|/n^2)/n: the parts of a term cancel to O(n^-5),
-    so their own rounding outweighs the terms' (about 1.3e-14 at
-    (0.2, 3i), N = 1e4, against an observed 2.2e-16).  The terms are
-    evaluated only at the squarefree n of the table.
+    (C_n + 1 + |d_1|/n^2)/n and C_n >= |f(1/n)| below: the parts of a
+    term cancel to O(n^-5), so their own rounding outweighs the terms'
+    (about 1.3e-14 at (0.2, 3i), N = 1e4, against an observed 2.2e-16).
+    The terms are evaluated only at the squarefree n of the table.
+
+    f is taken in real arithmetic.  With u = -pi alpha^2/n^2,
+    X = sqrt(pi) alpha Re z/n, Y = sqrt(pi) alpha Im z/n and
+    C, S = (e^(u-Y) +- e^(u+Y))/2, f(1/n) = C cos X + i S sin X: two
+    real exponentials, a cosine and a sine per n.  Each exponent u +- Y
+    is at most |Im z|^2/4, the maximum over n of -q^2 + q |Im z| with
+    q = sqrt(pi) alpha/n, so nothing overflows where cos(sqrt(pi) alpha
+    z/n) alone would; and |f| <= C, as |S| <= C.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
@@ -258,24 +274,65 @@ def mobius_theta_sum(alpha, z, table):
     if not math.isfinite(tail):
         raise ValueError("mobius_theta_sum: tail bound at alpha=%g, z=%s, "
                          "N=%d is not finite" % (alpha, z, N))
-    k = table.squarefree
-    n = k.astype(np.float64)
-    mu = table.values[k].astype(np.float64)
+    n, inv_n2 = table.n, table.inv_n2
     d1 = -a2 * (1.0 + 0.5 * z * z)
-    u = -a2 / (n * n)
-    f = np.exp(u)
-    if z != 0.0:
-        # e^u cos(v) as two exponentials, each at most e^(|Im z|^2/4)
-        v = 1j * np.sqrt(np.pi) * alpha * z / n
-        f = 0.5 * (np.exp(u + v) + np.exp(u - v))
-    terms = (mu / n) * (f - 1.0 - d1 / (n * n))
+    u = -a2 * inv_n2
+    X = (_SQRT_PI * alpha * z.real) / n
+    Y = (_SQRT_PI * alpha * z.imag) / n
+    lo = np.exp(u - Y)
+    hi = np.exp(u + Y)
+    C = 0.5 * (lo + hi)
+    S = 0.5 * (lo - hi)
+    # the terms' real and imaginary parts, written into one complex
+    # array, so the sum is numpy's complex pairwise sum
+    terms = np.empty(len(n), np.complex128)
+    terms.real = table.mu_over_n * (C * np.cos(X) - 1.0 - d1.real * inv_n2)
+    terms.imag = table.mu_over_n * (S * np.sin(X) - d1.imag * inv_n2)
     # rounding: 4 ulps of each term's parts, which cancel to O(n^-5), and
     # the pairwise sum's log2(len) ulps of the terms' magnitudes
-    parts = ((np.abs(f) + 1.0 + abs(d1) / (n * n)) / n).sum()
+    parts = ((C + 1.0 + abs(d1) * inv_n2) / n).sum()
     rounding = _EPS * float(4.0 * parts + abs(d1 / _ZETA3)
                             + math.ceil(math.log2(len(n)))
                             * np.abs(terms).sum())
     return complex(terms[::-1].sum()) + d1 / _ZETA3, tail + rounding
+
+
+# the zero sets and the 1F1 rows zero_sum_bracketed keeps per process:
+# rhl passes one set of 10 zeros, and a 20-point grid makes at most 80
+# rows of 160 bytes
+_ZERO_SETS = 4
+_ZERO_ROWS = 256
+
+
+@functools.lru_cache(maxsize=_ZERO_SETS)
+def _zero_factors(zeros):
+    """For rho = 1/2 + i gamma over the tuple zeros, and for its
+    conjugate: (r, zeta'(r), log Gamma((1-r)/2) + (r/2) log pi) as
+    read-only arrays, through the module's lngamma binding.  None of
+    them depends on alpha or z."""
+    gammas = np.array([rec.gamma for rec in zeros], dtype=np.float64)
+    zp = np.array([rec.zeta_prime for rec in zeros], dtype=np.complex128)
+    rho = 0.5 + 1j * gammas
+    out = []
+    for r, d in ((rho, zp), (np.conj(rho), np.conj(zp))):
+        A = lngamma(0.5 * (1.0 - r)) + 0.5 * r * np.log(np.pi)
+        for arr in (r, d, A):
+            arr.flags.writeable = False
+        out.append((r, d, A))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=_ZERO_ROWS)
+def _zero_1f1_row(zeros, arg, conjugate):
+    """1F1((1-r)/2; 1/2; arg) at r = rho, or at its conjugate, over the
+    tuple zeros, read-only, through the module's hyp1f1 binding.  Keyed
+    by arg = -z^2/4, it serves every alpha; z and -z give arg imaginary
+    parts of opposite zero sign, whose keys compare equal and whose rows
+    come out the same bits."""
+    r = _zero_factors(zeros)[conjugate][0]
+    row = hyp1f1(0.5 * (1.0 - r), 0.5, arg)
+    row.flags.writeable = False
+    return row
 
 
 def zero_sum_bracketed(zeros, alpha, z, counts):
@@ -294,6 +351,12 @@ def zero_sum_bracketed(zeros, alpha, z, counts):
     through the Gamma factor, so the partial sums settle after a handful
     of zeros.  The pair terms are evaluated once, on all of zeros; each
     count then sums its own prefix.
+
+    What does not depend on alpha is kept per process: the log-Gamma and
+    pi factors per zero set (_zero_factors) and the 1F1 rows per zero set
+    and -z^2/4 (_zero_1f1_row).  A call multiplies in alpha^rho alone,
+    with the operations of the uncached expression in its order, so the
+    sums are the same bits cold or warm.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
@@ -304,18 +367,18 @@ def zero_sum_bracketed(zeros, alpha, z, counts):
                          % len(zeros))
     if len(zeros) == 0:
         return [0.0 + 0.0j] * len(counts)
+    zeros = tuple(zeros)
     z = complex(z)
-    gammas = np.array([rec.gamma for rec in zeros], dtype=np.float64)
-    zp = np.array([rec.zeta_prime for rec in zeros], dtype=np.complex128)
-    rho = 0.5 + 1j * gammas
     arg = -0.25 * z * z
-    def term(r, d):
-        return (np.exp(lngamma(0.5 * (1.0 - r)) + 0.5 * r * np.log(np.pi)
-                       + r * np.log(alpha))
-                / d * hyp1f1(0.5 * (1.0 - r), 0.5, arg))
-    upper = term(rho, zp)
+    log_alpha = np.log(alpha)
+
+    def term(conjugate):
+        r, d, A = _zero_factors(zeros)[conjugate]
+        return (np.exp(A + r * log_alpha) / d
+                * _zero_1f1_row(zeros, arg, conjugate))
+    upper = term(False)
     if arg.imag == 0.0:
         pair = 2.0 * upper.real + 0.0j
     else:
-        pair = upper + term(np.conj(rho), np.conj(zp))
+        pair = upper + term(True)
     return [complex(pair[:c].sum()) for c in counts]

@@ -20,6 +20,7 @@ converge, raises ValueError naming the function.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -379,48 +380,65 @@ def besselk0_scaled(x):
     return _merge(out, scalar)
 
 
-# eq=False: a table holds an array, so it compares and hashes by identity
+# eq=False: a table holds arrays, so it compares and hashes by identity
 @dataclass(frozen=True, eq=False)
 class MobiusTable:
     """Moebius function values mu(1..limit).
 
     values has length limit + 1 with values[0] = 0 unused, so values[n]
     is mu(n) for 1 <= n <= limit.  squarefree holds, in ascending order,
-    the n with mu(n) != 0, the only n a Moebius-weighted sum needs.
+    the n with mu(n) != 0, the only n a Moebius-weighted sum needs; n,
+    mu_over_n and inv_n2 hold n, mu(n)/n and 1/n^2 at those n as float64.
+    Every array is read-only, because mobius_sieve shares one table per
+    limit across the process.
     """
 
     limit: int
     values: np.ndarray
     squarefree: np.ndarray = field(init=False)
+    n: np.ndarray = field(init=False)
+    mu_over_n: np.ndarray = field(init=False)
+    inv_n2: np.ndarray = field(init=False)
 
     def __post_init__(self):
         squarefree = np.flatnonzero(self.values)
-        squarefree.flags.writeable = False
-        object.__setattr__(self, "squarefree", squarefree)
+        n = squarefree.astype(np.float64)
+        arrays = {"squarefree": squarefree, "n": n,
+                  "mu_over_n": self.values[squarefree] / n,
+                  "inv_n2": 1.0 / (n * n)}
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @functools.lru_cache(maxsize=4)
 def mobius_sieve(N):
     """Sieve mu(1..N).
 
-    Boolean prime sieve, then one sign flip per prime stride and a zero
-    pass per squared-prime stride; total work O(N log log N).  Tables are
-    memoized per process by N, so every caller shares one table; its
-    values array is read-only for that reason.
+    Only the primes p <= sqrt(N) are sieved; each flips the sign of its
+    multiples, zeroes the multiples of p^2 and is divided out of them
+    once.  A squarefree n <= N then has at most one prime factor above
+    sqrt(N), which is what remains of n when it exceeds 1, and that
+    factor flips the sign once more.  Every step is one numpy slice
+    operation, so there is no Python loop over n.  Tables are memoized
+    per process by N, so every caller shares one table; its arrays are
+    read-only for that reason.
     """
     if N < 1:
         raise ValueError("mobius_sieve: N must be >= 1")
+    root = math.isqrt(N)
+    is_prime = np.ones(root + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
     mu = np.ones(N + 1, dtype=np.int8)
     mu[0] = 0
-    if N >= 2:
-        is_comp = np.zeros(N + 1, dtype=bool)
-        for p in range(2, N + 1):
-            if is_comp[p]:
-                continue
-            is_comp[p * p::p] = True
-            mu[p::p] *= -1
-            sq = p * p
-            if sq <= N:
-                mu[sq::sq] = 0
+    rest = np.arange(N + 1)
+    for p in np.flatnonzero(is_prime).tolist():
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+        rest[p::p] //= p
+    mu[rest > 1] *= -1
     mu.flags.writeable = False
     return MobiusTable(N, mu)

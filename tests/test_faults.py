@@ -6,9 +6,10 @@ looks up, by (1 + DELTA cos|x0|), x0 its first numeric argument, and runs
 every family at three points.  The fault depends on the argument: a
 uniform factor on both sides of a self-dual identity cancels (a uniform
 1e-5 in mobius_theta_sum left rhl passing, at residuals up to 1.6e-9).
-The Xi weights are tabulated once per process and rho's 1F1 rows are
-cached per process, so every node table of identities and the row cache
-of xikernel are emptied before and after a case and rebuilt from the
+The Xi weights are tabulated once per process, and rho's 1F1 rows and
+the zero sums' log-Gamma factors and 1F1 rows are cached per process,
+so every node table of identities and the caches of xikernel and
+numseries are emptied before and after a case and rebuilt from the
 faulty primitive.
 
 Blind spots, not gated here: lineint's two sides are one integral in two
@@ -86,17 +87,20 @@ def _faulty(fn):
     return wrapper
 
 
+def _empty_caches():
+    for t in vars(identities).values():
+        if isinstance(t, quad.NodeTable):
+            t._batches.clear()
+    for cache in (xikernel._rho_series_rows, numseries._zero_factors,
+                  numseries._zero_1f1_row):
+        cache.cache_clear()
+
+
 @pytest.fixture
 def fresh_tables():
-    tables = [t for t in vars(identities).values()
-              if isinstance(t, quad.NodeTable)]
-    for t in tables:
-        t._batches.clear()
-    xikernel._rho_series_rows.cache_clear()
+    _empty_caches()
     yield
-    for t in tables:
-        t._batches.clear()
-    xikernel._rho_series_rows.cache_clear()
+    _empty_caches()
 
 
 def test_every_family_passes_without_a_fault(zero_records):
@@ -121,3 +125,16 @@ def test_fault_in_1f1_is_seen_after_a_warm_row_cache(zero_records,
     request.getfixturevalue("fresh_tables")
     monkeypatch.setattr(xikernel, "hyp1f1", _faulty(xikernel.hyp1f1))
     assert XI_FAMILIES - {"lineint"} <= _failing(zero_records)
+
+
+@pytest.mark.parametrize("name", ["lngamma", "hyp1f1"])
+def test_fault_in_zero_sums_is_seen_after_warm_caches(name, zero_records,
+                                                      monkeypatch, request):
+    # the zero sums' log-Gamma factors and 1F1 rows, cached at POINTS
+    # before the fault, would hide it from rhl
+    assert _failing(zero_records) == set()
+    assert numseries._zero_factors.cache_info().currsize > 0
+    assert numseries._zero_1f1_row.cache_info().currsize > 0
+    request.getfixturevalue("fresh_tables")
+    monkeypatch.setattr(numseries, name, _faulty(getattr(numseries, name)))
+    assert "rhl" in _failing(zero_records)

@@ -783,11 +783,37 @@ class TestRhl:
 
         monkeypatch.setattr(ns, "mobius_theta_sum", counted_mobius)
         monkeypatch.setattr(ns, "hyp1f1", counted_hyp)
+        ns._zero_factors.cache_clear()
+        ns._zero_1f1_row.cache_clear()
         rep = verify_rhl(KernelParams(2.0, 1.0), zero_records, 1e-8)
         assert rep.diagnostics["zero_counts"] == [1, 2, 3, 5, 10]
         assert sums == [(2.0, 1.0), (0.5, 1.0j)]
-        # z^2 is real at both sides, so a pass is one 1F1 call
+        # z^2 is real at both sides, so a cold pass is one 1F1 call
         assert passes == [10, 10]
+        # the rows do not depend on alpha: a second alpha at the same z
+        # takes both from the cache
+        verify_rhl(KernelParams(0.8, 1.0), zero_records, 1e-8)
+        assert passes == [10, 10]
+
+    def test_warm_caches_give_cold_report(self, zero_records):
+        # the zero sums' per-process factors and 1F1 rows, filled at other
+        # alphas and at -z, leave every byte of the report as cold
+        from xiverify import numseries as ns
+
+        def cold(params):
+            ns._zero_factors.cache_clear()
+            ns._zero_1f1_row.cache_clear()
+            return repr(verify_rhl(params, zero_records, 1e-8))
+
+        for z in (1.0, 1.0 + 0.5j):
+            z = complex(z)
+            want = {w: cold(KernelParams(0.8, w)) for w in (z, -z)}
+            cold(KernelParams(0.5, -z))
+            verify_rhl(KernelParams(2.0, z), zero_records, 1e-8)
+            for w in (z, -z):
+                got = repr(verify_rhl(KernelParams(0.8, w), zero_records,
+                                      1e-8))
+                assert got == want[w]
 
     def test_rejects_empty_zeros(self):
         with pytest.raises(ValueError, match="at least one zero"):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xiverify import numseries
 from xiverify.numseries import (_zeta_tail, cosh_theta_sum,
                                 ferrar_bessel_sum, k0_sum_direct,
                                 k0_sum_minus_pole, lambda_sum,
@@ -209,6 +210,10 @@ MOBIUS_REFERENCE = {
     (1.25, 2.0j): -1.0064272396451235034,
     (5.0, 3.0): 0.0075304459758770111211,
     (0.2, 3.0j): 0.35585593087582357424,
+    # 30 digits; sqrt(pi) Re z = pi/2 to 7 digits, so cos X is about 0 at
+    # n = 1 and the real form's C cos X + i S sin X rests on its sine
+    (1.0, 0.886227 + 1.5j): (-0.775444786736136679228894781419
+                             + 0.117547009500631132530478256275j),
 }
 
 
@@ -253,18 +258,22 @@ class TestMobiusThetaSum:
         # the truncation tail (c^2/2) e^(c/N^2) / (4 N^4), c = pi alpha^2
         # (1 + |z|^2), about 5e-14 at alpha = 2, |z| = 2, N = 1e4, plus
         # the rounding term, recomputed here from the squarefree terms
-        _, bound = mobius_theta_sum(2.0, 2.0j, mobius_10k)
+        # with C = (e^(u-Y) + e^(u+Y))/2 >= |f| in place of |f|
+        z = 1.2 + 1.6j
+        _, bound = mobius_theta_sum(2.0, z, mobius_10k)
         c = 20.0 * math.pi
         tail = c * c / 8e16 * math.exp(c / 1e8)
         assert 4e-14 < tail < 6e-14
         n = mobius_10k.squarefree.astype(np.float64)
         mu = mobius_10k.values[mobius_10k.squarefree]
-        d1 = -4.0 * math.pi * (1.0 + 0.5 * (2.0j) ** 2)
+        d1 = -4.0 * math.pi * (1.0 + 0.5 * z * z)
         u = -4.0 * math.pi / (n * n)
-        v = 1j * math.sqrt(math.pi) * 2.0 * 2.0j / n
+        v = 1j * math.sqrt(math.pi) * 2.0 * z / n
         f = 0.5 * (np.exp(u + v) + np.exp(u - v))
+        C = 0.5 * (np.exp(u + v.real) + np.exp(u - v.real))
+        assert (np.abs(f) <= C * (1.0 + 1e-15)).all()
         terms = (mu / n) * (f - 1.0 - d1 / (n * n))
-        parts = ((np.abs(f) + 1.0 + abs(d1) / (n * n)) / n).sum()
+        parts = ((C + 1.0 + abs(d1) / (n * n)) / n).sum()
         rounding = np.finfo(np.float64).eps * (
             4.0 * parts + abs(d1) / 1.2020569031595942
             + math.ceil(math.log2(len(n))) * np.abs(terms).sum())
@@ -291,21 +300,23 @@ class TestMobiusThetaSum:
             mobius_theta_sum(-1.0, 0.0, mobius_100k)
 
     @pytest.mark.parametrize("alpha,z", [(0.8, 0.0), (0.8, 1.0),
-                                         (1.3, 1.0 + 0.5j), (0.5, 2.0j)])
+                                         (1.3, 1.0 + 0.5j), (0.5, 2.0j),
+                                         (1.0, 0.886227 + 1.5j)])
     def test_squarefree_terms_match_all_n_formula(self, mobius_10k,
                                                   alpha, z):
         # the terms are evaluated only where mu(n) != 0; their sum
         # must equal the all-n formula's bit for bit
         z = complex(z)
         n = np.arange(1.0, mobius_10k.limit + 1.0)
-        mu = mobius_10k.values[1:].astype(np.float64)
+        mu = mobius_10k.values[1:]
         d1 = -math.pi * alpha * alpha * (1.0 + 0.5 * z * z)
-        u = -np.pi * alpha * alpha / (n * n)
-        f = np.exp(u)
-        if z != 0.0:
-            v = 1j * np.sqrt(np.pi) * alpha * z / n
-            f = 0.5 * (np.exp(u + v) + np.exp(u - v))
-        terms = (mu / n) * (f - 1.0 - d1 / (n * n))
+        u = -math.pi * alpha * alpha * (1.0 / (n * n))
+        X = (math.sqrt(math.pi) * alpha * z.real) / n
+        Y = (math.sqrt(math.pi) * alpha * z.imag) / n
+        C = 0.5 * (np.exp(u - Y) + np.exp(u + Y))
+        S = 0.5 * (np.exp(u - Y) - np.exp(u + Y))
+        f = C * np.cos(X) + 1j * (S * np.sin(X))
+        terms = (mu / n) * (f - 1.0 - d1 * (1.0 / (n * n)))
         total, _ = mobius_theta_sum(alpha, z, mobius_10k)
         want = complex(terms[mu != 0][::-1].sum()) + d1 / 1.2020569031595942
         assert total == want
@@ -314,6 +325,15 @@ class TestMobiusThetaSum:
 def _zero_sum(zeros, alpha, z):
     """The bracketed zero sum over all of zeros."""
     return zero_sum_bracketed(zeros, alpha, z, [len(zeros)])[0]
+
+
+def _clear_zero_caches():
+    numseries._zero_factors.cache_clear()
+    numseries._zero_1f1_row.cache_clear()
+
+
+def _bits(values):
+    return np.array(values, np.complex128).tobytes()
 
 
 class TestZeroSum:
@@ -355,6 +375,25 @@ class TestZeroSum:
         assert sums[0] == 0.0
         for c, got in zip((1, 2, 3), sums[1:]):
             _close(got, _zero_sum(recs[:c], 2.0, 1.0 + 0.5j), rel=1e-15)
+
+    @pytest.mark.parametrize("z", [1.0, 2.0j, 1.0 + 0.5j])
+    def test_warm_caches_give_cold_bits(self, zero_records, z):
+        # the factors and 1F1 rows kept per process serve every alpha,
+        # z and -z, and every count; for z = 1, -z = -1 - 0j gives -z^2/4
+        # a negative zero imaginary part where z gives a positive one
+        zeros, counts, z = zero_records[:10], [1, 3, 10], complex(z)
+        cold = {}
+        for w in (z, -z):
+            _clear_zero_caches()
+            cold[w] = _bits(zero_sum_bracketed(zeros, 0.8, w, counts))
+        _clear_zero_caches()
+        for alpha in (0.5, 2.0):
+            zero_sum_bracketed(zeros, alpha, -z, [10])
+        zero_sum_bracketed(zeros, 1.25, z, [2, 5])
+        for w in (z, -z):
+            assert _bits(zero_sum_bracketed(zeros, 0.8, w, counts)) == cold[w]
+        assert numseries._zero_1f1_row.cache_info().misses == (
+            1 if (z * z).imag == 0.0 else 2)
 
     def test_count_out_of_range_raises(self, zero_records):
         with pytest.raises(ValueError):

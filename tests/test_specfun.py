@@ -5,6 +5,7 @@ are quoted to 17 digits; comparisons run at a few ulps above what float64
 evaluation can honestly deliver.
 """
 
+import functools
 import math
 import time
 
@@ -398,6 +399,26 @@ class TestBesselK0:
             assert besselk0(lo) > besselk0(hi)
 
 
+@functools.lru_cache(maxsize=None)
+def _trial_division_mobius(limit=10 ** 5):
+    """mu(0..limit) by trial division of each n, mu(0) = 0."""
+    mu = [0] * (limit + 1)
+    for n in range(1, limit + 1):
+        m, sign, p = n, 1, 2
+        while p * p <= m:
+            if m % p == 0:
+                m //= p
+                if m % p == 0:
+                    sign = 0
+                    break
+                sign = -sign
+            p += 1
+        if sign and m > 1:
+            sign = -sign
+        mu[n] = sign
+    return np.array(mu, dtype=np.int8)
+
+
 class TestMobius:
     def test_first_values(self):
         table = mobius_sieve(30)
@@ -436,6 +457,24 @@ class TestMobius:
         assert fresh is not cached
         assert cached.limit == fresh.limit == N
         np.testing.assert_array_equal(cached.values, fresh.values)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 10, 97, 100, 101, 10 ** 4,
+                                   10 ** 5])
+    def test_sieve_matches_trial_division(self, N):
+        # 97 and 101 are primes just under and over a square, 100 a
+        # square; every table is a prefix of the trial-division one
+        np.testing.assert_array_equal(mobius_sieve.__wrapped__(N).values,
+                                      _trial_division_mobius()[:N + 1])
+
+    def test_squarefree_fields(self, mobius_10k):
+        t = mobius_10k
+        k = np.flatnonzero(t.values)
+        np.testing.assert_array_equal(t.squarefree, k)
+        np.testing.assert_array_equal(t.n, k.astype(np.float64))
+        np.testing.assert_array_equal(t.mu_over_n, t.values[k] / t.n)
+        np.testing.assert_array_equal(t.inv_n2, 1.0 / (t.n * t.n))
+        for arr in (t.squarefree, t.n, t.mu_over_n, t.inv_n2):
+            assert not arr.flags.writeable
 
     def test_euler_gamma_constant(self):
         assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-16)
