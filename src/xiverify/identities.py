@@ -47,8 +47,7 @@ from . import numseries as ns
 from . import quad
 from .specfun import (EULER_GAMMA, besselk0_scaled, digamma, hyp1f1,
                       hyp2f2_11, lngamma, mobius_sieve)
-from .xikernel import (KernelParams, rho_kernel, rho_rows, xi_cap,
-                       xi_small)
+from .xikernel import KernelParams, rho_rows, xi_cap, xi_small
 
 _SQRT_PI = np.sqrt(np.pi)
 
@@ -553,14 +552,15 @@ def inverse_mellin_check(x, z, c):
 
     (1/(2 pi)) int Gamma(s/2) rho(x, z, s) du = 2 sqrt(x) e^(z^2/8 - x^2)
     cos(xz).  Returns (recovered e^(-x^2) cos(xz), diagnostics of the
-    quadrature).
+    quadrature).  rho is the Xi sides' own, the rows of rho_rows at
+    s = c +- iu, so the check covers the product's kernel and row cache.
     """
     x, z = float(x), complex(z)
 
     def kernel(u):
         # u and -u as rows
         s = c + 1j * np.stack([u, -u])
-        return np.exp(lngamma(0.5 * s)) * rho_kernel(x, z, s)
+        return np.exp(lngamma(0.5 * s)) * rho_rows(x, z, c, 1.0, u)
 
     r = quad.integrate_tabulated(kernel, _ONES, 1e-11)
     scale = 4.0 * np.pi * np.sqrt(x) * np.exp(z * z / 8.0)

@@ -16,9 +16,10 @@ one pass: the Moebius sum from one term array, and the zero sum at every
 zero count from one evaluation of the pair terms.  A side pays only for
 what depends on its own (alpha, z).  The Moebius sum reads n, mu(n)/n
 and 1/n^2 from the shared MobiusTable and takes its terms in real
-arithmetic.  The zero sum keeps its log-Gamma factors per zero set and
-its 1F1 rows per zero set and z^2 in per-process LRU caches, whose
-entries are the bits an uncached call would compute.
+arithmetic.  The zero sum keeps its log-Gamma factors per zero set in
+a per-process LRU cache and takes its 1F1 rows from xikernel.rho_series,
+whose cache also serves the Xi sides; the entries of both are the bits
+an uncached call would compute.
 """
 
 import functools
@@ -27,8 +28,8 @@ import math
 import numpy as np
 
 from .specfun import (_PSI_ASYMP, EULER_GAMMA, _merge, _split, besselk0,
-                      besselk0_scaled, hyp1f1, lngamma, zeta)
-from .xikernel import lambda_kernel
+                      besselk0_scaled, lngamma, zeta)
+from .xikernel import lambda_kernel, rho_series
 
 _LOG_TERM_CUTOFF = 39.2  # -log(1e-17)
 
@@ -297,42 +298,26 @@ def mobius_theta_sum(alpha, z, table):
     return complex(terms[::-1].sum()) + d1 / _ZETA3, tail + rounding
 
 
-# the zero sets and the 1F1 rows zero_sum_bracketed keeps per process:
-# rhl passes one set of 10 zeros, and a 20-point grid makes at most 80
-# rows of 160 bytes
+# the zero sets zero_sum_bracketed keeps per process: rhl passes one
+# set of 10 zeros
 _ZERO_SETS = 4
-_ZERO_ROWS = 256
 
 
 @functools.lru_cache(maxsize=_ZERO_SETS)
 def _zero_factors(zeros):
-    """For rho = 1/2 + i gamma over the tuple zeros, and for its
-    conjugate: (r, zeta'(r), log Gamma((1-r)/2) + (r/2) log pi) as
-    read-only arrays, through the module's lngamma binding.  None of
-    them depends on alpha or z."""
+    """The ordinates gamma of the tuple zeros and, for r = 1/2 + i gamma
+    in row 0 and its conjugate in row 1, the (2, n) arrays r, zeta'(r) and
+    log Gamma((1-r)/2) + (r/2) log pi, all read-only, through the module's
+    lngamma binding.  None of them depends on alpha or z."""
     gammas = np.array([rec.gamma for rec in zeros], dtype=np.float64)
     zp = np.array([rec.zeta_prime for rec in zeros], dtype=np.complex128)
     rho = 0.5 + 1j * gammas
-    out = []
-    for r, d in ((rho, zp), (np.conj(rho), np.conj(zp))):
-        A = lngamma(0.5 * (1.0 - r)) + 0.5 * r * np.log(np.pi)
-        for arr in (r, d, A):
-            arr.flags.writeable = False
-        out.append((r, d, A))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=_ZERO_ROWS)
-def _zero_1f1_row(zeros, arg, conjugate):
-    """1F1((1-r)/2; 1/2; arg) at r = rho, or at its conjugate, over the
-    tuple zeros, read-only, through the module's hyp1f1 binding.  Keyed
-    by arg = -z^2/4, it serves every alpha; z and -z give arg imaginary
-    parts of opposite zero sign, whose keys compare equal and whose rows
-    come out the same bits."""
-    r = _zero_factors(zeros)[conjugate][0]
-    row = hyp1f1(0.5 * (1.0 - r), 0.5, arg)
-    row.flags.writeable = False
-    return row
+    r = np.stack([rho, np.conj(rho)])
+    d = np.stack([zp, np.conj(zp)])
+    A = lngamma(0.5 * (1.0 - r)) + 0.5 * r * np.log(np.pi)
+    for arr in (gammas, r, d, A):
+        arr.flags.writeable = False
+    return gammas, r, d, A
 
 
 def zero_sum_bracketed(zeros, alpha, z, counts):
@@ -353,10 +338,12 @@ def zero_sum_bracketed(zeros, alpha, z, counts):
     count then sums its own prefix.
 
     What does not depend on alpha is kept per process: the log-Gamma and
-    pi factors per zero set (_zero_factors) and the 1F1 rows per zero set
-    and -z^2/4 (_zero_1f1_row).  A call multiplies in alpha^rho alone,
-    with the operations of the uncached expression in its order, so the
-    sums are the same bits cold or warm.
+    pi factors per zero set (_zero_factors), and the 1F1 rows at rho and
+    its conjugate, the two rows of xikernel.rho_series at w = -z^2/4 on
+    the line s = 1/2 +- i gamma, in the cache that also holds the Xi
+    sides' rows.  A call multiplies in alpha^rho alone, with the
+    operations of the uncached expression in its order, so the sums are
+    the same bits cold or warm.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
@@ -367,18 +354,13 @@ def zero_sum_bracketed(zeros, alpha, z, counts):
                          % len(zeros))
     if len(zeros) == 0:
         return [0.0 + 0.0j] * len(counts)
-    zeros = tuple(zeros)
+    gammas, r, d, A = _zero_factors(tuple(zeros))
     z = complex(z)
     arg = -0.25 * z * z
-    log_alpha = np.log(alpha)
-
-    def term(conjugate):
-        r, d, A = _zero_factors(zeros)[conjugate]
-        return (np.exp(A + r * log_alpha) / d
-                * _zero_1f1_row(zeros, arg, conjugate))
-    upper = term(False)
+    term = (np.exp(A + r * np.log(alpha)) / d
+            * rho_series(arg, 0.5, 1.0, gammas))
     if arg.imag == 0.0:
-        pair = 2.0 * upper.real + 0.0j
+        pair = 2.0 * term[0].real + 0.0j
     else:
-        pair = upper + term(True)
+        pair = term[0] + term[1]
     return [complex(pair[:c].sum()) for c in counts]

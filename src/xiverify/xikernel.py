@@ -13,9 +13,12 @@ and x^(it/2).  Kummer's transformation of 1F1 makes the sum invariant
 under (x, z) -> (1/x, iz) on the critical line, the engine behind every
 verified identity here.
 
-Only the power x^(1/2-s) depends on x, so rho_rows keeps the 1F1 rows in
-a per-process LRU cache, one entry per (w = z^2/4, c, k, node batch):
-every alpha, every family on one line, and z and -z share one series.
+rho's 1F1 factor is summed in one place, rho_series, whose rows a
+per-process LRU cache keeps, one entry per (w, c, k, node batch).
+rho_rows takes them at w = z^2/4 for every Xi side and the
+inverse-Mellin check, and numseries' zero sums at w = -z^2/4 on
+s = 1/2 +- i gamma.  Only the power x^(1/2-s) depends on x, so every
+alpha, every family on one line, and z and -z share one series.
 """
 
 import functools
@@ -115,28 +118,6 @@ def xi_cap(t):
     return _merge(-0.5 * (tv * tv + 0.25) * mag * hardy_z, scalar)
 
 
-def _rho(x, w, s, series):
-    """rho(x, z, s) from w = z^2/4 and its 1F1 factor series; the one
-    place its formula is written, the operand order fixing the last bit."""
-    return np.exp((0.5 - s) * np.log(x)) * np.exp(-0.5 * w) * series
-
-
-def _rho_series(s, w):
-    """1F1((1-s)/2; 1/2; w), through the module's hyp1f1 binding."""
-    return hyp1f1(0.5 * (1.0 - s), 0.5, w)
-
-
-def rho_kernel(x, z, s):
-    """rho(x, z, s) = x^(1/2 - s) e^(-z^2/8) 1F1((1-s)/2; 1/2; z^2/4), x > 0."""
-    xv, scalar_x = _split(x, np.float64)
-    if np.any(xv <= 0.0):
-        raise ValueError("rho_kernel: x must be positive")
-    sv, scalar_s = _split(s, np.complex128)
-    zc = complex(z)
-    w = 0.25 * zc * zc
-    return _merge(_rho(xv, w, sv, _rho_series(sv, w)), scalar_x and scalar_s)
-
-
 def _line(c, k, t):
     """s = c + ikt and c - ikt, one row each."""
     return c + 1j * k * np.stack([t, -t])
@@ -144,40 +125,51 @@ def _line(c, k, t):
 
 # A key's rows take at most 2 x 640 nodes x 16 B = 20 KB (the finest
 # level's batch), its node bytes 5 KB more; the usual key, a start batch
-# of 321 nodes, takes 12.8 KB.  64 keys cap the cache at 1.6 MB and hold
-# 0.8 MB of start batches: the default battery's 12 (4 distinct w, 3
-# lines) many times over.
+# of 321 nodes, takes 12.8 KB, and a zero sum's 10 ordinates 320 B.
+# 64 keys cap the cache at 1.6 MB and hold 0.8 MB of start batches: the
+# default battery's 12 (4 distinct w, 3 lines) many times over.
 _RHO_ROW_KEYS = 64
 
 
 @functools.lru_cache(maxsize=_RHO_ROW_KEYS)
 def _rho_series_rows(w, c, k, shape, nodes):
-    """_rho_series at s = c +- ikt for the batch of t whose float64 bytes
-    are nodes, read-only.  The batch is part of the key because a series
-    stops only when its whole batch has converged: rows taken from a
-    larger or smaller batch could differ in their last bits.  For real z,
-    z and -z give w imaginary parts of opposite zero sign; the keys
-    compare equal and the rows come out the same bits."""
-    rows = _rho_series(_line(c, k, np.frombuffer(nodes).reshape(shape)), w)
+    """1F1((1-s)/2; 1/2; w) at s = c +- ikt for the batch of t whose
+    float64 bytes are nodes, read-only, through the module's hyp1f1
+    binding.  The batch is part of the key because a series stops only
+    when its whole batch has converged: rows taken from a larger or
+    smaller batch could differ in their last bits.  For real z, z and -z
+    give w imaginary parts of opposite zero sign; the keys compare equal
+    and the rows come out the same bits."""
+    s = _line(c, k, np.frombuffer(nodes).reshape(shape))
+    rows = hyp1f1(0.5 * (1.0 - s), 0.5, w)
     rows.flags.writeable = False
     return rows
+
+
+def rho_series(w, c, k, t):
+    """1F1((1-s)/2; 1/2; w) at s = c + ikt and c - ikt as two read-only
+    rows of one series, from _rho_series_rows' cache: rho_rows takes them
+    at w = z^2/4, the zero sums at w = -z^2/4 with c = 1/2, k = 1 and t
+    the ordinates."""
+    tv = np.asarray(t, np.float64)
+    return _rho_series_rows(w, c, k, tv.shape, tv.tobytes())
 
 
 def rho_rows(x, z, c, k, t):
     """rho(x, z, c + ikt) and rho(x, z, c - ikt) as two rows, x > 0 a
     float.
 
-    The 1F1 rows come from _rho_series_rows' cache; only x's power and
-    e^(-w/2) are multiplied in per call.  The result is bit-identical to
-    rho_kernel at _line(c, k, t), whichever calls filled the cache.
+    The 1F1 rows come from rho_series; only x's power and e^(-w/2) are
+    multiplied in per call, so the result is the same bits whichever
+    calls filled the cache.
     """
     if not x > 0.0:
         raise ValueError("rho_rows: x must be positive")
     tv = np.asarray(t, np.float64)
     zc = complex(z)
     w = 0.25 * zc * zc
-    rows = _rho_series_rows(w, c, k, tv.shape, tv.tobytes())
-    return _rho(x, w, _line(c, k, tv), rows)
+    return (np.exp((0.5 - _line(c, k, tv)) * np.log(x)) * np.exp(-0.5 * w)
+            * rho_series(w, c, k, tv))
 
 
 def lambda_kernel(x):

@@ -25,7 +25,7 @@ from xiverify.identities import (VerificationReport, aux_checks,
                                  verify_line_integral, verify_ramanujan_bose,
                                  verify_ramanujan_digamma, verify_rhl,
                                  verify_theta, watson_lattice_residual)
-from xiverify.xikernel import KernelParams, rho_kernel
+from xiverify.xikernel import KernelParams, rho_rows
 from xiverify.zeros import prepare_zeros
 
 EULER_GAMMA = 0.5772156649015329
@@ -526,13 +526,11 @@ class TestTabulatedXiSides:
             p = KernelParams(alpha, z)
 
             def pair(c, k, z=z):
-                # the reference's own rho pair at c +- ikt
-                return lambda t: (rho_kernel(alpha, z, c + 1j * k * t)
-                                  + rho_kernel(alpha, z, c - 1j * k * t))
+                # the reference's rho pair at c +- ikt
+                return lambda t: rho_rows(alpha, z, c, k, t).sum(axis=0)
 
             def contour(t):
-                return np.stack([rho_kernel(alpha, z, 0.5 + 1j * t),
-                                 rho_kernel(alpha, z, 0.5 - 1j * t)])
+                return rho_rows(alpha, z, 0.5, 1.0, t)
 
             xi_sides = [(0.5, 0.5, p, pair(0.5, 0.5), table) for table in (
                 I._XI_NABLA, I._XI_HARDY, I._XI_FERRAR)]
@@ -768,6 +766,7 @@ class TestRhl:
         # one Moebius sum per side and one zero-sum pass per side, each
         # over the first 10 zeros only, whatever the number of zero counts
         from xiverify import numseries as ns
+        from xiverify import xikernel
         sums, passes = [], []
         mobius = ns.mobius_theta_sum
 
@@ -775,34 +774,35 @@ class TestRhl:
             sums.append((alpha, complex(z)))
             return mobius(alpha, z, *args)
 
-        hyp = ns.hyp1f1
+        hyp = xikernel.hyp1f1
 
         def counted_hyp(a, c, w):
             passes.append(np.size(a))
             return hyp(a, c, w)
 
         monkeypatch.setattr(ns, "mobius_theta_sum", counted_mobius)
-        monkeypatch.setattr(ns, "hyp1f1", counted_hyp)
+        monkeypatch.setattr(xikernel, "hyp1f1", counted_hyp)
         ns._zero_factors.cache_clear()
-        ns._zero_1f1_row.cache_clear()
+        xikernel._rho_series_rows.cache_clear()
         rep = verify_rhl(KernelParams(2.0, 1.0), zero_records, 1e-8)
         assert rep.diagnostics["zero_counts"] == [1, 2, 3, 5, 10]
         assert sums == [(2.0, 1.0), (0.5, 1.0j)]
-        # z^2 is real at both sides, so a cold pass is one 1F1 call
-        assert passes == [10, 10]
+        # a cold side is one 1F1 call, rho and its conjugate as two rows
+        assert passes == [20, 20]
         # the rows do not depend on alpha: a second alpha at the same z
         # takes both from the cache
         verify_rhl(KernelParams(0.8, 1.0), zero_records, 1e-8)
-        assert passes == [10, 10]
+        assert passes == [20, 20]
 
     def test_warm_caches_give_cold_report(self, zero_records):
         # the zero sums' per-process factors and 1F1 rows, filled at other
         # alphas and at -z, leave every byte of the report as cold
         from xiverify import numseries as ns
+        from xiverify import xikernel
 
         def cold(params):
             ns._zero_factors.cache_clear()
-            ns._zero_1f1_row.cache_clear()
+            xikernel._rho_series_rows.cache_clear()
             return repr(verify_rhl(params, zero_records, 1e-8))
 
         for z in (1.0, 1.0 + 0.5j):
@@ -920,10 +920,10 @@ class TestAuxiliaryForms:
 
     def test_inverse_mellin_takes_the_product_rho(self, monkeypatch):
         # the check integrates the same rho as the Xi sides: a fault in
-        # rho_kernel shows in it
+        # rho_rows shows in it
         from xiverify import identities as I
-        real = I.rho_kernel
-        monkeypatch.setattr(I, "rho_kernel",
-                            lambda x, z, s: real(x, z, s) * (1.0 + 1e-6))
+        real = I.rho_rows
+        monkeypatch.setattr(I, "rho_rows",
+                            lambda *args: real(*args) * (1.0 + 1e-6))
         got, _ = inverse_mellin_check(2.0, 1.0, 1.0)
         assert abs(got - np.exp(-4.0) * np.cos(2.0)) >= 1e-9

@@ -14,13 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xiverify import numseries
+from xiverify import numseries, xikernel
+from xiverify.cli import default_grid
 from xiverify.numseries import (_zeta_tail, cosh_theta_sum,
                                 ferrar_bessel_sum, k0_sum_direct,
                                 k0_sum_minus_pole, lambda_sum,
                                 mobius_theta_sum, sqrt_lattice_sum,
                                 theta_sum, zero_sum_bracketed)
-from xiverify.specfun import besselk0_scaled, mobius_sieve, zeta
+from xiverify.specfun import (besselk0_scaled, hyp1f1, lngamma,
+                               mobius_sieve, zeta)
 from xiverify.xikernel import lambda_kernel
 from xiverify.zeros import ZeroRecord
 
@@ -329,7 +331,7 @@ def _zero_sum(zeros, alpha, z):
 
 def _clear_zero_caches():
     numseries._zero_factors.cache_clear()
-    numseries._zero_1f1_row.cache_clear()
+    xikernel._rho_series_rows.cache_clear()
 
 
 def _bits(values):
@@ -392,8 +394,37 @@ class TestZeroSum:
         zero_sum_bracketed(zeros, 1.25, z, [2, 5])
         for w in (z, -z):
             assert _bits(zero_sum_bracketed(zeros, 0.8, w, counts)) == cold[w]
-        assert numseries._zero_1f1_row.cache_info().misses == (
-            1 if (z * z).imag == 0.0 else 2)
+        # one series, both rows, for z and -z at every alpha
+        assert xikernel._rho_series_rows.cache_info().misses == 1
+
+    def test_shared_rows_are_the_per_row_bits(self, zero_records):
+        # the zero sums take rho and its conjugate as the two rows of one
+        # series in the Xi sides' cache, which stops when both rows have
+        # converged; at rhl's 10 zeros, on both sides of every cell of the
+        # default grid and the box anchors, the rows and the sums are the
+        # bits of one 1F1 series per row, as each was summed on its own
+        _clear_zero_caches()
+        zeros, counts = zero_records[:10], [1, 2, 3, 5, 10]
+        gammas = np.array([rec.gamma for rec in zeros])
+        zp = np.array([rec.zeta_prime for rec in zeros], np.complex128)
+        rho = 0.5 + 1j * gammas
+        pairs = [(rho, zp), (np.conj(rho), np.conj(zp))]
+        anchors = [(a, complex(re, im)) for a in (0.5, 2.0)
+                   for re in (-1.0, 0.0, 1.0) for im in (-2.0, 2.0)]
+        for alpha, z in default_grid() + anchors:
+            for x, w in ((alpha, complex(z)), (1.0 / alpha, 1j * z)):
+                arg = -0.25 * w * w
+                rows = [hyp1f1(0.5 * (1.0 - r), 0.5, arg) for r, _ in pairs]
+                shared = xikernel.rho_series(arg, 0.5, 1.0, gammas)
+                assert shared.tobytes() == np.stack(rows).tobytes()
+                term = [np.exp(lngamma(0.5 * (1.0 - r))
+                               + 0.5 * r * np.log(np.pi) + r * np.log(x))
+                        / d * row for (r, d), row in zip(pairs, rows)]
+                pair = (2.0 * term[0].real + 0.0j if arg.imag == 0.0
+                        else term[0] + term[1])
+                want = [complex(pair[:c].sum()) for c in counts]
+                assert _bits(zero_sum_bracketed(zeros, x, w, counts)) == (
+                    _bits(want))
 
     def test_count_out_of_range_raises(self, zero_records):
         with pytest.raises(ValueError):

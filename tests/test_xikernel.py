@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from xiverify import xikernel
 from xiverify.specfun import hyp1f1
-from xiverify.xikernel import (KernelParams, lambda_kernel, rho_kernel,
-                               rho_rows, xi_cap, xi_small)
+from xiverify.xikernel import (KernelParams, lambda_kernel, rho_rows,
+                               xi_cap, xi_small)
 
 
 def _close(got, want, rel=1e-12, abs_tol=0.0):
@@ -121,19 +121,29 @@ class TestXiCap:
         assert time.perf_counter() - start < 0.05
 
 
+def _rho(x, z, s):
+    """rho(x, z, s) = x^(1/2 - s) e^(-z^2/8) 1F1((1-s)/2; 1/2; z^2/4),
+    written from specfun.hyp1f1 in rho_rows' operand order."""
+    s = np.asarray(s, np.complex128)
+    z = complex(z)
+    w = 0.25 * z * z
+    return (np.exp((0.5 - s) * np.log(x)) * np.exp(-0.5 * w)
+            * hyp1f1(0.5 * (1.0 - s), 0.5, w))[()]
+
+
 def _rho_pair(x, z, s):
     """rho(x, z, s) + rho(x, z, 1-s), the nabla of the integral class."""
-    return rho_kernel(x, z, s) + rho_kernel(x, z, 1.0 - s)
+    return _rho(x, z, s) + _rho(x, z, 1.0 - s)
 
 
 class TestRhoNabla:
     def test_frozen_value(self):
-        _close(rho_kernel(2.0, 1.0, 0.5 + 3.0j),
+        _close(_rho(2.0, 1.0, 0.5 + 3.0j),
                -1.0964141814197279 - 0.43220343286924227j, rel=1e-12)
 
     def test_z_zero_reduces_to_power(self):
         s = 0.7 + 2.0j
-        _close(rho_kernel(3.0, 0.0, s), 3.0 ** (0.5 - s), rel=1e-13)
+        _close(_rho(3.0, 0.0, s), 3.0 ** (0.5 - s), rel=1e-13)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.1, 40.0), st.sampled_from([0.5, 2.0, 3.0]))
@@ -187,7 +197,7 @@ class TestRhoNabla:
 
     def test_lone_s_with_complex_z_within_the_series_stop(self, monkeypatch):
         s, z = 0.5 + 3.5j, 1.0 + 0.5j
-        want = [rho_kernel(2.0, z, s), rho_kernel(2.0, z, 1.0 - s)]
+        want = [_rho(2.0, z, s), _rho(2.0, z, 1.0 - s)]
         rows = _xi_side_rows(monkeypatch, 2.0, z, s)["value"]
         assert abs(rows[0] + rows[1] - want[0] - want[1]) <= 1e-15 * (
             abs(want[0]) + abs(want[1]))
@@ -203,7 +213,8 @@ class TestRhoNabla:
 class TestRhoRows:
     @pytest.mark.parametrize("c,k", [(0.5, 0.5), (1.5, 0.5), (0.5, 1.0)])
     def test_rows_are_rho_kernel_to_the_bit(self, c, k):
-        # the second alpha and -z take their 1F1 rows from the cache; two
+        # against rho written out from specfun.hyp1f1 at s = c +- ikt: the
+        # second alpha and -z take their 1F1 rows from the cache; two
         # batches of one size keep rows of their own
         xikernel._rho_series_rows.cache_clear()
         for x in (0.5, 2.0):
@@ -212,7 +223,7 @@ class TestRhoRows:
                 for z in (1.0 + 0.5j, -1.0 - 0.5j, 2j):
                     got = rho_rows(x, z, c, k, t)
                     assert got.shape == (2, t.size)
-                    assert got.tobytes() == rho_kernel(x, z, s).tobytes()
+                    assert got.tobytes() == _rho(x, z, s).tobytes()
         assert xikernel._rho_series_rows.cache_info().misses == 4
 
     @pytest.mark.parametrize("x", [0.0, -1.0, float("nan")])
@@ -223,8 +234,7 @@ class TestRhoRows:
     def test_cached_rows_are_read_only(self):
         # every later side at this (w, c, k, batch) shares the array
         t = np.array([0.5, 2.0])
-        rows = xikernel._rho_series_rows(0.25, 0.5, 0.5, t.shape,
-                                         t.tobytes())
+        rows = xikernel.rho_series(0.25, 0.5, 0.5, t)
         assert rows.shape == (2, 2) and not rows.flags.writeable
 
 
