@@ -264,6 +264,17 @@ def _hyp_series(name, num, den, z):
     updates term and total in place; each step multiplies term by every
     (a_i + n) and by z, then divides by prod_j (c_j + n) (n + 1).  A
     series that has not converged raises ValueError naming name.
+
+    The series stops at the first term where every entry has
+    |term| < _SERIES_RELTOL max(|total|, 1e-300).  That full test costs
+    about half of what a term costs, so each term first tests one
+    witness entry, the one furthest from converging at the last full
+    test: while its |term| is at least twice its bound the full test
+    must fail and is skipped.  The factor 2 outweighs any last-bit
+    difference between the scalar abs and numpy's, so the witness skips
+    only tests that fail, the loop stops at the same term and the sum
+    keeps its bits.  A NaN fails the witness comparison and takes the
+    full test.
     """
     num = [np.asarray(a, np.complex128)[()] for a in num]
     den = [np.asarray(c, np.complex128)[()] for c in den]
@@ -275,6 +286,8 @@ def _hyp_series(name, num, den, z):
     step = np.empty_like(term)
     mag = np.empty(shape)
     bound = np.empty(shape)
+    slow = 0
+    witness_tol = 2.0 * _SERIES_RELTOL
     for n in range(_SERIES_MAX_TERMS):
         for a in num:
             np.add(a, n, out=step)
@@ -285,12 +298,16 @@ def _hyp_series(name, num, den, z):
             d = (c + n) * d
         term /= d
         total += term
+        if abs(term.item(slow)) >= witness_tol * max(abs(total.item(slow)),
+                                                     1e-300):
+            continue
         np.abs(total, out=bound)
         np.maximum(bound, 1e-300, out=bound)
         bound *= _SERIES_RELTOL
         np.abs(term, out=mag)
         if (mag < bound).all():
             return total
+        slow = int(np.divide(mag, bound, out=mag).argmax())
     raise ValueError("%s: series did not converge in %d terms"
                      % (name, _SERIES_MAX_TERMS))
 
@@ -304,6 +321,13 @@ def hyp1f1(a, c, z):
     cancellation blowup of the raw alternating sum.  Working range
     |z| <= 50; any other z (NaN included) raises ValueError, as does a
     non-finite a or c.
+
+    Within that range the accuracy depends on the phase of z, since
+    nothing avoids the cancellation near Re z = 0.  At a = (1 - s)/2,
+    s = (1 + it)/2, t in [0, 243], c = 1/2, the worst relative error
+    against 50-digit values is 1e-11 at z = +-49 and 7e-12 at 30 + 30i,
+    but 3e-7 at 24.5i and 0.14 at 36i, growing like eps e^|z| along the
+    imaginary axis.
 
     a, c, z broadcast; c must avoid nonpositive integers.
     """

@@ -126,9 +126,12 @@ def _line(c, k, t):
 # A key's rows take at most 2 x 640 nodes x 16 B = 20 KB (the finest
 # level's batch), its node bytes 5 KB more; the usual key, a start batch
 # of 321 nodes, takes 12.8 KB, and a zero sum's 10 ordinates 320 B.
-# 64 keys cap the cache at 1.6 MB and hold 0.8 MB of start batches: the
-# default battery's 12 (4 distinct w, 3 lines) many times over.
-_RHO_ROW_KEYS = 64
+# 256 keys hold 256 x 12.8 KB = 3.3 MB of start batches and cap the
+# cache at 6.4 MB: room for every (w, line) of a grid of about 80
+# distinct w, so four families that scan one such grid in turn sum
+# each row once.  The bound stays, since a grid of ever new z would
+# otherwise grow the cache without limit.
+_RHO_ROW_KEYS = 256
 
 
 @functools.lru_cache(maxsize=_RHO_ROW_KEYS)

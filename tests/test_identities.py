@@ -678,6 +678,79 @@ class TestRhoRowCache:
             assert verify_ramanujan_digamma(alpha, 1e-8).passed
         assert counts == {"sides": 125, "series": 12}
 
+    def test_families_in_one_process_sum_each_row_once(self, tmp_path,
+                                                        monkeypatch):
+        # the benchmark box's 12 anchors and 36 seeded points: 39 distinct
+        # z^2/4 on 3 lines (theta's and hardy's, Bose's, the contour's).
+        # theta, hardy, ramanujan and lineint in turn in one process sum
+        # each (w, line, batch) once, and every family writes the bytes it
+        # writes from a cold cache
+        from xiverify import cli, xikernel
+        grid = tmp_path / "grid.txt"
+        grid.write_text("".join(
+            "%r %r %r\n" % (a, re, im) for a in (0.5, 2.0)
+            for re in (-1.0, 0.0, 1.0) for im in (-2.0, 2.0)) + """\
+0.602373 0.694867 1.055098
+0.712093 -0.00913 -0.202036
+1.233866 0.577447 -1.624562
+0.52004 0.67153 -0.268932
+1.438495 -0.995788 -0.218451
+1.359504 -0.542476 1.781083
+1.74455 -0.93882 -1.898217
+1.05909 0.878298 -0.475183
+0.675112 -0.155767 -1.883837
+0.679895 -0.124225 -0.016751
+0.690718 -0.538267 -1.124876
+0.945538 -0.420437 -1.914041
+1.596769 0.112909 0.569177
+0.646989 0.985087 1.439786
+0.591225 -0.33461 0.885938
+1.34014 0.872881 -0.311572
+1.580161 0.340611 -0.786526
+1.129091 0.764958 1.38479
+1.007352 0.178005 -1.861897
+0.700026 0.594808 -0.342744
+0.635522 0.097598 0.812163
+1.273652 -0.250594 -0.244153
+1.01175 0.556885 0.083754
+0.862448 -0.020613 -1.8817
+0.53107 0.406764 1.932751
+1.137895 -0.212801 -1.318603
+1.003108 0.964153 1.082093
+1.056458 0.72058 -1.071295
+1.019275 0.904935 0.311179
+0.94492 -0.461441 0.191985
+1.884566 -0.988582 1.134621
+1.559379 0.772359 0.962014
+1.535044 0.037357 0.245431
+0.902614 -0.887753 1.480041
+1.101904 -0.600321 0.018882
+0.979319 -0.28642 -0.615688
+""")
+        families = ("theta", "hardy", "ramanujan", "lineint")
+
+        def run(family, name):
+            out = tmp_path / ("%s_%s.json" % (family, name))
+            cli.main(["--identity", family, "--grid", "file:%s" % grid,
+                      "--out", str(out)])
+            return out.read_bytes()
+
+        keys = []
+        series = xikernel.hyp1f1
+
+        def counted_series(a, c, w):
+            keys.append((w, a.tobytes()))
+            return series(a, c, w)
+
+        monkeypatch.setattr(xikernel, "hyp1f1", counted_series)
+        xikernel._rho_series_rows.cache_clear()
+        warm = {f: run(f, "warm") for f in families}
+        assert len(keys) == len(set(keys)) == 117
+        assert len({w for w, _ in keys}) == 39
+        for f in families:
+            xikernel._rho_series_rows.cache_clear()
+            assert run(f, "cold") == warm[f], f
+
 
 # cells whose sides reach 1e4 to 1e10, where an absolute quadrature
 # target tol/4 lay below the sides' own rounding; the relative target

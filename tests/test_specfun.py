@@ -248,8 +248,55 @@ class TestHypSeriesLoop:
                           _broadcast_hyp_series(_A[:41], 0.5, z))
 
     def test_all_scalar(self):
-        got = _hyp_series("hyp1f1", (0.25 - 1.5j,), (0.5,), 0.25)
-        assert _same_bits(got, _broadcast_hyp_series(0.25 - 1.5j, 0.5, 0.25))
+        # w is real: the reference's first 0-d complex product takes
+        # another numpy path than its later scalar ones, and at complex w
+        # the two can round a last bit differently (so can a one-entry
+        # batch's); at real w every product is exact in both
+        for a, w in ((0.25 - 1.5j, 0.25), (0.25 - 1.5j, 30.0),
+                     (-7.5 + 40.0j, 2.0), (12.0, -50.0)):
+            got = _hyp_series("hyp1f1", (a,), (0.5,), w)
+            assert np.ndim(got) == 0
+            assert _same_bits(got, _broadcast_hyp_series(a, 0.5, w))
+
+    def test_slowest_entry_changes_mid_series(self):
+        # entry 0 converges first, entry 1 (large a) is the slowest at
+        # first and entry 2 (large z) from term 18 on, so the witness
+        # entry moves twice before the series stops
+        a = np.array([0.5, 30.0 - 40.0j, 0.25])
+        z = np.array([0.1, 1.0, 6.0])
+        term, total, slowest = np.ones(3, np.complex128), np.ones(3), []
+        for n in range(40):
+            term = term * (a + n) * z / (0.5 + n) / (n + 1.0)
+            total = total + term
+            slowest.append(int(np.argmax(np.abs(term) / np.abs(total))))
+        assert slowest[0] == 1 and slowest[-1] == 2
+        assert _same_bits(_hyp_series("hyp1f1", (a,), (0.5,), z),
+                          _broadcast_hyp_series(a, 0.5, z))
+
+    def test_zero_sum_batch(self):
+        # a zero sum's rows: s = 1/2 +- i gamma over the first 10 zeros
+        gammas = np.array([
+            14.134725141734693, 21.022039638771555, 25.010857580145688,
+            30.424876125859513, 32.935061587739189, 37.586178158825671,
+            40.918719012147495, 43.327073280914999, 48.005150265997457,
+            49.773832477672302])
+        a = 0.5 * (1.0 - (0.5 + 1j * np.stack([gammas, -gammas])))
+        for w in (0.25, 1.0 - 0.5j, 0.75 + 1.0j):
+            got = _hyp_series("hyp1f1", (a,), (0.5,), w)
+            assert got.shape == (2, 10)
+            assert _same_bits(got, _broadcast_hyp_series(a, 0.5, w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.lists(
+               st.tuples(st.floats(-20.0, 20.0), st.floats(-60.0, 60.0)),
+               min_size=2 * n, max_size=2 * n)),
+           st.floats(0.0, 50.0), st.floats(-np.pi, np.pi))
+    def test_random_rows_keep_their_bits(self, parts, r, phase):
+        # two rows, as rho_series sums them
+        a = np.array([complex(x, y) for x, y in parts]).reshape(2, -1)
+        w = r * complex(math.cos(phase), math.sin(phase))
+        assert _same_bits(_hyp_series("hyp1f1", (a,), (0.5,), w),
+                          _broadcast_hyp_series(a, 0.5, w))
 
     def test_mixed_sign_branch_of_hyp1f1(self):
         z = np.linspace(-6.0, 6.0, 25) + 0.5j
