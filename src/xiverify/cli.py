@@ -165,6 +165,44 @@ def _run_task(task, extra):
     return [report_to_dict(r) for r in reports]
 
 
+def _run_shard(shard, extra):
+    """_run_task over one worker's tasks, in order."""
+    return [_run_task(task, extra) for task in shard]
+
+
+def shard_tasks(tasks, workers):
+    """Split the indices of tasks into at most `workers` shards of whole
+    w = z^2/4 groups, each in ascending order.
+
+    Every 1F1 row an Xi side or zero sum takes depends on w (or -w) alone
+    and is cached per process, so a worker that runs a whole w group sums
+    each of its rows once.  z and -z, and imaginary parts of either zero
+    sign, give one w.  A group larger than the share ceil(n / workers) is
+    cut into pieces of that size, so a grid of one w still spreads; the
+    pieces go largest first to the shard with the fewest cells, so shard
+    sizes differ by at most the share.
+    """
+    share = -(-len(tasks) // workers)
+    groups = {}
+    for i, (_kind, _alpha, z, _tol) in enumerate(tasks):
+        groups.setdefault(0.25 * z * z, []).append(i)
+    pieces = sorted((g[k:k + share] for g in groups.values()
+                     for k in range(0, len(g), share)), key=len, reverse=True)
+    shards = [[] for _ in range(workers)]
+    for piece in pieces:
+        min(shards, key=len).extend(piece)
+    return [sorted(s) for s in shards if s]
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (os.cpu_count ignores a cpuset or taskset), else
+    os.cpu_count(), else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_tasks(identity, grid, tol, zeros):
     """Expand the requested identity over the grid into worker tasks
     (kind, alpha, z, tol); "all" is every family in table order, rhl only
@@ -226,7 +264,8 @@ def build_parser():
                         help="write the report here instead of stdout")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for grid evaluation (at most "
-                             "one per task and one per CPU)")
+                             "one per task and one per usable CPU); each "
+                             "takes one shard of whole z^2/4 groups")
     return parser
 
 
@@ -274,13 +313,20 @@ def main(argv=None):
     tasks = build_tasks(args.identity, grid, args.tol, zeros)
 
     # the pool forks all its workers at the first submit, so ask for no
-    # more than can run at once; each task takes the zeros along, at most
-    # max(RHL_COUNTS) records
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    # more than can run at once.  Each worker gets one shard of whole w
+    # groups in one round trip, so two workers sum the same 1F1 row only
+    # where a group was cut, and the zeros (at most max(RHL_COUNTS)
+    # records) travel once per shard; the reports go back in task order
+    workers = min(args.jobs, len(tasks), _usable_cpus())
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(
-                functools.partial(_run_task, extra=zeros), tasks))
+        shards = shard_tasks(tasks, workers)
+        grouped = [None] * len(tasks)
+        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+            done = pool.map(functools.partial(_run_shard, extra=zeros),
+                            [[tasks[i] for i in s] for s in shards])
+            for shard, reports in zip(shards, done):
+                for i, r in zip(shard, reports):
+                    grouped[i] = r
     else:
         grouped = [_run_task(t, zeros) for t in tasks]
     dicts = [d for group in grouped for d in group]

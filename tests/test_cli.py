@@ -6,8 +6,10 @@ import json
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xiverify import cli, identities
+from xiverify import cli, identities, xikernel
 from xiverify.cli import (build_parser, default_grid, load_grid_file, main,
                           parse_z, report_to_dict, render_json)
 from xiverify.identities import verify_theta
@@ -139,6 +141,22 @@ class TestMain:
         run_cli(argv + ["--out", str(a)])
         run_cli(argv + ["--jobs", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_theta_jobs_match_serial(self, tmp_path):
+        # three distinct w, z and -z among them: whole groups per worker
+        grid = tmp_path / "grid.txt"
+        grid.write_text("".join("%r %r %r\n" % (a, re, im)
+                                for a in (0.5, 2.0)
+                                for re, im in ((1.0, 0.0), (-1.0, 0.0),
+                                               (0.0, 2.0), (1.0, 0.5),
+                                               (-1.0, -0.5))))
+        argv = ["--identity", "theta", "--grid", f"file:{grid}"]
+        a = tmp_path / "serial.json"
+        b = tmp_path / "parallel.json"
+        assert run_cli(argv + ["--out", str(a)])[0] == 0
+        assert run_cli(argv + ["--jobs", "2", "--out", str(b)])[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert len(json.loads(a.read_text())["reports"]) == 10
 
     def test_tasks_do_not_carry_the_zeros(self, zero_records):
         tasks = cli.build_tasks("all", default_grid(), 1e-8, zero_records)
@@ -285,23 +303,17 @@ class TestUsageErrors:
 
 
 class TestJobsWorkerCount:
-    """--jobs asks the pool for no more workers than tasks or CPUs.
+    """--jobs asks the pool for no more workers than tasks or usable CPUs,
+    and hands each worker one shard.
 
-    The pool is a stand-in that records max_workers and runs the tasks in
-    this process, so no worker process is started.
+    The pool is a stand-in that records max_workers and the shards and
+    runs them in this process, so no worker process is started.
     """
 
-    @pytest.mark.parametrize("jobs,cpus,want", [
-        ("100000", 2, [2]),
-        ("100000", 64, [5]),     # the default grid has 5 digamma cells
-        ("3", 64, [3]),
-        ("2", 1, []),            # one usable worker: the serial path
-        ("100000", None, []),    # CPU count unknown: counted as 1
-    ])
-    def test_workers(self, jobs, cpus, want, monkeypatch):
+    def run_recorded(self, jobs, monkeypatch):
         code, serial = run_cli(["--identity", "digamma"])
         assert code == 0
-        made = []
+        made, shards = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -313,15 +325,150 @@ class TestJobsWorkerCount:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, items):
+                items = list(items)
+                shards.extend(items)
+                return map(fn, items)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, out = run_cli(["--identity", "digamma", "--jobs", jobs])
         assert code == 0
-        assert made == want
         assert out == serial
+        if made:
+            # one map item per worker, together every task once
+            assert len(shards) == made[0]
+            assert sorted(t for s in shards for t in s) == sorted(
+                cli.build_tasks("digamma", default_grid(), 1e-8, None))
+        return made
+
+    @pytest.mark.parametrize("jobs,cpus,want", [
+        ("100000", 2, [2]),
+        ("100000", 64, [5]),     # the default grid has 5 digamma cells
+        ("3", 64, [3]),
+        ("2", 1, []),            # one usable worker: the serial path
+        ("100000", None, []),    # CPU count unknown: counted as 1
+    ])
+    def test_workers(self, jobs, cpus, want, monkeypatch):
+        if cpus is None:
+            # only a platform without an affinity mask can lack a count
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+        # the affinity mask, not the host's count, bounds the workers
+        monkeypatch.setattr(cli.os, "cpu_count",
+                            lambda: None if cpus is None else 4096)
+        assert self.run_recorded(jobs, monkeypatch) == want
+
+    def test_cpu_count_without_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert self.run_recorded("100000", monkeypatch) == [2]
+
+
+def _shard_task(z):
+    return ("theta", 1.0, complex(z), 1e-8)
+
+
+# z values whose w = z^2/4 repeat under z -> -z and either zero sign
+_SHARD_ZS = (0.0, 1.0, 2j, 1.0 + 0.5j, 3.0)
+
+
+class TestShardTasks:
+    """cli.shard_tasks: whole w = z^2/4 groups per worker, cut only past
+    the share ceil(n / workers)."""
+
+    @staticmethod
+    def check(tasks, workers):
+        shards = cli.shard_tasks(tasks, workers)
+        share = -(-len(tasks) // workers)
+        assert 1 <= len(shards) <= workers
+        assert all(s == sorted(s) and s for s in shards)
+        assert sorted(i for s in shards for i in s) == list(range(len(tasks)))
+        where = {i: k for k, s in enumerate(shards) for i in s}
+        groups = {}
+        for i, task in enumerate(tasks):
+            groups.setdefault(0.25 * task[2] * task[2], []).append(i)
+        for group in groups.values():
+            touched = {where[i] for i in group}
+            assert len(touched) <= -(-len(group) // share)
+        sizes = [len(s) for s in shards]
+        # a shard left empty means every shard took one piece of at most
+        # the share
+        low = min(sizes) if len(shards) == workers else 0
+        assert max(sizes) - low <= share
+        return shards
+
+    def test_signs_of_z_and_of_zero_share_a_group(self):
+        # w = 1/4 comes as 0.25+0j or 0.25-0j; were they two groups of
+        # two, the pieces would deal 3, 3, 2, 2 and split them
+        zs = [1.0, 3.0, -1.0, 2j, complex(1.0, -0.0), 3.0,
+              complex(-1.0, -0.0), 2j, 3.0, 2j]
+        shards = self.check([_shard_task(z) for z in zs], 2)
+        assert shards == [[0, 2, 4, 6], [1, 3, 5, 7, 8, 9]]
+
+    def test_group_within_the_share_stays_whole(self):
+        # 7 tasks on 2 workers: share 4, so the 4-cell group is not cut
+        zs = [1.0, 2j, 1.0, 2j, -1.0, 3.0, -1.0]
+        shards = self.check([_shard_task(z) for z in zs], 2)
+        assert [0, 2, 4, 6] in shards
+
+    def test_one_w_spreads_over_every_worker(self):
+        tasks = [_shard_task(0.0)] * 5
+        assert self.check(tasks, 2) == [[0, 1, 2], [3, 4]]
+        assert self.check(tasks, 5) == [[0], [1], [2], [3], [4]]
+
+    def test_default_battery(self):
+        tasks = cli.build_tasks("all", default_grid(), 1e-8, ())
+        for workers in (2, 3, 4):
+            self.check(tasks, workers)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_SHARD_ZS), st.booleans(),
+                              st.booleans()), min_size=1, max_size=40),
+           st.integers(1, 6))
+    def test_random_grids(self, cells, workers):
+        tasks = []
+        for z, negate, zero_sign in cells:
+            z = -z if negate else complex(z)
+            if zero_sign:
+                # flip the sign of each zero part
+                z = complex(z.real or -z.real, z.imag or -z.imag)
+            tasks.append(_shard_task(z))
+        self.check(tasks, min(workers, len(tasks)))
+
+    def test_no_row_is_summed_twice(self, monkeypatch):
+        # every family but rhl over 8 points and 4 distinct w: each shard,
+        # run in a fresh row cache as a worker would, sums only rows no
+        # other shard sums, so together they make as many hyp1f1 calls as
+        # one serial run.  Dealing the tasks round robin (the order of a
+        # one-task-per-round-trip map) splits every w group and sums rows
+        # twice.
+        grid = [(a, complex(z)) for a in (0.5, 2.0)
+                for z in (1.0, 2j, 1.0 + 0.5j, -1.0)]
+        tasks = cli.build_tasks("all", grid, 1e-8, None)
+        calls = []
+        series = xikernel.hyp1f1
+
+        def counted_series(a, c, w):
+            calls.append(w)
+            return series(a, c, w)
+
+        monkeypatch.setattr(xikernel, "hyp1f1", counted_series)
+
+        def count(shards):
+            del calls[:]
+            for shard in shards:
+                xikernel._rho_series_rows.cache_clear()
+                cli._run_shard([tasks[i] for i in shard], None)
+            return len(calls)
+
+        serial = count([range(len(tasks))])
+        assert len(set(calls)) == 4
+        assert count(cli.shard_tasks(tasks, 2)) == serial
+        assert count([range(len(tasks))[k::2] for k in (0, 1)]) > serial
+
+
 
 
 def test_render_json_trailing_newline():
