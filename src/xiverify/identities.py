@@ -31,6 +31,9 @@ A Xi side's kernel is xikernel.rho_rows, whose 1F1 rows do not depend
 on alpha and are cached per process by (z^2/4, line, node batch).
 Physical and Xi sides share that rule and nothing else.
 Every verifier hands _report one (value, diagnostics) record per side.
+A quadrature side's record comes from _quad_side, and its abs_error is
+in the side's own units: the integral's estimate times |d side/d
+integral|, the prefactor that turns the integral into the side.
 
 The solitary exception is the Bose-type formula, whose kernel
 rho(alpha, z, (3+it)/2) breaks the alpha <-> beta swap; there only the
@@ -115,9 +118,13 @@ def _report(identity_id, params, sides, tol, pairs=None,
                               passed, diagnostics)
 
 
-def _quad_diag(res):
-    return {"path": "quad.tabulated", "evaluations": res.evaluations,
-            "abs_error": res.abs_error}
+def _quad_side(value, res, slope=1.0):
+    """The (value, diagnostics) record of a side that is an affine
+    function of the quadrature result res, slope its derivative with
+    respect to res.value: the side's abs_error is res's estimate times
+    |slope|, in the side's own units."""
+    return value, {"path": "quad.tabulated", "evaluations": res.evaluations,
+                   "abs_error": float(abs(slope) * res.abs_error)}
 
 
 def _abs_gamma_sq(s):
@@ -202,7 +209,8 @@ def _gaussian_twin(params, phi, scale, tol):
     def side(x, w):
         r = quad.integrate_tabulated(_gaussian_cosine(x / scale, w), phi,
                                      tol)
-        return np.sqrt(x) * np.exp(w * w / 8.0) * r.value, _quad_diag(r)
+        prefactor = np.sqrt(x) * np.exp(w * w / 8.0)
+        return _quad_side(prefactor * r.value, r, prefactor)
 
     return side(params.alpha, params.z), side(params.beta, 1j * params.z)
 
@@ -231,7 +239,7 @@ def verify_theta(params, tol):
     return _report("theta", params, {
         "alpha_series": (side_alpha, {"path": "numseries.theta_sum"}),
         "beta_series": (side_beta, {"path": "numseries.cosh_theta_sum"}),
-        "xi_integral": (res.value / np.pi, _quad_diag(res))}, tol)
+        "xi_integral": _quad_side(res.value / np.pi, res, 1.0 / np.pi)}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +271,8 @@ def verify_ramanujan_digamma(alpha, tol):
     return _report("digamma", params, {
         "alpha_series": (side_alpha, {"path": "numseries.lambda_sum"}),
         "beta_series": (side_beta, {"path": "numseries.lambda_sum"}),
-        "xi_integral": (-0.5 * res.value / np.pi ** 1.5, _quad_diag(res))},
-        tol)
+        "xi_integral": _quad_side(-0.5 * res.value / np.pi ** 1.5, res,
+                                  0.5 / np.pi ** 1.5)}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +292,7 @@ def verify_hardy(params, tol):
     res = _xi_side(params, 0.5, 0.5, _XI_HARDY, qtol)
     return _report("hardy", params, {
         "alpha_integral": side_a, "beta_integral": side_b,
-        "xi_integral": (res.value, _quad_diag(res))}, tol)
+        "xi_integral": _quad_side(res.value, res)}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +325,8 @@ def verify_ferrar(params, tol):
     side_a, side_b = _gaussian_twin(params, _PHI_FERRAR, 2.0 * np.pi, qtol)
     res = _xi_side(params, 0.5, 0.5, _XI_FERRAR, qtol)
     sides = {"alpha_integral": side_a, "beta_integral": side_b,
-             "xi_integral": (-res.value / (2.0 * _SQRT_PI), _quad_diag(res))}
+             "xi_integral": _quad_side(-res.value / (2.0 * _SQRT_PI), res,
+                                       0.5 / _SQRT_PI)}
     if params.z == 0.0:
         sides["bessel_series"] = (ferrar_bessel_closed_form(params.alpha),
                                   {"path": "numseries.ferrar_bessel_sum"})
@@ -331,10 +340,12 @@ def verify_ferrar(params, tol):
 def _bose_left_side(a, z, tol):
     """a^(-1/2) e^(-z^2/8) - 4 pi a^(1/2) e^(z^2/8)
     int_0^inf t e^(-pi a^2 t^2) cos(sqrt(pi) a t z)/(e^(2 pi t) - 1) dt,
-    with the quadrature result."""
+    with the quadrature result and the integral's prefactor
+    4 pi a^(1/2) e^(z^2/8)."""
     r = quad.integrate_tabulated(_gaussian_cosine(a, z), _PHI_BOSE, tol)
-    return (np.exp(-z * z / 8.0) / np.sqrt(a)
-            - 4.0 * np.pi * np.sqrt(a) * np.exp(z * z / 8.0) * r.value), r
+    prefactor = 4.0 * np.pi * np.sqrt(a) * np.exp(z * z / 8.0)
+    return (np.exp(-z * z / 8.0) / np.sqrt(a) - prefactor * r.value, r,
+            prefactor)
 
 
 def verify_ramanujan_bose(params, tol):
@@ -352,19 +363,19 @@ def verify_ramanujan_bose(params, tol):
     """
     a, z = params.alpha, params.z
     qtol = 0.25 * tol
-    lhs, rl = _bose_left_side(a, z, qtol)
+    lhs, rl, pl = _bose_left_side(a, z, qtol)
     res = _xi_side(params, 1.5, 0.5, _XI_BOSE, qtol)
     rhs = res.value / (8.0 * np.pi ** 1.5)
-    sides = {"weighted_integral": (lhs, _quad_diag(rl)),
-             "xi_integral": (rhs, _quad_diag(res))}
+    sides = {"weighted_integral": _quad_side(lhs, rl, pl),
+             "xi_integral": _quad_side(rhs, res, 1.0 / (8.0 * np.pi ** 1.5))}
     pairs = [("weighted_integral", "xi_integral")]
     extra = {}
     if (z * z).imag == 0.0:
         extra["xi_integral_imag"] = abs(rhs.imag) / (1.0 + abs(rhs))
     if z == 0.0:
         b = params.beta
-        lb, rb = _bose_left_side(b, 0.0, qtol)
-        sides["invariant_alpha"] = (b * lb, _quad_diag(rb))
+        lb, rb, pb = _bose_left_side(b, 0.0, qtol)
+        sides["invariant_alpha"] = _quad_side(b * lb, rb, b * pb)
         sides["invariant_beta"] = (a * lhs, {"path": "weighted_integral"})
         pairs.append(("invariant_alpha", "invariant_beta"))
     return _report("ramanujan", params, sides, tol, pairs=pairs,
@@ -442,36 +453,50 @@ def verify_line_integral(params, tol):
     1/2 +- iu).
     """
     qtol = 0.25 * tol
-    # 4 times theta's Xi integral, and 2 times the contour's: value and
-    # error estimate alike, scaling by a power of 2 being exact in binary
-    r = _xi_side(params, 0.5, 0.5, _XI_NABLA, qtol)
-    r_axis = replace(r, value=4.0 * r.value, abs_error=4.0 * r.abs_error)
+    # 4 times theta's Xi integral, and 2 times the contour's, where
     # s = 1/2 + iu with u and -u as rows, and ds = i du
-    r = _xi_side(params, 0.5, 1.0, _XI_CONTOUR, qtol)
-    r_line = replace(r, value=2.0 * r.value, abs_error=2.0 * r.abs_error)
+    axis = _xi_side(params, 0.5, 0.5, _XI_NABLA, qtol)
+    line = _xi_side(params, 0.5, 1.0, _XI_CONTOUR, qtol)
     return _report("lineint", params, {
-        "real_axis": (r_axis.value, _quad_diag(r_axis)),
-        "contour": (r_line.value, _quad_diag(r_line))}, tol)
+        "real_axis": _quad_side(4.0 * axis.value, axis, 4.0),
+        "contour": _quad_side(2.0 * line.value, line, 2.0)}, tol)
 
 
 # ---------------------------------------------------------------------------
-# auxiliary closed forms
+# auxiliary closed forms: each check returns (record, closed form), the
+# record the computed side's (value, diagnostics)
 
 
-def log_gaussian_integral(alpha, z):
-    """Quadrature value of int_0^inf e^(-pi a^2 x^2) cos(sqrt(pi) a x z) log x dx,
-    with its quadrature diagnostics: returns (value, diagnostics).
+def gaussian_cosine_check(alpha, z):
+    """int_0^inf e^(-pi a^2 t^2) cos(sqrt(pi) a t z) dt by quadrature, and
+    its closed form e^(-z^2/4)/(2a)."""
+    r = quad.integrate_tabulated(_gaussian_cosine(alpha, z), _ONES, 1e-12)
+    return _quad_side(r.value, r), np.exp(-z * z / 4.0) / (2.0 * alpha)
+
+
+def gaussian_cosine_moment_check(alpha, z):
+    """The first moment int_0^inf t e^(-pi a^2 t^2) cos(sqrt(pi) a t z) dt
+    by quadrature, and its closed form
+    (e^(-z^2/4)/(2 pi a^2)) 1F1(-1/2; 1/2; z^2/4)."""
+    gauss = _gaussian_cosine(alpha, z)
+    r = quad.integrate_tabulated(lambda t: t * gauss(t), _ONES, 1e-12)
+    return _quad_side(r.value, r), (
+        np.exp(-z * z / 4.0) / (2.0 * np.pi * alpha * alpha)
+        * complex(hyp1f1(-0.5, 0.5, z * z / 4.0)))
+
+
+def log_gaussian_check(alpha, z):
+    """int_0^inf e^(-pi a^2 x^2) cos(sqrt(pi) a x z) log x dx by
+    quadrature, and log_gaussian_closed_form(alpha, z).
 
     Log-singular at 0, where the double-exponential nodes cluster.
-    Compare against log_gaussian_closed_form; the comparison itself is
-    the check.
     """
     a = float(alpha)
     if a <= 0.0:
-        raise ValueError("log_gaussian_integral: alpha must be positive")
+        raise ValueError("log_gaussian_check: alpha must be positive")
     r = quad.integrate_tabulated(_gaussian_cosine(a, complex(z)), _LOG,
                                  1e-12)
-    return r.value, _quad_diag(r)
+    return _quad_side(r.value, r), log_gaussian_closed_form(alpha, z)
 
 
 def log_gaussian_closed_form(alpha, z):
@@ -486,7 +511,7 @@ def log_gaussian_closed_form(alpha, z):
 
 def cotangent_partial_fraction_check(t):
     """sum_n 1/(t^2+n^2) and its closed form
-    (pi/t)(1/(e^(2 pi t)-1) - 1/(2 pi t) + 1/2), returned as a pair.
+    (pi/t)(1/(e^(2 pi t)-1) - 1/(2 pi t) + 1/2).
 
     The series is summed directly to N ~ max(1000, 50 t) and completed
     with the Euler-Maclaurin tail int_N^inf dn/(t^2+n^2) - f(N)/2
@@ -506,15 +531,12 @@ def cotangent_partial_fraction_check(t):
     x = 2.0 * np.pi * t
     bracket = (x * np.polyval(_COT_SERIES, x * x) if x < 1.0
                else 1.0 / np.expm1(x) - 1.0 / x + 0.5)
-    return head + tail, (np.pi / t) * bracket
+    return (head + tail, {"path": "numseries"}), (np.pi / t) * bracket
 
 
 def ferrar_gaussian_bessel_check(alpha, n):
     """int_0^inf e^(-a^2 t^2/(4 pi)) dt / sqrt(t^2 + 4 pi^2 n^2) by
-    quadrature and its closed form (1/2) e^(x) K0(x), x = pi a^2 n^2 / 2.
-
-    Returns (quadrature value, closed form, diagnostics of the quadrature).
-    """
+    quadrature and its closed form (1/2) e^(x) K0(x), x = pi a^2 n^2 / 2."""
     a = float(alpha)
     if a <= 0.0 or n < 1:
         raise ValueError("ferrar_gaussian_bessel_check: need alpha > 0, n >= 1")
@@ -522,13 +544,14 @@ def ferrar_gaussian_bessel_check(alpha, n):
     r = quad.integrate_tabulated(
         lambda t: gauss(t) / np.sqrt(t * t + 4.0 * np.pi * np.pi * n * n),
         _ONES, 1e-12)
-    closed = 0.5 * besselk0_scaled(0.5 * np.pi * a * a * n * n)
-    return r.value, closed, _quad_diag(r)
+    return _quad_side(r.value, r), 0.5 * besselk0_scaled(
+        0.5 * np.pi * a * a * n * n)
 
 
-def watson_lattice_residual(t):
+def watson_lattice_check(t):
     """The two sides of the K0-sum lattice identity at t, the direct
-    Bessel route and the square-root lattice route, returned as a pair:
+    Bessel route as the computed side and the square-root lattice route
+    as the closed form:
 
     2 sum K0(n t) = pi (1/t + 2 S(t)) + gamma + log(t/2) - log(2 pi),
     S(t) = sum_n (1/sqrt(t^2 + 4 pi^2 n^2) - 1/(2 pi n)).
@@ -541,86 +564,58 @@ def watson_lattice_residual(t):
     [4, 10].
     """
     t = float(t)
-    return (2.0 * ns.k0_sum_direct(t),
+    return ((2.0 * ns.k0_sum_direct(t), {"path": "numseries"}),
             np.pi * (1.0 / t + 2.0 * ns.sqrt_lattice_sum(t)) + EULER_GAMMA
             + np.log(0.5 * t) - np.log(2.0 * np.pi))
 
 
 def inverse_mellin_check(x, z, c):
     """e^(-x^2) cos(xz) recovered from the Mellin image of rho on the
-    vertical line s = c + iu, c > 0:
+    vertical line s = c + iu, c > 0, and e^(-x^2) cos(xz) itself:
 
     (1/(2 pi)) int Gamma(s/2) rho(x, z, s) du = 2 sqrt(x) e^(z^2/8 - x^2)
-    cos(xz).  Returns (recovered e^(-x^2) cos(xz), diagnostics of the
-    quadrature).  rho is the Xi sides' own, the rows of rho_rows at
+    cos(xz).  rho is the Xi sides' own, the rows of rho_rows at
     s = c +- iu, so the check covers the product's kernel and row cache.
+    The closed form takes z as given, so a real z gives a real value.
     """
-    x, z = float(x), complex(z)
+    x, zc = float(x), complex(z)
 
     def kernel(u):
         # u and -u as rows
         s = c + 1j * np.stack([u, -u])
-        return np.exp(lngamma(0.5 * s)) * rho_rows(x, z, c, 1.0, u)
+        return np.exp(lngamma(0.5 * s)) * rho_rows(x, zc, c, 1.0, u)
 
     r = quad.integrate_tabulated(kernel, _ONES, 1e-11)
-    scale = 4.0 * np.pi * np.sqrt(x) * np.exp(z * z / 8.0)
-    return r.value / scale, _quad_diag(r)
+    scale = 4.0 * np.pi * np.sqrt(x) * np.exp(zc * zc / 8.0)
+    return (_quad_side(r.value / scale, r, 1.0 / scale),
+            np.exp(-x * x) * np.cos(x * z))
 
 
-def _aux_pair_report(name, alpha, z, computed, want, tol):
-    """computed is the (value, diagnostics) record of the computed side."""
-    return _report(name, KernelParams(alpha, z), {
-        "computed": computed, "closed_form": (want, None)}, tol)
+# the auxiliary checks in battery order: (report name, check, the check's
+# arguments, the report's (alpha, z))
+_AUX_CHECKS = (
+    [("aux:gaussian_cosine", gaussian_cosine_check, (1.0, 0.5), (1.0, 0.5)),
+     ("aux:gaussian_cosine_moment", gaussian_cosine_moment_check, (1.0, 0.5),
+      (1.0, 0.5))]
+    + [("aux:log_gaussian", log_gaussian_check, p, p)
+       for p in ((1.0, 0.0), (1.0, 1.0), (2.0, 0.5j))]
+    + [("aux:cotangent", cotangent_partial_fraction_check, (t,), (1.0, t))
+       for t in (1.0, 1e-3, 10.0)]
+    + [("aux:gaussian_bessel", ferrar_gaussian_bessel_check, p, p)
+       for p in ((1.0, 1), (1.0, 3), (0.5, 1))]
+    + [("aux:k0_lattice", watson_lattice_check, (1.0,), (1.0, 1.0))]
+    # inverse-Mellin recoveries at z = 1, on the lines Re s = 1 and 3/2
+    + [(name, inverse_mellin_check, (x, 1.0, c), (x, 1.0))
+       for name, x, c in (("aux:inverse_mellin", 2.0, 1.0),
+                          ("aux:inverse_mellin_kernel", _SQRT_PI, 1.5))])
 
 
 def aux_checks(tol):
-    """The battery of auxiliary closed-form checks, one report each."""
+    """The battery of auxiliary closed-form checks, one report each, its
+    computed side against the closed form."""
     reports = []
-
-    # Gaussian cosine integral and its first moment
-    a, zv = 1.0, 0.5
-    gauss = _gaussian_cosine(a, zv)
-    r = quad.integrate_tabulated(gauss, _ONES, 1e-12)
-    reports.append(_aux_pair_report(
-        "aux:gaussian_cosine", a, zv, (r.value, _quad_diag(r)),
-        np.exp(-zv * zv / 4.0) / (2.0 * a), tol))
-    r = quad.integrate_tabulated(lambda t: t * gauss(t), _ONES, 1e-12)
-    want = (np.exp(-zv * zv / 4.0) / (2.0 * np.pi * a * a)
-            * complex(hyp1f1(-0.5, 0.5, zv * zv / 4.0)))
-    reports.append(_aux_pair_report(
-        "aux:gaussian_cosine_moment", a, zv, (r.value, _quad_diag(r)), want,
-        tol))
-
-    # log-weighted Gaussian integral, three parameter points
-    for (aa, zz) in ((1.0, 0.0), (1.0, 1.0), (2.0, 0.5j)):
-        reports.append(_aux_pair_report(
-            "aux:log_gaussian", aa, zz, log_gaussian_integral(aa, zz),
-            log_gaussian_closed_form(aa, zz), tol))
-
-    # partial-fraction closed form
-    for tv in (1.0, 1e-3, 10.0):
-        series, closed = cotangent_partial_fraction_check(tv)
-        reports.append(_aux_pair_report(
-            "aux:cotangent", 1.0, tv, (series, {"path": "numseries"}),
-            closed, tol))
-
-    # Gaussian-vs-K0 Laplace transform
-    for (aa, nn) in ((1.0, 1), (1.0, 3), (0.5, 1)):
-        value, closed, diag = ferrar_gaussian_bessel_check(aa, nn)
-        reports.append(_aux_pair_report(
-            "aux:gaussian_bessel", aa, nn, (value, diag), closed, tol))
-
-    # K0 lattice identity
-    direct, lattice = watson_lattice_residual(1.0)
-    reports.append(_aux_pair_report(
-        "aux:k0_lattice", 1.0, 1.0, (direct, {"path": "numseries"}),
-        lattice, tol))
-
-    # inverse-Mellin recoveries of e^(-x^2) cos(xz) at z = 1, on the
-    # lines Re s = 1 and 3/2
-    for name, x, c in (("aux:inverse_mellin", 2.0, 1.0),
-                       ("aux:inverse_mellin_kernel", _SQRT_PI, 1.5)):
-        reports.append(_aux_pair_report(
-            name, x, 1.0, inverse_mellin_check(x, 1.0, c),
-            np.exp(-x * x) * np.cos(x), tol))
+    for name, check, args, (alpha, z) in _AUX_CHECKS:
+        computed, closed = check(*args)
+        reports.append(_report(name, KernelParams(alpha, z), {
+            "computed": computed, "closed_form": (closed, None)}, tol))
     return reports

@@ -9,8 +9,8 @@ Truncation policy: sums stop when a rigorous term bound drops below
 1e-17 or switch to an Euler-Maclaurin tail once terms follow their
 asymptotic power law; the Moebius sum, with its two known moments taken
 out, converges absolutely and reports a bound on its tail and its
-rounding.  A term count above MAX_TERMS raises ValueError before any
-term is allocated.
+rounding.  A term count above MAX_TERMS (20000 for ferrar_bessel_sum)
+raises ValueError before any term is allocated.
 mobius_theta_sum and zero_sum_bracketed each do one rhl side's work in
 one pass: the Moebius sum from one term array, and the zero sum at every
 zero count from one evaluation of the pair terms.  A side pays only for
@@ -117,14 +117,15 @@ def sqrt_lattice_sum(t):
     Direct terms to n = N plus the tail from expanding the square root,
     sum_{n>N} = -t^2/(2 c^3) T(3) + 3 t^4/(8 c^5) T(5) with c = 2 pi and
     T(m) the Euler-Maclaurin tail of n^(-m).  The first omitted term is
-    about (t/N)^6 / 7.4e6, so N = max(128, 32 max t) keeps it near 1e-16.
+    about (t/N)^6 / 7.4e6, so N = max(128, 32 max t) keeps it near 1e-16;
+    an N above MAX_TERMS raises ValueError before any array is made.
     On the lattice route of k0_sum_minus_pole (t < 4) N is 128: against
     30-digit mpmath the error is at most 1.0e-16 at t = 0.05, 0.5, 1, 2,
     3 and 3.99, and within 1.3e-16 of the N = 500 sum over 400 points of
     (0, 4].
     """
     tt, scalar = _split(t, np.float64)
-    N = max(128, int(np.ceil(32.0 * tt.max(initial=0.0))))
+    N = max(128, _term_count("sqrt_lattice_sum", 32.0 * tt.max(initial=0.0)))
     n = np.arange(1.0, N + 1.0)
     direct = (1.0 / np.sqrt(tt[..., None] ** 2 + (_TWO_PI * n) ** 2)
               - 1.0 / (_TWO_PI * n))
@@ -145,7 +146,7 @@ def k0_sum_direct(t):
     4.6e-16 (2.5e-16 relative) at 37 points of [0.25, 4).  Below t = 0.2
     the term count grows like 1/t and the sum loses digits against its
     pole, so smaller t is rejected.  k0_sum_minus_pole takes this route
-    from t = 4 up; watson_lattice_residual calls it directly to compare
+    from t = 4 up; watson_lattice_check calls it directly to compare
     it with the lattice route at any t >= 0.2.
     """
     tv, scalar = _split(t, np.float64)
@@ -196,12 +197,18 @@ def ferrar_bessel_sum(alpha):
     which decays like -1/(8x), so the terms are O(n^-3).  Direct summation
     runs to N and the remainder uses the asymptotic coefficients of E
     against Euler-Maclaurin power tails; the result carries ~1e-12
-    absolute error.
+    absolute error.  N = max(400, ceil(20/alpha)) terms, at most 20000:
+    below alpha = 1e-3, where more would be needed, it raises ValueError
+    (a capped N was off by 1.8e-2 at alpha = 1e-4).
     """
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("ferrar_bessel_sum: alpha must be positive")
-    N = min(20000, max(400, int(np.ceil(20.0 / alpha))))
+    if not 20.0 / alpha <= 20000:
+        raise ValueError("ferrar_bessel_sum: %.3g terms needed at alpha = "
+                         "%.3g, above its ceiling of 20000"
+                         % (20.0 / alpha, alpha))
+    N = max(400, int(np.ceil(20.0 / alpha)))
     n = np.arange(1.0, N + 1.0)
     x = 0.5 * np.pi * alpha * alpha * n * n
     E = besselk0_scaled(x) * np.sqrt(2.0 * x / np.pi) - 1.0

@@ -14,9 +14,10 @@ certificates (one ordinate is refine_zeros([g])[0]).  The derivatives
 come from one more zeta_and_prime call.  The eta series behind all of
 them takes a term count set by the largest ordinate of the batch, so a
 batch can differ from one-ordinate calls in the last bits.
-The repo ships a 100-ordinate sample, the bracket midpoints of
-scan_zero_brackets(10, 237) refined and rounded to 9 decimals, so nothing
-external is required to exercise the pipeline.
+The repo ships a 100-ordinate sample, the midpoints of Xi's sign-change
+brackets on a 0.05 grid over [10, 237] refined and rounded to 9 decimals
+(tests/test_zeros.py rebuilds it), so nothing external is required to
+exercise the pipeline.
 """
 
 from dataclasses import dataclass
@@ -121,16 +122,3 @@ def prepare_zeros(path, max_count):
     gammas = refine_zeros(seeds)
     derivs = zeta_and_prime(0.5 + 1j * gammas)[1]
     return [ZeroRecord(g, d) for g, d in zip(gammas, derivs)]
-
-
-def scan_zero_brackets(t_min, t_max, step=0.05):
-    """Sign-change brackets of Xi on a uniform grid over [t_min, t_max].
-
-    The minimal gap between ordinates below 240 is about 0.7, so the
-    default step cannot straddle two zeros in one cell; each returned
-    (lo, hi) pair brackets exactly one ordinate.
-    """
-    grid = np.arange(t_min, t_max + step, step)
-    vals = xi_cap(grid)
-    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    return [(float(grid[i]), float(grid[i + 1])) for i in flips]

@@ -14,17 +14,18 @@ import pytest
 
 import xiverify
 
+from xiverify import quad
 from xiverify.identities import (VerificationReport, aux_checks,
                                  cotangent_partial_fraction_check,
                                  ferrar_bessel_closed_form,
                                  ferrar_gaussian_bessel_check,
                                  inverse_mellin_check,
-                                 log_gaussian_closed_form,
-                                 log_gaussian_integral, residual,
+                                 log_gaussian_check,
+                                 log_gaussian_closed_form, residual,
                                  verify_ferrar, verify_hardy,
                                  verify_line_integral, verify_ramanujan_bose,
                                  verify_ramanujan_digamma, verify_rhl,
-                                 verify_theta, watson_lattice_residual)
+                                 verify_theta, watson_lattice_check)
 from xiverify.xikernel import KernelParams, rho_rows
 from xiverify.zeros import prepare_zeros
 
@@ -58,6 +59,22 @@ def aux_battery(params, tol):
     return aux_checks(tol)
 
 
+def digamma_at(params, tol):
+    return verify_ramanujan_digamma(params.alpha, tol)
+
+
+def _reports(verify, alpha, z, tol=1e-8):
+    """verify's reports at (alpha, z), as a list."""
+    reps = verify(KernelParams(alpha, z), tol)
+    return reps if isinstance(reps, list) else [reps]
+
+
+def _quad_sides(rep):
+    """The names of rep's quadrature sides."""
+    return [name for name, d in rep.diagnostics.items()
+            if d["path"].startswith("quad")]
+
+
 # the nodes the double-exponential rule passes to a kernel at its
 # starting step
 START_NODES = 321
@@ -72,10 +89,8 @@ def test_quadrature_sides_carry_their_cost_and_error(verify):
     # every quadrature side, Xi, physical or auxiliary, takes the
     # tabulated double-exponential rule, 321 kernel nodes at its starting
     # step; the last node, 243.7 for every side, is not reported
-    reps = verify(KernelParams(1.25, 1.0), 1e-8)
-    for rep in (reps if isinstance(reps, list) else [reps]):
-        quad_sides = [name for name, d in rep.diagnostics.items()
-                      if d["path"].startswith("quad")]
+    for rep in _reports(verify, 1.25, 1.0):
+        quad_sides = _quad_sides(rep)
         assert quad_sides or rep.identity_id in ("aux:cotangent",
                                                  "aux:k0_lattice")
         for name in quad_sides:
@@ -84,10 +99,6 @@ def test_quadrature_sides_carry_their_cost_and_error(verify):
             assert d["evaluations"] == START_NODES
             assert set(d) == {"path", "evaluations", "abs_error"}
             assert 0.0 < d["abs_error"] < 1e-8
-
-
-def digamma_at(params, tol):
-    return verify_ramanujan_digamma(params.alpha, tol)
 
 
 @functools.lru_cache(maxsize=1)
@@ -303,7 +314,6 @@ class TestRamanujanBose:
         # of a cosine, as two rows of one call), and each side's
         # evaluations are the nodes its kernel saw
         from xiverify import identities as I
-        from xiverify import quad
         tabulated = quad.integrate_tabulated
         tables, nodes = [], []
 
@@ -333,14 +343,13 @@ class TestRamanujanBose:
     def test_narrow_gaussian_weighted_side_covers_its_error(self, alpha):
         # e^(-pi alpha^2 t^2) is gone by t = 1e-3; the double-exponential
         # nodes cluster at 0, where it lives.  Either the cell passes, or
-        # the weighted side's abs_error, scaled by its prefactor
-        # 4 pi sqrt(alpha), covers its distance from the Xi side
+        # the two sides' abs_error, each in its side's units, cover their
+        # distance
         rep = verify_ramanujan_bose(KernelParams(alpha, 0.0), 1e-8)
         d = rep.diagnostics
         gap = abs(rep.sides["weighted_integral"] - rep.sides["xi_integral"])
-        assert rep.passed or gap <= (
-            4.0 * np.pi * np.sqrt(alpha) * d["weighted_integral"]["abs_error"]
-            + d["xi_integral"]["abs_error"] / (8.0 * np.pi ** 1.5))
+        assert rep.passed or gap <= (d["weighted_integral"]["abs_error"]
+                                     + d["xi_integral"]["abs_error"])
         assert d["weighted_integral"]["path"] == "quad.tabulated"
         # lhs = alpha^(-3/2) (1 - (pi/6)/alpha + ...) as alpha grows
         lead = rep.sides["xi_integral"] * alpha ** 1.5
@@ -367,19 +376,6 @@ class TestLineIntegral:
         rhs = 4.0 * np.pi * th.sides["xi_integral"]
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
-    def test_sides_scale_value_and_abs_error_alike(self):
-        # the real axis is 4 times the (1/2, 1/2) integral and the contour
-        # 2 times the (1/2, 1) one; each error estimate scales with its
-        # value
-        from xiverify import identities as I
-        p = KernelParams(0.8, 1.0 + 0.5j)
-        rep = verify_line_integral(p, 1e-8)
-        for side, k, table, scale in (("real_axis", 0.5, I._XI_NABLA, 4.0),
-                                      ("contour", 1.0, I._XI_CONTOUR, 2.0)):
-            r = I._xi_side(p, 0.5, k, table, 2.5e-9)
-            assert rep.sides[side] == scale * r.value
-            assert rep.diagnostics[side]["abs_error"] == scale * r.abs_error
-
 
 # the box anchors of the benchmark grids: alpha at its ends, Im z = +-2,
 # Re z in {-1, 0, 1}
@@ -388,18 +384,56 @@ ANCHORS = [(a, complex(re, im)) for a in (0.5, 2.0) for re in (-1.0, 0.0, 1.0)
 DEFAULT_GRID = [(a, z) for a in (0.5, 0.8, 1.0, 1.25, 2.0)
                 for z in (0j, 1 + 0j, 2j, 1 + 0.5j)]
 
-# family -> its Xi sides and the factor each side's quadrature value is
-# divided by to give the side (abs_error is the quadrature's; lineint
-# scales its sides' abs_error with their values)
-XI_SIDE_SCALES = {
-    verify_theta: {"xi_integral": np.pi},
-    verify_hardy: {"xi_integral": 1.0},
-    verify_ferrar: {"xi_integral": -2.0 * np.sqrt(np.pi)},
-    verify_line_integral: {"real_axis": 1.0, "contour": 1.0},
-    verify_ramanujan_bose: {"xi_integral": 8.0 * np.pi ** 1.5},
-    # the digamma Xi side's kernel is the rho pair, 2 cos((t/2) log alpha)
-    digamma_at: {"xi_integral": -2.0 * np.pi ** 1.5},
-}
+# every family with a quadrature side
+QUAD_FAMILIES = [verify_theta, verify_hardy, verify_ferrar,
+                 verify_line_integral, verify_ramanujan_bose, digamma_at,
+                 aux_battery]
+
+
+@pytest.mark.parametrize("verify,alpha,z", [
+    (verify_theta, 1.25, 1.0 + 0.5j), (verify_hardy, 0.8, 2j),
+    (verify_ferrar, 2.0, 1.0 + 0.5j), (verify_ferrar, 0.8, 0j),
+    (verify_line_integral, 0.8, 1.0 + 0.5j),
+    (verify_ramanujan_bose, 1.25, 1.0 + 0.5j),
+    (verify_ramanujan_bose, 2.0, 0j), (digamma_at, 2.0, 0j),
+    (aux_battery, 1.0, 0j)])
+def test_abs_error_is_the_estimate_in_side_units(verify, alpha, z,
+                                                 monkeypatch):
+    # every quadrature side is affine in one integral.  Moving integral i
+    # by delta moves its side by slope delta, and the side's abs_error is
+    # |slope| times integral i's estimate; the slope is measured, so no
+    # prefactor is written here
+    real = quad.integrate_tabulated
+    results, shift = [], {}
+
+    def shifted(kernel, table, tol):
+        r = real(kernel, table, tol)
+        results.append(r)
+        return quad.QuadratureResult(
+            r.value + shift.get(len(results) - 1, 0.0), r.abs_error,
+            r.evaluations, r.truncation_T)
+
+    monkeypatch.setattr(quad, "integrate_tabulated", shifted)
+    base = _reports(verify, alpha, z)
+    raw = list(results)
+    owner = {}
+    for i, r in enumerate(raw):
+        delta = 1e-4 * (1.0 + abs(r.value))
+        results.clear()
+        shift = {i: delta}
+        for k, (rep, moved) in enumerate(zip(base, _reports(verify, alpha,
+                                                              z))):
+            for name in _quad_sides(rep):
+                slope = abs(moved.sides[name] - rep.sides[name]) / delta
+                if slope == 0.0:
+                    continue
+                assert (k, name) not in owner
+                owner[k, name] = i
+                assert math.isclose(rep.diagnostics[name]["abs_error"],
+                                    slope * r.abs_error, rel_tol=1e-8)
+    # each quadrature side moves with exactly one integral
+    assert set(owner) == {(k, name) for k, rep in enumerate(base)
+                          for name in _quad_sides(rep)}
 
 
 # The reference rule: 48-point Gauss-Legendre on [0, 1e-12] and on 40
@@ -494,21 +528,27 @@ class TestTabulatedXiSides:
         assert {name: len(b) for name, b in snapshots[0][1].items()} == {
             name: 0 if name in ("_LOG", "_ONES") else 2 for name in tables}
 
-    @pytest.mark.parametrize("verify", list(XI_SIDE_SCALES))
+    @pytest.mark.parametrize("verify", QUAD_FAMILIES)
     def test_abs_error_covers_the_next_finer_step(self, verify, monkeypatch):
-        from xiverify import quad
+        # every quadrature side, Xi, physical or auxiliary: its abs_error,
+        # in the side's units, covers the side's move to h = 1/64
         grid = ANCHORS + DEFAULT_GRID
         if verify is digamma_at:
             grid = [(a, 0j) for a in dict.fromkeys(a for a, _ in grid)]
-        reps = [verify(KernelParams(a, z), 1e-8) for a, z in grid]
+        elif verify is aux_battery:
+            grid = grid[:1]
+
+        def run():
+            return [rep for a, z in grid for rep in _reports(verify, a, z)]
+
+        reps = run()
         monkeypatch.setattr(quad, "_DE_START", quad._DE_START + 1)
-        finer = [verify(KernelParams(a, z), 1e-8) for a, z in grid]
-        for rep, fine in zip(reps, finer):
-            for side, scale in XI_SIDE_SCALES[verify].items():
+        for rep, fine in zip(reps, run()):
+            for side in _quad_sides(rep):
                 d = rep.diagnostics[side]
                 assert d["evaluations"] == START_NODES
                 assert fine.diagnostics[side]["evaluations"] == 641
-                gap = abs(rep.sides[side] - fine.sides[side]) * abs(scale)
+                gap = abs(rep.sides[side] - fine.sides[side])
                 assert gap <= d["abs_error"]
 
     def test_tabulated_and_adaptive_rules_agree_on_the_anchors(self):
@@ -516,7 +556,6 @@ class TestTabulatedXiSides:
         # double-exponential rule at the sides' tolerance and by the
         # reference rule on the same weight and kernel
         from xiverify import identities as I
-        from xiverify import quad
         tables = (I._XI_NABLA, I._XI_HARDY, I._XI_FERRAR,
                   I._XI_DIGAMMA, I._XI_BOSE, I._XI_CONTOUR, I._PHI_HARDY,
                   I._PHI_FERRAR, I._PHI_BOSE)
@@ -565,7 +604,6 @@ class TestTabulatedXiSides:
         # relative target tol/4 (1 + |value|), and the rule stops after
         # 1281 kernel nodes.  Bose's weighted side runs first, and passes
         # one step finer than the start
-        from xiverify import quad
         real = quad.integrate_tabulated
         nodes = []
 
@@ -808,7 +846,6 @@ class TestTabulatedPhysicalSides:
     def test_phi_across_the_node_range(self):
         import mpmath
         from xiverify import identities as I
-        from xiverify import quad
         t = quad._de_batch(0)[0][list(self.NODES)]
         assert (t[0], t[-1]) == (pytest.approx(8.948e-42, rel=1e-3),
                                  pytest.approx(243.694, rel=1e-5))
@@ -927,28 +964,29 @@ class TestAuxiliaryForms:
         a = 2.0
         want = -(EULER_GAMMA + math.log(4.0 * math.pi * a * a)) / (4.0 * a)
         assert abs(log_gaussian_closed_form(a, 0.0) - want) <= 1e-14
-        got, _ = log_gaussian_integral(a, 0.0)
+        (got, _), closed = log_gaussian_check(a, 0.0)
+        assert closed == log_gaussian_closed_form(a, 0.0)
         assert abs(got - want) <= 1e-11
 
     def test_log_gaussian_complex_z(self):
         z = 0.5j
-        got, _ = log_gaussian_integral(1.0, z)
+        (got, _), _ = log_gaussian_check(1.0, z)
         want = log_gaussian_closed_form(1.0, z)
         assert abs(got - want) <= 1e-11
 
     def test_log_gaussian_validates_alpha(self):
         with pytest.raises(ValueError):
-            log_gaussian_integral(-1.0, 0.0)
+            log_gaussian_check(-1.0, 0.0)
 
     @pytest.mark.parametrize("t", [1e-3, 0.37, 1.0, 10.0])
     def test_cotangent_partial_fraction(self, t):
-        series, closed = cotangent_partial_fraction_check(t)
+        (series, _), closed = cotangent_partial_fraction_check(t)
         assert abs(series - closed) <= 1e-9
 
     def test_cotangent_small_t_has_no_cancellation(self):
         # the closed form's bracket at x = 2 pi t is x/12 - x^3/720 + ...;
         # taken as 1/expm1(x) - 1/x + 1/2 it cost 5.3e-11 here
-        series, closed = cotangent_partial_fraction_check(1e-3)
+        (series, _), closed = cotangent_partial_fraction_check(1e-3)
         assert abs(series - closed) <= 1e-14
 
     def test_cotangent_validates_t(self):
@@ -958,7 +996,7 @@ class TestAuxiliaryForms:
     @pytest.mark.parametrize("alpha,n", [(1.0, 1), (1.0, 3), (0.5, 1),
                                          (2.0, 2)])
     def test_gaussian_bessel_laplace(self, alpha, n):
-        value, closed, _ = ferrar_gaussian_bessel_check(alpha, n)
+        (value, _), closed = ferrar_gaussian_bessel_check(alpha, n)
         assert abs(value - closed) <= 1e-9
 
     def test_gaussian_bessel_validates(self):
@@ -967,10 +1005,10 @@ class TestAuxiliaryForms:
 
     def test_watson_lattice(self):
         for t in (1.0, 2.5):
-            direct, lattice = watson_lattice_residual(t)
+            (direct, _), lattice = watson_lattice_check(t)
             assert abs(direct - lattice) <= 1e-12
         with pytest.raises(ValueError):
-            watson_lattice_residual(0.05)
+            watson_lattice_check(0.05)
 
     def test_watson_lattice_spans_both_routes(self, monkeypatch):
         # the Bessel side must come from the direct sum even where
@@ -978,7 +1016,7 @@ class TestAuxiliaryForms:
         from xiverify import numseries as ns
         direct = ns.k0_sum_direct
         monkeypatch.setattr(ns, "k0_sum_direct", lambda t: direct(t) + 1e-6)
-        direct, lattice = watson_lattice_residual(1.0)
+        (direct, _), lattice = watson_lattice_check(1.0)
         assert abs(direct - lattice) >= 1e-6
 
     def test_inverse_mellin_recoveries(self):
@@ -986,8 +1024,8 @@ class TestAuxiliaryForms:
         # line left of the battery's and one right of it
         for x, z, c in ((2.0, 1.0, 1.0), (np.sqrt(np.pi), 1.0, 1.5),
                         (1.0, 0.5j, 0.7), (0.5, 2.0, 2.0)):
-            got, diag = inverse_mellin_check(x, z, c)
-            want = np.exp(-x * x) * np.cos(x * z)
+            (got, diag), want = inverse_mellin_check(x, z, c)
+            assert want == np.exp(-x * x) * np.cos(x * z)
             assert abs(got - want) <= 1e-12, (x, z, c)
             assert diag["path"] == "quad.tabulated"
 
@@ -998,5 +1036,5 @@ class TestAuxiliaryForms:
         real = I.rho_rows
         monkeypatch.setattr(I, "rho_rows",
                             lambda *args: real(*args) * (1.0 + 1e-6))
-        got, _ = inverse_mellin_check(2.0, 1.0, 1.0)
+        (got, _), _ = inverse_mellin_check(2.0, 1.0, 1.0)
         assert abs(got - np.exp(-4.0) * np.cos(2.0)) >= 1e-9

@@ -147,6 +147,17 @@ class TestK0Sums:
         want = -0.0309516471169674206624340959585
         assert abs(sqrt_lattice_sum(3.99) - want) <= 2e-16
 
+    def test_sqrt_lattice_refuses_past_the_term_ceiling(self, monkeypatch):
+        # t = 1e6 needs N = 3.2e7 terms, above MAX_TERMS: the ceiling
+        # speaks before numpy is asked for an array of that length
+        def no_arange(*args, **kwargs):
+            raise AssertionError("np.arange called")
+
+        monkeypatch.setattr(numseries.np, "arange", no_arange)
+        with pytest.raises(ValueError, match="^sqrt_lattice_sum: 3.2e"
+                                             "\\+07 terms needed"):
+            sqrt_lattice_sum(1e6)
+
 
 class TestBesselDifferenceSum:
     def test_frozen_values(self):
@@ -176,6 +187,30 @@ class TestBesselDifferenceSum:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
             ferrar_bessel_sum(0.0)
+
+    @pytest.mark.parametrize("alpha", [9.9e-4, 3e-4, 1e-4, 3e-5])
+    def test_refuses_alpha_past_its_term_ceiling(self, alpha):
+        # ceil(20/alpha) terms past 20000; a sum capped at 20000 was off
+        # by 1.3e-7 at alpha 3e-4 and 1.8e-2 at 1e-4
+        with pytest.raises(ValueError, match="^ferrar_bessel_sum: .* "
+                                             "ceiling of 20000$"):
+            ferrar_bessel_sum(alpha)
+
+    def test_last_uncapped_alpha_against_a_large_n_reference(self):
+        # alpha = 1e-3 takes the full 20000 terms; the same formula at
+        # N = 1e6, summed in chunks, agrees within 1.8e-12 (value -5246)
+        alpha, N = 1e-3, 10 ** 6
+        head = 0.0
+        for top in range(N, 0, -200000):
+            n = np.arange(top - 199999.0, top + 1.0)
+            x = 0.5 * np.pi * alpha * alpha * n * n
+            E = besselk0_scaled(x) * np.sqrt(2.0 * x / np.pi) - 1.0
+            head += (E / (n * alpha))[::-1].sum()
+        scale = 2.0 / (np.pi * alpha * alpha)
+        tail = sum(ck * scale ** (k + 1) * _zeta_tail(N, 2.0 * k + 3.0)
+                   for k, ck in enumerate(numseries._K0_LARGE[1:5])) / alpha
+        got = ferrar_bessel_sum(alpha)
+        assert abs(got - (head + tail)) <= 1e-15 * abs(got)
 
 
 class TestLambdaSum:

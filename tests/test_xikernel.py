@@ -5,7 +5,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xiverify import xikernel
@@ -79,9 +79,19 @@ class TestXiSmall:
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-2.0, 3.0), st.floats(-12.0, 12.0))
     def test_functional_symmetry(self, sigma, t):
+        # xi_small reflects Re s < 1/2 to 1 - s, so xi_small(s) and
+        # xi_small(1 - s) run the same arithmetic: each is checked against
+        # 30-digit mpmath xi(s) instead (worst 2.5e-14 relative at 400
+        # random s of this box).  At s = 0, 1 and -2 a factor of the
+        # oracle has a pole
         s = complex(sigma, t)
-        a, b = xi_small(s), xi_small(1.0 - s)
-        assert abs(a - b) <= 1e-10 * max(1e-30, abs(a))
+        assume(s not in (0.0, 1.0, -2.0))
+        with mpmath.workdps(30):
+            v = mpmath.mpc(s)
+            want = complex(0.5 * v * (v - 1) * mpmath.pi ** (-v / 2)
+                           * mpmath.gamma(v / 2) * mpmath.zeta(v))
+        for got in (xi_small(s), xi_small(1.0 - s)):
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestXiCap:

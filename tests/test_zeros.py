@@ -7,8 +7,8 @@ import pytest
 
 from xiverify import zeros
 from xiverify.specfun import zeta_and_prime
-from xiverify.zeros import (ZeroRecord, load_zeros, prepare_zeros,
-                            refine_zeros, scan_zero_brackets)
+from xiverify.xikernel import xi_cap
+from xiverify.zeros import ZeroRecord, load_zeros, prepare_zeros, refine_zeros
 
 GAMMA_1 = 14.1347251417347
 GAMMA_2 = 21.0220396387716
@@ -17,6 +17,19 @@ GAMMA_3 = 25.0108575801457
 # the first 100 zero ordinates from mpmath.zetazero (see the file header)
 ZETAZERO_100 = np.loadtxt(pathlib.Path(__file__).parent / "data"
                           / "zetazero_100.txt")
+
+
+def scan_zero_brackets(t_min, t_max, step=0.05):
+    """Sign-change brackets of Xi on a uniform grid over [t_min, t_max].
+
+    The minimal gap between ordinates below 240 is about 0.7, so the
+    default step cannot straddle two zeros in one cell; each returned
+    (lo, hi) pair brackets exactly one ordinate.
+    """
+    grid = np.arange(t_min, t_max + step, step)
+    vals = xi_cap(grid)
+    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    return [(float(grid[i]), float(grid[i + 1])) for i in flips]
 
 
 def test_record_validation():
