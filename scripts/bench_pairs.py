@@ -27,7 +27,8 @@ END_TO_END = {"run_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower",
               "pass_frac": "higher", "margin_digits": "higher"}
 TRACED = ("trace.run_s", "cli.cpu_s", "quad.calls", "quad.evals",
           "xikernel.xi_cap.points", "xikernel.xi_small.points",
-          "specfun.hyp1f1.points",
+          "specfun.hyp1f1.points", "numseries.mobius.calls",
+          "numseries.mobius.self_s",
           "identities.theta.s", "identities.hardy.s",
           "identities.ramanujan.s", "identities.lineint.s")
 

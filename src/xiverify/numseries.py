@@ -7,19 +7,22 @@ Moebius sum, and the sum over nontrivial zeta zeros in conjugate pairs.
 
 Truncation policy: sums stop when a rigorous term bound drops below
 1e-17 or switch to an Euler-Maclaurin tail once terms follow their
-asymptotic power law; the Moebius sum, with its two known moments taken
-out, converges absolutely and reports a bound on its tail and its
-rounding.  A term count above MAX_TERMS (20000 for ferrar_bessel_sum)
-raises ValueError before any term is allocated.
+asymptotic power law; the Moebius sum, a short head plus moment tails
+whose two known moments are exact, reports a bound on its tail, its
+moment truncation and its rounding.  A term count above MAX_TERMS
+(20000 for ferrar_bessel_sum) raises ValueError before any term is
+allocated.
 mobius_theta_sum and zero_sum_bracketed each do one rhl side's work in
-one pass: the Moebius sum from one term array, and the zero sum at every
-zero count from one evaluation of the pair terms.  A side pays only for
-what depends on its own (alpha, z).  The Moebius sum reads n, mu(n)/n
-and 1/n^2 from the shared MobiusTable and takes its terms in real
-arithmetic.  The zero sum keeps its log-Gamma factors per zero set in
-a per-process LRU cache and takes its 1F1 rows from xikernel.rho_series,
-whose cache also serves the Xi sides; the entries of both are the bits
-an uncached call would compute.
+one pass: the Moebius sum from one head array and its moment tails, and
+the zero sum at every zero count from one evaluation of the pair terms.
+A side pays only for what depends on its own (alpha, z).  The Moebius
+sum reads n, mu(n)/n and 1/n^2 from the shared MobiusTable, takes its
+head terms in real arithmetic and keeps the moment tails per table and
+split level, 12 scalars each, in a per-process LRU cache.  The zero sum
+keeps its log-Gamma factors per zero set in a per-process LRU cache and
+takes its 1F1 rows from xikernel.rho_series, whose cache also serves the
+Xi sides; the entries of all three caches are the bits an uncached call
+would compute.
 """
 
 import functools
@@ -28,7 +31,7 @@ import math
 import numpy as np
 
 from .specfun import (_PSI_ASYMP, EULER_GAMMA, _merge, _split, besselk0,
-                      besselk0_scaled, lngamma, zeta)
+                      besselk0_scaled, lngamma)
 from .xikernel import lambda_kernel, rho_series
 
 _LOG_TERM_CUTOFF = 39.2  # -log(1e-17)
@@ -36,7 +39,12 @@ _LOG_TERM_CUTOFF = 39.2  # -log(1e-17)
 # the most terms a series may take
 MAX_TERMS = 10 ** 7
 
-_ZETA3 = float(zeta(3.0).real)
+# 1/zeta(3) to 40 digits, in units of 10^-40 (_E40)
+_INV_ZETA3_E40 = 8319073725807074686831262788215307344171
+_E40 = 10 ** 40
+
+# mobius_theta_sum's moment tails take d_m x^(2m) up to m = _MOMENTS
+_MOMENTS = 12
 
 _TWO_PI = 2.0 * np.pi
 
@@ -240,26 +248,19 @@ def lambda_sum(alpha):
     return float(head + tail)
 
 
-def mobius_theta_sum(alpha, z, table):
-    """sum_n mu(n)/n f(1/n), f(x) = e^(-pi a^2 x^2) cos(sqrt(pi) a z x) with
-    a = alpha, summed absolutely; returns (sum, error_bound).
+def _mobius_level(c):
+    """The smallest power of two n0 with c <= n0^2/4: mobius_theta_sum
+    sums n < n0 directly and n >= n0 by moments."""
+    n0 = 1
+    while 4.0 * c > n0 * n0:
+        n0 *= 2
+    return n0
 
-    f(x) = sum_m d_m x^(2m) with d_0 = 1 and d_1 = -pi alpha^2 (1 + z^2/2),
-    so the sum is the Hardy-Littlewood series sum_{m>=1} d_m/zeta(2m+1).
-    Taking out the known moments sum mu(n)/n = 0 (the prime number
-    theorem) and sum mu(n)/n^3 = 1/zeta(3) leaves O(n^-5) terms:
 
-        sum_{n<=N} mu(n)/n (f(1/n) - 1 - d_1/n^2) + d_1/zeta(3),
-
-    N = table.limit, the whole table.  With c = pi alpha^2
-    (1 + |z|^2), |d_m| <= c^m/m!, so the neglected tail is at most
-    (c^2/2) e^(c/N^2) / (4 N^4).  Raises ValueError when that bound is not
-    finite.  error_bound adds the rounding, eps (4 P + |d_1/zeta(3)| +
-    ceil(log2 k) sum_n |term_n|) over the k terms, with P the sum of
-    (C_n + 1 + |d_1|/n^2)/n and C_n >= |f(1/n)| below: the parts of a
-    term cancel to O(n^-5), so their own rounding outweighs the terms'
-    (about 1.3e-14 at (0.2, 3i), N = 1e4, against an observed 2.2e-16).
-    The terms are evaluated only at the squarefree n of the table.
+def _mobius_head(alpha, z, table, stop):
+    """The terms mu(n)/n f(1/n) of mobius_theta_sum at the squarefree
+    n < stop, as a complex array, and their rounding scale: the sum over
+    those n of (C_n/n) (6 + ceil(log2 k) + 5 (|u| + |X| + |Y|)), k terms.
 
     f is taken in real arithmetic.  With u = -pi alpha^2/n^2,
     X = sqrt(pi) alpha Re z/n, Y = sqrt(pi) alpha Im z/n and
@@ -267,7 +268,104 @@ def mobius_theta_sum(alpha, z, table):
     real exponentials, a cosine and a sine per n.  Each exponent u +- Y
     is at most |Im z|^2/4, the maximum over n of -q^2 + q |Im z| with
     q = sqrt(pi) alpha/n, so nothing overflows where cos(sqrt(pi) alpha
-    z/n) alone would; and |f| <= C, as |S| <= C.
+    z/n) alone would; and |f| <= C, as |S| <= C.  The rounding scale
+    bounds a term's error by an ulp of C_n/n for each operation and for
+    each level of the pairwise sum, and by the 5 ulps that u, X and Y
+    each carry, which exp and cos turn into errors of their values.
+    """
+    k = int(np.searchsorted(table.squarefree, stop))
+    n = table.n[:k]
+    u = -(math.pi * alpha * alpha) * table.inv_n2[:k]
+    X = (_SQRT_PI * alpha * z.real) / n
+    Y = (_SQRT_PI * alpha * z.imag) / n
+    lo = np.exp(u - Y)
+    hi = np.exp(u + Y)
+    C = 0.5 * (lo + hi)
+    S = 0.5 * (lo - hi)
+    # the terms' real and imaginary parts, written into one complex
+    # array, so the sum is numpy's complex pairwise sum
+    terms = np.empty(k, np.complex128)
+    terms.real = table.mu_over_n[:k] * (C * np.cos(X))
+    terms.imag = table.mu_over_n[:k] * (S * np.sin(X))
+    ulps = 6.0 + math.ceil(math.log2(max(k, 1)))
+    scale = float((C / n * (ulps + 5.0 * (np.abs(u) + np.abs(X)
+                                          + np.abs(Y)))).sum())
+    return terms, scale
+
+
+@functools.lru_cache(maxsize=32)
+def _moment_tails(table, n0):
+    """The moment tails of mobius_theta_sum split at n0, as floats:
+    T0 = -sum_{n<n0} mu(n)/n, T1 = 1/zeta(3) - sum_{n<n0} mu(n)/n^3, and
+    n0^(2m) T_m = sum_{n0<=n<=N} mu(n)/n (n0/n)^(2m) for m = 2.._MOMENTS,
+    N = table.limit.
+
+    T0 and T1 are the known moments sum mu(n)/n = 0 and sum mu(n)/n^3 =
+    1/zeta(3) less their heads, taken as integers in units of 10^-40,
+    where nothing cancels, and divided once, correctly rounded; each
+    floor division is off by less than one unit.  The T_m are scaled by
+    n0^(2m), so none underflows, and each is one pass over the table
+    above n0.  Cached per (table, n0), _MOMENTS + 1 scalars an entry; a
+    table has one n0 per power of two up to its limit, and mobius_theta_sum
+    asks for no n0 above limit + 1.  The cache holds its tables, at most
+    32 of them.
+    """
+    k = int(np.searchsorted(table.squarefree, n0))
+    mu = table.values
+    head = table.squarefree[:k].tolist()
+    s1 = sum(int(mu[n]) * (_E40 // n) for n in head)
+    s3 = sum(int(mu[n]) * (_E40 // n ** 3) for n in head)
+    q = float(n0) * n0 * table.inv_n2[k:]
+    w = table.mu_over_n[k:] * q
+    taus = []
+    for _ in range(2, _MOMENTS + 1):
+        w = w * q
+        taus.append(float(w[::-1].sum()))
+    return -s1 / _E40, (_INV_ZETA3_E40 - s3) / _E40, tuple(taus)
+
+
+def mobius_theta_sum(alpha, z, table):
+    """sum_n mu(n)/n f(1/n), f(x) = e^(-pi a^2 x^2) cos(sqrt(pi) a z x) with
+    a = alpha, summed absolutely; returns (sum, error_bound).
+
+    f(x) = sum_m d_m x^(2m) with d_0 = 1 and d_1 = -pi alpha^2 (1 + z^2/2),
+    so the sum is the Hardy-Littlewood series sum_{m>=1} d_m/zeta(2m+1).
+    The known moments sum mu(n)/n = 0 (the prime number theorem) and
+    sum mu(n)/n^3 = 1/zeta(3) leave O(n^-5) terms, so with N =
+    table.limit the sum is taken as
+
+        sum_{n<=N} mu(n)/n (f(1/n) - 1 - d_1/n^2) + d_1/zeta(3),
+
+    regrouped, as both double series converge absolutely, into a head
+    and moment tails.  With c = pi alpha^2 (1 + |z|^2), n0 is the
+    smallest power of two with c <= n0^2/4.  The head sums
+    mu(n)/n f(1/n) directly over the squarefree n < n0 (_mobius_head,
+    at most 20 terms on alpha in [0.5, 2], |z|^2 <= 5).  The tails add
+    d_0 T0 + d_1 T1 + sum_{m=2}^{M} d_m T_m, M = 12, with T0 = sum_{n>=n0}
+    mu(n)/n, T1 = sum_{n>=n0} mu(n)/n^3 and T_m = sum_{n0<=n<=N}
+    mu(n)/n^(2m+1) (_moment_tails, cached per table and n0).  For
+    m >= 2, d_m T_m = e_m (n0^(2m) T_m) with e_m = d_m/n0^(2m), formed
+    from the powers of r = -pi alpha^2/n0^2 and of r z^2, so
+    e_m = sum_{j+k=m} r^j/j! (r z^2)^k/(2k)!; |r| + |r z^2| = rho =
+    c/n0^2 <= 1/4, so nothing overflows.  When n0 > N every n <= N is in
+    the head and the tails are T0 and T1 beyond N alone.
+
+    error_bound is the sum of
+      - the truncation at N: |d_m| <= c^m/m!, so the neglected tail is at
+        most (c^2/2) e^(c/N^2) / (4 N^4).  Raises ValueError when that
+        bound is not finite;
+      - the truncation at M: |e_m| <= rho^m/m! and |n0^(2m) T_m| <=
+        1/n0 + 1/(2m) <= 5/4 for m >= 2, so the omitted m > M add less
+        than 2 rho^(M+1)/(M+1)!, 4.8e-18 at rho = 1/4 (none when n0 > N);
+      - the rounding, eps times the sum of: the head's scale from
+        _mobius_head; 4 (|head| + |T0| + |moment sum|) for the final
+        additions; 12 c |T1| for d_1 T1, since d_1 carries a few ulps of
+        c; and 100 (e^rho - 1 - rho) for the coefficients e_m and the
+        sums T_m, m >= 2, as each m has at most 4M + 30 ulps of
+        |e_m| |n0^(2m) T_m| <= (5/4) rho^m/m! from the two and their
+        product (none when n0 > N);
+      - k (1 + c) 10^-40 for the floor divisions of T0 and T1, k the
+        head's term count.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
@@ -282,27 +380,35 @@ def mobius_theta_sum(alpha, z, table):
     if not math.isfinite(tail):
         raise ValueError("mobius_theta_sum: tail bound at alpha=%g, z=%s, "
                          "N=%d is not finite" % (alpha, z, N))
-    n, inv_n2 = table.n, table.inv_n2
+    n0 = _mobius_level(c)
+    stop = min(n0, N + 1)
+    terms, scale = _mobius_head(alpha, z, table, stop)
+    t0, t1, taus = _moment_tails(table, stop)
     d1 = -a2 * (1.0 + 0.5 * z * z)
-    u = -a2 * inv_n2
-    X = (_SQRT_PI * alpha * z.real) / n
-    Y = (_SQRT_PI * alpha * z.imag) / n
-    lo = np.exp(u - Y)
-    hi = np.exp(u + Y)
-    C = 0.5 * (lo + hi)
-    S = 0.5 * (lo - hi)
-    # the terms' real and imaginary parts, written into one complex
-    # array, so the sum is numpy's complex pairwise sum
-    terms = np.empty(len(n), np.complex128)
-    terms.real = table.mu_over_n * (C * np.cos(X) - 1.0 - d1.real * inv_n2)
-    terms.imag = table.mu_over_n * (S * np.sin(X) - d1.imag * inv_n2)
-    # rounding: 4 ulps of each term's parts, which cancel to O(n^-5), and
-    # the pairwise sum's log2(len) ulps of the terms' magnitudes
-    parts = ((C + 1.0 + abs(d1) * inv_n2) / n).sum()
-    rounding = _EPS * float(4.0 * parts + abs(d1 / _ZETA3)
-                            + math.ceil(math.log2(len(n)))
-                            * np.abs(terms).sum())
-    return complex(terms[::-1].sum()) + d1 / _ZETA3, tail + rounding
+    moments = 0.0
+    truncation = 0.0
+    coefficients = 0.0
+    if n0 <= N:
+        r = -a2 / (n0 * n0)
+        s = r * z * z
+        # r^j/j! and (r z^2)^k/(2k)!, the coefficients of x^(2j) in the
+        # Gaussian and of x^(2k) in the cosine at x = n0/n
+        gauss, cosine = [1.0], [1.0 + 0.0j]
+        for k in range(1, _MOMENTS + 1):
+            gauss.append(gauss[-1] * r / k)
+            cosine.append(cosine[-1] * s / ((2 * k - 1) * (2 * k)))
+        moments = sum(sum(gauss[j] * cosine[m - j] for j in range(m + 1))
+                      * taus[m - 2] for m in range(2, _MOMENTS + 1))
+        rho = c / (n0 * n0)
+        truncation = 2.0 * rho ** (_MOMENTS + 1) / math.factorial(
+            _MOMENTS + 1)
+        coefficients = 100.0 * (math.expm1(rho) - rho)
+    head = complex(terms[::-1].sum())
+    rounding = _EPS * (scale + 4.0 * (abs(head) + abs(t0) + abs(moments))
+                       + 12.0 * c * abs(t1) + coefficients)
+    floors = len(terms) * (1.0 + c) * 1e-40
+    return (head + (t0 + d1 * t1 + moments),
+            tail + truncation + rounding + floors)
 
 
 # the zero sets zero_sum_bracketed keeps per process: rhl passes one

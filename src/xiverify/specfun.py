@@ -3,8 +3,8 @@
 Everything downstream (kernels, series, quadrature integrands) is built on
 the functions in this module: complex log-gamma, real digamma, the Riemann
 zeta function and its derivative on the half plane Re s >= 1/2 (the
-critical line, the zeros and zeta(3), every point the package evaluates,
-lie there), the confluent hypergeometric 1F1 and the single 2F2
+critical line and the zeros, every point the package evaluates, lie
+there), the confluent hypergeometric 1F1 and the single 2F2
 parameter set the identities need (both summed by one Taylor loop,
 _hyp_series), the modified Bessel function K0 (a trapezoid rule on its
 integral representation), and a Moebius sieve.

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xiverify import numseries, xikernel
@@ -254,6 +254,15 @@ MOBIUS_REFERENCE = {
 }
 
 
+# the error bounds at N = 1e4 of the form that summed every squarefree n
+# and took 1 + d_1/n^2 out of each term, cut to two digits
+MOBIUS_ALL_N_BOUNDS = {
+    (1.0, 0.0): 2.1e-14, (2.0, 1.0 + 0.5j): 9.9e-14, (0.5, 2.0j): 1.4e-14,
+    (1.25, 1.0): 4.0e-14, (1.25, 2.0j): 4.2e-14, (5.0, 3.0): 9.7e-12,
+    (0.2, 3.0j): 1.2e-14, (1.0, 0.886227 + 1.5j): 3.0e-14,
+}
+
+
 def _hardy_littlewood(alpha, z, terms=60):
     """sum_{m=1}^{terms} d_m/zeta(2m+1) in doubles, d_m the x^(2m)
     coefficient of e^(-pi alpha^2 x^2) cos(sqrt(pi) alpha z x)."""
@@ -266,6 +275,24 @@ def _hardy_littlewood(alpha, z, terms=60):
     return sum(sum(gauss[j] * cosine[m - j] for j in range(m + 1))
                / complex(zeta(2.0 * m + 1.0)).real
                for m in range(1, terms + 1))
+
+
+def _truncated_mobius_sum(alpha, z, N):
+    """sum_{n<=N} mu(n)/n (f(1/n) - 1 - d_1/n^2) + d_1/zeta(3) in 30-digit
+    mpmath: mobius_theta_sum's value before rounding and before its
+    moment series is cut at M."""
+    import mpmath
+    table = mobius_sieve(N)
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        w = mpmath.sqrt(mpmath.pi) * a * mpmath.mpc(z)
+        d1 = -mpmath.pi * a * a * (1 + mpmath.mpc(z) ** 2 / 2)
+        total = d1 / mpmath.zeta(3)
+        for n in table.squarefree.tolist():
+            x = mpmath.mpf(1) / n
+            f = mpmath.exp(-mpmath.pi * a * a * x * x) * mpmath.cos(w * x)
+            total += int(table.values[n]) * x * (f - 1 - d1 * x * x)
+        return complex(total)
 
 
 class TestMobiusThetaSum:
@@ -283,7 +310,7 @@ class TestMobiusThetaSum:
     @pytest.mark.parametrize("alpha,z", list(MOBIUS_REFERENCE))
     def test_tail_bound_covers_the_error(self, alpha, z):
         # the bound covers rounding too: (0.2, 3i) at N = 1e4 is off by
-        # 2.2e-16 and (2, 1 + 0.5i) at N = 1e5 by 3.0e-15, where the
+        # 3.3e-16 and (2, 1 + 0.5i) at N = 1e5 by 5.7e-17, where the
         # truncation tail alone is 2.0e-17 and 1.0e-18
         want = MOBIUS_REFERENCE[alpha, z]
         for N in (100, 1000, 10000, 100000):
@@ -291,30 +318,63 @@ class TestMobiusThetaSum:
             assert abs(got - want) <= bound, (N, abs(got - want), bound)
         _close(got, want, rel=0.0, abs_tol=1e-13)
 
-    def test_tail_bound_formula(self, mobius_10k):
-        # the truncation tail (c^2/2) e^(c/N^2) / (4 N^4), c = pi alpha^2
-        # (1 + |z|^2), about 5e-14 at alpha = 2, |z| = 2, N = 1e4, plus
-        # the rounding term, recomputed here from the squarefree terms
-        # with C = (e^(u-Y) + e^(u+Y))/2 >= |f| in place of |f|
-        z = 1.2 + 1.6j
-        _, bound = mobius_theta_sum(2.0, z, mobius_10k)
-        c = 20.0 * math.pi
-        tail = c * c / 8e16 * math.exp(c / 1e8)
-        assert 4e-14 < tail < 6e-14
-        n = mobius_10k.squarefree.astype(np.float64)
-        mu = mobius_10k.values[mobius_10k.squarefree]
-        d1 = -4.0 * math.pi * (1.0 + 0.5 * z * z)
-        u = -4.0 * math.pi / (n * n)
-        v = 1j * math.sqrt(math.pi) * 2.0 * z / n
-        f = 0.5 * (np.exp(u + v) + np.exp(u - v))
-        C = 0.5 * (np.exp(u + v.real) + np.exp(u - v.real))
-        assert (np.abs(f) <= C * (1.0 + 1e-15)).all()
-        terms = (mu / n) * (f - 1.0 - d1 / (n * n))
-        parts = ((C + 1.0 + abs(d1) / (n * n)) / n).sum()
-        rounding = np.finfo(np.float64).eps * (
-            4.0 * parts + abs(d1) / 1.2020569031595942
-            + math.ceil(math.log2(len(n))) * np.abs(terms).sum())
-        assert bound == pytest.approx(tail + rounding, rel=1e-14, abs=0.0)
+    @pytest.mark.parametrize("c,n0", [(0.25, 1), (0.26, 2), (math.pi, 4),
+                                       (24.0 * math.pi, 32),
+                                       (6800.0 * math.pi, 512)])
+    def test_split_level(self, c, n0):
+        # the smallest power of two with c <= n0^2/4; 24 pi is the box
+        # corner alpha = 2, |z|^2 = 5, and 6800 pi alpha = 20, |z| = 4
+        assert numseries._mobius_level(c) == n0
+
+    def test_inverse_zeta3_literal(self):
+        import mpmath
+        with mpmath.workdps(60):
+            want = int(mpmath.nint(mpmath.mpf(10) ** 40 / mpmath.zeta(3)))
+        assert numseries._INV_ZETA3_E40 == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.05, 20.0), re=st.floats(-4.0, 4.0),
+           im=st.floats(-4.0, 4.0), N=st.sampled_from([100, 1000]))
+    @example(alpha=0.05, re=0.0, im=4.0, N=1000)  # n0 = 1
+    @example(alpha=0.5, re=0.0, im=2.0, N=1000)   # n0 = 4
+    @example(alpha=2.0, re=-1.0, im=2.0, N=1000)  # n0 = 32, 20 head terms
+    @example(alpha=20.0, re=0.0, im=4.0, N=1000)  # n0 = 512, head to 511
+    @example(alpha=20.0, re=0.0, im=4.0, N=100)   # n0 > N, no moment sum
+    @example(alpha=15.0, re=4.0, im=0.0, N=100)   # n0 > N at real z
+    def test_bound_covers_the_truncated_sum(self, alpha, re, im, N):
+        # |z| <= 4; the reference is the N-truncated sum in 30 digits,
+        # so the bound's rounding and moment truncation must cover the
+        # whole difference; draws reach n0 = 1 near alpha = 0.05 and
+        # n0 > N = 100 from alpha = 10 at |z| = 4
+        z = complex(re, im)
+        if abs(z) > 4.0:
+            z *= 4.0 / abs(z)
+        got, bound = mobius_theta_sum(alpha, z, mobius_sieve(N))
+        want = _truncated_mobius_sum(alpha, z, N)
+        assert abs(got - want) <= bound, (abs(got - want), bound)
+
+    def test_level_cache_gives_cold_bits(self):
+        # the moment tails are cached per (table, n0); a warm entry, and
+        # one built for a new table after the sieve's cache is emptied,
+        # must give the bits of the first call
+        points = [(0.05, 4j), (1.0, 0.0), (0.5, 2j), (2.0, -1.0 + 2j),
+                  (1.3, 1.0 + 0.5j), (20.0, 4j)]
+        numseries._moment_tails.cache_clear()
+        runs = [[mobius_theta_sum(a, z, mobius_sieve(1000))
+                 for a, z in points] for _ in range(2)]
+        assert numseries._moment_tails.cache_info().hits >= len(points)
+        mobius_sieve.cache_clear()
+        runs.append([mobius_theta_sum(a, z, mobius_sieve(1000))
+                     for a, z in points])
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert numseries._moment_tails.cache_info().misses == 10
+
+    @pytest.mark.parametrize("alpha,z", list(MOBIUS_REFERENCE))
+    def test_bound_below_the_all_n_form(self, mobius_10k, alpha, z):
+        # at N = 1e4 the bound is no larger than that of the form which
+        # summed every squarefree n and took 1 + d_1/n^2 out of each term
+        _, bound = mobius_theta_sum(alpha, z, mobius_10k)
+        assert bound <= MOBIUS_ALL_N_BOUNDS[alpha, z]
 
     def test_overflowing_tail_bound_raises(self, mobius_10k):
         with pytest.raises(ValueError, match="tail bound"):
@@ -338,25 +398,26 @@ class TestMobiusThetaSum:
 
     @pytest.mark.parametrize("alpha,z", [(0.8, 0.0), (0.8, 1.0),
                                          (1.3, 1.0 + 0.5j), (0.5, 2.0j),
-                                         (1.0, 0.886227 + 1.5j)])
-    def test_squarefree_terms_match_all_n_formula(self, mobius_10k,
-                                                  alpha, z):
-        # the terms are evaluated only where mu(n) != 0; their sum
-        # must equal the all-n formula's bit for bit
+                                         (1.0, 0.886227 + 1.5j),
+                                         (2.0, -1.0 + 2.0j)])
+    def test_head_matches_all_n_formula(self, mobius_10k, alpha, z):
+        # the head takes its terms only where mu(n) != 0 and n < n0; they
+        # must equal the all-n formula's at those n, term for term
         z = complex(z)
-        n = np.arange(1.0, mobius_10k.limit + 1.0)
-        mu = mobius_10k.values[1:]
-        d1 = -math.pi * alpha * alpha * (1.0 + 0.5 * z * z)
+        n0 = numseries._mobius_level(math.pi * alpha * alpha
+                                     * (1.0 + abs(z) * abs(z)))
+        n = np.arange(1.0, n0)
+        mu = mobius_10k.values[1:n0]
         u = -math.pi * alpha * alpha * (1.0 / (n * n))
         X = (math.sqrt(math.pi) * alpha * z.real) / n
         Y = (math.sqrt(math.pi) * alpha * z.imag) / n
         C = 0.5 * (np.exp(u - Y) + np.exp(u + Y))
         S = 0.5 * (np.exp(u - Y) - np.exp(u + Y))
         f = C * np.cos(X) + 1j * (S * np.sin(X))
-        terms = (mu / n) * (f - 1.0 - d1 * (1.0 / (n * n)))
-        total, _ = mobius_theta_sum(alpha, z, mobius_10k)
-        want = complex(terms[mu != 0][::-1].sum()) + d1 / 1.2020569031595942
-        assert total == want
+        want = ((mu / n) * f)[mu != 0]
+        terms, _ = numseries._mobius_head(alpha, z, mobius_10k, n0)
+        assert len(terms) == len(want) > 0
+        assert np.array_equal(terms, want)
 
 
 def _zero_sum(zeros, alpha, z):
