@@ -156,9 +156,14 @@ _XI_BOSE = _XI_HALF.derive(
 
 
 def _contour_weight(u):
-    """xi(s)/(s(1-s)) at s = 1/2 + iu and 1/2 - iu, one row each."""
+    """xi(s)/(s(1-s)) at s = 1/2 + iu and 1/2 - iu, one row each.
+
+    xi is real on the real axis, so xi(conj s) = conj xi(s): the second
+    row's xi is taken as the conjugate of the first's, which on every
+    level of the rule are the bits xi_small gives at 1/2 - iu."""
     s = 0.5 + 1j * np.stack([u, -u])
-    return xi_small(s) / (s * (1.0 - s))
+    xi = xi_small(s[0])
+    return np.stack([xi, np.conj(xi)]) / (s * (1.0 - s))
 
 
 _XI_CONTOUR = quad.NodeTable(_contour_weight)

@@ -7,10 +7,13 @@ the nodes of the double-exponential rule of Takahasi and Mori (1974), in
 the form t = exp(u - e^(-u)) of Mori and Sugihara (2001) for
 exponentially decaying integrands: the trapezoid rule in u on nested
 levels.  integrate_tabulated then evaluates only the kernel on those
-nodes.  The map clusters nodes at t = 0 double exponentially, so an
-integrable log or power singularity there needs no split.  Other ranges
-reduce to the half line: a whole-line integrand f folds onto it as
-f(t) + f(-t), which a kernel returns as two rows of one call.
+nodes: the table keeps each level's w dt/du beside w, and the nodes up
+to the start level are one array per process, so a call forms nothing
+that depends on the nodes alone.  The map clusters nodes at t = 0
+double exponentially, so an integrable log or power singularity there
+needs no split.  Other ranges reduce to the half line: a whole-line
+integrand f folds onto it as f(t) + f(-t), which a kernel returns as two
+rows of one call.
 """
 
 import functools
@@ -73,10 +76,21 @@ def _de_batch(level):
     return t, jac
 
 
+@functools.lru_cache(maxsize=None)
+def _de_start_nodes(start):
+    """The nodes of levels 0..start in level order, read-only: an
+    integral's first kernel call takes them when the rule starts at
+    level start."""
+    t = np.concatenate([_de_batch(L)[0] for L in range(start + 1)])
+    t.flags.writeable = False
+    return t
+
+
 class NodeTable:
     """A weight w(t) tabulated on the double-exponential nodes of
     [0, infinity), one batch per level, each built on first use and kept
-    for the life of the process.
+    for the life of the process together with w dt/du, the factor the
+    trapezoid sum multiplies the kernel by.
 
     weight maps an array of t to w(t), shaped (len(t),) or (rows,
     len(t)).  A derived table (derive) takes its weight as a function of
@@ -102,23 +116,25 @@ class NodeTable:
         return self._weight(t, self._base(t))
 
     def batch(self, level):
-        """(t, dt/du, w(t)) on the nodes that level adds."""
+        """(t, dt/du w(t), w(t)) on the nodes that level adds."""
         while len(self._batches) <= level:
             L = len(self._batches)
             t, jac = _de_batch(L)
             w = np.asarray(self._weight(t) if self._base is None
                            else self._weight(t, self._base.batch(L)[2]))
-            w.flags.writeable = False
-            self._batches.append((t, jac, w))
+            jw = jac * w
+            w.flags.writeable = jw.flags.writeable = False
+            self._batches.append((t, jw, w))
         return self._batches[level]
 
 
 def integrate_tabulated(kernel, table, tol):
     """Integrate w(t) kernel(t) over [0, infinity), w tabulated in table.
 
-    The double-exponential trapezoid sum Q_h = h sum_u w(t) kernel(t)
-    dt/du is taken at the step of _DE_START, with one kernel call on all
-    its nodes.  Its error estimate is |Q_h - Q_2h| (Q_2h sums the nodes
+    The double-exponential trapezoid sum Q_h = h sum_u (w(t) dt/du)
+    kernel(t) is taken at the step of _DE_START, with one kernel call on
+    all its nodes (_de_start_nodes) and w dt/du from the table.  Its
+    error estimate is |Q_h - Q_2h| (Q_2h sums the nodes
     of the levels before, no kernel call of its own), plus
     |w kernel dt/du| at both ends of the u
     range (each truncated tail falls double exponentially in u), plus
@@ -132,13 +148,16 @@ def integrate_tabulated(kernel, table, tol):
     """
     sums, mags, evals = [], [], 0
     for level in range(_DE_START, _DE_FINEST + 1):
-        batches = [table.batch(L) for L in (
-            range(level + 1) if level == _DE_START else [level])]
-        y = np.asarray(kernel(np.concatenate([b[0] for b in batches])),
-                       dtype=np.complex128)
+        if level == _DE_START:
+            batches = [table.batch(L) for L in range(level + 1)]
+            t = _de_start_nodes(level)
+        else:
+            batches = [table.batch(level)]
+            t = batches[0][0]
+        y = np.asarray(kernel(t), dtype=np.complex128)
         start = 0
-        for t, jac, w in batches:
-            part = jac * w * y[..., start:start + t.size]
+        for t, jw, _ in batches:
+            part = jw * y[..., start:start + t.size]
             part = part.reshape(-1, t.size).sum(axis=0)
             start += t.size
             if not sums:  # level 0: the endpoints first and last

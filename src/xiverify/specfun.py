@@ -262,8 +262,21 @@ def _hyp_series(name, num, den, z):
     num and den are tuples of parameters; a 0-d one, or z, stays a numpy
     scalar, so only the arrays the result needs are allocated.  The loop
     updates term and total in place; each step multiplies term by every
-    (a_i + n) and by z, then divides by prod_j (c_j + n) (n + 1).  A
+    (a_i + n) and by z, then divides by d = prod_j (c_j + n) (n + 1).  A
     series that has not converged raises ValueError naming name.
+
+    When every c_j is a scalar on the real axis, as in hyp1f1 and
+    hyp2f2_11, d is formed in float arithmetic (the real part of the
+    complex product, bit for bit) and term's real and imaginary parts are
+    multiplied by 1/d through its float view (a 0-d term through the
+    view of its 1-entry reshape).  numpy divides by a complex d = (p, 0)
+    as Smith's algorithm does: with r = 0/p and q = 1/(p + 0 r) = 1/p it
+    forms ((x + y r) q, (y - x r) q), and for finite x, y those are x q
+    and y q except for the sign of a zero part, which no |term| and no
+    total can see (total starts at 1 + 0i, and adding a zero of either
+    sign to +0 gives +0).  The float multiply gives the same bits at a
+    third of the cost on a 2 x 321 batch.  A complex or array c_j keeps
+    the complex division.
 
     The series stops at the first term where every entry has
     |term| < _SERIES_RELTOL max(|total|, 1e-300).  That full test costs
@@ -283,6 +296,10 @@ def _hyp_series(name, num, den, z):
                                 np.shape(z))
     term = np.ones(shape, dtype=np.complex128)
     total = term.copy()
+    parts = None
+    if all(type(c) is np.complex128 and c.imag == 0.0 for c in den):
+        den = [float(c.real) for c in den]
+        parts = term.reshape(-1).view(np.float64)
     step = np.empty_like(term)
     mag = np.empty(shape)
     bound = np.empty(shape)
@@ -296,7 +313,10 @@ def _hyp_series(name, num, den, z):
         d = n + 1.0
         for c in den:
             d = (c + n) * d
-        term /= d
+        if parts is None:
+            term /= d
+        else:
+            parts *= 1.0 / d
         total += term
         if abs(term.item(slow)) >= witness_tol * max(abs(total.item(slow)),
                                                      1e-300):

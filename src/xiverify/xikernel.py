@@ -18,7 +18,10 @@ per-process LRU cache keeps, one entry per (w, c, k, node batch).
 rho_rows takes them at w = z^2/4 for every Xi side and the
 inverse-Mellin check, and numseries' zero sums at w = -z^2/4 on
 s = 1/2 +- i gamma.  Only the power x^(1/2-s) depends on x, so every
-alpha, every family on one line, and z and -z share one series.
+alpha, every family on one line, and z and -z share one series.  The
+exponents 1/2 - s of that power are kept too, per (c, k, node batch)
+(_power_exponents), so a warm rho_rows call forms x's power, e^(-w/2)
+and their product with the rows, and nothing else.
 """
 
 import functools
@@ -158,21 +161,38 @@ def rho_series(w, c, k, t):
     return _rho_series_rows(w, c, k, tv.shape, tv.tobytes())
 
 
+# A key's exponents take what its rows take, 10 KB at a start batch.  The
+# three Xi lines and the inverse-Mellin check's two, each at the start
+# batch and levels 2 and 3, are 15 keys; 32 bound the cache at 640 KB.
+_LINE_KEYS = 32
+
+
+@functools.lru_cache(maxsize=_LINE_KEYS)
+def _power_exponents(c, k, shape, nodes):
+    """1/2 - s at s = c +- ikt, read-only, keyed as _rho_series_rows: the
+    exponent of x's power in rho, the same for every x and z."""
+    e = 0.5 - _line(c, k, np.frombuffer(nodes).reshape(shape))
+    e.flags.writeable = False
+    return e
+
+
 def rho_rows(x, z, c, k, t):
     """rho(x, z, c + ikt) and rho(x, z, c - ikt) as two rows, x > 0 a
     float.
 
-    The 1F1 rows come from rho_series; only x's power and e^(-w/2) are
-    multiplied in per call, so the result is the same bits whichever
-    calls filled the cache.
+    The 1F1 rows come from rho_series' cache and the exponents 1/2 - s
+    from _power_exponents'; only x's power and e^(-w/2) are formed per
+    call, so the result is the same bits whichever calls filled the
+    caches.
     """
     if not x > 0.0:
         raise ValueError("rho_rows: x must be positive")
     tv = np.asarray(t, np.float64)
+    key = (c, k, tv.shape, tv.tobytes())
     zc = complex(z)
     w = 0.25 * zc * zc
-    return (np.exp((0.5 - _line(c, k, tv)) * np.log(x)) * np.exp(-0.5 * w)
-            * rho_series(w, c, k, tv))
+    return (np.exp(_power_exponents(*key) * np.log(x)) * np.exp(-0.5 * w)
+            * _rho_series_rows(w, *key))
 
 
 def lambda_kernel(x):

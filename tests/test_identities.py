@@ -461,6 +461,8 @@ def _clear_tables(monkeypatch):
         if isinstance(table, quad.NodeTable):
             monkeypatch.setattr(table, "_batches", [])
     xikernel._rho_series_rows.cache_clear()
+    xikernel._power_exponents.cache_clear()
+    quad._de_start_nodes.cache_clear()
 
 
 def _seeded_box(n, seed=1):
@@ -500,10 +502,11 @@ class TestTabulatedXiSides:
                 assert verify(KernelParams(alpha, z), 1e-8).passed
             counts.append(dict(seen))
         assert counts[0] == counts[1]
-        # 321 ordinates; the contour's xi_small takes u and -u as rows
+        # 321 ordinates; the contour's xi_small takes u alone, its -u row
+        # being the conjugate
         contour = verify is verify_line_integral
         assert counts[0] == {"xi_cap": START_NODES,
-                             "xi_small": 2 * START_NODES if contour else 0}
+                             "xi_small": START_NODES if contour else 0}
 
     def test_tables_come_out_the_same_in_any_order(self, monkeypatch):
         from xiverify import identities, quad
@@ -623,6 +626,80 @@ class TestTabulatedXiSides:
         weighted = ([START_NODES, 320] if verify is verify_ramanujan_bose
                     else [])
         assert nodes == weighted + [START_NODES, 320, 640]
+
+
+class TestNodeOnlyWork:
+    """What depends on the nodes and the line alone is formed once per
+    process: the start level's nodes, each table's w dt/du, the exponents
+    1/2 - s of rho's power and the contour weight's conjugate row."""
+
+    FAMILIES = (verify_theta, verify_hardy, verify_ferrar,
+                verify_ramanujan_bose, verify_line_integral)
+
+    def test_contour_weight_rows_are_xi_small_to_the_bit(self):
+        # the -u row is the u row's conjugate, and xi_small gives those
+        # bits at 1/2 - iu itself: a complex exp or log that is not
+        # conjugate-symmetric fails here rather than moving the bytes
+        from xiverify import identities as I
+        from xiverify.xikernel import xi_small
+        for level in range(quad._DE_FINEST + 1):
+            u = quad._de_batch(level)[0]
+            got = I._contour_weight(u)
+            s = 0.5 - 1j * u
+            direct = xi_small(s) / (s * (1.0 - s))
+            assert got[1].tobytes() == direct.tobytes()
+            both = 0.5 + 1j * np.stack([u, -u])
+            assert got.tobytes() == (
+                xi_small(both) / (both * (1.0 - both))).tobytes()
+
+    def _bits(self, grid):
+        return [(np.array(list(rep.sides.values())).tobytes(),
+                 np.array([d.get("abs_error", 0.0) for d in
+                           rep.diagnostics.values()]).tobytes())
+                for verify in self.FAMILIES for a, z in grid
+                for rep in _reports(verify, a, z)]
+
+    def test_warm_equals_cold_at_either_start_level(self, monkeypatch):
+        # the start nodes are kept per start level, and each table's
+        # levels and the exponents per node batch: a warm pass writes the
+        # cold pass's bits, at the rule's start and one step finer, and
+        # neither start level sees the other's nodes
+        grid = ANCHORS[::3]
+        start = quad._DE_START
+        runs = {}
+        for level in (start, start + 1, start):
+            monkeypatch.setattr(quad, "_DE_START", level)
+            if level not in runs:
+                _clear_tables(monkeypatch)
+                runs[level] = self._bits(grid)
+            assert self._bits(grid) == runs[level]
+        assert runs[start] != runs[start + 1]
+
+    def test_warm_pass_forms_no_line_and_joins_no_nodes(self, monkeypatch):
+        from xiverify import xikernel
+        counts = {"_line": 0, "concatenate": 0}
+        line, concatenate = xikernel._line, np.concatenate
+
+        def counted_line(*args):
+            counts["_line"] += 1
+            return line(*args)
+
+        def counted_concatenate(*args, **kwargs):
+            counts["concatenate"] += 1
+            return concatenate(*args, **kwargs)
+
+        monkeypatch.setattr(xikernel, "_line", counted_line)
+        monkeypatch.setattr(np, "concatenate", counted_concatenate)
+        _clear_tables(monkeypatch)
+        passes = []
+        for _ in range(2):
+            counts.update(_line=0, concatenate=0)
+            self._bits(ANCHORS)
+            passes.append(dict(counts))
+        # cold: one start-node array, and per (w, line, batch) the 1F1
+        # rows, per (line, batch) the exponents
+        assert passes[0]["concatenate"] == 1 and passes[0]["_line"] > 0
+        assert passes[1] == {"_line": 0, "concatenate": 0}
 
 
 class TestRhoRowCache:

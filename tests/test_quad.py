@@ -314,6 +314,22 @@ class TestTabulatedRule:
             quad.integrate_tabulated(lambda t: np.cos(b * t), table, 1e-12)
         assert calls == [161, 160]
 
+    def test_node_only_arrays_are_kept(self):
+        # the first kernel call's nodes, one array per start level, and
+        # each level's w dt/du are formed once, read-only, to the bits
+        # every call formed before
+        for start in range(quad._DE_FINEST + 1):
+            nodes = quad._de_start_nodes(start)
+            assert nodes is quad._de_start_nodes(start)
+            assert not nodes.flags.writeable
+            assert nodes.tobytes() == np.concatenate(
+                [quad._de_batch(L)[0] for L in range(start + 1)]).tobytes()
+        table = quad.NodeTable(lambda t: np.stack([np.exp(-t), 1j * t]))
+        for level in range(quad._DE_FINEST + 1):
+            t, jw, w = table.batch(level)
+            assert jw is table.batch(level)[1] and not jw.flags.writeable
+            assert jw.tobytes() == (quad._de_batch(level)[1] * w).tobytes()
+
     def test_derived_table_is_built_from_its_base(self):
         base_calls = []
 
@@ -327,7 +343,7 @@ class TestTabulatedRule:
         quad.integrate_tabulated(np.ones_like, base, 1e-12)
         assert base_calls == [161, 160]
         for level in (0, 1):
-            t, jac, w = derived.batch(level)
+            t, _, w = derived.batch(level)
             assert np.array_equal(w, base.batch(level)[2] / (1.0 + t * t))
         t = np.array([0.5, 2.0])
         assert np.array_equal(derived(t), np.exp(-t) / (1.0 + t * t))

@@ -222,6 +222,46 @@ def _broadcast_hyp_series(a, c, z):
     raise RuntimeError("reference series did not converge")
 
 
+def _inplace_hyp_series(name, num, den, z):
+    """The in-place Taylor loop as it stood before _hyp_series scaled by
+    1/d for a real divisor d, dividing term by the complex d, frozen as
+    its bit-level reference for every shape, 0-d and one-entry included:
+    its products take the same numpy paths as _hyp_series' own."""
+    num = [np.asarray(a, np.complex128)[()] for a in num]
+    den = [np.asarray(c, np.complex128)[()] for c in den]
+    z = np.asarray(z, np.complex128)[()]
+    shape = np.broadcast_shapes(*map(np.shape, num), *map(np.shape, den),
+                                np.shape(z))
+    term = np.ones(shape, dtype=np.complex128)
+    total = term.copy()
+    step = np.empty_like(term)
+    mag = np.empty(shape)
+    bound = np.empty(shape)
+    slow = 0
+    witness_tol = 2.0 * _SERIES_RELTOL
+    for n in range(_SERIES_MAX_TERMS):
+        for a in num:
+            np.add(a, n, out=step)
+            term *= step
+        term *= z
+        d = n + 1.0
+        for c in den:
+            d = (c + n) * d
+        term /= d
+        total += term
+        if abs(term.item(slow)) >= witness_tol * max(abs(total.item(slow)),
+                                                     1e-300):
+            continue
+        np.abs(total, out=bound)
+        np.maximum(bound, 1e-300, out=bound)
+        bound *= _SERIES_RELTOL
+        np.abs(term, out=mag)
+        if (mag < bound).all():
+            return total
+        slow = int(np.divide(mag, bound, out=mag).argmax())
+    raise RuntimeError("reference series did not converge")
+
+
 def _same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return (got.dtype == want.dtype and got.shape == want.shape
@@ -313,6 +353,53 @@ class TestHypSeriesLoop:
         got = hyp1f1(_A[:25], 0.5, z)
         for g, a, w in zip(got, _A[:25], z):
             _close(g, mpmath.hyp1f1(complex(a), 0.5, complex(w)), rel=1e-14)
+
+    @pytest.mark.parametrize("a,w", [
+        (0.25 - 1.5j, 30.0 + 10.0j), (0.25 - 1.5j, 0.3153 + 0.949j),
+        (-7.5 + 40.0j, -2.0 + 1.0j), (12.0, 25.0j), (0.5, 0.0)])
+    def test_real_divisor_step_at_0d(self, a, w):
+        # a 0-d term is scaled through the float view of its 1-entry
+        # reshape, the aux checks' scalar calls
+        got = _hyp_series("hyp1f1", (a,), (0.5,), w)
+        assert np.ndim(got) == 0
+        assert _same_bits(got, _inplace_hyp_series("hyp1f1", (a,), (0.5,),
+                                                   w))
+
+    def test_real_divisor_step_at_one_entry_and_complex_w(self):
+        # one-entry batches, whose complex products numpy rounds by
+        # another path than longer ones, and two-row batches at complex w
+        rng = np.random.default_rng(5)
+        for n in (1, 1, 1, 2, 3, 321):
+            for _ in range(8):
+                a = (rng.uniform(-20.0, 20.0, (2, n))
+                     + 1j * rng.uniform(-60.0, 60.0, (2, n)))
+                if n == 1:
+                    a = a[0]
+                w = complex(*rng.uniform(-35.0, 35.0, 2))
+                assert _same_bits(
+                    _hyp_series("hyp1f1", (a,), (0.5,), w),
+                    _inplace_hyp_series("hyp1f1", (a,), (0.5,), w))
+        a, w = np.array([1.0 + 0j]), 0.3153 + 0.949j
+        assert _same_bits(_hyp_series("hyp1f1", (a,), (0.5,), w),
+                          _inplace_hyp_series("hyp1f1", (a,), (0.5,), w))
+
+    def test_complex_divisor_keeps_the_division(self):
+        # c off the real axis, or an array of c, divides as before
+        for c in (0.5 + 0.25j, np.array([0.5, 1.5])):
+            for w in (2.0 - 1.0j, np.array([0.75j, 3.0])):
+                assert _same_bits(
+                    _hyp_series("hyp1f1", (0.25 - 1.5j,), (c,), w),
+                    _inplace_hyp_series("hyp1f1", (0.25 - 1.5j,), (c,), w))
+
+    @pytest.mark.parametrize("w", [0.25, 0.1875 + 0.25j, -3.0 + 4.0j,
+                                   np.array([0.5, 2.0j, -1.0 + 1.0j]),
+                                   np.array([1.0 - 1.0j])])
+    def test_real_divisor_step_of_hyp2f2(self, w):
+        # two real divisors, 3/2 + n and 2 + n, in one 1/d
+        got = hyp2f2_11(w)
+        want = _inplace_hyp_series("hyp2f2_11", (1, 1), (1.5, 2),
+                                   np.asarray(w, np.complex128))
+        assert _same_bits(got, want[()] if np.ndim(w) == 0 else want)
 
     def test_non_convergence_names_the_public_function(self, monkeypatch):
         monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 3)
