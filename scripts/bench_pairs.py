@@ -25,8 +25,8 @@ import sys
 
 END_TO_END = {"run_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower",
               "pass_frac": "higher", "margin_digits": "higher"}
-TRACED = ("trace.run_s", "cli.cpu_s", "quad.calls", "quad.evals",
-          "xikernel.xi_cap.points", "xikernel.xi_small.points",
+TRACED = ("trace.run_s", "cli.cpu_s", "cli.render_s", "quad.calls",
+          "quad.evals", "xikernel.xi_cap.points", "xikernel.xi_small.points",
           "specfun.hyp1f1.points", "numseries.mobius.calls",
           "numseries.mobius.self_s",
           "identities.theta.s", "identities.hardy.s",

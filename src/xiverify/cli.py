@@ -9,24 +9,28 @@ emits a machine-readable report.  Typical calls:
 
 Output is deterministic: given the same inputs and tolerance, the bytes
 written are identical run to run (reports carry no timestamps, dict keys
-are sorted, floats print as their shortest round-trip form).
+are sorted, floats print as their shortest round-trip form).  The JSON
+bytes are those of json.dumps(report, sort_keys=True, indent=2); cli
+renders them itself, for speed, since json.dumps takes its pure-Python
+encoder whenever it indents.
 
 Every family runs at --tol (default 1e-8), and rhl's Moebius sums run to
 identities.RHL_MOBIUS_LIMIT.
 
 Exit status: 0 when every report passes, 1 when any report fails, 2 for
-usage errors (bad flags, malformed z or grid file, rhl without zeros).
+usage errors (bad flags, malformed z or grid file, rhl without zeros, an
+--out path that cannot be written).
 """
 
 import argparse
 import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -214,10 +218,82 @@ def build_tasks(identity, grid, tol, zeros):
             for kind in kinds for a, z in _FAMILIES[kind][0](grid)]
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar_json(o):
+    """json.dumps's text for a str, float, int, bool or None, else None.
+
+    A float or int subclass (np.float64) prints as its base type's repr,
+    as json.dumps prints it; np.bool_ and np.int64 are neither.
+    """
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NONFINITE.get(text, text)
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    return None
+
+
+def _append_json(o, level, out):
+    """Append to out the pieces of json.dumps(o, sort_keys=True, indent=2)
+    for an o nested `level` containers deep; raises TypeError where
+    json.dumps does."""
+    text = _scalar_json(o)
+    if text is not None:
+        out.append(text)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        pad = "\n" + "  " * (level + 1)
+        sep = "[" + pad
+        for item in o:
+            out.append(sep)
+            sep = "," + pad
+            _append_json(item, level + 1, out)
+        out.append("\n" + "  " * level + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        pad = "\n" + "  " * (level + 1)
+        sep = "{" + pad
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                # json.dumps quotes the text of a float, int, bool or None
+                text = _scalar_json(key)
+                if text is None:
+                    raise TypeError("keys must be str, int, float, bool "
+                                    "or None, not %s" % type(key).__name__)
+                key = text
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + pad
+            _append_json(value, level + 1, out)
+        out.append("\n" + "  " * level + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(o).__name__)
+
+
 def render_json(dicts):
+    """The report, byte for byte as json.dumps(payload, sort_keys=True,
+    indent=2) + "\\n" writes it, rendered by _append_json in about two
+    thirds of the time of json.dumps's pure-Python indent encoder."""
     payload = {"reports": dicts,
                "all_pass": all(d["pass"] for d in dicts)}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out = []
+    _append_json(payload, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_csv(dicts):
@@ -333,8 +409,12 @@ def main(argv=None):
 
     text = render_json(dicts) if args.format == "json" else render_csv(dicts)
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error("cannot write --out %s: %s"
+                         % (args.out, exc.strerror or exc))
     else:
         sys.stdout.write(text)
 

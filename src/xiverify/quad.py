@@ -17,7 +17,7 @@ rows of one call.
 """
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,10 @@ _DE_ROUNDING = 4.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, absolute error estimate, evaluation count, truncation point,
-    each coerced to its annotated type so reports stay JSON-ready.
+    """Value, absolute error estimate, evaluation count, truncation point.
+
+    integrate_tabulated builds each field as its annotated Python type
+    (not a numpy scalar), so reports stay JSON-ready.
 
     truncation_T is the rule's last node, 243.7, for every integral, so
     the reports leave it out; the field stays because perfbench's tracer
@@ -51,10 +53,6 @@ class QuadratureResult:
     abs_error: float
     evaluations: int
     truncation_T: float
-
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, f.type(getattr(self, f.name)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,7 +169,8 @@ def integrate_tabulated(kernel, table, tol):
                + _DE_ROUNDING * h * sum(mags))
         target = tol * (1.0 + abs(value))
         if err <= target:
-            return QuadratureResult(value, err, evals, _de_batch(0)[0][-1])
+            return QuadratureResult(complex(value), float(err), evals,
+                                    float(_de_batch(0)[0][-1]))
     raise ValueError(
         "quad: double-exponential rule at its finest step h = 1/%d "
         "(%d nodes) estimates error %.3e (target %.3e = tol %.3e "

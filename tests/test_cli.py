@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import math
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,6 +295,16 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("where", ["missing/x.json", "."])
+    def test_unwritable_out(self, where, tmp_path, capsys):
+        # every cell is computed first; the failed write is still a usage
+        # error naming the path, not a traceback with status 1
+        out = tmp_path / where
+        with pytest.raises(SystemExit) as exc:
+            main(["--identity", "theta", "--alpha", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "cannot write --out %s" % out in capsys.readouterr().err
+
     def test_empty_zeros_file(self, tmp_path, capsys):
         p = tmp_path / "empty.txt"
         p.write_text("")
@@ -476,6 +488,73 @@ def test_render_json_trailing_newline():
     text = render_json([report_to_dict(rep)])
     assert text.endswith("\n")
     assert json.loads(text)["all_pass"] is True
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _rendered(obj):
+    out = []
+    cli._append_json(obj, 0, out)
+    return "".join(out)
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                2.2250738585072014e-308, 1e-310, 1e308,
+                1.7976931348623157e308, 0.1, 1e16, 1e-5)
+_EDGE_STRINGS = ("", '"', "\\", "\x00\x1f\x7f", "\t\n\r\b\f", "\u00e9",
+                 "\u2028", "\U0001f600", "\ud800", "key \"q\" \\ e\u0301")
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-10 ** 40, 10 ** 40), st.floats(),
+    st.sampled_from(_EDGE_FLOATS), st.text(),
+    st.sampled_from(_EDGE_STRINGS))
+_JSON_KEYS = st.text() | st.sampled_from(_EDGE_STRINGS)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(_JSON_KEYS, children, max_size=4)),
+    max_leaves=40)
+
+
+class TestJsonEncoder:
+    """cli renders JSON itself; json.dumps(sort_keys=True, indent=2) is the
+    oracle for every byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, obj):
+        assert _rendered(obj) == _dumps(obj)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.builds(lambda d, p: {**d, "pass": p},
+                              st.dictionaries(st.text(), _JSON_VALUES,
+                                              max_size=5),
+                              st.booleans()), max_size=5))
+    def test_render_json_matches_json_dumps(self, dicts):
+        payload = {"reports": dicts, "all_pass": all(d["pass"] for d in dicts)}
+        assert render_json(dicts) == _dumps(payload) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), {"a": {}, "b": [], "c": [{}, []]},
+        {"x": np.float64(0.1), "y": [np.float64("nan"), np.float64(-0.0)]},
+        {1: "a", -2: "b", 10 ** 30: "c"}, {1.5: 0, -0.0: 1, math.inf: 2},
+        {True: 1, False: 0}, {None: [None]},
+    ])
+    def test_cases(self, obj):
+        assert _rendered(obj) == _dumps(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"pass": np.bool_(True)}, [1, {2, 3}], {"n": np.int64(3)},
+        {(1, 2): 0}, [complex(1, 2)],
+    ])
+    def test_unencodable_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            _dumps(obj)
+        with pytest.raises(TypeError):
+            _rendered(obj)
 
 
 BATTERY_ORDER = ["theta", "hardy", "ferrar", "ramanujan", "digamma",

@@ -206,6 +206,9 @@ def test_result_fields():
         points.clear()
         res = integrate()
         assert isinstance(res, QuadratureResult)
+        # plain Python types, not numpy scalars, so reports stay JSON-ready
+        fields = (res.value, res.abs_error, res.evaluations, res.truncation_T)
+        assert [type(v) for v in fields] == [complex, float, int, float]
         assert res.evaluations == sum(points)
         assert res.truncation_T == LAST_NODE
         assert res.abs_error < 1e-10
