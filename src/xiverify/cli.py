@@ -20,17 +20,27 @@ identities.RHL_MOBIUS_LIMIT.
 Exit status: 0 when every report passes, 1 when any report fails, 2 for
 usage errors (bad flags, malformed z or grid file, rhl without zeros, an
 --out path that cannot be written).
+
+Importing cli sets OPENBLAS_NUM_THREADS to 1 unless the environment sets
+it, before numpy is first imported: the package makes no BLAS call, so a
+BLAS thread pool would only idle (and, under --jobs, compete for the
+cores).  It imports only what a serial run uses; --jobs forks its
+workers itself.
 """
 
 import argparse
-import csv
-import functools
 import io
+# argparse's gettext imports locale when the first parser is built;
+# importing it here keeps that import out of the run
+import locale
 import math
 import os
+import pickle
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
+
+# before numpy's first import, which starts OpenBLAS's threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -60,8 +70,7 @@ def _once(grid):
 # family -> (cells: the (alpha, z) points it runs at on a grid, run: its
 # reports at one point, given the run's zeros), in battery order.  Each run
 # names its verifier when called, so a module attribute rebound after
-# import (a tracer's wrapper, a test's stub) is the one used; tasks carry
-# the family name so they pickle.
+# import (a tracer's wrapper, a test's stub) is the one used.
 _FAMILIES = {
     "theta": (_each_point, lambda p, tol, x: [verify_theta(p, tol)]),
     "hardy": (_each_point, lambda p, tol, x: [verify_hardy(p, tol)]),
@@ -172,6 +181,71 @@ def _run_task(task, extra):
 def _run_shard(shard, extra):
     """_run_task over one worker's tasks, in order."""
     return [_run_task(task, extra) for task in shard]
+
+
+def _run_child(shard, extra, reads, wfd):
+    """A forked worker's whole life: close the read ends it inherited,
+    run the shard, write the pickled (exception, reports) pair to wfd and
+    leave by os._exit, with status 0 only once every byte is written, so
+    the child never returns into the parent's stack nor flushes the
+    parent's buffers."""
+    status = 1
+    try:
+        for fd in reads:
+            os.close(fd)
+        try:
+            result = (None, _run_shard(shard, extra))
+        except Exception as exc:
+            result = (exc, None)
+        with open(wfd, "wb") as fh:
+            fh.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_shards(shards, extra):
+    """Each shard's _run_shard list, the first shard run in this process
+    and every other in a forked child that sends it back through a pipe.
+
+    Every read end is closed before any child is reaped, so a child
+    blocked on a full pipe gets EPIPE instead of hanging the parent, and
+    every child is reaped, on success and on every failure path.  A
+    child's exception is raised here; a child that died without a result
+    is named in a RuntimeError.
+    """
+    reads, pids, payloads, statuses = [], [], [], []
+    try:
+        for shard in shards[1:]:
+            rfd, wfd = os.pipe()
+            reads.append(rfd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(shard, extra, reads, wfd)
+            finally:
+                os.close(wfd)
+            pids.append(pid)
+        results = [_run_shard(shards[0], extra)]
+        for rfd in reads:
+            with open(rfd, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+    finally:
+        for fd in reads:
+            os.close(fd)
+        for pid in pids:
+            statuses.append(os.waitpid(pid, 0)[1])
+    for k, (pid, status, data) in enumerate(zip(pids, statuses, payloads),
+                                            start=2):
+        if status != 0 or not data:
+            raise RuntimeError("--jobs worker %d (pid %d) ended without a "
+                               "result (exit code %d)"
+                               % (k, pid, os.waitstatus_to_exitcode(status)))
+        exc, reports = pickle.loads(data)
+        if exc is not None:
+            raise exc
+        results.append(reports)
+    return results
 
 
 def shard_tasks(tasks, workers):
@@ -298,6 +372,8 @@ def render_json(dicts):
 
 def render_csv(dicts):
     """One row per pairwise residual."""
+    import csv  # here, so a JSON run does not import it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["identity", "alpha", "z", "pair", "residual",
@@ -388,21 +464,18 @@ def main(argv=None):
 
     tasks = build_tasks(args.identity, grid, args.tol, zeros)
 
-    # the pool forks all its workers at the first submit, so ask for no
-    # more than can run at once.  Each worker gets one shard of whole w
-    # groups in one round trip, so two workers sum the same 1F1 row only
-    # where a group was cut, and the zeros (at most max(RHL_COUNTS)
-    # records) travel once per shard; the reports go back in task order
+    # no more workers than can run at once, and none where the platform
+    # cannot fork.  Each worker runs one shard of whole w groups, so two
+    # workers sum the same 1F1 row only where a group was cut; a forked
+    # child inherits the zeros, and the reports go back in task order
     workers = min(args.jobs, len(tasks), _usable_cpus())
-    if workers > 1:
+    if workers > 1 and hasattr(os, "fork"):
         shards = shard_tasks(tasks, workers)
         grouped = [None] * len(tasks)
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            done = pool.map(functools.partial(_run_shard, extra=zeros),
-                            [[tasks[i] for i in s] for s in shards])
-            for shard, reports in zip(shards, done):
-                for i, r in zip(shard, reports):
-                    grouped[i] = r
+        done = _fork_shards([[tasks[i] for i in s] for s in shards], zeros)
+        for shard, reports in zip(shards, done):
+            for i, r in zip(shard, reports):
+                grouped[i] = r
     else:
         grouped = [_run_task(t, zeros) for t in tasks]
     dicts = [d for group in grouped for d in group]

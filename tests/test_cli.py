@@ -4,6 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -17,6 +22,8 @@ from xiverify.cli import (build_parser, default_grid, load_grid_file, main,
 from xiverify.identities import verify_theta
 from xiverify.specfun import mobius_sieve
 from xiverify.xikernel import KernelParams
+
+SRC = str(pathlib.Path(cli.__file__).resolve().parents[1])
 
 
 class TestParseZ:
@@ -315,11 +322,11 @@ class TestUsageErrors:
 
 
 class TestJobsWorkerCount:
-    """--jobs asks the pool for no more workers than tasks or usable CPUs,
-    and hands each worker one shard.
+    """--jobs asks for no more workers than tasks or usable CPUs, and
+    hands each worker one shard.
 
-    The pool is a stand-in that records max_workers and the shards and
-    runs them in this process, so no worker process is started.
+    The runner is a stand-in that records the shards and runs them in
+    this process, so no worker process is started.
     """
 
     def run_recorded(self, jobs, monkeypatch):
@@ -327,28 +334,18 @@ class TestJobsWorkerCount:
         assert code == 0
         made, shards = [], []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
+        def recording_runner(task_shards, extra):
+            made.append(len(task_shards))
+            shards.extend(task_shards)
+            return [cli._run_shard(s, extra) for s in task_shards]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                items = list(items)
-                shards.extend(items)
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_fork_shards", recording_runner)
         code, out = run_cli(["--identity", "digamma", "--jobs", jobs])
         assert code == 0
         assert out == serial
         if made:
-            # one map item per worker, together every task once
-            assert len(shards) == made[0]
+            # one nonempty shard per worker, together every task once
+            assert len(made) == 1 and all(shards)
             assert sorted(t for s in shards for t in s) == sorted(
                 cli.build_tasks("digamma", default_grid(), 1e-8, None))
         return made
@@ -376,6 +373,111 @@ class TestJobsWorkerCount:
         monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         assert self.run_recorded("100000", monkeypatch) == [2]
+
+    def test_serial_without_fork(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+        monkeypatch.delattr(cli.os, "fork", raising=False)
+        assert self.run_recorded("100000", monkeypatch) == []
+
+
+# digamma runs once per alpha: five cells, so two workers on two cores
+_DIGAMMA_JOBS = ["--identity", "digamma", "--jobs", "2"]
+
+
+class TestForkedWorkers:
+    """The --jobs runner with real children: a child's failure reaches
+    the caller, nothing hangs, and every child is reaped."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers_and_no_orphans(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        # a hang fails the test instead of stalling the suite
+        old = signal.signal(signal.SIGALRM, self._timed_out)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _timed_out(signum, frame):
+        raise TimeoutError("--jobs run hung")
+
+    @staticmethod
+    def in_children(action, monkeypatch):
+        """Stub digamma's verifier to call action() in a child only."""
+        parent = os.getpid()
+        verify = cli.verify_ramanujan_digamma
+
+        def stub(alpha, tol):
+            if os.getpid() != parent:
+                action()
+            return verify(alpha, tol)
+
+        monkeypatch.setattr(cli, "verify_ramanujan_digamma", stub)
+
+    def test_child_exception_is_raised(self, monkeypatch, tmp_path):
+        def fail():
+            raise RuntimeError("shard failed in pid %d" % os.getpid())
+
+        self.in_children(fail, monkeypatch)
+        out = tmp_path / "out.json"
+        with pytest.raises(RuntimeError, match=r"shard failed in pid \d+"):
+            main(_DIGAMMA_JOBS + ["--out", str(out)])
+        assert not out.exists()
+
+    def test_child_without_result_is_named(self, monkeypatch, tmp_path):
+        self.in_children(lambda: os._exit(3), monkeypatch)
+        out = tmp_path / "out.json"
+        buf = io.StringIO()
+        with redirect_stdout(buf), pytest.raises(
+                RuntimeError, match=r"worker 2 \(pid \d+\) ended without a "
+                                    r"result \(exit code 3\)"):
+            main(_DIGAMMA_JOBS + ["--out", str(out)])
+        assert not out.exists()
+        assert buf.getvalue() == ""
+
+    def test_parent_failure_does_not_wait_on_a_full_pipe(self, monkeypatch):
+        # the child's result is far larger than a pipe holds, and the
+        # parent fails before reading it: closing the read end lets the
+        # child's write fail, so the parent can reap it
+        parent = os.getpid()
+
+        def shard(tasks, extra):
+            if os.getpid() == parent:
+                raise RuntimeError("parent shard failed")
+            return [["x" * (1 << 22)] for _ in tasks]
+
+        monkeypatch.setattr(cli, "_run_shard", shard)
+        with pytest.raises(RuntimeError, match="parent shard failed"):
+            main(_DIGAMMA_JOBS)
+
+    def test_stdout_report_is_written_once(self):
+        # text left in the parent's stdout buffer at the fork is not
+        # flushed again by a child
+        script = ("import sys\n"
+                  "from xiverify import cli\n"
+                  "cli._usable_cpus = lambda: 2\n"
+                  "sys.stdout.write('before the fork\\n')\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)   # stdout buffered, as on a pipe
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+
+        def run(argv):
+            proc = subprocess.run([sys.executable, "-c", script, *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120, check=True)
+            return proc.stdout
+
+        serial = run(["--identity", "digamma"])
+        assert serial.startswith("before the fork\n")
+        assert run(_DIGAMMA_JOBS) == serial
+        assert serial.count('"all_pass"') == 1
 
 
 def _shard_task(z):

@@ -2,10 +2,13 @@
 
 A matrix product (`@`, `np.dot` and kin, `np.linalg`) goes to BLAS, whose
 helper threads spin on the other core between calls; under `--jobs` the
-workers' helpers then fight over the cores and the pool runs slower than
-serial.  The guard walks the package source for any such call.  The value
-tests check the row-sum reductions that replace `@` against a reference
-`@` product (the tests may use BLAS; only the package may not).
+workers' helpers then fight over the cores and the run is slower than
+serial.  Because the package makes no BLAS call, `xiverify.cli` can start
+OpenBLAS with one thread (OPENBLAS_NUM_THREADS=1 unless the environment
+sets it) at no cost: this ban is what makes that default safe.  The
+guard walks the package source for any such call.  The value tests check
+the row-sum reductions that replace `@` against a reference `@` product
+(the tests may use BLAS; only the package may not).
 """
 
 import ast
