@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numseries as ns
-from . import quad
+from . import quad, specfun, xikernel
 from .specfun import (EULER_GAMMA, besselk0_scaled, digamma, hyp1f1,
                       hyp2f2_11, lngamma, mobius_sieve)
 from .xikernel import KernelParams, rho_rows, xi_cap, xi_small
@@ -178,6 +178,20 @@ _PHI_BOSE = quad.NodeTable(
     lambda t: t * np.exp(-2.0 * np.pi * t) / -np.expm1(-2.0 * np.pi * t))
 _LOG = quad.NodeTable(np.log)
 _ONES = quad.NodeTable(np.ones_like)
+
+
+def reset_caches():
+    """Empty every per-process cache, as in a fresh process: each
+    functools cache of specfun, xikernel, numseries and quad, and each
+    weight table here.  They are found by what they are, not from a
+    list, so a cache added to those modules is emptied too."""
+    for module in (specfun, xikernel, ns, quad):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    for obj in globals().values():
+        if isinstance(obj, quad.NodeTable):
+            obj.clear()
 
 
 def _xi_side(params, c, k, table, tol):

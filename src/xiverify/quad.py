@@ -103,6 +103,15 @@ class NodeTable:
         self._base = base
         self._batches = []
 
+    @property
+    def levels(self):
+        """How many levels are tabulated so far."""
+        return len(self._batches)
+
+    def clear(self):
+        """Forget every batch, as in a fresh process."""
+        self._batches.clear()
+
     def derive(self, weight):
         """The table of weight(t, w(t)), built from this one's entries."""
         return NodeTable(weight, base=self)

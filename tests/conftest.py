@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 import xiverify
+from xiverify import identities
 from xiverify.specfun import mobius_sieve
 
 SAMPLE_ZEROS = pathlib.Path(xiverify.__file__).parent / "data" / "zeros_sample.txt"
@@ -21,6 +22,15 @@ def zero_records(sample_zeros_path):
     modules want the same records.
     """
     return xiverify.prepare_zeros(sample_zeros_path, max_count=100)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Every per-process cache emptied before and after the test, as in a
+    fresh process; the test may call the returned reset again."""
+    identities.reset_caches()
+    yield identities.reset_caches
+    identities.reset_caches()
 
 
 @pytest.fixture(scope="session")

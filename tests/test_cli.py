@@ -143,30 +143,6 @@ class TestMain:
         assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_match_serial(self, tmp_path):
-        a = tmp_path / "serial.json"
-        b = tmp_path / "parallel.json"
-        argv = ["--identity", "digamma"]
-        run_cli(argv + ["--out", str(a)])
-        run_cli(argv + ["--jobs", "2", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_theta_jobs_match_serial(self, tmp_path):
-        # three distinct w, z and -z among them: whole groups per worker
-        grid = tmp_path / "grid.txt"
-        grid.write_text("".join("%r %r %r\n" % (a, re, im)
-                                for a in (0.5, 2.0)
-                                for re, im in ((1.0, 0.0), (-1.0, 0.0),
-                                               (0.0, 2.0), (1.0, 0.5),
-                                               (-1.0, -0.5))))
-        argv = ["--identity", "theta", "--grid", f"file:{grid}"]
-        a = tmp_path / "serial.json"
-        b = tmp_path / "parallel.json"
-        assert run_cli(argv + ["--out", str(a)])[0] == 0
-        assert run_cli(argv + ["--jobs", "2", "--out", str(b)])[0] == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert len(json.loads(a.read_text())["reports"]) == 10
-
     def test_tasks_do_not_carry_the_zeros(self, zero_records):
         tasks = cli.build_tasks("all", default_grid(), 1e-8, zero_records)
         assert any(t[0] == "rhl" for t in tasks)
@@ -174,19 +150,6 @@ class TestMain:
             kind, alpha, z, tol = task
             assert kind in cli._FAMILIES
             assert (type(alpha), type(z), tol) == (float, complex, 1e-8)
-
-    def test_rhl_jobs_match_serial(self, tmp_path, sample_zeros_path):
-        # each --jobs task takes the zeros along
-        grid = tmp_path / "grid.txt"
-        grid.write_text("2.0 1.0 0.0\n0.5 0.0 2.0\n")
-        argv = ["--identity", "rhl", "--zeros", sample_zeros_path,
-                "--grid", f"file:{grid}"]
-        a = tmp_path / "serial.json"
-        b = tmp_path / "parallel.json"
-        assert run_cli(argv + ["--out", str(a)])[0] == 0
-        assert run_cli(argv + ["--jobs", "2", "--out", str(b)])[0] == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert len(json.loads(a.read_text())["reports"]) == 2
 
     def test_grid_file_mode(self, tmp_path):
         p = tmp_path / "grid.txt"
@@ -265,10 +228,9 @@ class TestMain:
             "floating-point error: overflow")
 
     def test_rhl_cold_and_warm_sieve_same_bytes(self, sample_zeros_path,
-                                                 tmp_path):
+                                                 tmp_path, fresh_caches):
         argv = ["--identity", "rhl", "--zeros", sample_zeros_path,
                 "--alpha", "2", "--z", "1"]
-        mobius_sieve.cache_clear()
         outs = []
         for name in ("cold.json", "warm.json"):
             path = tmp_path / name
@@ -551,9 +513,9 @@ class TestShardTasks:
             tasks.append(_shard_task(z))
         self.check(tasks, min(workers, len(tasks)))
 
-    def test_no_row_is_summed_twice(self, monkeypatch):
+    def test_no_row_is_summed_twice(self, monkeypatch, fresh_caches):
         # every family but rhl over 8 points and 4 distinct w: each shard,
-        # run in a fresh row cache as a worker would, sums only rows no
+        # run from reset caches as a fresh worker would, sums only rows no
         # other shard sums, so together they make as many hyp1f1 calls as
         # one serial run.  Dealing the tasks round robin (the order of a
         # one-task-per-round-trip map) splits every w group and sums rows
@@ -573,7 +535,7 @@ class TestShardTasks:
         def count(shards):
             del calls[:]
             for shard in shards:
-                xikernel._rho_series_rows.cache_clear()
+                fresh_caches()
                 cli._run_shard([tasks[i] for i in shard], None)
             return len(calls)
 

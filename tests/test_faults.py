@@ -8,9 +8,9 @@ uniform factor on both sides of a self-dual identity cancels (a uniform
 1e-5 in mobius_theta_sum left rhl passing, at residuals up to 1.6e-9).
 The Xi weights are tabulated once per process, and rho's 1F1 rows,
 which the Xi sides and the zero sums share, and the zero sums'
-log-Gamma factors are cached per process, so every node table of
-identities and the caches of xikernel and numseries are emptied before
-and after a case and rebuilt from the faulty primitive.
+log-Gamma factors are cached per process, so every per-process cache is
+emptied (identities.reset_caches, through the fresh_caches fixture)
+before and after a case and rebuilt from the faulty primitive.
 
 Blind spots, not gated here: lineint's two sides are one integral in two
 parametrizations, so a pointwise fault in zeta or 1F1 moves both alike;
@@ -21,7 +21,7 @@ zeta'(rho) stays far below the tolerance.
 import numpy as np
 import pytest
 
-from xiverify import identities, numseries, quad, xikernel
+from xiverify import identities, numseries, xikernel
 from xiverify.xikernel import KernelParams
 
 DELTA = 1e-5
@@ -86,21 +86,6 @@ def _faulty(fn):
     return wrapper
 
 
-def _empty_caches():
-    for t in vars(identities).values():
-        if isinstance(t, quad.NodeTable):
-            t._batches.clear()
-    for cache in (xikernel._rho_series_rows, numseries._zero_factors):
-        cache.cache_clear()
-
-
-@pytest.fixture
-def fresh_tables():
-    _empty_caches()
-    yield
-    _empty_caches()
-
-
 def test_every_family_passes_without_a_fault(zero_records):
     assert _failing(zero_records) == set()
 
@@ -109,18 +94,19 @@ def test_every_family_passes_without_a_fault(zero_records):
                          ids=["%s.%s" % (m.__name__.split(".")[-1], n)
                               for m, n, _ in CASES])
 def test_fault_is_seen(module, name, families, zero_records, monkeypatch,
-                       fresh_tables):
+                       fresh_caches):
     monkeypatch.setattr(module, name, _faulty(getattr(module, name)))
     assert families <= _failing(zero_records)
 
 
 def test_fault_in_1f1_is_seen_after_a_warm_row_cache(zero_records,
-                                                    monkeypatch, request):
+                                                    monkeypatch,
+                                                    fresh_caches):
     # rows cached at POINTS before the fault would hide it from every
-    # family; the fixture's emptying of the cache makes the fault count
+    # family; emptying the caches makes the fault count
     assert _failing(zero_records) == set()
     assert xikernel._rho_series_rows.cache_info().currsize > 0
-    request.getfixturevalue("fresh_tables")
+    fresh_caches()
     monkeypatch.setattr(xikernel, "hyp1f1", _faulty(xikernel.hyp1f1))
     assert XI_FAMILIES - {"lineint"} <= _failing(zero_records)
 
@@ -130,12 +116,13 @@ def test_fault_in_1f1_is_seen_after_a_warm_row_cache(zero_records,
                          ids=["lngamma", "hyp1f1"])
 def test_fault_in_zero_sums_is_seen_after_warm_caches(module, name,
                                                       zero_records,
-                                                      monkeypatch, request):
+                                                      monkeypatch,
+                                                      fresh_caches):
     # the zero sums' log-Gamma factors and 1F1 rows, cached at POINTS
     # before the fault, would hide it from rhl
     assert _failing(zero_records) == set()
     assert numseries._zero_factors.cache_info().currsize > 0
     assert xikernel._rho_series_rows.cache_info().currsize > 0
-    request.getfixturevalue("fresh_tables")
+    fresh_caches()
     monkeypatch.setattr(module, name, _faulty(getattr(module, name)))
     assert "rhl" in _failing(zero_records)

@@ -163,14 +163,13 @@ class TestTheta:
         assert "pass" in repr(rep)
 
 
-    def test_default_grid_work_counts(self, monkeypatch):
+    def test_default_grid_work_counts(self, monkeypatch, fresh_caches):
         # one nabla per cell on the shared nodes, one kernel call at the
         # starting step, and one 1F1 series per distinct z^2/4 (4 on the
         # default grid) from an empty row cache; before, 260 series and
         # 70 truncation calls over the default grid, then at most 100 and
         # 40 with an adaptive Xi side, then one series per cell
-        from xiverify import cli, quad, specfun, xikernel
-        xikernel._rho_series_rows.cache_clear()
+        from xiverify import cli, quad, specfun
         calls = {"series": 0, "kernel": 0}
         series = specfun._hyp_series
         tabulated = quad.integrate_tabulated
@@ -261,7 +260,7 @@ class TestFerrar:
         assert abs(rep.sides["alpha_integral"] - want) <= 1e-11
         assert abs(rep.sides["beta_integral"] - want) <= 1e-11
 
-    def test_default_grid_work_counts(self, monkeypatch):
+    def test_default_grid_work_counts(self, monkeypatch, fresh_caches):
         # Over the CLI's default grid at its default tol, in a fresh
         # process, K0 takes 1,449 points: the K0-sum table on the 321
         # nodes of the starting step, once, and the z = 0 Bessel series.
@@ -269,7 +268,6 @@ class TestFerrar:
         # direct Bessel sum running from t = 0.2).
         from xiverify import cli, specfun
         from xiverify import numseries as ns
-        _clear_tables(monkeypatch)
         points = 0
         besselk0 = specfun.besselk0
 
@@ -453,18 +451,6 @@ def gauss_legendre(values):
     return _GL_HALF @ (y @ _GL_W)
 
 
-def _clear_tables(monkeypatch):
-    """Empty every weight table, Xi or phi, and rho's 1F1 row cache, as
-    in a fresh process."""
-    from xiverify import identities, quad, xikernel
-    for name, table in vars(identities).items():
-        if isinstance(table, quad.NodeTable):
-            monkeypatch.setattr(table, "_batches", [])
-    xikernel._rho_series_rows.cache_clear()
-    xikernel._power_exponents.cache_clear()
-    quad._de_start_nodes.cache_clear()
-
-
 def _seeded_box(n, seed=1):
     """The anchors and n points drawn log-uniformly in alpha over
     [0.5, 2] and uniformly in Re z over [-1, 1] and Im z over [-2, 2]."""
@@ -480,7 +466,8 @@ class TestTabulatedXiSides:
     @pytest.mark.parametrize("verify", [
         verify_theta, verify_hardy, verify_ramanujan_bose,
         verify_line_integral, digamma_at])
-    def test_xi_points_do_not_grow_with_cells(self, verify, monkeypatch):
+    def test_xi_points_do_not_grow_with_cells(self, verify, monkeypatch,
+                                              fresh_caches):
         # Xi is evaluated once per process, one batch per level: a spy on
         # xi_cap and xi_small sees the same points for 1 cell and for 48
         from xiverify import identities
@@ -495,7 +482,7 @@ class TestTabulatedXiSides:
             monkeypatch.setattr(identities, name, spy)
         counts = []
         for cells in (_seeded_box(0)[:1], _seeded_box(36)):
-            _clear_tables(monkeypatch)
+            fresh_caches()
             for key in seen:
                 seen[key] = 0
             for alpha, z in cells:
@@ -508,7 +495,7 @@ class TestTabulatedXiSides:
         assert counts[0] == {"xi_cap": START_NODES,
                              "xi_small": START_NODES if contour else 0}
 
-    def test_tables_come_out_the_same_in_any_order(self, monkeypatch):
+    def test_tables_come_out_the_same_in_any_order(self, fresh_caches):
         from xiverify import identities, quad
         tables = {name: t for name, t in vars(identities).items()
                   if isinstance(t, quad.NodeTable)}
@@ -520,11 +507,11 @@ class TestTabulatedXiSides:
                 (verify_hardy, KernelParams(0.5, 1.0 + 0.5j))]
         snapshots = []
         for order in (runs, runs[::-1]):
-            _clear_tables(monkeypatch)
+            fresh_caches()
             sides = {}
             for verify, params in order:
                 sides[verify] = verify(params, 1e-8).sides
-            bits = {name: [w.tobytes() for _, _, w in t._batches]
+            bits = {name: [t.batch(L)[2].tobytes() for L in range(t.levels)]
                     for name, t in tables.items()}
             snapshots.append((sides, bits))
         assert snapshots[0] == snapshots[1]
@@ -659,7 +646,8 @@ class TestNodeOnlyWork:
                 for verify in self.FAMILIES for a, z in grid
                 for rep in _reports(verify, a, z)]
 
-    def test_warm_equals_cold_at_either_start_level(self, monkeypatch):
+    def test_warm_equals_cold_at_either_start_level(self, monkeypatch,
+                                                    fresh_caches):
         # the start nodes are kept per start level, and each table's
         # levels and the exponents per node batch: a warm pass writes the
         # cold pass's bits, at the rule's start and one step finer, and
@@ -670,12 +658,13 @@ class TestNodeOnlyWork:
         for level in (start, start + 1, start):
             monkeypatch.setattr(quad, "_DE_START", level)
             if level not in runs:
-                _clear_tables(monkeypatch)
+                fresh_caches()
                 runs[level] = self._bits(grid)
             assert self._bits(grid) == runs[level]
         assert runs[start] != runs[start + 1]
 
-    def test_warm_pass_forms_no_line_and_joins_no_nodes(self, monkeypatch):
+    def test_warm_pass_forms_no_line_and_joins_no_nodes(self, monkeypatch,
+                                                       fresh_caches):
         from xiverify import xikernel
         counts = {"_line": 0, "concatenate": 0}
         line, concatenate = xikernel._line, np.concatenate
@@ -690,7 +679,7 @@ class TestNodeOnlyWork:
 
         monkeypatch.setattr(xikernel, "_line", counted_line)
         monkeypatch.setattr(np, "concatenate", counted_concatenate)
-        _clear_tables(monkeypatch)
+        fresh_caches()
         passes = []
         for _ in range(2):
             counts.update(_line=0, concatenate=0)
@@ -950,7 +939,8 @@ class TestRhl:
             assert rep.diagnostics[side]["mobius_terms"] == 10000
             assert 0.0 < rep.diagnostics[side]["mobius_tail_bound"] <= 1e-8
 
-    def test_one_moebius_sum_per_side(self, zero_records, monkeypatch):
+    def test_one_moebius_sum_per_side(self, zero_records, monkeypatch,
+                                      fresh_caches):
         # one Moebius sum per side and one zero-sum pass per side, each
         # over the first 10 zeros only, whatever the number of zero counts
         from xiverify import numseries as ns
@@ -970,8 +960,6 @@ class TestRhl:
 
         monkeypatch.setattr(ns, "mobius_theta_sum", counted_mobius)
         monkeypatch.setattr(xikernel, "hyp1f1", counted_hyp)
-        ns._zero_factors.cache_clear()
-        xikernel._rho_series_rows.cache_clear()
         rep = verify_rhl(KernelParams(2.0, 1.0), zero_records, 1e-8)
         assert rep.diagnostics["zero_counts"] == [1, 2, 3, 5, 10]
         assert sums == [(2.0, 1.0), (0.5, 1.0j)]
@@ -982,15 +970,12 @@ class TestRhl:
         verify_rhl(KernelParams(0.8, 1.0), zero_records, 1e-8)
         assert passes == [20, 20]
 
-    def test_warm_caches_give_cold_report(self, zero_records):
+    def test_warm_caches_give_cold_report(self, zero_records, fresh_caches):
         # the zero sums' per-process factors and 1F1 rows, filled at other
         # alphas and at -z, leave every byte of the report as cold
-        from xiverify import numseries as ns
-        from xiverify import xikernel
 
         def cold(params):
-            ns._zero_factors.cache_clear()
-            xikernel._rho_series_rows.cache_clear()
+            fresh_caches()
             return repr(verify_rhl(params, zero_records, 1e-8))
 
         for z in (1.0, 1.0 + 0.5j):

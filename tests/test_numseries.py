@@ -425,11 +425,6 @@ def _zero_sum(zeros, alpha, z):
     return zero_sum_bracketed(zeros, alpha, z, [len(zeros)])[0]
 
 
-def _clear_zero_caches():
-    numseries._zero_factors.cache_clear()
-    xikernel._rho_series_rows.cache_clear()
-
-
 def _bits(values):
     return np.array(values, np.complex128).tobytes()
 
@@ -475,16 +470,16 @@ class TestZeroSum:
             _close(got, _zero_sum(recs[:c], 2.0, 1.0 + 0.5j), rel=1e-15)
 
     @pytest.mark.parametrize("z", [1.0, 2.0j, 1.0 + 0.5j])
-    def test_warm_caches_give_cold_bits(self, zero_records, z):
+    def test_warm_caches_give_cold_bits(self, zero_records, z, fresh_caches):
         # the factors and 1F1 rows kept per process serve every alpha,
         # z and -z, and every count; for z = 1, -z = -1 - 0j gives -z^2/4
         # a negative zero imaginary part where z gives a positive one
         zeros, counts, z = zero_records[:10], [1, 3, 10], complex(z)
         cold = {}
         for w in (z, -z):
-            _clear_zero_caches()
+            fresh_caches()
             cold[w] = _bits(zero_sum_bracketed(zeros, 0.8, w, counts))
-        _clear_zero_caches()
+        fresh_caches()
         for alpha in (0.5, 2.0):
             zero_sum_bracketed(zeros, alpha, -z, [10])
         zero_sum_bracketed(zeros, 1.25, z, [2, 5])
@@ -493,13 +488,13 @@ class TestZeroSum:
         # one series, both rows, for z and -z at every alpha
         assert xikernel._rho_series_rows.cache_info().misses == 1
 
-    def test_shared_rows_are_the_per_row_bits(self, zero_records):
+    def test_shared_rows_are_the_per_row_bits(self, zero_records,
+                                              fresh_caches):
         # the zero sums take rho and its conjugate as the two rows of one
         # series in the Xi sides' cache, which stops when both rows have
         # converged; at rhl's 10 zeros, on both sides of every cell of the
         # default grid and the box anchors, the rows and the sums are the
         # bits of one 1F1 series per row, as each was summed on its own
-        _clear_zero_caches()
         zeros, counts = zero_records[:10], [1, 2, 3, 5, 10]
         gammas = np.array([rec.gamma for rec in zeros])
         zp = np.array([rec.zeta_prime for rec in zeros], np.complex128)

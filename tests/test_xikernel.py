@@ -251,9 +251,9 @@ class TestRhoRows:
 def _xi_side_rows(monkeypatch, alpha, z, s):
     """The kernel rows one identities._xi_side call at c = k = 1/2 makes
     at t = (s - 1/2)/(i/2), with the shapes of the hyp1f1 calls behind
-    them, on an emptied 1F1 row cache."""
+    them, from reset caches."""
     from xiverify import identities, quad
-    xikernel._rho_series_rows.cache_clear()
+    identities.reset_caches()
     t = np.real((np.asarray(s) - 0.5) / 0.5j)
     out = {"calls": []}
 
