@@ -10,21 +10,22 @@ Each DIR is a source checkout holding perfbench/ and src/.  One run is
 with DIR as its working directory.  Pair i runs the parent first when i
 is even and the change first when it is odd.  The file holds every run's
 detail and result lines; a summary per workload and seed (median and
-inclusive quartiles of each end-to-end metric on each side, and the
-pairs in which the change was strictly better, ties counting for
-neither); each claim, met when the change wins at least nine tenths of
-the pairs and the medians differ by more than the parent's interquartile
-range; and the traced runs' deterministic counters next to their times.
+inclusive quartiles of each end-to-end metric on each side, the pairs
+in which the change was strictly better, ties counting for neither, and
+the change's median relative to the parent's); each claim, met when the
+change wins at least nine tenths of the pairs and the medians differ by
+more than the parent's interquartile range; and the traced runs'
+deterministic counters next to their times.  The end-to-end metrics, and
+which way each is better, are read from the change's BENCHMARK.json.
 """
 
 import argparse
 import json
+import pathlib
 import statistics
 import subprocess
 import sys
 
-END_TO_END = {"run_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower",
-              "pass_frac": "higher", "margin_digits": "higher"}
 TRACED = ("trace.run_s", "cli.cpu_s", "cli.render_s", "quad.calls",
           "quad.evals", "xikernel.xi_cap.points", "xikernel.xi_small.points",
           "specfun.hyp1f1.points", "numseries.mobius.calls",
@@ -74,11 +75,19 @@ def quartiles(values):
     return {"median": q2, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(runs):
+def end_to_end(directory):
+    """Metric name -> "lower" or "higher", from the directory's
+    BENCHMARK.json, in its order."""
+    path = pathlib.Path(directory) / "BENCHMARK.json"
+    return {m["name"]: m["better"]
+            for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def summarize(runs, metrics):
     summary = {}
     for key, ps in runs.items():
         rows = {}
-        for name, better in END_TO_END.items():
+        for name, better in metrics.items():
             vals = {side: [metric(p[side], name) for p in ps]
                     for side in ("parent", "change")}
             if any(v is None for side in vals.values() for v in side):
@@ -86,8 +95,12 @@ def summarize(runs):
             sign = 1.0 if better == "lower" else -1.0
             wins = sum(sign * (c - p) < 0.0
                        for p, c in zip(vals["parent"], vals["change"]))
-            rows[name] = {side: quartiles(v) for side, v in vals.items()}
-            rows[name]["change_wins"] = "%d/%d" % (wins, len(ps))
+            row = {side: quartiles(v) for side, v in vals.items()}
+            row["change_wins"] = "%d/%d" % (wins, len(ps))
+            parent = row["parent"]["median"]
+            row["change_vs_parent"] = (row["change"]["median"] / parent - 1.0
+                                       if parent else None)
+            rows[name] = row
         summary[key] = rows
     return summary
 
@@ -102,7 +115,7 @@ def claim(summary, spec):
             "parent_median": parent["median"],
             "change_median": change["median"], "parent_iqr": iqr,
             "change_wins": row["change_wins"],
-            "change_vs_parent": change["median"] / parent["median"] - 1.0,
+            "change_vs_parent": row["change_vs_parent"],
             "met": (10 * wins >= 9 * n
                     and abs(change["median"] - parent["median"]) > iqr)}
 
@@ -122,7 +135,7 @@ def main(argv=None):
     runs = dict(pairs(args, spec, args.seconds, 0) for spec in args.runs)
     traced_runs = dict(pairs(args, spec, args.traced_seconds, 1)
                        for spec in args.traced)
-    summary = summarize(runs)
+    summary = summarize(runs, end_to_end(args.change))
     traced = {key: {side: [{k: metric(p[side], k) for k in TRACED}
                            for p in ps] for side in ("parent", "change")}
               for key, ps in traced_runs.items()}

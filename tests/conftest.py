@@ -1,9 +1,11 @@
+import functools
+import json
 import pathlib
 
 import pytest
 
 import xiverify
-from xiverify import identities
+from xiverify import cli, identities
 from xiverify.specfun import mobius_sieve
 
 SAMPLE_ZEROS = pathlib.Path(xiverify.__file__).parent / "data" / "zeros_sample.txt"
@@ -12,6 +14,26 @@ SAMPLE_ZEROS = pathlib.Path(xiverify.__file__).parent / "data" / "zeros_sample.t
 @pytest.fixture(scope="session")
 def sample_zeros_path():
     return str(SAMPLE_ZEROS)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def json_dumps_oracle():
+    """For the whole session, cli.render_json checks each text it returns
+    against json.dumps(payload, sort_keys=True, indent=2) + "\\n", the
+    bytes cli's writer promises; cli.main renders through it, so every
+    JSON report a test makes in this process is checked."""
+    render = cli.render_json
+
+    @functools.wraps(render)
+    def checked(dicts):
+        text = render(dicts)
+        want = json.dumps(json.loads(text), sort_keys=True, indent=2)
+        assert text == want + "\n"
+        return text
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "render_json", checked)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,8 @@ import time
 
 import numpy as np
 
-from xiverify.cli import default_grid, main, render_json, report_to_dict
+from xiverify import cli
+from xiverify.cli import default_grid, main, report_to_dict
 from xiverify.identities import (aux_checks, verify_ferrar, verify_hardy,
                                  verify_line_integral, verify_ramanujan_bose,
                                  verify_ramanujan_digamma, verify_rhl,
@@ -212,9 +213,9 @@ def test_deterministic_output(tmp_path, capsys):
     t0 = time.perf_counter()
     # in-process: same reports render to identical text
     rep = verify_theta(KernelParams(2.0, 1.0), 1e-8)
-    text_a = render_json([report_to_dict(rep)])
+    text_a = cli.render_json([report_to_dict(rep)])
     rep = verify_theta(KernelParams(2.0, 1.0), 1e-8)
-    text_b = render_json([report_to_dict(rep)])
+    text_b = cli.render_json([report_to_dict(rep)])
     # full CLI runs: byte-identical files
     argv = ["--identity", "digamma", "--out"]
     f1, f2 = tmp_path / "one.json", tmp_path / "two.json"

@@ -14,20 +14,17 @@ as a separate process does:
   ones filled (on the dense grid, with rows evicted), and forked workers
   that inherit them;
 - every cell run cold, reset_caches() just before it, against the warm
-  run in family order;
-- the battery in a fresh process with OPENBLAS_NUM_THREADS preset.
+  run in family order.
 
-Every JSON payload is also json.dumps's own text for its contents.
+A fresh process's battery, BLAS threads preset or not, is compared in
+tests/test_startup.py, and conftest's json_dumps_oracle checks every
+JSON text against json.dumps.
 RuntimeWarning is an error (pyproject.toml), in forked workers too.
 """
 
 import importlib
 import json
-import os
-import pathlib
 import pkgutil
-import subprocess
-import sys
 
 import pytest
 
@@ -35,7 +32,6 @@ import xiverify
 from xiverify import cli, identities, quad
 from xiverify.zeros import prepare_zeros
 
-SRC = str(pathlib.Path(cli.__file__).resolve().parents[1])
 TOL = 1e-8  # the CLI's default --tol
 
 # None is the CLI's built-in grid
@@ -73,8 +69,7 @@ XI_FAMILIES = ("theta", "hardy", "ramanujan", "lineint")
 def run(tmp_path_factory, sample_zeros_path):
     """run(family, grid, jobs, fmt) -> (exit code, text) of one cli.main
     call in this process, each grid read from a file of its exact
-    floats.  Each JSON text is checked against json.dumps the first time
-    it is seen."""
+    floats."""
     where = tmp_path_factory.mktemp("bytes")
     grid_args = {}
     for name, points in GRIDS.items():
@@ -85,20 +80,13 @@ def run(tmp_path_factory, sample_zeros_path):
                                     for a, z in points))
             grid_args[name] = ["--grid", "file:%s" % path]
     out = where / "out"
-    checked = set()
 
     def run(family, grid, jobs=1, fmt="json"):
         argv = ["--identity", family, "--jobs", str(jobs), "--format", fmt,
                 "--out", str(out), *grid_args[grid]]
         if family in ("rhl", "all"):
             argv += ["--zeros", sample_zeros_path]
-        code = cli.main(argv)
-        text = out.read_text()
-        if fmt == "json" and text not in checked:
-            want = json.dumps(json.loads(text), sort_keys=True, indent=2)
-            assert text == want + "\n"
-            checked.add(text)
-        return code, text
+        return cli.main(argv), out.read_text()
 
     return run
 
@@ -216,21 +204,6 @@ def test_cold_cells_match_warm_runs(grid, separate, sample_zeros_path):
             got = cli._run_task(task, zeros)
             # json.dumps prints every float as its repr, bit for bit
             assert _text(got) == _text(reports), task
-
-
-def test_battery_in_a_fresh_process_with_preset_blas_threads(
-        separate, sample_zeros_path, tmp_path):
-    # cli keeps a preset OPENBLAS_NUM_THREADS instead of its default of
-    # one thread; a fresh process needs no reset
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="4",
-               PYTHONWARNINGS="error::RuntimeWarning")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    out = tmp_path / "battery.json"
-    subprocess.run([sys.executable, "-m", "xiverify.cli", "--identity",
-                    "all", "--zeros", sample_zeros_path, "--out", str(out)],
-                   env=env, timeout=300, check=True)
-    assert out.read_text() == separate("all", "default")[1]
 
 
 def _package_caches():

@@ -133,6 +133,13 @@ class TestMain:
         assert rows[1][0] == "digamma"
         assert rows[1][6] == "pass"
 
+    def test_csv_error_report_leaves_the_residual_empty(self):
+        # an error report has no residuals; 0.0 would read as agreement
+        code, out = run_cli(["--identity", "theta", "--alpha", "1",
+                             "--z", "40i", "--format", "csv"])
+        assert code == 1
+        assert out.splitlines()[1:] == ["theta,1.0,40.0i,,,1e-08,fail"]
+
     def test_out_file_and_determinism(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -205,16 +212,26 @@ class TestMain:
         assert "|z| <= 50" in report["diagnostics"]["error"]
 
     @pytest.mark.parametrize("argv,name", [
+        # the series sides refuse more than 1e7 terms: the first two used
+        # to end in numpy's MemoryError (373 GiB, 25.7 TiB), the next two
+        # in a traceback from a prefactor that overflowed before the sum
         (["--identity", "digamma", "--alpha", "1e-9"], "lambda_sum"),
         (["--identity", "theta", "--alpha", "1e-12"], "theta_sum"),
+        (["--identity", "theta", "--alpha", "1", "--z", "1e11i"],
+         "theta_sum"),
+        (["--identity", "digamma", "--alpha", "1e-320"], "lambda_sum"),
+        # a quadrature that cannot reach its target, and an overflow
+        (["--identity", "hardy", "--alpha", "1e5", "--z", "40i"], "quad"),
+        (["--identity", "theta", "--alpha", "1", "--z", "40i"],
+         "floating-point error"),
     ])
     def test_series_term_ceiling_is_a_failing_report(self, argv, name):
-        # each used to end in numpy's MemoryError, asking for 373 GiB and
-        # 25.7 TiB
+        # conftest's json_dumps_oracle checks the bytes against json.dumps
         code, out = run_cli(argv)
         assert code == 1
-        report = json.loads(out)["reports"][0]
+        report, = json.loads(out)["reports"]
         assert report["pass"] is False
+        assert report["sides"] == {}
         assert report["diagnostics"]["error"].startswith(name + ": ")
 
     def test_floating_point_error_is_a_failing_report(self):
@@ -440,6 +457,8 @@ class TestForkedWorkers:
         assert serial.startswith("before the fork\n")
         assert run(_DIGAMMA_JOBS) == serial
         assert serial.count('"all_pass"') == 1
+        assert serial == "before the fork\n" + run_cli(["--identity",
+                                                          "digamma"])[1]
 
 
 def _shard_task(z):
@@ -549,7 +568,7 @@ class TestShardTasks:
 
 def test_render_json_trailing_newline():
     rep = verify_theta(KernelParams(1.0, 0.0), 1e-8)
-    text = render_json([report_to_dict(rep)])
+    text = cli.render_json([report_to_dict(rep)])
     assert text.endswith("\n")
     assert json.loads(text)["all_pass"] is True
 
@@ -560,7 +579,7 @@ def _dumps(obj):
 
 def _rendered(obj):
     out = []
-    cli._append_json(obj, 0, out)
+    cli._append_json(obj, "\n", out)
     return "".join(out)
 
 
@@ -578,7 +597,6 @@ _JSON_KEYS = st.text() | st.sampled_from(_EDGE_STRINGS)
 _JSON_VALUES = st.recursive(
     _JSON_LEAVES,
     lambda children: (st.lists(children, max_size=4)
-                      | st.lists(children, max_size=3).map(tuple)
                       | st.dictionaries(_JSON_KEYS, children, max_size=4)),
     max_leaves=40)
 
@@ -602,13 +620,26 @@ class TestJsonEncoder:
         assert render_json(dicts) == _dumps(payload) + "\n"
 
     @pytest.mark.parametrize("obj", [
-        {}, [], (), {"a": {}, "b": [], "c": [{}, []]},
+        {}, [], [None, True, False, 0, -1],
+        {"a": {}, "b": [], "c": [{}, []]},
         {"x": np.float64(0.1), "y": [np.float64("nan"), np.float64(-0.0)]},
-        {1: "a", -2: "b", 10 ** 30: "c"}, {1.5: 0, -0.0: 1, math.inf: 2},
-        {True: 1, False: 0}, {None: [None]},
+        {"b": 1, "a": 2, "B": 3, "\u00e9": 4, "": 5},
+        {"big": 10 ** 30, "neg": -2, "tiny": 5e-324},
+        [[[[]]], {"x": [{"y": {}}]}], {"null": None, "list": [None]},
     ])
     def test_cases(self, obj):
         assert _rendered(obj) == _dumps(obj)
+
+    @pytest.mark.parametrize("obj", [
+        (), [1, (2, 3)], {1: "a", -2: "b", 10 ** 30: "c"},
+        {1.5: 0, -0.0: 1, math.inf: 2}, {True: 1, False: 0}, {None: [None]},
+    ])
+    def test_only_the_writer_rejects_tuples_and_non_str_keys(self, obj):
+        # json.dumps writes a tuple as a list and quotes a number, bool or
+        # None key as its text; no report holds either
+        _dumps(obj)
+        with pytest.raises(TypeError):
+            _rendered(obj)
 
     @pytest.mark.parametrize("obj", [
         {"pass": np.bool_(True)}, [1, {2, 3}], {"n": np.int64(3)},

@@ -4,7 +4,9 @@
 multiprocessing stack and no csv, and sets OpenBLAS to one thread unless
 the environment already chose a count; a serial run after it imports
 nothing more.  Each check runs in a fresh interpreter, since this one has
-imported everything already.
+imported everything already.  The battery each one runs, with
+RuntimeWarning an error, writes the bytes of a run in this process: a
+fresh process, with BLAS threads preset or not, changes no report.
 """
 
 import ast
@@ -16,6 +18,7 @@ import sys
 import pytest
 
 import xiverify
+from xiverify import cli
 
 SRC = str(pathlib.Path(xiverify.__file__).resolve().parents[1])
 ZEROS = str(pathlib.Path(xiverify.__file__).parent / "data"
@@ -49,6 +52,7 @@ def _probe(tmp_path, blas_threads):
            if k != "OPENBLAS_NUM_THREADS"}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
@@ -57,8 +61,17 @@ def _probe(tmp_path, blas_threads):
     return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
 
 
+@pytest.fixture(scope="module")
+def battery(tmp_path_factory):
+    """The battery's JSON text from a run in this process."""
+    out = tmp_path_factory.mktemp("reference") / "battery.json"
+    assert cli.main(["--identity", "all", "--zeros", ZEROS,
+                     "--out", str(out)]) == 0
+    return out.read_text()
+
+
 @pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
-def test_cli_import_budget(tmp_path, preset, want):
+def test_cli_import_budget(tmp_path, preset, want, battery):
     facts = _probe(tmp_path, preset)
     # a library import changes no environment and loads no numpy
     assert facts["numpy_with_root"] is False
@@ -70,3 +83,4 @@ def test_cli_import_budget(tmp_path, preset, want):
         assert facts["threads"] == 1
     assert facts["code"] == 0
     assert facts["added"] == []
+    assert (tmp_path / "battery.json").read_text() == battery
