@@ -1,6 +1,10 @@
+import ast
 import functools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -9,11 +13,63 @@ from xiverify import cli, identities
 from xiverify.specfun import mobius_sieve
 
 SAMPLE_ZEROS = pathlib.Path(xiverify.__file__).parent / "data" / "zeros_sample.txt"
+SRC = str(pathlib.Path(xiverify.__file__).resolve().parents[1])
+
+# imports nothing before its snapshots but sys and os, so a module the
+# package loads is not hidden by the probe loading it first
+PROBE = r"""
+import os
+import sys
+import xiverify
+facts = {"numpy_with_root": "numpy" in sys.modules,
+         "blas_env_with_root": os.environ.get("OPENBLAS_NUM_THREADS")}
+import xiverify.cli as cli
+facts["unwanted"] = sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in ("concurrent", "multiprocessing", "csv"))
+facts["blas_env"] = os.environ.get("OPENBLAS_NUM_THREADS")
+if os.path.isdir("/proc/self/task"):
+    facts["threads"] = len(os.listdir("/proc/self/task"))
+before = set(sys.modules)
+facts["code"] = cli.main(["--identity", "all", "--zeros", sys.argv[1],
+                          "--out", sys.argv[2]])
+facts["added"] = sorted(set(sys.modules) - before)
+print(repr(facts))
+"""
 
 
 @pytest.fixture(scope="session")
 def sample_zeros_path():
     return str(SAMPLE_ZEROS)
+
+
+@pytest.fixture(scope="session")
+def fresh_battery(tmp_path_factory):
+    """fresh_battery(blas_threads) -> (facts, JSON text) of the battery
+    run by PROBE in a fresh interpreter, with RuntimeWarning an error and
+    OPENBLAS_NUM_THREADS set to blas_threads (None: unset); each is run
+    once, for test_startup's import budget and test_bytes' bytes."""
+    made = {}
+
+    def fresh_battery(blas_threads):
+        if blas_threads not in made:
+            out = tmp_path_factory.mktemp("fresh") / "battery.json"
+            env = {k: v for k, v in os.environ.items()
+                   if k != "OPENBLAS_NUM_THREADS"}
+            if blas_threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas_threads
+            env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+            env["PYTHONPATH"] = os.pathsep.join(
+                [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+            proc = subprocess.run(
+                [sys.executable, "-c", PROBE, str(SAMPLE_ZEROS), str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+                check=True)
+            facts = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+            made[blas_threads] = facts, out.read_text()
+        return made[blas_threads]
+
+    return fresh_battery
 
 
 @pytest.fixture(scope="session", autouse=True)

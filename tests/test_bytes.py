@@ -14,11 +14,11 @@ as a separate process does:
   ones filled (on the dense grid, with rows evicted), and forked workers
   that inherit them;
 - every cell run cold, reset_caches() just before it, against the warm
-  run in family order.
+  run in family order;
+- the battery in a fresh process with OPENBLAS_NUM_THREADS preset, the
+  run tests/test_startup.py checks the import budget of.
 
-A fresh process's battery, BLAS threads preset or not, is compared in
-tests/test_startup.py, and conftest's json_dumps_oracle checks every
-JSON text against json.dumps.
+Conftest's json_dumps_oracle checks every JSON text against json.dumps.
 RuntimeWarning is an error (pyproject.toml), in forked workers too.
 """
 
@@ -204,6 +204,15 @@ def test_cold_cells_match_warm_runs(grid, separate, sample_zeros_path):
             got = cli._run_task(task, zeros)
             # json.dumps prints every float as its repr, bit for bit
             assert _text(got) == _text(reports), task
+
+
+def test_battery_in_a_fresh_process_with_preset_blas_threads(
+        separate, fresh_battery):
+    # cli keeps a preset OPENBLAS_NUM_THREADS instead of its default of
+    # one thread; a fresh process needs no reset
+    facts, text = fresh_battery("3")
+    assert facts["code"] == 0
+    assert text == separate("all", "default")[1]
 
 
 def _package_caches():
