@@ -47,9 +47,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .identities import (RHL_COUNTS, VerificationReport, aux_checks,
-                         verify_ferrar, verify_hardy, verify_line_integral,
-                         verify_ramanujan_bose, verify_ramanujan_digamma,
-                         verify_rhl, verify_theta)
+                         prepare_rhl, verify_ferrar, verify_hardy,
+                         verify_line_integral, verify_ramanujan_bose,
+                         verify_ramanujan_digamma, verify_rhl, verify_theta)
 from .xikernel import KernelParams
 from .zeros import prepare_zeros
 
@@ -70,22 +70,31 @@ def _once(grid):
 
 
 # family -> (cells: the (alpha, z) points it runs at on a grid, run: its
-# reports at one point, given the run's zeros), in battery order.  Each run
-# names its verifier when called, so a module attribute rebound after
-# import (a tracer's wrapper, a test's stub) is the one used.
+# reports at one point, given the run's zeros, prepare: None, or a step
+# that fills caches for the (alpha, z) points of its cells, given the
+# run's zeros), in battery order.  Each run and step names its function
+# when called, so a module attribute rebound after import (a tracer's
+# wrapper, a test's stub) is the one used.
 _FAMILIES = {
-    "theta": (_each_point, lambda p, tol, x: [verify_theta(p, tol)]),
-    "hardy": (_each_point, lambda p, tol, x: [verify_hardy(p, tol)]),
-    "ferrar": (_each_point, lambda p, tol, x: [verify_ferrar(p, tol)]),
+    "theta": (_each_point, lambda p, tol, x: [verify_theta(p, tol)], None),
+    "hardy": (_each_point, lambda p, tol, x: [verify_hardy(p, tol)], None),
+    "ferrar": (_each_point, lambda p, tol, x: [verify_ferrar(p, tol)],
+               None),
     "ramanujan": (_each_point,
-                  lambda p, tol, x: [verify_ramanujan_bose(p, tol)]),
+                  lambda p, tol, x: [verify_ramanujan_bose(p, tol)], None),
     "digamma": (_each_alpha,
-                lambda p, tol, x: [verify_ramanujan_digamma(p.alpha, tol)]),
+                lambda p, tol, x: [verify_ramanujan_digamma(p.alpha, tol)],
+                None),
     "lineint": (_each_point,
-                lambda p, tol, x: [verify_line_integral(p, tol)]),
-    "aux": (_once, lambda p, tol, x: aux_checks(tol)),
-    "rhl": (_each_point, lambda p, tol, zeros: [verify_rhl(p, zeros, tol)]),
+                lambda p, tol, x: [verify_line_integral(p, tol)], None),
+    "aux": (_once, lambda p, tol, x: aux_checks(tol), None),
+    # the zero sums' 1F1 rows of every cell in one grouped series
+    "rhl": (_each_point, lambda p, tol, zeros: [verify_rhl(p, zeros, tol)],
+            lambda points, zeros: prepare_rhl(points, zeros)),
 }
+
+# overflow, division by zero and invalid operations raise in every cell
+_RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
 def parse_z(text):
@@ -170,7 +179,7 @@ def _run_task(task, extra):
     kind, alpha, z, tol = task
     params = KernelParams(alpha, z)
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with np.errstate(**_RAISE):
             reports = _FAMILIES[kind][1](params, tol, extra)
     except (ValueError, FloatingPointError) as exc:
         prefix = ("floating-point error: "
@@ -181,8 +190,25 @@ def _run_task(task, extra):
 
 
 def _run_shard(shard, extra):
-    """_run_task over one worker's tasks, in order."""
-    return [_run_task(task, extra) for task in shard]
+    """_run_task over one worker's tasks, in order.  Right before a
+    family's first cell its prepare step, if any, runs over the shard's
+    points of that family under _run_task's errstate.  A step only fills
+    caches with what the cells would compute, so one that raises is
+    dropped: each cell then meets the error itself and reports it in its
+    own words."""
+    reports, prepared = [], set()
+    for task in shard:
+        kind = task[0]
+        prepare = _FAMILIES[kind][2]
+        if prepare is not None and kind not in prepared:
+            prepared.add(kind)
+            try:
+                with np.errstate(**_RAISE):
+                    prepare([t[1:3] for t in shard if t[0] == kind], extra)
+            except (ValueError, FloatingPointError):
+                pass
+        reports.append(_run_task(task, extra))
+    return reports
 
 
 def _run_child(shard, extra, reads, wfd):
@@ -208,7 +234,9 @@ def _run_child(shard, extra, reads, wfd):
 
 def _fork_shards(shards, extra):
     """Each shard's _run_shard list, the first shard run in this process
-    and every other in a forked child that sends it back through a pipe.
+    and every other in a forked child that sends it back through a pipe;
+    a shard whose fork fails (EAGAIN at a process limit) runs in this
+    process too.
 
     Every read end is closed before any child is reaped, so a child
     blocked on a full pipe gets EPIPE instead of hanging the parent, and
@@ -216,19 +244,27 @@ def _fork_shards(shards, extra):
     child's exception is raised here; a child that died without a result
     is named in a RuntimeError.
     """
-    reads, pids, payloads, statuses = [], [], [], []
+    results = [None] * len(shards)
+    here, forked, reads, pids, payloads, statuses = [0], [], [], [], [], []
     try:
-        for shard in shards[1:]:
+        for k, shard in enumerate(shards[1:], start=1):
             rfd, wfd = os.pipe()
             reads.append(rfd)
             try:
                 pid = os.fork()
                 if pid == 0:
                     _run_child(shard, extra, reads, wfd)
+            except OSError:
+                # no process to spare (EAGAIN at a process limit)
+                os.close(reads.pop())
+                here.append(k)
+                continue
             finally:
                 os.close(wfd)
+            forked.append(k)
             pids.append(pid)
-        results = [_run_shard(shards[0], extra)]
+        for k in here:
+            results[k] = _run_shard(shards[k], extra)
         for rfd in reads:
             with open(rfd, "rb", closefd=False) as fh:
                 payloads.append(fh.read())
@@ -237,16 +273,16 @@ def _fork_shards(shards, extra):
             os.close(fd)
         for pid in pids:
             statuses.append(os.waitpid(pid, 0)[1])
-    for k, (pid, status, data) in enumerate(zip(pids, statuses, payloads),
-                                            start=2):
+    for k, pid, status, data in zip(forked, pids, statuses, payloads):
         if status != 0 or not data:
             raise RuntimeError("--jobs worker %d (pid %d) ended without a "
                                "result (exit code %d)"
-                               % (k, pid, os.waitstatus_to_exitcode(status)))
+                               % (k + 1, pid,
+                                  os.waitstatus_to_exitcode(status)))
         exc, reports = pickle.loads(data)
         if exc is not None:
             raise exc
-        results.append(reports)
+        results[k] = reports
     return results
 
 
@@ -467,7 +503,7 @@ def main(argv=None):
             for i, r in zip(shard, reports):
                 grouped[i] = r
     else:
-        grouped = [_run_task(t, zeros) for t in tasks]
+        grouped = _run_shard(tasks, zeros)
     dicts = [d for group in grouped for d in group]
 
     text = render_json(dicts) if args.format == "json" else render_csv(dicts)

@@ -181,9 +181,9 @@ _ONES = quad.NodeTable(np.ones_like)
 
 
 def reset_caches():
-    """Empty every per-process cache, as in a fresh process: each
-    functools cache of specfun, xikernel, numseries and quad, and each
-    weight table here.  They are found by what they are, not from a
+    """Empty every per-process cache, as in a fresh process: each cache
+    of specfun, xikernel, numseries and quad with functools' cache_clear,
+    and each weight table here.  They are found by what they are, not from a
     list, so a cache added to those modules is emptied too."""
     for module in (specfun, xikernel, ns, quad):
         for obj in vars(module).values():
@@ -419,6 +419,16 @@ def _rhl_side(x, w, table, zeros, counts, path):
               for zs in ns.zero_sum_bracketed(zeros, x, w, counts)]
     return values, {"path": path, "mobius_terms": table.limit,
                     "mobius_tail_bound": float(np.sqrt(x) * abs(scale) * tail)}
+
+
+def prepare_rhl(points, zeros):
+    """Sum the zero-sum 1F1 rows verify_rhl(KernelParams(alpha, z), zeros,
+    tol) takes at each (alpha, z) of points, at -z^2/4 on its alpha side
+    and -(iz)^2/4 on its beta side, in point order, as one grouped series
+    (numseries.prepare_zero_sums).  The reports keep their bits."""
+    zs = [complex(z) for _alpha, z in points]
+    ns.prepare_zero_sums(zeros[:max(RHL_COUNTS)],
+                         [w for z in zs for w in (z, 1j * z)])
 
 
 def verify_rhl(params, zeros, tol):

@@ -21,8 +21,9 @@ head terms in real arithmetic and keeps the moment tails per table and
 split level, 12 scalars each, in a per-process LRU cache.  The zero sum
 keeps its log-Gamma factors per zero set in a per-process LRU cache and
 takes its 1F1 rows from xikernel.rho_series, whose cache also serves the
-Xi sides; the entries of all three caches are the bits an uncached call
-would compute.
+Xi sides; prepare_zero_sums fills that cache with the rows of many z as
+one grouped series.  The entries of all three caches are the bits an
+uncached call would compute.
 """
 
 import functools
@@ -32,7 +33,7 @@ import numpy as np
 
 from .specfun import (_PSI_ASYMP, EULER_GAMMA, _merge, _split, besselk0,
                       besselk0_scaled, lngamma)
-from .xikernel import lambda_kernel, rho_series
+from .xikernel import lambda_kernel, prepare_rho_series, rho_series
 
 _LOG_TERM_CUTOFF = 39.2  # -log(1e-17)
 
@@ -433,6 +434,22 @@ def _zero_factors(zeros):
     return gammas, r, d, A
 
 
+def _zero_sum_argument(z):
+    """-z^2/4, the argument of the zero sums' 1F1 rows at z."""
+    z = complex(z)
+    return -0.25 * z * z
+
+
+def prepare_zero_sums(zeros, zs):
+    """Sum the 1F1 rows zero_sum_bracketed(zeros, alpha, z, counts) takes
+    at each z of zs, for any alpha, as one grouped series into
+    xikernel's row cache, within the limits of xikernel.prepare_rho_series;
+    the sums that follow find the bits they would sum themselves."""
+    if len(zeros) > 0:
+        prepare_rho_series([_zero_sum_argument(z) for z in zs], 0.5, 1.0,
+                           _zero_factors(tuple(zeros))[0])
+
+
 def zero_sum_bracketed(zeros, alpha, z, counts):
     """Sums over nontrivial zeros rho = 1/2 + i gamma and conjugates, one
     per count c in counts, over the first c zeros:
@@ -468,8 +485,7 @@ def zero_sum_bracketed(zeros, alpha, z, counts):
     if len(zeros) == 0:
         return [0.0 + 0.0j] * len(counts)
     gammas, r, d, A = _zero_factors(tuple(zeros))
-    z = complex(z)
-    arg = -0.25 * z * z
+    arg = _zero_sum_argument(z)
     term = (np.exp(A + r * np.log(alpha)) / d
             * rho_series(arg, 0.5, 1.0, gammas))
     if arg.imag == 0.0:

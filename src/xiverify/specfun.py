@@ -256,7 +256,12 @@ def zeta_and_prime(s):
     return _eta_series("zeta_and_prime", s, prime=True)
 
 
-def _hyp_series(name, num, den, z):
+def _group_rows(x, keep, ndim):
+    """x's groups at keep where x has a group axis of its own, else x."""
+    return x[keep] if np.ndim(x) == ndim and np.shape(x)[0] > 1 else x
+
+
+def _hyp_series(name, num, den, z, grouped=False):
     """Raw Taylor sum of pFq(num; den; z); the parameters and z broadcast.
 
     num and den are tuples of parameters; a 0-d one, or z, stays a numpy
@@ -288,6 +293,20 @@ def _hyp_series(name, num, den, z):
     only tests that fail, the loop stops at the same term and the sum
     keeps its bits.  A NaN fails the witness comparison and takes the
     full test.
+
+    With grouped, the leading axis of the broadcast shape indexes groups:
+    independent series that share each term's numpy calls.  A group
+    stops at the first term where its own entries pass the full test;
+    its sum is kept and the groups still running go on alone, taking
+    their rows of every operand that has a group axis of its own (an
+    operand without one broadcasts as before).  Every operation is
+    elementwise, so each group's sum has the bits of its rows summed as
+    one series, provided a group holds two entries or more: numpy
+    rounds a one-element complex product by another path than a longer
+    one, so a one-entry row alone and the same row among others can
+    differ in the last bit.  While two groups or more run, every term
+    takes the full test, which costs about what gathering a witness per
+    group would; the witness takes over when one group is left.
     """
     num = [np.asarray(a, np.complex128)[()] for a in num]
     den = [np.asarray(c, np.complex128)[()] for c in den]
@@ -296,14 +315,18 @@ def _hyp_series(name, num, den, z):
                                 np.shape(z))
     term = np.ones(shape, dtype=np.complex128)
     total = term.copy()
-    parts = None
-    if all(type(c) is np.complex128 and c.imag == 0.0 for c in den):
+    # live: the rows of out the running groups fill, None for one series
+    live, out, slow = None, total, 0
+    if grouped:
+        live, out = np.arange(shape[0]), np.empty_like(total)
+        slow = 0 if len(live) == 1 else None
+    real = all(type(c) is np.complex128 and c.imag == 0.0 for c in den)
+    if real:
         den = [float(c.real) for c in den]
-        parts = term.reshape(-1).view(np.float64)
+    parts = term.reshape(-1).view(np.float64) if real else None
     step = np.empty_like(term)
     mag = np.empty(shape)
     bound = np.empty(shape)
-    slow = 0
     witness_tol = 2.0 * _SERIES_RELTOL
     for n in range(_SERIES_MAX_TERMS):
         for a in num:
@@ -318,21 +341,41 @@ def _hyp_series(name, num, den, z):
         else:
             parts *= 1.0 / d
         total += term
-        if abs(term.item(slow)) >= witness_tol * max(abs(total.item(slow)),
-                                                     1e-300):
+        if slow is not None and abs(term.item(slow)) >= witness_tol * max(
+                abs(total.item(slow)), 1e-300):
             continue
         np.abs(total, out=bound)
         np.maximum(bound, 1e-300, out=bound)
         bound *= _SERIES_RELTOL
         np.abs(term, out=mag)
-        if (mag < bound).all():
-            return total
+        passed = mag < bound
+        if passed.all():
+            if live is None:
+                return total
+            out[live] = total
+            return out
+        if slow is None:
+            stops = passed.reshape(len(live), -1).all(axis=1)
+            if not stops.any():
+                continue
+            out[live[stops]] = total[stops]
+            keep = ~stops
+            live = live[keep]
+            term, total, mag, bound = (term[keep], total[keep], mag[keep],
+                                       bound[keep])
+            num = [_group_rows(a, keep, len(shape)) for a in num]
+            den = [_group_rows(c, keep, len(shape)) for c in den]
+            z = _group_rows(z, keep, len(shape))
+            parts = term.reshape(-1).view(np.float64) if real else None
+            step = np.empty_like(term)
+            if len(live) > 1:
+                continue
         slow = int(np.divide(mag, bound, out=mag).argmax())
     raise ValueError("%s: series did not converge in %d terms"
                      % (name, _SERIES_MAX_TERMS))
 
 
-def hyp1f1(a, c, z):
+def hyp1f1(a, c, z, grouped=False):
     """Confluent hypergeometric 1F1(a; c; z) by Taylor series.
 
     Where Re z < 0 the first Kummer transformation
@@ -349,7 +392,9 @@ def hyp1f1(a, c, z):
     but 3e-7 at 24.5i and 0.14 at 36i, growing like eps e^|z| along the
     imaginary axis.
 
-    a, c, z broadcast; c must avoid nonpositive integers.
+    a, c, z broadcast; c must avoid nonpositive integers.  With grouped,
+    the leading axis of the broadcast shape indexes independent series,
+    each with the bits of its rows summed alone (_hyp_series).
     """
     cc, scalar_c = _split(c, np.complex128)
     _require_finite("hyp1f1", cc, "parameter c")
@@ -367,7 +412,8 @@ def hyp1f1(a, c, z):
     # e^z first: numpy's complex product may fuse a multiply-add, so the
     # operand order fixes the last bit
     out = np.where(neg, np.exp(zz), 1.0) * _hyp_series(
-        "hyp1f1", (np.where(neg, cc - aa, aa),), (cc,), np.where(neg, -zz, zz))
+        "hyp1f1", (np.where(neg, cc - aa, aa),), (cc,), np.where(neg, -zz, zz),
+        grouped)
     return _merge(out, scalar_a and scalar_c and scalar_z)
 
 

@@ -18,13 +18,18 @@ per-process LRU cache keeps, one entry per (w, c, k, node batch).
 rho_rows takes them at w = z^2/4 for every Xi side and the
 inverse-Mellin check, and numseries' zero sums at w = -z^2/4 on
 s = 1/2 +- i gamma.  Only the power x^(1/2-s) depends on x, so every
-alpha, every family on one line, and z and -z share one series.  The
+alpha, every family on one line, and z and -z share one series.
+prepare_rho_series sums the rows of many w on one batch as the groups
+of one series, each with the bits of its own series; rhl's prepare step
+takes it for every zero sum of a run, whose rows are too short for
+their own series to cost less than its per-term numpy calls.  The
 exponents 1/2 - s of that power are kept too, per (c, k, node batch)
 (_power_exponents), so a warm rho_rows call forms x's power, e^(-w/2)
 and their product with the rows, and nothing else.
 """
 
 import functools
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,20 +141,91 @@ def _line(c, k, t):
 # otherwise grow the cache without limit.
 _RHO_ROW_KEYS = 256
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-@functools.lru_cache(maxsize=_RHO_ROW_KEYS)
-def _rho_series_rows(w, c, k, shape, nodes):
-    """1F1((1-s)/2; 1/2; w) at s = c +- ikt for the batch of t whose
-    float64 bytes are nodes, read-only, through the module's hyp1f1
-    binding.  The batch is part of the key because a series stops only
-    when its whole batch has converged: rows taken from a larger or
-    smaller batch could differ in their last bits.  For real z, z and -z
-    give w imaginary parts of opposite zero sign; the keys compare equal
-    and the rows come out the same bits."""
-    s = _line(c, k, np.frombuffer(nodes).reshape(shape))
-    rows = hyp1f1(0.5 * (1.0 - s), 0.5, w)
-    rows.flags.writeable = False
-    return rows
+
+def _row_cache(maxsize):
+    """A least recently used cache of rho's 1F1 rows, with functools'
+    cache_info and cache_clear: called with (w, c, k, shape, nodes) it
+    returns 1F1((1-s)/2; 1/2; w) at s = c +- ikt for the batch of t whose
+    float64 bytes are nodes, read-only, summed through the module's
+    hyp1f1 binding on a miss.  The batch is part of the key because a
+    series stops only when its whole batch has converged: rows taken
+    from a larger or smaller batch could differ in their last bits.  For
+    real z, z and -z give w imaginary parts of opposite zero sign; the
+    keys compare equal and the rows come out the same bits.
+
+    Its fill(ws, c, k, shape, nodes) makes the first maxsize // 2
+    distinct w of ws inside hyp1f1's range (finite, |w| <= 50) the most
+    recent keys, summing those not cached as the groups of one series
+    (each with the bits of its rows summed alone) and storing them in
+    the order of ws.  Later w are left out, so no key of a fill is
+    evicted before maxsize // 2 other keys are stored, and so is every
+    w of a one-node batch, whose one-entry rows are never grouped.  If
+    the series raises, nothing is stored.  A key a fill sums counts as
+    a miss, one it finds cached as a hit.
+    """
+    cache = OrderedDict()
+    hits = misses = 0
+
+    def store(key, rows):
+        rows.flags.writeable = False
+        cache[key] = rows
+        if len(cache) > maxsize:
+            cache.popitem(last=False)
+
+    def rows_at(w, c, k, shape, nodes):
+        nonlocal hits, misses
+        key = (w, c, k, shape, nodes)
+        rows = cache.get(key)
+        if rows is not None:
+            hits += 1
+            cache.move_to_end(key)
+            return rows
+        misses += 1
+        s = _line(c, k, np.frombuffer(nodes).reshape(shape))
+        rows = hyp1f1(0.5 * (1.0 - s), 0.5, w)
+        store(key, rows)
+        return rows
+
+    def fill(ws, c, k, shape, nodes):
+        nonlocal hits, misses
+        t = np.frombuffer(nodes).reshape(shape)
+        if t.size < 2:
+            return
+        # NaN fails the range test too
+        keys = [(w, c, k, shape, nodes) for w in dict.fromkeys(ws)
+                if abs(w) <= 50.0][:maxsize // 2]
+        new = []
+        for key in keys:
+            if key in cache:
+                cache.move_to_end(key)
+            else:
+                new.append(key)
+        hits += len(keys) - len(new)
+        if new:
+            s = _line(c, k, t)
+            w = np.reshape([key[0] for key in new], (-1,) + (1,) * s.ndim)
+            rows = hyp1f1(0.5 * (1.0 - s), 0.5, w, grouped=True)
+            misses += len(new)
+            for key, r in zip(new, rows):
+                store(key, r)
+
+    def cache_info():
+        return _CacheInfo(hits, misses, maxsize, len(cache))
+
+    def cache_clear():
+        nonlocal hits, misses
+        cache.clear()
+        hits = misses = 0
+
+    rows_at.fill = fill
+    rows_at.cache_info = cache_info
+    rows_at.cache_clear = cache_clear
+    return rows_at
+
+
+_rho_series_rows = _row_cache(_RHO_ROW_KEYS)
 
 
 def rho_series(w, c, k, t):
@@ -159,6 +235,14 @@ def rho_series(w, c, k, t):
     the ordinates."""
     tv = np.asarray(t, np.float64)
     return _rho_series_rows(w, c, k, tv.shape, tv.tobytes())
+
+
+def prepare_rho_series(ws, c, k, t):
+    """Sum the rows rho_series(w, c, k, t) returns for each w of ws as
+    one grouped series into its cache, within the limits of the cache's
+    fill; rho_series then finds the bits an uncached call sums."""
+    tv = np.asarray(t, np.float64)
+    _rho_series_rows.fill(ws, c, k, tv.shape, tv.tobytes())
 
 
 # A key's exponents take what its rows take, 10 KB at a start batch.  The

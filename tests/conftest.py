@@ -1,4 +1,5 @@
 import ast
+import collections
 import functools
 import json
 import os
@@ -6,10 +7,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import xiverify
-from xiverify import cli, identities
+from xiverify import cli, identities, xikernel
 from xiverify.specfun import mobius_sieve
 
 SAMPLE_ZEROS = pathlib.Path(xiverify.__file__).parent / "data" / "zeros_sample.txt"
@@ -109,6 +111,26 @@ def fresh_caches():
     identities.reset_caches()
     yield identities.reset_caches
     identities.reset_caches()
+
+
+@pytest.fixture
+def summed_rows(monkeypatch):
+    """A Counter of the 1F1 rows xikernel's row cache sums from here on,
+    one count per cache key summed: a hyp1f1 call through xikernel's
+    binding sums one key, a grouped call one per group.  A key is
+    (w, bytes of a), a naming the line and batch; w compares as the
+    cache's keys do, so z and -z, and either sign of a zero part, count
+    as one key."""
+    counts = collections.Counter()
+    series = xikernel.hyp1f1
+
+    def counted(a, c, w, grouped=False):
+        counts.update((complex(v), a.tobytes())
+                      for v in (np.ravel(w) if grouped else [w]))
+        return series(a, c, w, grouped)
+
+    monkeypatch.setattr(xikernel, "hyp1f1", counted)
+    return counts
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ Conftest's json_dumps_oracle checks every JSON text against json.dumps.
 RuntimeWarning is an error (pyproject.toml), in forked workers too.
 """
 
+import collections
 import importlib
 import json
 import pkgutil
@@ -61,6 +62,19 @@ GRIDS = {
               for re, im in ((1.0, 0.0), (-1.0, 0.0), (0.0, 2.0),
                              (1.0, 0.5), (-1.0, -0.5))],
     "rhl_pair": [(2.0, 1.0 + 0j), (0.5, 2j)],
+    # rhl's prepare step sums every cell's zero-sum rows as one grouped
+    # series: passing cells with z and -z, the same -z^2/4 at two alphas
+    # and one w on both sides (z = 1 + 0.5i on the alpha side, -0.5 + i
+    # on the beta side); z = 15, whose w = -56.25 lies past hyp1f1's
+    # range; and alpha = 1e-5 at z = 2, whose beta side's Moebius tail
+    # bound is not finite after its alpha side has taken its zero sums
+    "rhl_edges": [(1.0, 1.0 + 0.5j), (2.0, -1.0 - 0.5j), (0.5, 2j),
+                  (0.8, -2j), (1.25, 1.0 + 0.5j), (1.0, 15.0 + 0j),
+                  (1.0, -0.5 + 1j), (1e-5, 2.0 + 0j)],
+    # 150 distinct z^2/4, two row-cache keys each (-z^2/4 and z^2/4), more
+    # than the cache's 256, then the first 20 points again
+    "rhl_wide": [(0.5 + 0.01 * k, complex(0.5 + k / 100.0, (k % 7) / 10.0))
+                 for k in [*range(150), *range(20)]],
 }
 XI_FAMILIES = ("theta", "hardy", "ramanujan", "lineint")
 
@@ -119,6 +133,7 @@ JOBS_INPUTS = [
     ("digamma", "default", "json", 5, 0),
     ("theta", "signs", "json", 10, 0),
     ("rhl", "rhl_pair", "json", 2, 0),
+    ("rhl", "rhl_edges", "json", 8, 1),
 ]
 
 
@@ -153,6 +168,10 @@ ONE_PROCESS = {
                     for f in ("theta", "lineint", "aux", "rhl")],
     # evicted rows are summed again, node-only data stays warm
     "dense": [(f, "dense", 1) for f in XI_FAMILIES],
+    # the prepare step finds some rows cached, and forked workers run it
+    # on the caches they inherit
+    "rhl_edges": [("rhl", "anchors", 1), ("rhl", "rhl_edges", 1),
+                  ("rhl", "rhl_edges", 2)],
 }
 
 
@@ -163,6 +182,38 @@ def test_one_process_matches_separate_runs(name, run, separate):
     identities.reset_caches()
     for (family, grid, jobs), w in zip(runs, want):
         assert run(family, grid, jobs=jobs) == w, (family, grid, jobs)
+
+
+def test_rhl_edges_fail_with_their_own_errors(separate):
+    code, text = separate("rhl", "rhl_edges")
+    failed = {r["alpha"]: r["diagnostics"]["error"]
+              for r in json.loads(text)["reports"] if not r["pass"]}
+    assert failed.keys() == {1.0, 1e-5}
+    assert failed[1.0].startswith("hyp1f1: |z| = 56.25 outside")
+    assert failed[1e-5].startswith("mobius_theta_sum: tail bound")
+
+
+def test_rhl_past_the_row_cache_sums_no_row_more_often(run, separate,
+                                                       summed_rows,
+                                                       monkeypatch):
+    # rhl_wide's 300 zero-sum keys overflow the row cache: the prepare
+    # step fills the first 128, the cells sum the rest.  Against the
+    # cells summing every row themselves (no prepare step), the bytes are
+    # the same and no row is summed more often
+    want = separate("rhl", "rhl_wide")
+    assert want[0] == 0
+    identities.reset_caches()
+    summed_rows.clear()
+    assert run("rhl", "rhl_wide") == want
+    prepared = collections.Counter(summed_rows)
+    monkeypatch.setitem(cli._FAMILIES, "rhl", cli._FAMILIES["rhl"][:2]
+                        + (None,))
+    identities.reset_caches()
+    summed_rows.clear()
+    assert run("rhl", "rhl_wide") == want
+    assert len(summed_rows) == 300 and prepared.keys() == summed_rows.keys()
+    assert max(summed_rows.values()) == 2
+    assert all(prepared[key] <= n for key, n in summed_rows.items())
 
 
 def test_moebius_levels_fail_only_past_the_table(separate):
@@ -216,8 +267,8 @@ def test_battery_in_a_fresh_process_with_preset_blas_threads(
 
 
 def _package_caches():
-    """(name, object) for every functools cache and weight table that a
-    module of the package holds, each once."""
+    """(name, object) for every cache with functools' cache_info and every
+    weight table that a module of the package holds, each once."""
     found = {}
     for info in pkgutil.iter_modules(xiverify.__path__):
         module = importlib.import_module("xiverify." + info.name)

@@ -1,6 +1,8 @@
 """Command-line surface: argument parsing, output formats, exit codes."""
 
+import collections
 import csv
+import errno
 import io
 import json
 import math
@@ -419,6 +421,32 @@ class TestForkedWorkers:
         assert not out.exists()
         assert buf.getvalue() == ""
 
+    @pytest.mark.parametrize("workers,failing", [(2, {1}), (3, {2}),
+                                                 (3, {1, 2})],
+                             ids=["only", "second", "both"])
+    def test_failed_fork_runs_its_shard_here(self, workers, failing,
+                                             monkeypatch, tmp_path):
+        # os.fork failing with EAGAIN, as at a process limit, leaves that
+        # shard to this process: the run writes the serial bytes, and the
+        # autouse fixture finds no child left
+        serial = tmp_path / "serial.json"
+        assert main(["--identity", "digamma", "--out", str(serial)]) == 0
+        fork, forks = os.fork, []
+
+        def limited_fork():
+            forks.append(len(forks) + 1)
+            if forks[-1] in failing:
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+            return fork()
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(os, "fork", limited_fork)
+        out = tmp_path / "out.json"
+        assert main(["--identity", "digamma", "--jobs", str(workers),
+                     "--out", str(out)]) == 0
+        assert forks == list(range(1, workers))
+        assert out.read_bytes() == serial.read_bytes()
+
     def test_parent_failure_does_not_wait_on_a_full_pipe(self, monkeypatch):
         # the child's result is far larger than a pipe holds, and the
         # parent fails before reading it: closing the read end lets the
@@ -532,38 +560,37 @@ class TestShardTasks:
             tasks.append(_shard_task(z))
         self.check(tasks, min(workers, len(tasks)))
 
-    def test_no_row_is_summed_twice(self, monkeypatch, fresh_caches):
-        # every family but rhl over 8 points and 4 distinct w: each shard,
-        # run from reset caches as a fresh worker would, sums only rows no
-        # other shard sums, so together they make as many hyp1f1 calls as
-        # one serial run.  Dealing the tasks round robin (the order of a
+    def test_no_row_is_summed_twice(self, summed_rows, fresh_caches,
+                                    zero_records):
+        # every family over 8 points and 4 distinct w, rhl's zero sums in
+        # one grouped series per shard: each shard, run from reset caches
+        # as a fresh worker would, sums each row once, and only rows no
+        # other shard sums, so together they sum the rows of one serial
+        # run once each.  Dealing the tasks round robin (the order of a
         # one-task-per-round-trip map) splits every w group and sums rows
-        # twice.
+        # in both shards.
         grid = [(a, complex(z)) for a in (0.5, 2.0)
                 for z in (1.0, 2j, 1.0 + 0.5j, -1.0)]
-        tasks = cli.build_tasks("all", grid, 1e-8, None)
-        calls = []
-        series = xikernel.hyp1f1
+        zeros = zero_records[:10]
+        tasks = cli.build_tasks("all", grid, 1e-8, zeros)
 
-        def counted_series(a, c, w):
-            calls.append(w)
-            return series(a, c, w)
-
-        monkeypatch.setattr(xikernel, "hyp1f1", counted_series)
-
-        def count(shards):
-            del calls[:]
+        def rows(shards):
+            per_shard = []
             for shard in shards:
                 fresh_caches()
-                cli._run_shard([tasks[i] for i in shard], None)
-            return len(calls)
+                summed_rows.clear()
+                cli._run_shard([tasks[i] for i in shard], zeros)
+                assert set(summed_rows.values()) == {1}
+                per_shard.append(collections.Counter(summed_rows))
+            return per_shard
 
-        serial = count([range(len(tasks))])
-        assert len(set(calls)) == 4
-        assert count(cli.shard_tasks(tasks, 2)) == serial
-        assert count([range(len(tasks))[k::2] for k in (0, 1)]) > serial
-
-
+        serial, = rows([range(len(tasks))])
+        assert len({w for w, _ in serial}) == 7
+        assert sum(rows(cli.shard_tasks(tasks, 2)),
+                   collections.Counter()) == serial
+        split = sum(rows([range(len(tasks))[k::2] for k in (0, 1)]),
+                    collections.Counter())
+        assert split.keys() == serial.keys() and max(split.values()) == 2
 
 
 def test_render_json_trailing_newline():
@@ -698,6 +725,53 @@ class TestFamilyTable:
         assert code == 0
         assert [(p.alpha, p.z, tol) for p, tol in calls] == [
             (2.0, 1.0 + 0.0j, 1e-8)]
+
+    def test_only_rhl_has_a_prepare_step(self):
+        assert [kind for kind, entry in cli._FAMILIES.items()
+                if entry[2] is not None] == ["rhl"]
+
+    def test_prepare_step_runs_before_the_first_rhl_cell(self, monkeypatch,
+                                                         zero_records):
+        # once per shard, over the shard's rhl points in cell order, after
+        # the other families' cells; serial runs take the same path
+        events = []
+        monkeypatch.setattr(cli, "prepare_rhl", lambda points, zeros:
+                            events.append(("prepare", points, len(zeros))))
+        monkeypatch.setattr(cli, "_run_task", lambda task, zeros:
+                            events.append(task[:2]) or [])
+        grid = [(0.5, 1j), (2.0, 1.0 + 0j)]
+        shard = (cli.build_tasks("digamma", grid, 1e-8, zero_records)
+                 + cli.build_tasks("rhl", grid, 1e-8, zero_records))
+        cli._run_shard(shard, zero_records)
+        assert events == [("digamma", 0.5), ("digamma", 2.0),
+                          ("prepare", [(0.5, 1j), (2.0, 1.0 + 0j)], 100),
+                          ("rhl", 0.5), ("rhl", 2.0)]
+        del events[:]
+        cli._run_shard(cli.build_tasks("digamma", grid, 1e-8, None), None)
+        assert [e[0] for e in events] == ["digamma", "digamma"]
+        del events[:]
+        monkeypatch.setattr(cli, "prepare_zeros",
+                            lambda path, max_count: zero_records)
+        run_cli(["--identity", "rhl", "--zeros", "zeros.txt", "--alpha", "1",
+                 "--z", "2"])
+        assert events == [("prepare", [(1.0, 2.0 + 0j)], 100), ("rhl", 1.0)]
+
+    @pytest.mark.parametrize("error", [ValueError, FloatingPointError])
+    def test_failed_prepare_step_leaves_the_reports(self, error, monkeypatch,
+                                                    sample_zeros_path):
+        # a step that raises caches nothing: each cell sums its own rows,
+        # the z = 15 cell reports hyp1f1's range in its own words
+        argv = ["--identity", "rhl", "--zeros", sample_zeros_path,
+                "--alpha", "1", "--z", "15"]
+        code, want = run_cli(argv)
+        assert code == 1 and "outside the working range" in want
+
+        def failing(points, zeros):
+            raise error("prepare failed")
+
+        monkeypatch.setattr(cli, "prepare_rhl", failing)
+        identities.reset_caches()
+        assert run_cli(argv) == (1, want)
 
     def test_error_and_passing_cells_have_the_same_keys(self):
         argv = ["--identity", "theta", "--alpha", "2", "--z", "0"]

@@ -784,7 +784,7 @@ class TestRhoRowCache:
         assert counts == {"sides": 125, "series": 12}
 
     def test_families_in_one_process_sum_each_row_once(self, tmp_path,
-                                                        monkeypatch):
+                                                        summed_rows):
         # the benchmark box's 12 anchors and 36 seeded points: 39 distinct
         # z^2/4 on 3 lines (theta's and hardy's, Bose's, the contour's).
         # theta, hardy, ramanujan and lineint in turn in one process sum
@@ -840,18 +840,10 @@ class TestRhoRowCache:
                       "--out", str(out)])
             return out.read_bytes()
 
-        keys = []
-        series = xikernel.hyp1f1
-
-        def counted_series(a, c, w):
-            keys.append((w, a.tobytes()))
-            return series(a, c, w)
-
-        monkeypatch.setattr(xikernel, "hyp1f1", counted_series)
         xikernel._rho_series_rows.cache_clear()
         warm = {f: run(f, "warm") for f in families}
-        assert len(keys) == len(set(keys)) == 117
-        assert len({w for w, _ in keys}) == 39
+        assert len(summed_rows) == 117 and set(summed_rows.values()) == {1}
+        assert len({w for w, _ in summed_rows}) == 39
         for f in families:
             xikernel._rho_series_rows.cache_clear()
             assert run(f, "cold") == warm[f], f
@@ -987,6 +979,28 @@ class TestRhl:
                 got = repr(verify_rhl(KernelParams(0.8, w), zero_records,
                                       1e-8))
                 assert got == want[w]
+
+    def test_prepared_rows_serve_both_sides(self, zero_records,
+                                            fresh_caches, summed_rows):
+        # prepare_rhl sums the rows at -z^2/4 and -(iz)^2/4 of every point;
+        # the reports then sum none and keep their cold bytes
+        from xiverify import identities as I
+        points = [(2.0, 1.0), (0.5, 2j), (1.25, 1.0 + 0.5j), (0.8, -1.0)]
+
+        def report(alpha, z):
+            return repr(verify_rhl(KernelParams(alpha, z), zero_records,
+                                   1e-8))
+
+        cold = {}
+        for p in points:
+            fresh_caches()
+            cold[p] = report(*p)
+        fresh_caches()
+        summed_rows.clear()
+        I.prepare_rhl(points, zero_records)
+        assert len(summed_rows) == 6
+        assert [report(*p) for p in points] == [cold[p] for p in points]
+        assert len(summed_rows) == 6 and set(summed_rows.values()) == {1}
 
     def test_rejects_empty_zeros(self):
         with pytest.raises(ValueError, match="at least one zero"):

@@ -517,6 +517,24 @@ class TestZeroSum:
                 assert _bits(zero_sum_bracketed(zeros, x, w, counts)) == (
                     _bits(want))
 
+    def test_prepared_rows_are_the_sums_rows(self, zero_records,
+                                             fresh_caches, summed_rows):
+        # prepare_zero_sums forms -z^2/4 as the sums do, so after it the
+        # sums at those z sum no row, and keep their cold bits
+        zeros, counts = zero_records[:10], [1, 3, 10]
+        zs = [1.0, -1.0, 2j, 1.0 + 0.5j, 1j * (1.0 + 0.5j), 0.0, 7.5]
+        cold = {}
+        for z in zs:
+            fresh_caches()
+            cold[z] = _bits(zero_sum_bracketed(zeros, 0.8, z, counts))
+        fresh_caches()
+        summed_rows.clear()
+        numseries.prepare_zero_sums(zeros, zs)
+        assert len(summed_rows) == 6
+        for z in zs:
+            assert _bits(zero_sum_bracketed(zeros, 0.8, z, counts)) == cold[z]
+        assert len(summed_rows) == 6 and set(summed_rows.values()) == {1}
+
     def test_count_out_of_range_raises(self, zero_records):
         with pytest.raises(ValueError):
             zero_sum_bracketed(zero_records[:10], 1.0, 0.0, [11])

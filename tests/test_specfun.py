@@ -274,6 +274,17 @@ _S = 0.5 * (1.0 + 1j * np.linspace(0.0, 60.0, 65))
 _A = 0.5 * (1.0 - np.concatenate([_S, 1.0 - _S]))
 
 
+def _zero_sum_a(n):
+    """a = (1 - s)/2 at s = 1/2 +- i gamma over the first n zeros, in
+    two rows: a zero sum's 1F1 parameters."""
+    gammas = np.array([
+        14.134725141734693, 21.022039638771555, 25.010857580145688,
+        30.424876125859513, 32.935061587739189, 37.586178158825671,
+        40.918719012147495, 43.327073280914999, 48.005150265997457,
+        49.773832477672302])[:n]
+    return 0.5 * (1.0 - (0.5 + 1j * np.stack([gammas, -gammas])))
+
+
 class TestHypSeriesLoop:
     @pytest.mark.parametrize("w", [0.25, 1.0, 0.1875 + 0.25j, 12.5 - 3.0j])
     def test_scalar_c_and_z(self, w):
@@ -315,12 +326,7 @@ class TestHypSeriesLoop:
 
     def test_zero_sum_batch(self):
         # a zero sum's rows: s = 1/2 +- i gamma over the first 10 zeros
-        gammas = np.array([
-            14.134725141734693, 21.022039638771555, 25.010857580145688,
-            30.424876125859513, 32.935061587739189, 37.586178158825671,
-            40.918719012147495, 43.327073280914999, 48.005150265997457,
-            49.773832477672302])
-        a = 0.5 * (1.0 - (0.5 + 1j * np.stack([gammas, -gammas])))
+        a = _zero_sum_a(10)
         for w in (0.25, 1.0 - 0.5j, 0.75 + 1.0j):
             got = _hyp_series("hyp1f1", (a,), (0.5,), w)
             assert got.shape == (2, 10)
@@ -332,11 +338,37 @@ class TestHypSeriesLoop:
                min_size=2 * n, max_size=2 * n)),
            st.floats(0.0, 50.0), st.floats(-np.pi, np.pi))
     def test_random_rows_keep_their_bits(self, parts, r, phase):
-        # two rows, as rho_series sums them
+        # two rows, as rho_series sums them, alone and as one group
         a = np.array([complex(x, y) for x, y in parts]).reshape(2, -1)
         w = r * complex(math.cos(phase), math.sin(phase))
-        assert _same_bits(_hyp_series("hyp1f1", (a,), (0.5,), w),
-                          _broadcast_hyp_series(a, 0.5, w))
+        want = _broadcast_hyp_series(a, 0.5, w)
+        assert _same_bits(_hyp_series("hyp1f1", (a,), (0.5,), w), want)
+        assert _same_bits(_hyp_series("hyp1f1", (a[None],), (0.5,), w,
+                                      grouped=True), want[None])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([1, 2, 10]),
+           st.lists(st.tuples(st.floats(0.0, 49.9), st.floats(-np.pi, np.pi),
+                              st.sampled_from(["any", "real", "imag",
+                                               "zero"]),
+                              st.booleans(), st.booleans()),
+                    min_size=1, max_size=12))
+    def test_groups_keep_the_bits_of_one_w_rows(self, n, draws):
+        # zero-sum rows over 1, 2 or 10 ordinates summed as the groups of
+        # one series, each against its own w's series: Re w of both signs
+        # (Kummer's branch both ways in one call), zero parts of either
+        # sign, w = 0 and |w| up to 50; groups stop at their own terms
+        ws = []
+        for r, phase, kind, flip_re, flip_im in draws:
+            re, im = {"any": (r * math.cos(phase), r * math.sin(phase)),
+                      "real": (r, 0.0), "imag": (0.0, r),
+                      "zero": (0.0, 0.0)}[kind]
+            ws.append(complex(-re if flip_re else re, -im if flip_im else im))
+        a = _zero_sum_a(n)
+        got = hyp1f1(a, 0.5, np.reshape(ws, (-1, 1, 1)), grouped=True)
+        assert got.shape == (len(ws), 2, n)
+        for w, rows in zip(ws, got):
+            assert rows.tobytes() == hyp1f1(a, 0.5, w).tobytes(), w
 
     def test_mixed_sign_branch_of_hyp1f1(self):
         z = np.linspace(-6.0, 6.0, 25) + 0.5j
@@ -405,6 +437,9 @@ class TestHypSeriesLoop:
         monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 3)
         with pytest.raises(ValueError, match="hyp1f1: series did not"):
             hyp1f1(0.5, 0.5, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="hyp1f1: series did not"):
+            hyp1f1(_zero_sum_a(2), 0.5, np.array([[[1e-9]], [[1.0]]]),
+                   grouped=True)
         with pytest.raises(ValueError, match="hyp2f2_11: series did not"):
             hyp2f2_11(1.0)
 

@@ -248,6 +248,97 @@ class TestRhoRows:
         assert rows.shape == (2, 2) and not rows.flags.writeable
 
 
+# the first three zero ordinates: a zero sum's batch
+_ORDINATES = np.array([14.134725141734693, 21.022039638771555,
+                       25.010857580145688])
+
+
+def _series(w, t=_ORDINATES):
+    return xikernel.rho_series(w, 0.5, 1.0, t)
+
+
+class TestRowCacheFill:
+    """prepare_rho_series: the rows of many w on one batch summed as the
+    groups of one series into the cache rho_series reads."""
+
+    def test_filled_rows_are_the_rows_summed_alone(self, fresh_caches,
+                                                   summed_rows):
+        # z and -z, either sign of a zero part and a repeated w are one
+        # key each
+        ws = [-0.25 + 0j, complex(-0.25, -0.0), 1.0 + 0.5j, 1.0 + 0.5j,
+              -1.0 - 0.5j, 0j, complex(-0.0, -0.0), 12.0 - 30.0j, 49.0j]
+        cold = {}
+        for w in ws:
+            fresh_caches()
+            cold[w] = _series(w).tobytes()
+        fresh_caches()
+        summed_rows.clear()
+        xikernel.prepare_rho_series(ws, 0.5, 1.0, _ORDINATES)
+        info = xikernel._rho_series_rows.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (6, 0, 6)
+        assert len(summed_rows) == 6
+        for w in ws:
+            assert _series(w).tobytes() == cold[w], w
+        assert xikernel._rho_series_rows.cache_info().misses == 6
+        assert len(summed_rows) == 6 and set(summed_rows.values()) == {1}
+
+    def test_leaves_out_what_hyp1f1_refuses(self, fresh_caches):
+        ws = [complex("nan"), complex(float("inf"), 0.0), 50.5 + 0j, 36j,
+              complex(30.0, 40.0000001), 50.0 + 0j, 1.0 + 0j]
+        xikernel.prepare_rho_series(ws, 0.5, 1.0, _ORDINATES)
+        assert xikernel._rho_series_rows.cache_info().currsize == 3
+        _series(36j)
+        _series(50.0 + 0j)
+        _series(1.0 + 0j)
+        assert xikernel._rho_series_rows.cache_info().misses == 3
+
+    def test_takes_the_first_half_of_the_keys(self, fresh_caches):
+        half = xikernel._RHO_ROW_KEYS // 2
+        ws = [complex(0.01 * k) for k in range(half + 40)]
+        xikernel.prepare_rho_series(ws, 0.5, 1.0, _ORDINATES)
+        assert xikernel._rho_series_rows.cache_info().currsize == half
+        for w in ws[:half]:
+            _series(w)
+        assert xikernel._rho_series_rows.cache_info().misses == half
+        _series(ws[half])
+        assert xikernel._rho_series_rows.cache_info().misses == half + 1
+
+    def test_keeps_its_cached_keys(self, fresh_caches):
+        # the cache is full and its oldest key is in the fill: the fill
+        # makes it recent before storing new keys, so the keys evicted
+        # are the oldest of the others
+        n = xikernel._RHO_ROW_KEYS
+        old = [complex(0.01 * k) for k in range(n)]
+        for w in old:
+            _series(w)
+        new = [complex(0.01 * k, 1.0) for k in range(10)]
+        xikernel.prepare_rho_series([old[0]] + new, 0.5, 1.0, _ORDINATES)
+        info = xikernel._rho_series_rows.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (n + 10, 1, n)
+        for w in [old[0], old[11]] + new:
+            _series(w)
+        assert xikernel._rho_series_rows.cache_info().misses == n + 10
+        _series(old[10])
+        assert xikernel._rho_series_rows.cache_info().misses == n + 11
+
+    def test_one_node_rows_are_not_grouped(self, fresh_caches, summed_rows):
+        xikernel.prepare_rho_series([0.25 + 0j, 1j], 0.5, 1.0,
+                                    _ORDINATES[:1])
+        assert xikernel._rho_series_rows.cache_info().currsize == 0
+        assert not summed_rows
+
+    def test_a_series_that_raises_stores_nothing(self, fresh_caches,
+                                                 monkeypatch):
+        def failing(a, c, w, grouped=False):
+            raise FloatingPointError("overflow encountered in multiply")
+
+        monkeypatch.setattr(xikernel, "hyp1f1", failing)
+        with pytest.raises(FloatingPointError):
+            xikernel.prepare_rho_series([0.25 + 0j, 1j], 0.5, 1.0,
+                                        _ORDINATES)
+        assert xikernel._rho_series_rows.cache_info().currsize == 0
+
+
 def _xi_side_rows(monkeypatch, alpha, z, s):
     """The kernel rows one identities._xi_side call at c = k = 1/2 makes
     at t = (s - 1/2)/(i/2), with the shapes of the hyp1f1 calls behind
