@@ -46,10 +46,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .identities import (RHL_COUNTS, VerificationReport, aux_checks,
-                         prepare_rhl, verify_ferrar, verify_hardy,
-                         verify_line_integral, verify_ramanujan_bose,
-                         verify_ramanujan_digamma, verify_rhl, verify_theta)
+from .identities import (BOSE_LINE, CONTOUR_LINE, CRITICAL_LINE,
+                         RHL_COUNTS, VerificationReport, aux_checks,
+                         prepare_rhl, prepare_xi_sides, verify_ferrar,
+                         verify_hardy, verify_line_integral,
+                         verify_ramanujan_bose, verify_ramanujan_digamma,
+                         verify_rhl, verify_theta)
 from .xikernel import KernelParams
 from .zeros import prepare_zeros
 
@@ -69,26 +71,39 @@ def _once(grid):
     return [(1.0, 0.0 + 0.0j)]
 
 
+def _xi_rows(*lines):
+    """The prepare step of a family whose Xi sides take rho on lines:
+    every cell's start-batch rows on each line, one grouped series per
+    line."""
+    return lambda points, zeros: prepare_xi_sides(points, lines)
+
+
 # family -> (cells: the (alpha, z) points it runs at on a grid, run: its
 # reports at one point, given the run's zeros, prepare: None, or a step
 # that fills caches for the (alpha, z) points of its cells, given the
 # run's zeros), in battery order.  Each run and step names its function
 # when called, so a module attribute rebound after import (a tracer's
-# wrapper, a test's stub) is the one used.
+# wrapper, a test's stub) is the one used.  A family whose cells take
+# 1F1 rows at many w sums them in its prepare step, one grouped series
+# per line: the Xi families their start batches' rows, rhl its zero
+# sums'.  digamma's cells take one w, aux's no grid at all.
 _FAMILIES = {
-    "theta": (_each_point, lambda p, tol, x: [verify_theta(p, tol)], None),
-    "hardy": (_each_point, lambda p, tol, x: [verify_hardy(p, tol)], None),
+    "theta": (_each_point, lambda p, tol, x: [verify_theta(p, tol)],
+              _xi_rows(CRITICAL_LINE)),
+    "hardy": (_each_point, lambda p, tol, x: [verify_hardy(p, tol)],
+              _xi_rows(CRITICAL_LINE)),
     "ferrar": (_each_point, lambda p, tol, x: [verify_ferrar(p, tol)],
-               None),
+               _xi_rows(CRITICAL_LINE)),
     "ramanujan": (_each_point,
-                  lambda p, tol, x: [verify_ramanujan_bose(p, tol)], None),
+                  lambda p, tol, x: [verify_ramanujan_bose(p, tol)],
+                  _xi_rows(BOSE_LINE)),
     "digamma": (_each_alpha,
                 lambda p, tol, x: [verify_ramanujan_digamma(p.alpha, tol)],
                 None),
     "lineint": (_each_point,
-                lambda p, tol, x: [verify_line_integral(p, tol)], None),
+                lambda p, tol, x: [verify_line_integral(p, tol)],
+                _xi_rows(CRITICAL_LINE, CONTOUR_LINE)),
     "aux": (_once, lambda p, tol, x: aux_checks(tol), None),
-    # the zero sums' 1F1 rows of every cell in one grouped series
     "rhl": (_each_point, lambda p, tol, zeros: [verify_rhl(p, zeros, tol)],
             lambda points, zeros: prepare_rhl(points, zeros)),
 }
@@ -288,12 +303,14 @@ def _fork_shards(shards, extra):
 
 def shard_tasks(tasks, workers):
     """Split the indices of tasks into at most `workers` shards of whole
-    w = z^2/4 groups, each in ascending order.
+    +-w groups, w = z^2/4, each in ascending order.
 
-    Every 1F1 row an Xi side or zero sum takes depends on w (or -w) alone
-    and is cached per process, so a worker that runs a whole w group sums
-    each of its rows once.  z and -z, and imaginary parts of either zero
-    sign, give one w.  A group larger than the share ceil(n / workers) is
+    Every 1F1 row an Xi side or zero sum takes is at w or -w and is
+    cached per process, and the rows at w and -w come from one series
+    (xikernel._row_cache), so a worker that runs a whole +-w group sums
+    each of its series once.  A group is keyed by w^2, the same at w and
+    -w: z, -z, iz and -iz, and imaginary parts of either zero sign, give
+    one group.  A group larger than the share ceil(n / workers) is
     cut into pieces of that size, so a grid of one w still spreads; the
     pieces go largest first to the shard with the fewest cells, so shard
     sizes differ by at most the share.
@@ -301,7 +318,8 @@ def shard_tasks(tasks, workers):
     share = -(-len(tasks) // workers)
     groups = {}
     for i, (_kind, _alpha, z, _tol) in enumerate(tasks):
-        groups.setdefault(0.25 * z * z, []).append(i)
+        w = 0.25 * z * z
+        groups.setdefault(w * w, []).append(i)
     pieces = sorted((g[k:k + share] for g in groups.values()
                      for k in range(0, len(g), share)), key=len, reverse=True)
     shards = [[] for _ in range(workers)]
@@ -443,7 +461,7 @@ def build_parser():
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for grid evaluation (at most "
                              "one per task and one per usable CPU); each "
-                             "takes one shard of whole z^2/4 groups")
+                             "takes one shard of whole +-z^2/4 groups")
     return parser
 
 
@@ -491,8 +509,8 @@ def main(argv=None):
     tasks = build_tasks(args.identity, grid, args.tol, zeros)
 
     # no more workers than can run at once, and none where the platform
-    # cannot fork.  Each worker runs one shard of whole w groups, so two
-    # workers sum the same 1F1 row only where a group was cut; a forked
+    # cannot fork.  Each worker runs one shard of whole +-w groups, so two
+    # workers sum the same 1F1 series only where a group was cut; a forked
     # child inherits the zeros, and the reports go back in task order
     workers = min(args.jobs, len(tasks), _usable_cpus())
     if workers > 1 and hasattr(os, "fork"):

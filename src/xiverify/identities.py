@@ -28,7 +28,9 @@ weight that does not depend on (alpha, z), tabulated once per process on
 shared double-exponential nodes (quad.NodeTable), against a kernel that
 does, one kernel call per level of the rule (quad.integrate_tabulated).
 A Xi side's kernel is xikernel.rho_rows, whose 1F1 rows do not depend
-on alpha and are cached per process by (z^2/4, line, node batch).
+on alpha and are cached per process by (z^2/4, line, node batch); a
+family's prepare step sums the start batch's rows of all its cells in
+one grouped series per line (prepare_xi_sides).
 Physical and Xi sides share that rule and nothing else.
 Every verifier hands _report one (value, diagnostics) record per side.
 A quadrature side's record comes from _quad_side, and its abs_error is
@@ -194,6 +196,23 @@ def reset_caches():
             obj.clear()
 
 
+# the lines c +- ikt the Xi sides take rho on: s = (1 +- it)/2 (theta,
+# digamma, hardy, ferrar, the line integral's real axis), Bose's
+# (3 +- it)/2 and the contour's 1/2 +- it
+CRITICAL_LINE = (0.5, 0.5)
+BOSE_LINE = (1.5, 0.5)
+CONTOUR_LINE = (0.5, 1.0)
+
+
+def prepare_xi_sides(points, lines):
+    """Sum the 1F1 rows the Xi sides on lines take on their rule's
+    start batch at each (alpha, z) of points, in grouped series, into
+    xikernel's row cache (xikernel.prepare_rho_rows).  The
+    reports keep their bits."""
+    xikernel.prepare_rho_rows([z for _alpha, z in points], lines,
+                              quad.start_nodes())
+
+
 def _xi_side(params, c, k, table, tol):
     """int_{-inf}^{inf} W(t) rho(alpha, z, c + ikt) dt, folded onto the
     half line: W is tabulated in table, one row if it is even, else W(t)
@@ -254,7 +273,7 @@ def verify_theta(params, tol):
                                - np.exp(z * z / 8.0) * sum_a)
     side_beta = np.sqrt(b) * (np.exp(z * z / 8.0) / (2.0 * b)
                               - np.exp(-z * z / 8.0) * sum_b)
-    res = _xi_side(params, 0.5, 0.5, _XI_NABLA, qtol)
+    res = _xi_side(params, *CRITICAL_LINE, _XI_NABLA, qtol)
     return _report("theta", params, {
         "alpha_series": (side_alpha, {"path": "numseries.theta_sum"}),
         "beta_series": (side_beta, {"path": "numseries.cosh_theta_sum"}),
@@ -286,7 +305,7 @@ def verify_ramanujan_digamma(alpha, tol):
                              / (2.0 * x) + s)
 
     side_alpha, side_beta = series_side(a), series_side(b)
-    res = _xi_side(params, 0.5, 0.5, _XI_DIGAMMA, 2.0 * qtol)
+    res = _xi_side(params, *CRITICAL_LINE, _XI_DIGAMMA, 2.0 * qtol)
     return _report("digamma", params, {
         "alpha_series": (side_alpha, {"path": "numseries.lambda_sum"}),
         "beta_series": (side_beta, {"path": "numseries.lambda_sum"}),
@@ -308,7 +327,7 @@ def verify_hardy(params, tol):
     """
     qtol = 0.25 * tol
     side_a, side_b = _gaussian_twin(params, _PHI_HARDY, 1.0, qtol)
-    res = _xi_side(params, 0.5, 0.5, _XI_HARDY, qtol)
+    res = _xi_side(params, *CRITICAL_LINE, _XI_HARDY, qtol)
     return _report("hardy", params, {
         "alpha_integral": side_a, "beta_integral": side_b,
         "xi_integral": _quad_side(res.value, res)}, tol)
@@ -342,7 +361,7 @@ def verify_ferrar(params, tol):
     """
     qtol = 0.25 * tol
     side_a, side_b = _gaussian_twin(params, _PHI_FERRAR, 2.0 * np.pi, qtol)
-    res = _xi_side(params, 0.5, 0.5, _XI_FERRAR, qtol)
+    res = _xi_side(params, *CRITICAL_LINE, _XI_FERRAR, qtol)
     sides = {"alpha_integral": side_a, "beta_integral": side_b,
              "xi_integral": _quad_side(-res.value / (2.0 * _SQRT_PI), res,
                                        0.5 / _SQRT_PI)}
@@ -383,7 +402,7 @@ def verify_ramanujan_bose(params, tol):
     a, z = params.alpha, params.z
     qtol = 0.25 * tol
     lhs, rl, pl = _bose_left_side(a, z, qtol)
-    res = _xi_side(params, 1.5, 0.5, _XI_BOSE, qtol)
+    res = _xi_side(params, *BOSE_LINE, _XI_BOSE, qtol)
     rhs = res.value / (8.0 * np.pi ** 1.5)
     sides = {"weighted_integral": _quad_side(lhs, rl, pl),
              "xi_integral": _quad_side(rhs, res, 1.0 / (8.0 * np.pi ** 1.5))}
@@ -424,8 +443,9 @@ def _rhl_side(x, w, table, zeros, counts, path):
 def prepare_rhl(points, zeros):
     """Sum the zero-sum 1F1 rows verify_rhl(KernelParams(alpha, z), zeros,
     tol) takes at each (alpha, z) of points, at -z^2/4 on its alpha side
-    and -(iz)^2/4 on its beta side, in point order, as one grouped series
-    (numseries.prepare_zero_sums).  The reports keep their bits."""
+    and -(iz)^2/4 = z^2/4 on its beta side, in point order, as one
+    grouped series (numseries.prepare_zero_sums), in which the two are
+    one group.  The reports keep their bits."""
     zs = [complex(z) for _alpha, z in points]
     ns.prepare_zero_sums(zeros[:max(RHL_COUNTS)],
                          [w for z in zs for w in (z, 1j * z)])
@@ -484,8 +504,8 @@ def verify_line_integral(params, tol):
     qtol = 0.25 * tol
     # 4 times theta's Xi integral, and 2 times the contour's, where
     # s = 1/2 + iu with u and -u as rows, and ds = i du
-    axis = _xi_side(params, 0.5, 0.5, _XI_NABLA, qtol)
-    line = _xi_side(params, 0.5, 1.0, _XI_CONTOUR, qtol)
+    axis = _xi_side(params, *CRITICAL_LINE, _XI_NABLA, qtol)
+    line = _xi_side(params, *CONTOUR_LINE, _XI_CONTOUR, qtol)
     return _report("lineint", params, {
         "real_axis": _quad_side(4.0 * axis.value, axis, 4.0),
         "contour": _quad_side(2.0 * line.value, line, 2.0)}, tol)

@@ -84,6 +84,12 @@ def _de_start_nodes(start):
     return t
 
 
+def start_nodes():
+    """The nodes of every integral's first kernel call, read-only: a
+    cache filled on them serves the start of every integral."""
+    return _de_start_nodes(_DE_START)
+
+
 class NodeTable:
     """A weight w(t) tabulated on the double-exponential nodes of
     [0, infinity), one batch per level, each built on first use and kept
@@ -157,7 +163,7 @@ def integrate_tabulated(kernel, table, tol):
     for level in range(_DE_START, _DE_FINEST + 1):
         if level == _DE_START:
             batches = [table.batch(L) for L in range(level + 1)]
-            t = _de_start_nodes(level)
+            t = start_nodes()
         else:
             batches = [table.batch(level)]
             t = batches[0][0]

@@ -256,12 +256,17 @@ def zeta_and_prime(s):
     return _eta_series("zeta_and_prime", s, prime=True)
 
 
-def _group_rows(x, keep, ndim):
-    """x's groups at keep where x has a group axis of its own, else x."""
-    return x[keep] if np.ndim(x) == ndim and np.shape(x)[0] > 1 else x
+def _in_order(rows, order):
+    """Swap the rows of rows, whose row j holds group order[j], until
+    each group's row is its own; order is a list, swapped along."""
+    for j in range(len(order)):
+        while order[j] != j:
+            i = order[j]
+            rows[[j, i]] = rows[[i, j]]
+            order[j], order[i] = order[i], order[j]
 
 
-def _hyp_series(name, num, den, z, grouped=False):
+def _hyp_series(name, num, den, z, grouped=False, out=None):
     """Raw Taylor sum of pFq(num; den; z); the parameters and z broadcast.
 
     num and den are tuples of parameters; a 0-d one, or z, stays a numpy
@@ -295,18 +300,20 @@ def _hyp_series(name, num, den, z, grouped=False):
     full test.
 
     With grouped, the leading axis of the broadcast shape indexes groups:
-    independent series that share each term's numpy calls.  A group
-    stops at the first term where its own entries pass the full test;
-    its sum is kept and the groups still running go on alone, taking
-    their rows of every operand that has a group axis of its own (an
-    operand without one broadcasts as before).  Every operation is
+    independent series that share each term's numpy calls.  Only z may
+    have that axis (one argument per group); the parameters are shared,
+    so a + n is formed at one group's shape.  Each group has a witness
+    entry of its own, and only the groups whose witness passes take the
+    full test.  A group stops at the first term where its own entries
+    pass; its rows are swapped behind those of the groups still running,
+    which go on as the leading rows of term and total, and at the end
+    every group's sum is swapped back into its row.  With out, an array
+    of the broadcast shape, the sums are formed in it.  Every operation is
     elementwise, so each group's sum has the bits of its rows summed as
     one series, provided a group holds two entries or more: numpy
     rounds a one-element complex product by another path than a longer
     one, so a one-entry row alone and the same row among others can
-    differ in the last bit.  While two groups or more run, every term
-    takes the full test, which costs about what gathering a witness per
-    group would; the witness takes over when one group is left.
+    differ in the last bit.
     """
     num = [np.asarray(a, np.complex128)[()] for a in num]
     den = [np.asarray(c, np.complex128)[()] for c in den]
@@ -314,65 +321,109 @@ def _hyp_series(name, num, den, z, grouped=False):
     shape = np.broadcast_shapes(*map(np.shape, num), *map(np.shape, den),
                                 np.shape(z))
     term = np.ones(shape, dtype=np.complex128)
-    total = term.copy()
-    # live: the rows of out the running groups fill, None for one series
-    live, out, slow = None, total, 0
-    if grouped:
-        live, out = np.arange(shape[0]), np.empty_like(total)
-        slow = 0 if len(live) == 1 else None
+    if out is None:
+        total = term.copy()
+    else:
+        total = out
+        total[...] = 1.0
     real = all(type(c) is np.complex128 and c.imag == 0.0 for c in den)
     if real:
         den = [float(c.real) for c in den]
-    parts = term.reshape(-1).view(np.float64) if real else None
-    step = np.empty_like(term)
-    mag = np.empty(shape)
-    bound = np.empty(shape)
-    witness_tol = 2.0 * _SERIES_RELTOL
-    for n in range(_SERIES_MAX_TERMS):
-        for a in num:
-            np.add(a, n, out=step)
-            term *= step
-        term *= z
-        d = n + 1.0
-        for c in den:
-            d = (c + n) * d
-        if parts is None:
-            term /= d
-        else:
-            parts *= 1.0 / d
-        total += term
-        if slow is not None and abs(term.item(slow)) >= witness_tol * max(
-                abs(total.item(slow)), 1e-300):
-            continue
-        np.abs(total, out=bound)
+    group = shape[1:] if grouped else shape
+    step = np.empty(np.broadcast_shapes(*map(np.shape, num), group),
+                    np.complex128)
+    mag, bound = np.empty(group), np.empty(group)
+
+    def full_test(t, s):
+        """None when every entry of one group's t and s passes, else the
+        group's new witness: its entry furthest from passing."""
+        np.abs(s, out=bound)
         np.maximum(bound, 1e-300, out=bound)
-        bound *= _SERIES_RELTOL
-        np.abs(term, out=mag)
-        passed = mag < bound
-        if passed.all():
-            if live is None:
-                return total
-            out[live] = total
-            return out
-        if slow is None:
-            stops = passed.reshape(len(live), -1).all(axis=1)
-            if not stops.any():
+        np.multiply(bound, _SERIES_RELTOL, out=bound)
+        np.abs(t, out=mag)
+        if (mag < bound).all():
+            return None
+        return int(np.divide(mag, bound, out=mag).argmax())
+
+    # rows 0..m-1 of term and total run; row j holds group order[j], and
+    # slow[j] is its witness, an index among a group's `size` entries
+    m = shape[0] if grouped else 1
+    size = term.size // m
+    order, slow = list(range(m)), [0] * m
+    z_moves = grouped and np.ndim(z) == len(shape) and m > 1
+    if z_moves:
+        z = z.copy()
+    if m > 1:
+        # each row's witness entries of term and total, gathered every
+        # term from the flat indices `at`
+        at = np.arange(0, term.size, size)
+        flat_t, flat_s = term.reshape(-1), total.reshape(-1)
+        wit_t, wit_s = wit = np.empty((2, m), np.complex128)
+        abs_t, abs_s = absw = np.empty((2, m))
+        skip = np.empty(m, bool)
+    witness_tol = 2.0 * _SERIES_RELTOL
+    n = -1
+    while m:
+        run_t, run_s = (term[:m], total[:m]) if grouped else (term, total)
+        run_z = z[:m] if z_moves else z
+        parts = run_t.reshape(-1).view(np.float64) if real else None
+        k, lone = slow[0], (term[0], total[0]) if grouped else (term, total)
+        running = skip[:m] if m > 1 else None
+        stops = []
+        for n in range(n + 1, _SERIES_MAX_TERMS):
+            for a in num:
+                np.add(a, n, out=step)
+                run_t *= step
+            run_t *= run_z
+            d = n + 1.0
+            for c in den:
+                d = (c + n) * d
+            if parts is None:
+                run_t /= d
+            else:
+                parts *= 1.0 / d
+            run_s += run_t
+            if m == 1:
+                if abs(run_t.item(k)) >= witness_tol * max(
+                        abs(run_s.item(k)), 1e-300):
+                    continue
+                k = full_test(*lone)
+                if k is None:
+                    stops.append(0)
+                    break
                 continue
-            out[live[stops]] = total[stops]
-            keep = ~stops
-            live = live[keep]
-            term, total, mag, bound = (term[keep], total[keep], mag[keep],
-                                       bound[keep])
-            num = [_group_rows(a, keep, len(shape)) for a in num]
-            den = [_group_rows(c, keep, len(shape)) for c in den]
-            z = _group_rows(z, keep, len(shape))
-            parts = term.reshape(-1).view(np.float64) if real else None
-            step = np.empty_like(term)
-            if len(live) > 1:
+            flat_t.take(at, out=wit_t)
+            flat_s.take(at, out=wit_s)
+            np.abs(wit, out=absw)
+            np.maximum(abs_s, 1e-300, out=abs_s)
+            abs_s *= witness_tol
+            np.greater_equal(abs_t, abs_s, out=skip)
+            if np.count_nonzero(running) == m:
                 continue
-        slow = int(np.divide(mag, bound, out=mag).argmax())
-    raise ValueError("%s: series did not converge in %d terms"
-                     % (name, _SERIES_MAX_TERMS))
+            for j in (~running).nonzero()[0].tolist():
+                slow[j] = full_test(run_t[j], run_s[j])
+                if slow[j] is None:
+                    stops.append(j)
+                else:
+                    at[j] = j * size + slow[j]
+            if stops:
+                break
+        else:
+            raise ValueError("%s: series did not converge in %d terms"
+                             % (name, _SERIES_MAX_TERMS))
+        # each stopped group's row goes behind the running ones
+        for j in reversed(stops):
+            m -= 1
+            if j != m:
+                term[j] = term[m]
+                total[[j, m]] = total[[m, j]]
+                if z_moves:
+                    z[[j, m]] = z[[m, j]]
+                order[j], order[m] = order[m], order[j]
+                slow[j], slow[m] = slow[m], slow[j]
+                at[j] = j * size + slow[j]
+    _in_order(total, order)
+    return total
 
 
 def hyp1f1(a, c, z, grouped=False):
@@ -393,8 +444,11 @@ def hyp1f1(a, c, z, grouped=False):
     imaginary axis.
 
     a, c, z broadcast; c must avoid nonpositive integers.  With grouped,
-    the leading axis of the broadcast shape indexes independent series,
-    each with the bits of its rows summed alone (_hyp_series).
+    z holds one argument per group along its leading axis, and a and c
+    are shared by every group.  The groups at Re z >= 0 are summed as one
+    grouped series in a, those at Re z < 0 as one in c - a, so each
+    parameter is formed at its own shape; every group has the bits of
+    its rows summed alone (_hyp_series).
     """
     cc, scalar_c = _split(c, np.complex128)
     _require_finite("hyp1f1", cc, "parameter c")
@@ -409,11 +463,30 @@ def hyp1f1(a, c, z, grouped=False):
         raise ValueError("hyp1f1: |z| = %.6g outside the working range "
                          "|z| <= 50" % zmax)
     neg = zz.real < 0.0
+    arg = np.where(neg, -zz, zz)
+    if not grouped:
+        series = _hyp_series("hyp1f1", (np.where(neg, cc - aa, aa),), (cc,),
+                             arg)
+    else:
+        if zz.ndim == 0 or zz.size != len(zz):
+            raise ValueError("hyp1f1: grouped takes one z per group")
+        # the groups at Re z >= 0 first, each parameter's series summing
+        # into its own rows of one array, then every row put in its place
+        kummer = neg.reshape(-1)
+        order = np.argsort(kummer, kind="stable")
+        split = len(zz) - np.count_nonzero(kummer)
+        series = np.empty(np.broadcast_shapes(aa.shape, cc.shape, zz.shape),
+                          np.complex128)
+        for rows, param in ((slice(split), aa), (slice(split, None),
+                                                 cc - aa)):
+            if order[rows].size:
+                _hyp_series("hyp1f1", (param,), (cc,), arg[order[rows]],
+                            True, series[rows])
+        _in_order(series, order.tolist())
     # e^z first: numpy's complex product may fuse a multiply-add, so the
     # operand order fixes the last bit
-    out = np.where(neg, np.exp(zz), 1.0) * _hyp_series(
-        "hyp1f1", (np.where(neg, cc - aa, aa),), (cc,), np.where(neg, -zz, zz),
-        grouped)
+    out = np.multiply(np.where(neg, np.exp(zz), 1.0), series,
+                      out=series if grouped else None)
     return _merge(out, scalar_a and scalar_c and scalar_z)
 
 

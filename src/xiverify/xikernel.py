@@ -18,11 +18,16 @@ per-process LRU cache keeps, one entry per (w, c, k, node batch).
 rho_rows takes them at w = z^2/4 for every Xi side and the
 inverse-Mellin check, and numseries' zero sums at w = -z^2/4 on
 s = 1/2 +- i gamma.  Only the power x^(1/2-s) depends on x, so every
-alpha, every family on one line, and z and -z share one series.
-prepare_rho_series sums the rows of many w on one batch as the groups
-of one series, each with the bits of its own series; rhl's prepare step
-takes it for every zero sum of a run, whose rows are too short for
-their own series to cost less than its per-term numpy calls.  The
+alpha, every family on one line, and z and -z share one series; on a
+line with c = 1/2 Kummer's transformation gives the rows at w and -w
+from one series too (_row_cache).  prepare_rho_series and
+prepare_rho_rows sum the rows of many w on one batch as the groups of
+one series per line and parameter (two on a line with c != 1/2, whose
+rows at Re w < 0 take Kummer's parameter), each with the bits of its
+own series.  cli's
+prepare steps take them for the start batch of every Xi side of a run
+and for every zero sum, so a run's rows cost a few Taylor loops: a
+loop's cost is its per-term numpy calls more than its entries.  The
 exponents 1/2 - s of that power are kept too, per (c, k, node batch)
 (_power_exponents), so a warm rho_rows call forms x's power, e^(-w/2)
 and their product with the rows, and nothing else.
@@ -150,20 +155,28 @@ def _row_cache(maxsize):
     returns 1F1((1-s)/2; 1/2; w) at s = c +- ikt for the batch of t whose
     float64 bytes are nodes, read-only, summed through the module's
     hyp1f1 binding on a miss.  The batch is part of the key because a
-    series stops only when its whole batch has converged: rows taken
-    from a larger or smaller batch could differ in their last bits.  For
+    series stops only when its whole batch has converged: rows taken from
+    a larger or smaller batch could differ in their last bits.  For
     real z, z and -z give w imaginary parts of opposite zero sign; the
     keys compare equal and the rows come out the same bits.
 
-    Its fill(ws, c, k, shape, nodes) makes the first maxsize // 2
-    distinct w of ws inside hyp1f1's range (finite, |w| <= 50) the most
-    recent keys, summing those not cached as the groups of one series
-    (each with the bits of its rows summed alone) and storing them in
-    the order of ws.  Later w are left out, so no key of a fill is
-    evicted before maxsize // 2 other keys are stored, and so is every
-    w of a one-node batch, whose one-entry rows are never grouped.  If
-    the series raises, nothing is stored.  A key a fill sums counts as
-    a miss, one it finds cached as a hit.
+    hyp1f1 sums the rows at Re w < 0 as e^w 1F1(1/2 - a; 1/2; -w), a the
+    rows' parameters (1-s)/2.  Where 1/2 - a is bitwise a with its two
+    rows swapped, as on every line with c = 1/2, that series is the
+    series of the rows at -w, rows swapped.  There the rows at w are
+    taken as e^w times the rows at -w swapped, the bits hyp1f1 gives at
+    w: from the cache if it holds the rows at -w, else from the series
+    at -w, which in a fill serves both where both are asked for.
+
+    Its fill(ws, lines, shape, nodes) makes the first maxsize // 2 keys
+    (w, line) of the distinct w of ws inside hyp1f1's range (finite,
+    |w| <= 50), each on every line (c, k) of lines, the most recent
+    keys, summing those not cached as one grouped series per line and
+    storing them in the order of ws.  Later keys are left out, so no key
+    of a fill is evicted before maxsize // 2 other keys are stored, and
+    so is every w of a one-node batch, whose one-entry rows are never
+    grouped.  A line whose series raises stores nothing.  A key a fill
+    stores counts as a miss, one it finds cached as a hit.
     """
     cache = OrderedDict()
     hits = misses = 0
@@ -174,42 +187,67 @@ def _row_cache(maxsize):
         if len(cache) > maxsize:
             cache.popitem(last=False)
 
+    def sum_rows(ws, line):
+        """Store the rows of each w of ws on line, none of them cached,
+        from one series per distinct argument, and return them."""
+        nonlocal misses
+        c, k, shape, nodes = line
+        a = 0.5 * (1.0 - _line(c, k, np.frombuffer(nodes).reshape(shape)))
+        swaps = (0.5 - a).tobytes() == a[::-1].tobytes()
+        flips = {w: swaps and w.real < 0.0 for w in ws}
+        found = {}
+        for w, flip in flips.items():
+            found.setdefault(-w if flip else w, None)
+        for u in found:
+            found[u] = cache.get((u,) + line)
+        todo = [u for u, rows in found.items() if rows is None]
+        if len(todo) == 1:
+            found[todo[0]] = hyp1f1(a, 0.5, todo[0])
+        elif todo:
+            found.update(zip(todo, hyp1f1(
+                a, 0.5, np.reshape(todo, (-1,) + (1,) * a.ndim),
+                grouped=True)))
+        out = []
+        for w, flip in flips.items():
+            u = -w if flip else w
+            rows = found[u]
+            if flip:
+                # contiguous, as the product in hyp1f1 takes its series;
+                # into the series' own rows where no key asks for them
+                spare = u in todo and u not in flips
+                rows = np.multiply(np.exp(w), rows[::-1].copy(),
+                                   out=rows if spare else None)
+            store((w,) + line, rows)
+            out.append(rows)
+        misses += len(ws)
+        return out
+
     def rows_at(w, c, k, shape, nodes):
-        nonlocal hits, misses
+        nonlocal hits
         key = (w, c, k, shape, nodes)
         rows = cache.get(key)
         if rows is not None:
             hits += 1
             cache.move_to_end(key)
             return rows
-        misses += 1
-        s = _line(c, k, np.frombuffer(nodes).reshape(shape))
-        rows = hyp1f1(0.5 * (1.0 - s), 0.5, w)
-        store(key, rows)
-        return rows
+        return sum_rows([w], key[1:])[0]
 
-    def fill(ws, c, k, shape, nodes):
-        nonlocal hits, misses
-        t = np.frombuffer(nodes).reshape(shape)
-        if t.size < 2:
+    def fill(ws, lines, shape, nodes):
+        nonlocal hits
+        if np.frombuffer(nodes).size < 2:
             return
         # NaN fails the range test too
         keys = [(w, c, k, shape, nodes) for w in dict.fromkeys(ws)
-                if abs(w) <= 50.0][:maxsize // 2]
-        new = []
+                if abs(w) <= 50.0 for c, k in lines][:maxsize // 2]
+        new = {}
         for key in keys:
             if key in cache:
+                hits += 1
                 cache.move_to_end(key)
             else:
-                new.append(key)
-        hits += len(keys) - len(new)
-        if new:
-            s = _line(c, k, t)
-            w = np.reshape([key[0] for key in new], (-1,) + (1,) * s.ndim)
-            rows = hyp1f1(0.5 * (1.0 - s), 0.5, w, grouped=True)
-            misses += len(new)
-            for key, r in zip(new, rows):
-                store(key, r)
+                new.setdefault(key[1:], []).append(key[0])
+        for line, line_ws in new.items():
+            sum_rows(line_ws, line)
 
     def cache_info():
         return _CacheInfo(hits, misses, maxsize, len(cache))
@@ -239,10 +277,27 @@ def rho_series(w, c, k, t):
 
 def prepare_rho_series(ws, c, k, t):
     """Sum the rows rho_series(w, c, k, t) returns for each w of ws as
-    one grouped series into its cache, within the limits of the cache's
-    fill; rho_series then finds the bits an uncached call sums."""
+    the groups of one series per parameter into its cache, within the
+    limits of the cache's fill (_row_cache); rho_series then finds the
+    bits an uncached call sums."""
     tv = np.asarray(t, np.float64)
-    _rho_series_rows.fill(ws, c, k, tv.shape, tv.tobytes())
+    _rho_series_rows.fill(ws, [(c, k)], tv.shape, tv.tobytes())
+
+
+def _rho_argument(z):
+    """z^2/4, the argument of rho's 1F1 rows at z."""
+    zc = complex(z)
+    return 0.25 * zc * zc
+
+
+def prepare_rho_rows(zs, lines, t):
+    """Sum the 1F1 rows rho_rows(x, z, c, k, t) takes, for any x, at each
+    z of zs on each line (c, k) of lines into rho_series' cache, as
+    prepare_rho_series does on each line, within the limits of one
+    fill."""
+    tv = np.asarray(t, np.float64)
+    _rho_series_rows.fill([_rho_argument(z) for z in zs], lines, tv.shape,
+                          tv.tobytes())
 
 
 # A key's exponents take what its rows take, 10 KB at a start batch.  The
@@ -273,8 +328,7 @@ def rho_rows(x, z, c, k, t):
         raise ValueError("rho_rows: x must be positive")
     tv = np.asarray(t, np.float64)
     key = (c, k, tv.shape, tv.tobytes())
-    zc = complex(z)
-    w = 0.25 * zc * zc
+    w = _rho_argument(z)
     return (np.exp(_power_exponents(*key) * np.log(x)) * np.exp(-0.5 * w)
             * _rho_series_rows(w, *key))
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import xiverify
-from xiverify import cli, identities, xikernel
+from xiverify import cli, identities, specfun
 from xiverify.specfun import mobius_sieve
 
 SAMPLE_ZEROS = pathlib.Path(xiverify.__file__).parent / "data" / "zeros_sample.txt"
@@ -115,21 +115,25 @@ def fresh_caches():
 
 @pytest.fixture
 def summed_rows(monkeypatch):
-    """A Counter of the 1F1 rows xikernel's row cache sums from here on,
-    one count per cache key summed: a hyp1f1 call through xikernel's
-    binding sums one key, a grouped call one per group.  A key is
-    (w, bytes of a), a naming the line and batch; w compares as the
-    cache's keys do, so z and -z, and either sign of a zero part, count
-    as one key."""
+    """A Counter of the Taylor series specfun._hyp_series sums from here
+    on, one count per key (series argument, parameters): a call sums one
+    key, a grouped call one per group.  For a 1F1 row pair the
+    parameters are the bytes of a, or of 1/2 - a where hyp1f1 takes
+    Kummer's transformation, naming the line and batch; the rows at w
+    and -w that xikernel takes from one series count once.  The argument
+    compares as the row cache's keys do, so either sign of a zero part
+    counts as one key."""
     counts = collections.Counter()
-    series = xikernel.hyp1f1
+    series = specfun._hyp_series
 
-    def counted(a, c, w, grouped=False):
-        counts.update((complex(v), a.tobytes())
-                      for v in (np.ravel(w) if grouped else [w]))
-        return series(a, c, w, grouped)
+    def counted(name, num, den, z, grouped=False, out=None):
+        params = b"".join(np.asarray(a, np.complex128).tobytes()
+                          for a in num)
+        counts.update((complex(v), params)
+                      for v in (np.ravel(z) if grouped else [z]))
+        return series(name, num, den, z, grouped, out)
 
-    monkeypatch.setattr(xikernel, "hyp1f1", counted)
+    monkeypatch.setattr(specfun, "_hyp_series", counted)
     return counts
 
 

@@ -24,7 +24,9 @@ RuntimeWarning is an error (pyproject.toml), in forked workers too.
 
 import collections
 import importlib
+import importlib.util
 import json
+import pathlib
 import pkgutil
 
 import pytest
@@ -34,6 +36,17 @@ from xiverify import cli, identities, quad
 from xiverify.zeros import prepare_zeros
 
 TOL = 1e-8  # the CLI's default --tol
+
+
+def _xi_sweep_grid(seed):
+    """The xi_sweep workload's grid at seed, from perfbench/grid.py: the
+    box's 12 anchors and 36 seeded points."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "grid.py"
+    spec = importlib.util.spec_from_file_location("perfbench_grid", path)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    return [(a, complex(re, im)) for a, re, im in grid.make_grid(seed, 36)]
+
 
 # None is the CLI's built-in grid
 GRIDS = {
@@ -71,10 +84,12 @@ GRIDS = {
     "rhl_edges": [(1.0, 1.0 + 0.5j), (2.0, -1.0 - 0.5j), (0.5, 2j),
                   (0.8, -2j), (1.25, 1.0 + 0.5j), (1.0, 15.0 + 0j),
                   (1.0, -0.5 + 1j), (1e-5, 2.0 + 0j)],
-    # 150 distinct z^2/4, two row-cache keys each (-z^2/4 and z^2/4), more
-    # than the cache's 256, then the first 20 points again
+    # 150 distinct z^2/4, two row-cache keys each (-z^2/4 and z^2/4, from
+    # one series), more than the cache's 256, then the first 20 points
+    # again
     "rhl_wide": [(0.5 + 0.01 * k, complex(0.5 + k / 100.0, (k % 7) / 10.0))
                  for k in [*range(150), *range(20)]],
+    **{"xi_sweep_%d" % seed: _xi_sweep_grid(seed) for seed in (1, 2, 3)},
 }
 XI_FAMILIES = ("theta", "hardy", "ramanujan", "lineint")
 
@@ -197,9 +212,12 @@ def test_rhl_past_the_row_cache_sums_no_row_more_often(run, separate,
                                                        summed_rows,
                                                        monkeypatch):
     # rhl_wide's 300 zero-sum keys overflow the row cache: the prepare
-    # step fills the first 128, the cells sum the rest.  Against the
-    # cells summing every row themselves (no prepare step), the bytes are
-    # the same and no row is summed more often
+    # step fills the first 128, the cells sum the rest.  Each key's -w
+    # is a key too, and the step sums both from one series.  Against the
+    # cells summing every row themselves (no prepare step), where a
+    # cell's two sides sum the series at +-w apart, and again for the
+    # points run twice, the bytes are the same and no series is summed
+    # more often
     want = separate("rhl", "rhl_wide")
     assert want[0] == 0
     identities.reset_caches()
@@ -211,9 +229,29 @@ def test_rhl_past_the_row_cache_sums_no_row_more_often(run, separate,
     identities.reset_caches()
     summed_rows.clear()
     assert run("rhl", "rhl_wide") == want
-    assert len(summed_rows) == 300 and prepared.keys() == summed_rows.keys()
-    assert max(summed_rows.values()) == 2
+    assert len(summed_rows) == 150 and prepared.keys() == summed_rows.keys()
+    assert max(summed_rows.values()) == 4
     assert all(prepared[key] <= n for key, n in summed_rows.items())
+
+
+# every family with a prepare step, on the grids it fills rows for
+PREPARED = [(f, g) for f in ("theta", "hardy", "ferrar", "ramanujan",
+                             "lineint")
+            for g in ("xi_sweep_1", "xi_sweep_2", "xi_sweep_3", "dense")]
+PREPARED.append(("rhl", "rhl_edges"))
+
+
+@pytest.mark.parametrize("family,grid", PREPARED,
+                         ids=["-".join(p) for p in PREPARED])
+def test_prepare_step_keeps_the_bytes(family, grid, run, separate,
+                                      monkeypatch):
+    # the prepare step only sums ahead what the cells would sum: the run
+    # without it writes the same bytes
+    want = separate(family, grid)
+    monkeypatch.setitem(cli._FAMILIES, family, cli._FAMILIES[family][:2]
+                        + (None,))
+    identities.reset_caches()
+    assert run(family, grid) == want
 
 
 def test_moebius_levels_fail_only_past_the_table(separate):

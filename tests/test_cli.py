@@ -498,8 +498,8 @@ _SHARD_ZS = (0.0, 1.0, 2j, 1.0 + 0.5j, 3.0)
 
 
 class TestShardTasks:
-    """cli.shard_tasks: whole w = z^2/4 groups per worker, cut only past
-    the share ceil(n / workers)."""
+    """cli.shard_tasks: whole +-w groups per worker, w = z^2/4, cut only
+    past the share ceil(n / workers)."""
 
     @staticmethod
     def check(tasks, workers):
@@ -511,7 +511,8 @@ class TestShardTasks:
         where = {i: k for k, s in enumerate(shards) for i in s}
         groups = {}
         for i, task in enumerate(tasks):
-            groups.setdefault(0.25 * task[2] * task[2], []).append(i)
+            w = 0.25 * task[2] * task[2]
+            groups.setdefault(w * w, []).append(i)
         for group in groups.values():
             touched = {where[i] for i in group}
             assert len(touched) <= -(-len(group) // share)
@@ -562,15 +563,17 @@ class TestShardTasks:
 
     def test_no_row_is_summed_twice(self, summed_rows, fresh_caches,
                                     zero_records):
-        # every family over 8 points and 4 distinct w, rhl's zero sums in
-        # one grouped series per shard: each shard, run from reset caches
-        # as a fresh worker would, sums each row once, and only rows no
-        # other shard sums, so together they sum the rows of one serial
-        # run once each.  Dealing the tasks round robin (the order of a
-        # one-task-per-round-trip map) splits every w group and sums rows
+        # every family over 10 points and 4 distinct +-w, each family's
+        # rows in one grouped series per line and shard: each shard, run
+        # from reset caches as a fresh worker would, sums each series
+        # once, and only series no other shard sums, so together they sum
+        # the series of one serial run once each.  1 + 0.5i and -0.5 + i
+        # take their rows at w and -w, from one series, so they share a
+        # shard.  Dealing the tasks round robin (the order of a
+        # one-task-per-round-trip map) splits every group and sums series
         # in both shards.
         grid = [(a, complex(z)) for a in (0.5, 2.0)
-                for z in (1.0, 2j, 1.0 + 0.5j, -1.0)]
+                for z in (1.0, 2j, 1.0 + 0.5j, -1.0, -0.5 + 1j)]
         zeros = zero_records[:10]
         tasks = cli.build_tasks("all", grid, 1e-8, zeros)
 
@@ -585,7 +588,9 @@ class TestShardTasks:
             return per_shard
 
         serial, = rows([range(len(tasks))])
-        assert len({w for w, _ in serial}) == 7
+        # the rows' series at 1/4, 1 and 0.1875+0.25i (each of them also at
+        # -w), and aux's at 0 and +-1/16
+        assert len({w for w, _ in serial}) == 6
         assert sum(rows(cli.shard_tasks(tasks, 2)),
                    collections.Counter()) == serial
         split = sum(rows([range(len(tasks))[k::2] for k in (0, 1)]),
@@ -726,9 +731,31 @@ class TestFamilyTable:
         assert [(p.alpha, p.z, tol) for p, tol in calls] == [
             (2.0, 1.0 + 0.0j, 1e-8)]
 
-    def test_only_rhl_has_a_prepare_step(self):
+    def test_families_with_a_prepare_step(self):
+        # every family whose cells take 1F1 rows at many w
         assert [kind for kind, entry in cli._FAMILIES.items()
-                if entry[2] is not None] == ["rhl"]
+                if entry[2] is not None] == ["theta", "hardy", "ferrar",
+                                             "ramanujan", "lineint", "rhl"]
+
+    @pytest.mark.parametrize("family", ["theta", "hardy", "ferrar",
+                                        "ramanujan", "lineint", "rhl"])
+    def test_prepare_step_sums_every_row_its_cells_take(
+            self, family, summed_rows, fresh_caches, zero_records,
+            monkeypatch):
+        # on the default grid no Xi side refines past its start batch, so
+        # once the step has run, the family's cells sum no series at all
+        name = "prepare_rhl" if family == "rhl" else "prepare_xi_sides"
+        prepare, after = getattr(cli, name), []
+
+        def recorded(*args):
+            prepare(*args)
+            after.append(collections.Counter(summed_rows))
+
+        monkeypatch.setattr(cli, name, recorded)
+        zeros = zero_records[:10]
+        cli._run_shard(cli.build_tasks(family, default_grid(), 1e-8, zeros),
+                       zeros)
+        assert len(after) == 1 and after[0] and summed_rows == after[0]
 
     def test_prepare_step_runs_before_the_first_rhl_cell(self, monkeypatch,
                                                          zero_records):

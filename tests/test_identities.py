@@ -784,13 +784,26 @@ class TestRhoRowCache:
         assert counts == {"sides": 125, "series": 12}
 
     def test_families_in_one_process_sum_each_row_once(self, tmp_path,
-                                                        summed_rows):
-        # the benchmark box's 12 anchors and 36 seeded points: 39 distinct
-        # z^2/4 on 3 lines (theta's and hardy's, Bose's, the contour's).
-        # theta, hardy, ramanujan and lineint in turn in one process sum
-        # each (w, line, batch) once, and every family writes the bytes it
-        # writes from a cold cache
-        from xiverify import cli, xikernel
+                                                        summed_rows,
+                                                        fresh_caches,
+                                                        monkeypatch):
+        # the benchmark box's 12 anchors and 36 seeded points (xi_sweep's
+        # grid at seed 1): 39 distinct z^2/4 on 3 lines (theta's and
+        # hardy's, Bose's, the contour's).  theta, hardy, ramanujan and
+        # lineint in turn in one fresh process sum each (series argument,
+        # line, batch) once, in 4 Taylor loops: one grouped series per
+        # line from the prepare steps, two on Bose's line, whose rows at
+        # Re w < 0 take 1/2 - a.  Every family writes the bytes it writes
+        # from a cold cache
+        from xiverify import cli, specfun, xikernel
+        loops = []
+        series = specfun._hyp_series
+
+        def counted(*args):
+            loops.append(np.shape(args[3]))
+            return series(*args)
+
+        monkeypatch.setattr(specfun, "_hyp_series", counted)
         grid = tmp_path / "grid.txt"
         grid.write_text("".join(
             "%r %r %r\n" % (a, re, im) for a in (0.5, 2.0)
@@ -840,10 +853,10 @@ class TestRhoRowCache:
                       "--out", str(out)])
             return out.read_bytes()
 
-        xikernel._rho_series_rows.cache_clear()
         warm = {f: run(f, "warm") for f in families}
         assert len(summed_rows) == 117 and set(summed_rows.values()) == {1}
         assert len({w for w, _ in summed_rows}) == 39
+        assert len(loops) == 4 and sum(n for n, *_ in loops) == 117
         for f in families:
             xikernel._rho_series_rows.cache_clear()
             assert run(f, "cold") == warm[f], f
@@ -982,9 +995,11 @@ class TestRhl:
 
     def test_prepared_rows_serve_both_sides(self, zero_records,
                                             fresh_caches, summed_rows):
-        # prepare_rhl sums the rows at -z^2/4 and -(iz)^2/4 of every point;
-        # the reports then sum none and keep their cold bytes
+        # prepare_rhl sums the rows at -z^2/4 and -(iz)^2/4 = z^2/4 of
+        # every point, both from the one series at whichever of the two
+        # has Re >= 0; the reports then sum none and keep their cold bytes
         from xiverify import identities as I
+        from xiverify import xikernel
         points = [(2.0, 1.0), (0.5, 2j), (1.25, 1.0 + 0.5j), (0.8, -1.0)]
 
         def report(alpha, z):
@@ -998,9 +1013,10 @@ class TestRhl:
         fresh_caches()
         summed_rows.clear()
         I.prepare_rhl(points, zero_records)
-        assert len(summed_rows) == 6
+        assert len(summed_rows) == 3
+        assert xikernel._rho_series_rows.cache_info().currsize == 6
         assert [report(*p) for p in points] == [cold[p] for p in points]
-        assert len(summed_rows) == 6 and set(summed_rows.values()) == {1}
+        assert len(summed_rows) == 3 and set(summed_rows.values()) == {1}
 
     def test_rejects_empty_zeros(self):
         with pytest.raises(ValueError, match="at least one zero"):

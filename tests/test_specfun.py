@@ -12,10 +12,10 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xiverify import specfun
+from xiverify import quad, specfun
 from xiverify.specfun import (_SERIES_MAX_TERMS, _SERIES_RELTOL,
                               EULER_GAMMA, _hyp_series, besselk0,
                               besselk0_scaled, digamma, hyp1f1, hyp2f2_11,
@@ -274,6 +274,26 @@ _S = 0.5 * (1.0 + 1j * np.linspace(0.0, 60.0, 65))
 _A = 0.5 * (1.0 - np.concatenate([_S, 1.0 - _S]))
 
 
+def _start_batch_a(c, k):
+    """a = (1 - s)/2 at s = c +- ikt over the rule's 321 start nodes, in
+    two rows: a Xi side's first 1F1 parameters on the line (c, k)."""
+    from xiverify.xikernel import _line
+    return 0.5 * (1.0 - _line(c, k, quad.start_nodes()))
+
+
+# one w per draw (r, phase, kind, flip Re, flip Im): a point of the
+# circle |w| = r, or r on an axis, or 0, with either sign of each part
+_W_DRAWS = st.tuples(st.floats(0.0, 1.0), st.floats(-np.pi, np.pi),
+                     st.sampled_from(["any", "real", "imag", "zero"]),
+                     st.booleans(), st.booleans())
+
+
+def _drawn_w(r, phase, kind, flip_re, flip_im):
+    re, im = {"any": (r * math.cos(phase), r * math.sin(phase)),
+              "real": (r, 0.0), "imag": (0.0, r), "zero": (0.0, 0.0)}[kind]
+    return complex(-re if flip_re else re, -im if flip_im else im)
+
+
 def _zero_sum_a(n):
     """a = (1 - s)/2 at s = 1/2 +- i gamma over the first n zeros, in
     two rows: a zero sum's 1F1 parameters."""
@@ -348,27 +368,45 @@ class TestHypSeriesLoop:
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([1, 2, 10]),
-           st.lists(st.tuples(st.floats(0.0, 49.9), st.floats(-np.pi, np.pi),
-                              st.sampled_from(["any", "real", "imag",
-                                               "zero"]),
-                              st.booleans(), st.booleans()),
-                    min_size=1, max_size=12))
+           st.lists(_W_DRAWS, min_size=1, max_size=12))
     def test_groups_keep_the_bits_of_one_w_rows(self, n, draws):
         # zero-sum rows over 1, 2 or 10 ordinates summed as the groups of
         # one series, each against its own w's series: Re w of both signs
         # (Kummer's branch both ways in one call), zero parts of either
         # sign, w = 0 and |w| up to 50; groups stop at their own terms
-        ws = []
-        for r, phase, kind, flip_re, flip_im in draws:
-            re, im = {"any": (r * math.cos(phase), r * math.sin(phase)),
-                      "real": (r, 0.0), "imag": (0.0, r),
-                      "zero": (0.0, 0.0)}[kind]
-            ws.append(complex(-re if flip_re else re, -im if flip_im else im))
+        ws = [_drawn_w(49.9 * r, *rest) for r, *rest in draws]
         a = _zero_sum_a(n)
         got = hyp1f1(a, 0.5, np.reshape(ws, (-1, 1, 1)), grouped=True)
         assert got.shape == (len(ws), 2, n)
         for w, rows in zip(ws, got):
             assert rows.tobytes() == hyp1f1(a, 0.5, w).tobytes(), w
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(0.5, 0.5), (1.5, 0.5), (0.5, 1.0)]),
+           st.lists(_W_DRAWS, min_size=1, max_size=8))
+    # the group that stops first (w = 0, at its first term) is the last
+    # one, the one that stops last the first; Kummer's branch both ways
+    @example(line=(1.5, 0.5), draws=[(1.0, 2.0, "any", False, False),
+                                     (0.1, 0.0, "real", True, False),
+                                     (0.5, 1.0, "any", False, True),
+                                     (0.0, 0.0, "zero", True, True)])
+    @example(line=(0.5, 0.5), draws=[(0.25, 0.0, "imag", False, True)])
+    def test_start_batch_groups_keep_the_bits_of_one_w_rows(self, line,
+                                                            draws):
+        # a Xi side's 2 x 321 start batch on each of the three lines,
+        # grouped over w as the prepare steps group it, against one-w
+        # series: Re w of both signs, zero parts of either sign, groups
+        # stopping in any order, a single group
+        ws = [_drawn_w(8.0 * r, *rest) for r, *rest in draws]
+        a = _start_batch_a(*line)
+        got = hyp1f1(a, 0.5, np.reshape(ws, (-1, 1, 1)), grouped=True)
+        assert got.shape == (len(ws), 2, 321)
+        for w, rows in zip(ws, got):
+            assert rows.tobytes() == hyp1f1(a, 0.5, w).tobytes(), w
+
+    def test_grouped_takes_one_z_per_group(self):
+        with pytest.raises(ValueError, match="one z per group"):
+            hyp1f1(_zero_sum_a(2), 0.5, np.ones((2, 2, 2)), grouped=True)
 
     def test_mixed_sign_branch_of_hyp1f1(self):
         z = np.linspace(-6.0, 6.0, 25) + 0.5j

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xiverify import xikernel
+from xiverify import quad, xikernel
 from xiverify.specfun import hyp1f1
 from xiverify.xikernel import (KernelParams, lambda_kernel, rho_rows,
                                xi_cap, xi_small)
@@ -264,7 +264,8 @@ class TestRowCacheFill:
     def test_filled_rows_are_the_rows_summed_alone(self, fresh_caches,
                                                    summed_rows):
         # z and -z, either sign of a zero part and a repeated w are one
-        # key each
+        # key each; the rows at -1/4 and -1 - 0.5i are those of the
+        # series at 1/4 and 1 + 0.5i, so 6 keys take 5 series
         ws = [-0.25 + 0j, complex(-0.25, -0.0), 1.0 + 0.5j, 1.0 + 0.5j,
               -1.0 - 0.5j, 0j, complex(-0.0, -0.0), 12.0 - 30.0j, 49.0j]
         cold = {}
@@ -276,11 +277,11 @@ class TestRowCacheFill:
         xikernel.prepare_rho_series(ws, 0.5, 1.0, _ORDINATES)
         info = xikernel._rho_series_rows.cache_info()
         assert (info.misses, info.hits, info.currsize) == (6, 0, 6)
-        assert len(summed_rows) == 6
+        assert len(summed_rows) == 5
         for w in ws:
             assert _series(w).tobytes() == cold[w], w
         assert xikernel._rho_series_rows.cache_info().misses == 6
-        assert len(summed_rows) == 6 and set(summed_rows.values()) == {1}
+        assert len(summed_rows) == 5 and set(summed_rows.values()) == {1}
 
     def test_leaves_out_what_hyp1f1_refuses(self, fresh_caches):
         ws = [complex("nan"), complex(float("inf"), 0.0), 50.5 + 0j, 36j,
@@ -337,6 +338,66 @@ class TestRowCacheFill:
             xikernel.prepare_rho_series([0.25 + 0j, 1j], 0.5, 1.0,
                                         _ORDINATES)
         assert xikernel._rho_series_rows.cache_info().currsize == 0
+
+
+class TestKummerFold:
+    """Where 1/2 - a is a's rows swapped, the rows at Re w < 0 are those
+    of the series at -w, rows swapped, times e^w: w and -w take one
+    series."""
+
+    @staticmethod
+    def _a(c, k, t):
+        return 0.5 * (1.0 - xikernel._line(c, k, t))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(0.5, 0.5), (0.5, 1.0)]), st.floats(1e-9, 6.0),
+           st.floats(-6.0, 6.0))
+    def test_folded_rows_are_kummers_bits(self, line, re, im):
+        # the rows at w, from the series at -w alone, from the rows at -w
+        # cached before, or grouped with -w, are hyp1f1's own at w, which
+        # sums the series in 1/2 - a at -w, and e^w times the rows at -w
+        # swapped
+        t = quad.start_nodes()
+        a, w = self._a(*line, t), complex(-re, im)
+        want = hyp1f1(a, 0.5, w).tobytes()
+        partner = hyp1f1(a, 0.5, -w)
+        assert want == (np.exp(w) * partner[::-1]).tobytes()
+        rows = xikernel._rho_series_rows
+        for cached, group in (([], [w]), ([-w], [w]), ([], [w, -w])):
+            rows.cache_clear()
+            for v in cached:
+                xikernel.rho_series(v, *line, t)
+            xikernel.prepare_rho_series(group, *line, t)
+            assert xikernel.rho_series(w, *line, t).tobytes() == want
+            assert rows.cache_info().misses == len(cached) + len(group)
+
+    @pytest.mark.parametrize("line,series", [((0.5, 0.5), 1),
+                                             ((0.5, 1.0), 1),
+                                             ((1.5, 0.5), 2)])
+    def test_taken_where_the_rows_swap(self, line, series, fresh_caches,
+                                       summed_rows):
+        # on Bose's line c = 3/2, 1/2 - a is no swap of a: w and -w take
+        # a series each, in a and in 1/2 - a
+        t = quad.start_nodes()
+        a = self._a(*line, t)
+        assert ((0.5 - a).tobytes() == a[::-1].tobytes()) == (series == 1)
+        ws = [-0.75 + 0.5j, 0.75 - 0.5j, 0.25j]
+        xikernel.prepare_rho_series(ws, *line, t)
+        got = [xikernel.rho_series(w, *line, t).tobytes() for w in ws]
+        assert len(summed_rows) == series + 1
+        assert got == [hyp1f1(a, 0.5, w).tobytes() for w in ws]
+
+    def test_cached_rows_at_minus_w_serve_w(self, fresh_caches,
+                                            summed_rows):
+        # the rows at -w are cached, so the rows at w, Re w < 0, one
+        # call at a time or in a fill, sum no series of their own
+        t = quad.start_nodes()
+        w = -0.75 + 0.5j
+        xikernel.rho_series(-w, 0.5, 0.5, t)
+        xikernel.rho_series(w, 0.5, 0.5, t)
+        xikernel.rho_series(-w, 0.5, 1.0, t)
+        xikernel.prepare_rho_series([w], 0.5, 1.0, t)
+        assert len(summed_rows) == 2 and set(summed_rows.values()) == {1}
 
 
 def _xi_side_rows(monkeypatch, alpha, z, s):
