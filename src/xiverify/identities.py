@@ -207,10 +207,11 @@ CONTOUR_LINE = (0.5, 1.0)
 def prepare_xi_sides(points, lines):
     """Sum the 1F1 rows the Xi sides on lines take on their rule's
     start batch at each (alpha, z) of points, in grouped series, into
-    xikernel's row cache (xikernel.prepare_rho_rows).  The
-    reports keep their bits."""
-    xikernel.prepare_rho_rows([z for _alpha, z in points], lines,
-                              quad.start_nodes())
+    xikernel's row cache (xikernel.prepare_rho_series), each w formed
+    as rho_rows forms it.  The reports keep their bits."""
+    xikernel.prepare_rho_series(
+        [xikernel._rho_argument(z) for _alpha, z in points], lines,
+        quad.start_nodes())
 
 
 def _xi_side(params, c, k, table, tol):

@@ -446,8 +446,8 @@ def prepare_zero_sums(zeros, zs):
     xikernel's row cache, within the limits of xikernel.prepare_rho_series;
     the sums that follow find the bits they would sum themselves."""
     if len(zeros) > 0:
-        prepare_rho_series([_zero_sum_argument(z) for z in zs], 0.5, 1.0,
-                           _zero_factors(tuple(zeros))[0])
+        prepare_rho_series([_zero_sum_argument(z) for z in zs],
+                           [(0.5, 1.0)], _zero_factors(tuple(zeros))[0])
 
 
 def zero_sum_bracketed(zeros, alpha, z, counts):

@@ -6,7 +6,9 @@ zeta function and its derivative on the half plane Re s >= 1/2 (the
 critical line and the zeros, every point the package evaluates, lie
 there), the confluent hypergeometric 1F1 and the single 2F2
 parameter set the identities need (both summed by one Taylor loop,
-_hyp_series), the modified Bessel function K0 (a trapezoid rule on its
+_hyp_series, whose leading axis indexes independent series: hyp1f1 and
+hyp2f2_11 sum one group, xikernel's row cache the 1F1 rows of many
+arguments), the modified Bessel function K0 (a trapezoid rule on its
 integral representation), and a Moebius sieve.
 
 Functions here, in xikernel and in numseries that take scalars or numpy
@@ -80,6 +82,15 @@ def _require_finite(name, arr, what="argument"):
     """
     if not np.isfinite(arr).all():
         raise ValueError("%s: %s must be finite" % (name, what))
+
+
+def _require_hyp1f1_range(z):
+    """Raise hyp1f1's ValueError unless every |z| <= 50, its working
+    range; NaN fails too."""
+    zmax = np.abs(z).max(initial=0.0)
+    if not zmax <= 50.0:
+        raise ValueError("hyp1f1: |z| = %.6g outside the working range "
+                         "|z| <= 50" % zmax)
 
 
 def _lanczos_lngamma(z):
@@ -256,80 +267,61 @@ def zeta_and_prime(s):
     return _eta_series("zeta_and_prime", s, prime=True)
 
 
-def _in_order(rows, order):
-    """Swap the rows of rows, whose row j holds group order[j], until
-    each group's row is its own; order is a list, swapped along."""
-    for j in range(len(order)):
-        while order[j] != j:
-            i = order[j]
-            rows[[j, i]] = rows[[i, j]]
-            order[j], order[i] = order[i], order[j]
+def _hyp_series(name, num, den, z):
+    """Raw Taylor sums of pFq(num; den; z); the parameters and z broadcast.
 
-
-def _hyp_series(name, num, den, z, grouped=False, out=None):
-    """Raw Taylor sum of pFq(num; den; z); the parameters and z broadcast.
-
-    num and den are tuples of parameters; a 0-d one, or z, stays a numpy
-    scalar, so only the arrays the result needs are allocated.  The loop
-    updates term and total in place; each step multiplies term by every
-    (a_i + n) and by z, then divides by d = prod_j (c_j + n) (n + 1).  A
-    series that has not converged raises ValueError naming name.
+    Axis 0 of the broadcast shape indexes groups: independent series
+    that share each term's numpy calls.  Only z carries that axis, with
+    one argument per group, so z has the broadcast shape's number of
+    axes and a + n is formed at one group's shape; an elementwise sum is
+    one group.  num and den are tuples of parameters; a 0-d one stays a
+    numpy scalar, so only the arrays the result needs are allocated.
+    The loop updates term and total in place; each step multiplies term
+    by every (a_i + n) and by z, then divides by d = prod_j (c_j + n)
+    (n + 1).  A series that has not converged raises ValueError naming
+    name.
 
     When every c_j is a scalar on the real axis, as in hyp1f1 and
     hyp2f2_11, d is formed in float arithmetic (the real part of the
     complex product, bit for bit) and term's real and imaginary parts are
-    multiplied by 1/d through its float view (a 0-d term through the
-    view of its 1-entry reshape).  numpy divides by a complex d = (p, 0)
-    as Smith's algorithm does: with r = 0/p and q = 1/(p + 0 r) = 1/p it
-    forms ((x + y r) q, (y - x r) q), and for finite x, y those are x q
-    and y q except for the sign of a zero part, which no |term| and no
-    total can see (total starts at 1 + 0i, and adding a zero of either
-    sign to +0 gives +0).  The float multiply gives the same bits at a
-    third of the cost on a 2 x 321 batch.  A complex or array c_j keeps
-    the complex division.
+    multiplied by 1/d through its float view.  numpy divides by a
+    complex d = (p, 0) as Smith's algorithm does: with r = 0/p and
+    q = 1/(p + 0 r) = 1/p it forms ((x + y r) q, (y - x r) q), and for
+    finite x, y those are x q and y q except for the sign of a zero
+    part, which no |term| and no total can see (total starts at 1 + 0i,
+    and adding a zero of either sign to +0 gives +0).  The float multiply
+    gives the same bits at a third of the cost on a 2 x 321 batch.  A
+    complex or array c_j keeps the complex division.
 
-    The series stops at the first term where every entry has
+    A group stops at the first term where every one of its entries has
     |term| < _SERIES_RELTOL max(|total|, 1e-300).  That full test costs
     about half of what a term costs, so each term first tests one
-    witness entry, the one furthest from converging at the last full
-    test: while its |term| is at least twice its bound the full test
-    must fail and is skipped.  The factor 2 outweighs any last-bit
-    difference between the scalar abs and numpy's, so the witness skips
-    only tests that fail, the loop stops at the same term and the sum
-    keeps its bits.  A NaN fails the witness comparison and takes the
-    full test.
-
-    With grouped, the leading axis of the broadcast shape indexes groups:
-    independent series that share each term's numpy calls.  Only z may
-    have that axis (one argument per group); the parameters are shared,
-    so a + n is formed at one group's shape.  Each group has a witness
-    entry of its own, and only the groups whose witness passes take the
-    full test.  A group stops at the first term where its own entries
-    pass; its rows are swapped behind those of the groups still running,
-    which go on as the leading rows of term and total, and at the end
-    every group's sum is swapped back into its row.  With out, an array
-    of the broadcast shape, the sums are formed in it.  Every operation is
-    elementwise, so each group's sum has the bits of its rows summed as
-    one series, provided a group holds two entries or more: numpy
-    rounds a one-element complex product by another path than a longer
-    one, so a one-entry row alone and the same row among others can
-    differ in the last bit.
+    witness entry per group, the one furthest from converging at the
+    group's last full test: while its |term| is at least twice its bound
+    the full test must fail and is skipped.  The factor 2 outweighs any
+    last-bit difference between the scalar abs and numpy's, so the
+    witness skips only tests that fail, the group stops at the same term
+    and its sum keeps its bits.  A NaN fails the witness comparison and
+    takes the full test.  A group that stops has its rows swapped behind
+    those of the groups still running, which go on as the leading rows
+    of term and total, and at the end every group's sum is swapped back
+    into its row.  Every operation is elementwise, so each group's sum
+    has the bits of its rows summed as one series, provided a group
+    holds two entries or more: numpy rounds a one-element complex
+    product by another path than a longer one, so a one-entry row alone
+    and the same row among others can differ in the last bit.
     """
     num = [np.asarray(a, np.complex128)[()] for a in num]
     den = [np.asarray(c, np.complex128)[()] for c in den]
-    z = np.asarray(z, np.complex128)[()]
+    z = np.asarray(z, np.complex128)
     shape = np.broadcast_shapes(*map(np.shape, num), *map(np.shape, den),
-                                np.shape(z))
+                                z.shape)
     term = np.ones(shape, dtype=np.complex128)
-    if out is None:
-        total = term.copy()
-    else:
-        total = out
-        total[...] = 1.0
+    total = term.copy()
     real = all(type(c) is np.complex128 and c.imag == 0.0 for c in den)
     if real:
         den = [float(c.real) for c in den]
-    group = shape[1:] if grouped else shape
+    group = shape[1:]
     step = np.empty(np.broadcast_shapes(*map(np.shape, num), group),
                     np.complex128)
     mag, bound = np.empty(group), np.empty(group)
@@ -345,15 +337,13 @@ def _hyp_series(name, num, den, z, grouped=False, out=None):
             return None
         return int(np.divide(mag, bound, out=mag).argmax())
 
-    # rows 0..m-1 of term and total run; row j holds group order[j], and
-    # slow[j] is its witness, an index among a group's `size` entries
-    m = shape[0] if grouped else 1
+    # rows 0..m-1 of term, total and z run; row j holds group order[j],
+    # and slow[j] is its witness, an index among a group's `size` entries
+    m = shape[0]
     size = term.size // m
     order, slow = list(range(m)), [0] * m
-    z_moves = grouped and np.ndim(z) == len(shape) and m > 1
-    if z_moves:
-        z = z.copy()
     if m > 1:
+        z = z.copy()
         # each row's witness entries of term and total, gathered every
         # term from the flat indices `at`
         at = np.arange(0, term.size, size)
@@ -364,11 +354,9 @@ def _hyp_series(name, num, den, z, grouped=False, out=None):
     witness_tol = 2.0 * _SERIES_RELTOL
     n = -1
     while m:
-        run_t, run_s = (term[:m], total[:m]) if grouped else (term, total)
-        run_z = z[:m] if z_moves else z
+        run_t, run_s, run_z = term[:m], total[:m], z[:m]
         parts = run_t.reshape(-1).view(np.float64) if real else None
-        k, lone = slow[0], (term[0], total[0]) if grouped else (term, total)
-        running = skip[:m] if m > 1 else None
+        k, running = slow[0], skip[:m] if m > 1 else None
         stops = []
         for n in range(n + 1, _SERIES_MAX_TERMS):
             for a in num:
@@ -387,7 +375,7 @@ def _hyp_series(name, num, den, z, grouped=False, out=None):
                 if abs(run_t.item(k)) >= witness_tol * max(
                         abs(run_s.item(k)), 1e-300):
                     continue
-                k = full_test(*lone)
+                k = full_test(term[0], total[0])
                 if k is None:
                     stops.append(0)
                     break
@@ -417,16 +405,20 @@ def _hyp_series(name, num, den, z, grouped=False, out=None):
             if j != m:
                 term[j] = term[m]
                 total[[j, m]] = total[[m, j]]
-                if z_moves:
-                    z[[j, m]] = z[[m, j]]
+                z[[j, m]] = z[[m, j]]
                 order[j], order[m] = order[m], order[j]
                 slow[j], slow[m] = slow[m], slow[j]
                 at[j] = j * size + slow[j]
-    _in_order(total, order)
+    # every group's sum back into its own row
+    for j in range(len(order)):
+        while order[j] != j:
+            i = order[j]
+            total[[j, i]] = total[[i, j]]
+            order[j], order[i] = order[i], order[j]
     return total
 
 
-def hyp1f1(a, c, z, grouped=False):
+def hyp1f1(a, c, z):
     """Confluent hypergeometric 1F1(a; c; z) by Taylor series.
 
     Where Re z < 0 the first Kummer transformation
@@ -443,12 +435,8 @@ def hyp1f1(a, c, z, grouped=False):
     but 3e-7 at 24.5i and 0.14 at 36i, growing like eps e^|z| along the
     imaginary axis.
 
-    a, c, z broadcast; c must avoid nonpositive integers.  With grouped,
-    z holds one argument per group along its leading axis, and a and c
-    are shared by every group.  The groups at Re z >= 0 are summed as one
-    grouped series in a, those at Re z < 0 as one in c - a, so each
-    parameter is formed at its own shape; every group has the bits of
-    its rows summed alone (_hyp_series).
+    a, c, z broadcast, summed as one group (_hyp_series); c must avoid
+    nonpositive integers.
     """
     cc, scalar_c = _split(c, np.complex128)
     _require_finite("hyp1f1", cc, "parameter c")
@@ -458,35 +446,15 @@ def hyp1f1(a, c, z, grouped=False):
     aa, scalar_a = _split(a, np.complex128)
     _require_finite("hyp1f1", aa, "parameter a")
     zz, scalar_z = _split(z, np.complex128)
-    zmax = np.abs(zz).max(initial=0.0)
-    if not zmax <= 50.0:  # NaN fails too
-        raise ValueError("hyp1f1: |z| = %.6g outside the working range "
-                         "|z| <= 50" % zmax)
+    _require_hyp1f1_range(zz)
     neg = zz.real < 0.0
+    param = np.where(neg, cc - aa, aa)
     arg = np.where(neg, -zz, zz)
-    if not grouped:
-        series = _hyp_series("hyp1f1", (np.where(neg, cc - aa, aa),), (cc,),
-                             arg)
-    else:
-        if zz.ndim == 0 or zz.size != len(zz):
-            raise ValueError("hyp1f1: grouped takes one z per group")
-        # the groups at Re z >= 0 first, each parameter's series summing
-        # into its own rows of one array, then every row put in its place
-        kummer = neg.reshape(-1)
-        order = np.argsort(kummer, kind="stable")
-        split = len(zz) - np.count_nonzero(kummer)
-        series = np.empty(np.broadcast_shapes(aa.shape, cc.shape, zz.shape),
-                          np.complex128)
-        for rows, param in ((slice(split), aa), (slice(split, None),
-                                                 cc - aa)):
-            if order[rows].size:
-                _hyp_series("hyp1f1", (param,), (cc,), arg[order[rows]],
-                            True, series[rows])
-        _in_order(series, order.tolist())
+    series = _hyp_series("hyp1f1", (param,), (cc,), np.reshape(
+        arg, (1,) * (1 + param.ndim - arg.ndim) + arg.shape))[0]
     # e^z first: numpy's complex product may fuse a multiply-add, so the
     # operand order fixes the last bit
-    out = np.multiply(np.where(neg, np.exp(zz), 1.0), series,
-                      out=series if grouped else None)
+    out = np.multiply(np.where(neg, np.exp(zz), 1.0), series)
     return _merge(out, scalar_a and scalar_c and scalar_z)
 
 
@@ -494,7 +462,8 @@ def hyp2f2_11(z):
     """2F2(1, 1; 3/2, 2; z) by its Taylor series."""
     zz, scalar = _split(z, np.complex128)
     _require_finite("hyp2f2_11", zz)
-    return _merge(_hyp_series("hyp2f2_11", (1, 1), (1.5, 2), zz), scalar)
+    return _merge(_hyp_series("hyp2f2_11", (1, 1), (1.5, 2), zz[None])[0],
+                  scalar)
 
 
 def _k0_trapezoid(name, x):

@@ -18,13 +18,13 @@ per-process LRU cache keeps, one entry per (w, c, k, node batch).
 rho_rows takes them at w = z^2/4 for every Xi side and the
 inverse-Mellin check, and numseries' zero sums at w = -z^2/4 on
 s = 1/2 +- i gamma.  Only the power x^(1/2-s) depends on x, so every
-alpha, every family on one line, and z and -z share one series; on a
-line with c = 1/2 Kummer's transformation gives the rows at w and -w
-from one series too (_row_cache).  prepare_rho_series and
-prepare_rho_rows sum the rows of many w on one batch as the groups of
-one series per line and parameter (two on a line with c != 1/2, whose
-rows at Re w < 0 take Kummer's parameter), each with the bits of its
-own series.  cli's
+alpha, every family on one line, and z and -z share one series.  The
+cache picks each row's series, with Kummer's transformation where
+Re w < 0, and on a line with c = 1/2 that gives the rows at w and -w
+from one series (_row_cache).  prepare_rho_series sums the rows of
+many w on one batch as the groups of one Taylor loop per line and
+parameter (two on a line with c != 1/2, whose rows at Re w < 0 take
+Kummer's parameter), each with the bits of its own series.  cli's
 prepare steps take them for the start batch of every Xi side of a run
 and for every zero sum, so a run's rows cost a few Taylor loops: a
 loop's cost is its per-term numpy calls more than its entries.  The
@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (EULER_GAMMA, _merge, _require_finite, _split,
-                      digamma, hyp1f1, lngamma, zeta)
+from .specfun import (EULER_GAMMA, _hyp_series, _merge, _require_finite,
+                      _require_hyp1f1_range, _split, digamma, lngamma, zeta)
 
 _QUARTER_LOG_PI = 0.28618247146235004  # log(pi) / 4
 
@@ -153,74 +153,87 @@ def _row_cache(maxsize):
     """A least recently used cache of rho's 1F1 rows, with functools'
     cache_info and cache_clear: called with (w, c, k, shape, nodes) it
     returns 1F1((1-s)/2; 1/2; w) at s = c +- ikt for the batch of t whose
-    float64 bytes are nodes, read-only, summed through the module's
-    hyp1f1 binding on a miss.  The batch is part of the key because a
-    series stops only when its whole batch has converged: rows taken from
-    a larger or smaller batch could differ in their last bits.  For
-    real z, z and -z give w imaginary parts of opposite zero sign; the
-    keys compare equal and the rows come out the same bits.
+    float64 bytes are nodes, read-only, the bits specfun.hyp1f1 gives.
+    The batch is part of the key because a series stops only when its
+    whole batch has converged: rows taken from a larger or smaller batch
+    could differ in their last bits.  For real z, z and -z give w
+    imaginary parts of opposite zero sign; the keys compare equal and
+    the rows come out the same bits.
 
-    hyp1f1 sums the rows at Re w < 0 as e^w 1F1(1/2 - a; 1/2; -w), a the
-    rows' parameters (1-s)/2.  Where 1/2 - a is bitwise a with its two
-    rows swapped, as on every line with c = 1/2, that series is the
-    series of the rows at -w, rows swapped.  There the rows at w are
-    taken as e^w times the rows at -w swapped, the bits hyp1f1 gives at
-    w: from the cache if it holds the rows at -w, else from the series
-    at -w, which in a fill serves both where both are asked for.
+    This is the one place a row's series is chosen.  A missing key
+    (w, line) takes the series in a = (1-s)/2 at w where Re w >= 0, and
+    else e^w times the series in 1/2 - a at -w (Kummer's
+    transformation), as hyp1f1 does.  Where 1/2 - a is bitwise a with
+    its two rows swapped, as on every line with c = 1/2, that is a's
+    series at -w, rows swapped: the rows at -w come from the cache if it
+    holds them, else they are summed and stored under (-w, line) as
+    well, views into the loop's sums, so w and -w cost one series.  Each
+    parameter's distinct series on a line are the groups of one Taylor
+    loop, called through the module's _hyp_series binding; a lone miss
+    is a one-group loop.  Nothing is stored before every series of the
+    call has succeeded, so a line whose series raises stores nothing,
+    and the keys at -w nobody asked for are stored before the keys asked
+    for.  A key asked for and not cached counts as a miss, one a fill
+    finds cached as a hit.
 
     Its fill(ws, lines, shape, nodes) makes the first maxsize // 2 keys
     (w, line) of the distinct w of ws inside hyp1f1's range (finite,
     |w| <= 50), each on every line (c, k) of lines, the most recent
-    keys, summing those not cached as one grouped series per line and
-    storing them in the order of ws.  Later keys are left out, so no key
-    of a fill is evicted before maxsize // 2 other keys are stored, and
-    so is every w of a one-node batch, whose one-entry rows are never
-    grouped.  A line whose series raises stores nothing.  A key a fill
-    stores counts as a miss, one it finds cached as a hit.
+    keys, storing those not cached in the order of ws.  Later keys are
+    left out, so, with the keys at -w of every line stored first, no key
+    of a fill is evicted before maxsize // 2 other keys are stored; so
+    is every w of a one-node batch, whose one-entry rows are never
+    grouped.
     """
     cache = OrderedDict()
     hits = misses = 0
 
-    def store(key, rows):
-        rows.flags.writeable = False
-        cache[key] = rows
-        if len(cache) > maxsize:
-            cache.popitem(last=False)
-
-    def sum_rows(ws, line):
-        """Store the rows of each w of ws on line, none of them cached,
-        from one series per distinct argument, and return them."""
-        nonlocal misses
+    def line_rows(ws, line):
+        """(key, rows) of each w of ws on line, none of them cached, and
+        of the rows at -w summed besides."""
         c, k, shape, nodes = line
         a = 0.5 * (1.0 - _line(c, k, np.frombuffer(nodes).reshape(shape)))
-        swaps = (0.5 - a).tobytes() == a[::-1].tobytes()
-        flips = {w: swaps and w.real < 0.0 for w in ws}
-        found = {}
-        for w, flip in flips.items():
-            found.setdefault(-w if flip else w, None)
-        for u in found:
-            found[u] = cache.get((u,) + line)
-        todo = [u for u, rows in found.items() if rows is None]
-        if len(todo) == 1:
-            found[todo[0]] = hyp1f1(a, 0.5, todo[0])
-        elif todo:
-            found.update(zip(todo, hyp1f1(
-                a, 0.5, np.reshape(todo, (-1,) + (1,) * a.ndim),
-                grouped=True)))
-        out = []
-        for w, flip in flips.items():
-            u = -w if flip else w
-            rows = found[u]
-            if flip:
-                # contiguous, as the product in hyp1f1 takes its series;
-                # into the series' own rows where no key asks for them
-                spare = u in todo and u not in flips
-                rows = np.multiply(np.exp(w), rows[::-1].copy(),
-                                   out=rows if spare else None)
-            store((w,) + line, rows)
-            out.append(rows)
-        misses += len(ws)
-        return out
+        _require_finite("hyp1f1", a, "parameter a")
+        _require_hyp1f1_range(np.asarray(ws))
+        kummer = 0.5 - a
+        swaps = kummer.tobytes() == a[::-1].tobytes()
+        # each w's series: in a (True) or in 1/2 - a, and its argument
+        plan = [(True, w) if w.real >= 0.0 else (swaps, -w) for w in ws]
+        found = {p: cache.get((p[1],) + line) if p[0] else None
+                 for p in plan}
+        todo = [p for p, rows in found.items() if rows is None]
+        for in_a, param in ((True, a), (False, kummer)):
+            us = [u for p, u in todo if p == in_a]
+            if us:
+                found.update(zip([(in_a, u) for u in us], _hyp_series(
+                    "hyp1f1", (param,), (0.5,),
+                    np.reshape(us, (-1,) + (1,) * a.ndim))))
+        asked = []
+        for w, p in zip(ws, plan):
+            rows = found[p]
+            if w.real < 0.0:
+                # e^w first, times contiguous rows: hyp1f1's product
+                rows = rows[::-1].copy() if p[0] else rows
+                np.multiply(np.exp(w), rows, out=rows)
+            asked.append(((w,) + line, rows))
+        wanted = set(ws)
+        return asked, [((u,) + line, found[p, u]) for p, u in todo
+                       if p and u not in wanted]
+
+    def sum_rows(wanted):
+        """Store the rows of each w on each line of wanted, a dict line ->
+        ws, none of them cached, after the rows at -w summed besides, and
+        return them in order."""
+        nonlocal misses
+        done = [line_rows(ws, line) for line, ws in wanted.items()]
+        asked = [pair for pairs, _ in done for pair in pairs]
+        for key, rows in [pair for _, extra in done for pair in extra] + asked:
+            rows.flags.writeable = False
+            cache[key] = rows
+            if len(cache) > maxsize:
+                cache.popitem(last=False)
+        misses += len(asked)
+        return [rows for _, rows in asked]
 
     def rows_at(w, c, k, shape, nodes):
         nonlocal hits
@@ -230,7 +243,7 @@ def _row_cache(maxsize):
             hits += 1
             cache.move_to_end(key)
             return rows
-        return sum_rows([w], key[1:])[0]
+        return sum_rows({key[1:]: [w]})[0]
 
     def fill(ws, lines, shape, nodes):
         nonlocal hits
@@ -246,8 +259,7 @@ def _row_cache(maxsize):
                 cache.move_to_end(key)
             else:
                 new.setdefault(key[1:], []).append(key[0])
-        for line, line_ws in new.items():
-            sum_rows(line_ws, line)
+        sum_rows(new)
 
     def cache_info():
         return _CacheInfo(hits, misses, maxsize, len(cache))
@@ -275,29 +287,20 @@ def rho_series(w, c, k, t):
     return _rho_series_rows(w, c, k, tv.shape, tv.tobytes())
 
 
-def prepare_rho_series(ws, c, k, t):
-    """Sum the rows rho_series(w, c, k, t) returns for each w of ws as
-    the groups of one series per parameter into its cache, within the
-    limits of the cache's fill (_row_cache); rho_series then finds the
-    bits an uncached call sums."""
+def prepare_rho_series(ws, lines, t):
+    """Sum the rows rho_series(w, c, k, t) returns for each w of ws on
+    each line (c, k) of lines into its cache, as the groups of one
+    series per line and parameter, within the limits of the cache's fill
+    (_row_cache); rho_series then finds the bits an uncached call
+    sums."""
     tv = np.asarray(t, np.float64)
-    _rho_series_rows.fill(ws, [(c, k)], tv.shape, tv.tobytes())
+    _rho_series_rows.fill(ws, lines, tv.shape, tv.tobytes())
 
 
 def _rho_argument(z):
     """z^2/4, the argument of rho's 1F1 rows at z."""
     zc = complex(z)
     return 0.25 * zc * zc
-
-
-def prepare_rho_rows(zs, lines, t):
-    """Sum the 1F1 rows rho_rows(x, z, c, k, t) takes, for any x, at each
-    z of zs on each line (c, k) of lines into rho_series' cache, as
-    prepare_rho_series does on each line, within the limits of one
-    fill."""
-    tv = np.asarray(t, np.float64)
-    _rho_series_rows.fill([_rho_argument(z) for z in zs], lines, tv.shape,
-                          tv.tobytes())
 
 
 # A key's exponents take what its rows take, 10 KB at a start batch.  The

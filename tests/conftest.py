@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import xiverify
-from xiverify import cli, identities, specfun
+from xiverify import cli, identities, specfun, xikernel
 from xiverify.specfun import mobius_sieve
 
 SAMPLE_ZEROS = pathlib.Path(xiverify.__file__).parent / "data" / "zeros_sample.txt"
@@ -115,25 +115,26 @@ def fresh_caches():
 
 @pytest.fixture
 def summed_rows(monkeypatch):
-    """A Counter of the Taylor series specfun._hyp_series sums from here
-    on, one count per key (series argument, parameters): a call sums one
-    key, a grouped call one per group.  For a 1F1 row pair the
-    parameters are the bytes of a, or of 1/2 - a where hyp1f1 takes
-    Kummer's transformation, naming the line and batch; the rows at w
-    and -w that xikernel takes from one series count once.  The argument
-    compares as the row cache's keys do, so either sign of a zero part
-    counts as one key."""
+    """A Counter of the Taylor series summed from here on, through
+    specfun._hyp_series or xikernel's binding of it, one count per key
+    (series argument, parameters): a call counts one key per group,
+    keyed by the group's first argument, its only one in a row cache's
+    call.  For a 1F1 row pair the parameters are the bytes of a, or of
+    1/2 - a where Kummer's transformation takes it, naming the line and
+    batch; the rows at w and -w that xikernel takes from one series
+    count once.  The argument compares as the row
+    cache's keys do, so either sign of a zero part counts as one key."""
     counts = collections.Counter()
     series = specfun._hyp_series
 
-    def counted(name, num, den, z, grouped=False, out=None):
+    def counted(name, num, den, z):
         params = b"".join(np.asarray(a, np.complex128).tobytes()
                           for a in num)
-        counts.update((complex(v), params)
-                      for v in (np.ravel(z) if grouped else [z]))
-        return series(name, num, den, z, grouped, out)
+        counts.update((complex(np.ravel(g)[0]), params) for g in z)
+        return series(name, num, den, z)
 
     monkeypatch.setattr(specfun, "_hyp_series", counted)
+    monkeypatch.setattr(xikernel, "_hyp_series", counted)
     return counts
 
 

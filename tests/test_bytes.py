@@ -213,11 +213,11 @@ def test_rhl_past_the_row_cache_sums_no_row_more_often(run, separate,
                                                        monkeypatch):
     # rhl_wide's 300 zero-sum keys overflow the row cache: the prepare
     # step fills the first 128, the cells sum the rest.  Each key's -w
-    # is a key too, and the step sums both from one series.  Against the
-    # cells summing every row themselves (no prepare step), where a
-    # cell's two sides sum the series at +-w apart, and again for the
-    # points run twice, the bytes are the same and no series is summed
-    # more often
+    # is a key too, and one series gives both, stored together whichever
+    # is asked for first.  Against the cells summing every row
+    # themselves (no prepare step), the bytes are the same and the same
+    # 170 series are summed: each of the 150 once, and the 20 of the
+    # points run twice again, after the cache has evicted them
     want = separate("rhl", "rhl_wide")
     assert want[0] == 0
     identities.reset_caches()
@@ -230,7 +230,8 @@ def test_rhl_past_the_row_cache_sums_no_row_more_often(run, separate,
     summed_rows.clear()
     assert run("rhl", "rhl_wide") == want
     assert len(summed_rows) == 150 and prepared.keys() == summed_rows.keys()
-    assert max(summed_rows.values()) == 4
+    assert sum(prepared.values()) == sum(summed_rows.values()) == 170
+    assert max(summed_rows.values()) == 2
     assert all(prepared[key] <= n for key, n in summed_rows.items())
 
 

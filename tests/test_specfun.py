@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xiverify import quad, specfun
+from xiverify import quad, specfun, xikernel
 from xiverify.specfun import (_SERIES_MAX_TERMS, _SERIES_RELTOL,
                               EULER_GAMMA, _hyp_series, besselk0,
                               besselk0_scaled, digamma, hyp1f1, hyp2f2_11,
@@ -262,6 +262,16 @@ def _inplace_hyp_series(name, num, den, z):
     raise RuntimeError("reference series did not converge")
 
 
+def _one_group(name, num, den, z):
+    """_hyp_series' sums at z as one group: z takes the leading group
+    axis, at the broadcast shape's number of axes, and the result
+    leaves it."""
+    ndim = len(np.broadcast_shapes(*map(np.shape, num), *map(np.shape, den),
+                                   np.shape(z)))
+    return _hyp_series(name, num, den, np.reshape(
+        z, (1,) * (1 + ndim - np.ndim(z)) + np.shape(z)))[0]
+
+
 def _same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return (got.dtype == want.dtype and got.shape == want.shape
@@ -272,13 +282,6 @@ def _same_bits(got, want):
 # and at 1 - s, c = 1/2, w = z^2/4 for z = 1, 2i, 1 + 0.5i
 _S = 0.5 * (1.0 + 1j * np.linspace(0.0, 60.0, 65))
 _A = 0.5 * (1.0 - np.concatenate([_S, 1.0 - _S]))
-
-
-def _start_batch_a(c, k):
-    """a = (1 - s)/2 at s = c +- ikt over the rule's 321 start nodes, in
-    two rows: a Xi side's first 1F1 parameters on the line (c, k)."""
-    from xiverify.xikernel import _line
-    return 0.5 * (1.0 - _line(c, k, quad.start_nodes()))
 
 
 # one w per draw (r, phase, kind, flip Re, flip Im): a point of the
@@ -294,28 +297,53 @@ def _drawn_w(r, phase, kind, flip_re, flip_im):
     return complex(-re if flip_re else re, -im if flip_im else im)
 
 
+# the first 10 zero ordinates: a zero sum's batch
+_GAMMAS = np.array([
+    14.134725141734693, 21.022039638771555, 25.010857580145688,
+    30.424876125859513, 32.935061587739189, 37.586178158825671,
+    40.918719012147495, 43.327073280914999, 48.005150265997457,
+    49.773832477672302])
+
+
 def _zero_sum_a(n):
     """a = (1 - s)/2 at s = 1/2 +- i gamma over the first n zeros, in
     two rows: a zero sum's 1F1 parameters."""
-    gammas = np.array([
-        14.134725141734693, 21.022039638771555, 25.010857580145688,
-        30.424876125859513, 32.935061587739189, 37.586178158825671,
-        40.918719012147495, 43.327073280914999, 48.005150265997457,
-        49.773832477672302])[:n]
+    gammas = _GAMMAS[:n]
     return 0.5 * (1.0 - (0.5 + 1j * np.stack([gammas, -gammas])))
+
+
+def _check_row_cache_groups(line, t, ws):
+    """Fill xikernel's row cache from empty with the rows of every w of
+    ws on line over the batch t, and check each w's rows, and the rows
+    at -w, against specfun.hyp1f1's bytes; the rows at w are the filled
+    ones, no miss of their own."""
+    a = 0.5 * (1.0 - xikernel._line(*line, t))
+    rows = xikernel._rho_series_rows
+    rows.cache_clear()
+    xikernel.prepare_rho_series(ws, [line], t)
+    filled = rows.cache_info().misses
+    for w in ws:
+        got = xikernel.rho_series(w, *line, t)
+        assert got.shape == (2, np.size(t))
+        assert got.tobytes() == hyp1f1(a, 0.5, w).tobytes(), w
+    if np.size(t) > 1:
+        assert rows.cache_info().misses == filled == len(set(ws))
+    for w in ws:
+        got = xikernel.rho_series(-w, *line, t)
+        assert got.tobytes() == hyp1f1(a, 0.5, -w).tobytes(), -w
 
 
 class TestHypSeriesLoop:
     @pytest.mark.parametrize("w", [0.25, 1.0, 0.1875 + 0.25j, 12.5 - 3.0j])
     def test_scalar_c_and_z(self, w):
-        assert _same_bits(_hyp_series("hyp1f1", (_A,), (0.5,), w),
+        assert _same_bits(_one_group("hyp1f1", (_A,), (0.5,), w),
                           _broadcast_hyp_series(_A, 0.5, w))
 
     def test_array_z(self):
         z = np.linspace(0.0, 20.0, 41) * (1.0 + 0.3j)
-        assert _same_bits(_hyp_series("hyp1f1", (-0.5,), (0.5,), z),
+        assert _same_bits(_one_group("hyp1f1", (-0.5,), (0.5,), z),
                           _broadcast_hyp_series(-0.5, 0.5, z))
-        assert _same_bits(_hyp_series("hyp1f1", (_A[:41],), (0.5,), z),
+        assert _same_bits(_one_group("hyp1f1", (_A[:41],), (0.5,), z),
                           _broadcast_hyp_series(_A[:41], 0.5, z))
 
     def test_all_scalar(self):
@@ -325,7 +353,7 @@ class TestHypSeriesLoop:
         # batch's); at real w every product is exact in both
         for a, w in ((0.25 - 1.5j, 0.25), (0.25 - 1.5j, 30.0),
                      (-7.5 + 40.0j, 2.0), (12.0, -50.0)):
-            got = _hyp_series("hyp1f1", (a,), (0.5,), w)
+            got = _one_group("hyp1f1", (a,), (0.5,), w)
             assert np.ndim(got) == 0
             assert _same_bits(got, _broadcast_hyp_series(a, 0.5, w))
 
@@ -341,14 +369,14 @@ class TestHypSeriesLoop:
             total = total + term
             slowest.append(int(np.argmax(np.abs(term) / np.abs(total))))
         assert slowest[0] == 1 and slowest[-1] == 2
-        assert _same_bits(_hyp_series("hyp1f1", (a,), (0.5,), z),
+        assert _same_bits(_one_group("hyp1f1", (a,), (0.5,), z),
                           _broadcast_hyp_series(a, 0.5, z))
 
     def test_zero_sum_batch(self):
         # a zero sum's rows: s = 1/2 +- i gamma over the first 10 zeros
         a = _zero_sum_a(10)
         for w in (0.25, 1.0 - 0.5j, 0.75 + 1.0j):
-            got = _hyp_series("hyp1f1", (a,), (0.5,), w)
+            got = _one_group("hyp1f1", (a,), (0.5,), w)
             assert got.shape == (2, 10)
             assert _same_bits(got, _broadcast_hyp_series(a, 0.5, w))
 
@@ -358,28 +386,24 @@ class TestHypSeriesLoop:
                min_size=2 * n, max_size=2 * n)),
            st.floats(0.0, 50.0), st.floats(-np.pi, np.pi))
     def test_random_rows_keep_their_bits(self, parts, r, phase):
-        # two rows, as rho_series sums them, alone and as one group
+        # two rows, as rho_series sums them, as one group
         a = np.array([complex(x, y) for x, y in parts]).reshape(2, -1)
         w = r * complex(math.cos(phase), math.sin(phase))
         want = _broadcast_hyp_series(a, 0.5, w)
-        assert _same_bits(_hyp_series("hyp1f1", (a,), (0.5,), w), want)
-        assert _same_bits(_hyp_series("hyp1f1", (a[None],), (0.5,), w,
-                                      grouped=True), want[None])
+        assert _same_bits(_one_group("hyp1f1", (a,), (0.5,), w), want)
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([1, 2, 10]),
            st.lists(_W_DRAWS, min_size=1, max_size=12))
     def test_groups_keep_the_bits_of_one_w_rows(self, n, draws):
-        # zero-sum rows over 1, 2 or 10 ordinates summed as the groups of
-        # one series, each against its own w's series: Re w of both signs
-        # (Kummer's branch both ways in one call), zero parts of either
-        # sign, w = 0 and |w| up to 50; groups stop at their own terms
+        # zero-sum rows over 1, 2 or 10 ordinates, filled into the row
+        # cache as the groups of one series, each against hyp1f1 at its
+        # own w: Re w of both signs (Kummer's fold, the rows at -w stored
+        # besides), zero parts of either sign, w = 0 and |w| up to 50;
+        # groups stop at their own terms.  A one-node batch is not
+        # grouped: its rows are lone misses
         ws = [_drawn_w(49.9 * r, *rest) for r, *rest in draws]
-        a = _zero_sum_a(n)
-        got = hyp1f1(a, 0.5, np.reshape(ws, (-1, 1, 1)), grouped=True)
-        assert got.shape == (len(ws), 2, n)
-        for w, rows in zip(ws, got):
-            assert rows.tobytes() == hyp1f1(a, 0.5, w).tobytes(), w
+        _check_row_cache_groups((0.5, 1.0), _GAMMAS[:n], ws)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([(0.5, 0.5), (1.5, 0.5), (0.5, 1.0)]),
@@ -394,19 +418,13 @@ class TestHypSeriesLoop:
     def test_start_batch_groups_keep_the_bits_of_one_w_rows(self, line,
                                                             draws):
         # a Xi side's 2 x 321 start batch on each of the three lines,
-        # grouped over w as the prepare steps group it, against one-w
-        # series: Re w of both signs, zero parts of either sign, groups
-        # stopping in any order, a single group
+        # filled into the row cache as the prepare steps fill it, against
+        # hyp1f1 at each w: Re w of both signs (on Bose's line a series
+        # in a and one in 1/2 - a, on the others Kummer's fold), zero
+        # parts of either sign, groups stopping in any order, a single
+        # group
         ws = [_drawn_w(8.0 * r, *rest) for r, *rest in draws]
-        a = _start_batch_a(*line)
-        got = hyp1f1(a, 0.5, np.reshape(ws, (-1, 1, 1)), grouped=True)
-        assert got.shape == (len(ws), 2, 321)
-        for w, rows in zip(ws, got):
-            assert rows.tobytes() == hyp1f1(a, 0.5, w).tobytes(), w
-
-    def test_grouped_takes_one_z_per_group(self):
-        with pytest.raises(ValueError, match="one z per group"):
-            hyp1f1(_zero_sum_a(2), 0.5, np.ones((2, 2, 2)), grouped=True)
+        _check_row_cache_groups(line, quad.start_nodes(), ws)
 
     def test_mixed_sign_branch_of_hyp1f1(self):
         z = np.linspace(-6.0, 6.0, 25) + 0.5j
@@ -430,7 +448,7 @@ class TestHypSeriesLoop:
     def test_real_divisor_step_at_0d(self, a, w):
         # a 0-d term is scaled through the float view of its 1-entry
         # reshape, the aux checks' scalar calls
-        got = _hyp_series("hyp1f1", (a,), (0.5,), w)
+        got = _one_group("hyp1f1", (a,), (0.5,), w)
         assert np.ndim(got) == 0
         assert _same_bits(got, _inplace_hyp_series("hyp1f1", (a,), (0.5,),
                                                    w))
@@ -447,10 +465,10 @@ class TestHypSeriesLoop:
                     a = a[0]
                 w = complex(*rng.uniform(-35.0, 35.0, 2))
                 assert _same_bits(
-                    _hyp_series("hyp1f1", (a,), (0.5,), w),
+                    _one_group("hyp1f1", (a,), (0.5,), w),
                     _inplace_hyp_series("hyp1f1", (a,), (0.5,), w))
         a, w = np.array([1.0 + 0j]), 0.3153 + 0.949j
-        assert _same_bits(_hyp_series("hyp1f1", (a,), (0.5,), w),
+        assert _same_bits(_one_group("hyp1f1", (a,), (0.5,), w),
                           _inplace_hyp_series("hyp1f1", (a,), (0.5,), w))
 
     def test_complex_divisor_keeps_the_division(self):
@@ -458,7 +476,7 @@ class TestHypSeriesLoop:
         for c in (0.5 + 0.25j, np.array([0.5, 1.5])):
             for w in (2.0 - 1.0j, np.array([0.75j, 3.0])):
                 assert _same_bits(
-                    _hyp_series("hyp1f1", (0.25 - 1.5j,), (c,), w),
+                    _one_group("hyp1f1", (0.25 - 1.5j,), (c,), w),
                     _inplace_hyp_series("hyp1f1", (0.25 - 1.5j,), (c,), w))
 
     @pytest.mark.parametrize("w", [0.25, 0.1875 + 0.25j, -3.0 + 4.0j,
@@ -476,8 +494,8 @@ class TestHypSeriesLoop:
         with pytest.raises(ValueError, match="hyp1f1: series did not"):
             hyp1f1(0.5, 0.5, np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="hyp1f1: series did not"):
-            hyp1f1(_zero_sum_a(2), 0.5, np.array([[[1e-9]], [[1.0]]]),
-                   grouped=True)
+            xikernel.prepare_rho_series([1e-9, -1.0], [(0.5, 1.0)],
+                                        _GAMMAS[:2])
         with pytest.raises(ValueError, match="hyp2f2_11: series did not"):
             hyp2f2_11(1.0)
 

@@ -265,20 +265,21 @@ class TestRowCacheFill:
                                                    summed_rows):
         # z and -z, either sign of a zero part and a repeated w are one
         # key each; the rows at -1/4 and -1 - 0.5i are those of the
-        # series at 1/4 and 1 + 0.5i, so 6 keys take 5 series
+        # series at 1/4 and 1 + 0.5i, so 6 keys take 5 series, and the
+        # rows at 1/4, which no w asked for, are stored as a seventh key
         ws = [-0.25 + 0j, complex(-0.25, -0.0), 1.0 + 0.5j, 1.0 + 0.5j,
               -1.0 - 0.5j, 0j, complex(-0.0, -0.0), 12.0 - 30.0j, 49.0j]
         cold = {}
-        for w in ws:
+        for w in ws + [0.25 + 0j]:
             fresh_caches()
             cold[w] = _series(w).tobytes()
         fresh_caches()
         summed_rows.clear()
-        xikernel.prepare_rho_series(ws, 0.5, 1.0, _ORDINATES)
+        xikernel.prepare_rho_series(ws, [(0.5, 1.0)], _ORDINATES)
         info = xikernel._rho_series_rows.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (6, 0, 6)
+        assert (info.misses, info.hits, info.currsize) == (6, 0, 7)
         assert len(summed_rows) == 5
-        for w in ws:
+        for w in ws + [0.25 + 0j]:
             assert _series(w).tobytes() == cold[w], w
         assert xikernel._rho_series_rows.cache_info().misses == 6
         assert len(summed_rows) == 5 and set(summed_rows.values()) == {1}
@@ -286,7 +287,7 @@ class TestRowCacheFill:
     def test_leaves_out_what_hyp1f1_refuses(self, fresh_caches):
         ws = [complex("nan"), complex(float("inf"), 0.0), 50.5 + 0j, 36j,
               complex(30.0, 40.0000001), 50.0 + 0j, 1.0 + 0j]
-        xikernel.prepare_rho_series(ws, 0.5, 1.0, _ORDINATES)
+        xikernel.prepare_rho_series(ws, [(0.5, 1.0)], _ORDINATES)
         assert xikernel._rho_series_rows.cache_info().currsize == 3
         _series(36j)
         _series(50.0 + 0j)
@@ -296,7 +297,7 @@ class TestRowCacheFill:
     def test_takes_the_first_half_of_the_keys(self, fresh_caches):
         half = xikernel._RHO_ROW_KEYS // 2
         ws = [complex(0.01 * k) for k in range(half + 40)]
-        xikernel.prepare_rho_series(ws, 0.5, 1.0, _ORDINATES)
+        xikernel.prepare_rho_series(ws, [(0.5, 1.0)], _ORDINATES)
         assert xikernel._rho_series_rows.cache_info().currsize == half
         for w in ws[:half]:
             _series(w)
@@ -313,7 +314,8 @@ class TestRowCacheFill:
         for w in old:
             _series(w)
         new = [complex(0.01 * k, 1.0) for k in range(10)]
-        xikernel.prepare_rho_series([old[0]] + new, 0.5, 1.0, _ORDINATES)
+        xikernel.prepare_rho_series([old[0]] + new, [(0.5, 1.0)],
+                                    _ORDINATES)
         info = xikernel._rho_series_rows.cache_info()
         assert (info.misses, info.hits, info.currsize) == (n + 10, 1, n)
         for w in [old[0], old[11]] + new:
@@ -323,19 +325,19 @@ class TestRowCacheFill:
         assert xikernel._rho_series_rows.cache_info().misses == n + 11
 
     def test_one_node_rows_are_not_grouped(self, fresh_caches, summed_rows):
-        xikernel.prepare_rho_series([0.25 + 0j, 1j], 0.5, 1.0,
+        xikernel.prepare_rho_series([0.25 + 0j, 1j], [(0.5, 1.0)],
                                     _ORDINATES[:1])
         assert xikernel._rho_series_rows.cache_info().currsize == 0
         assert not summed_rows
 
     def test_a_series_that_raises_stores_nothing(self, fresh_caches,
                                                  monkeypatch):
-        def failing(a, c, w, grouped=False):
+        def failing(name, num, den, z):
             raise FloatingPointError("overflow encountered in multiply")
 
-        monkeypatch.setattr(xikernel, "hyp1f1", failing)
+        monkeypatch.setattr(xikernel, "_hyp_series", failing)
         with pytest.raises(FloatingPointError):
-            xikernel.prepare_rho_series([0.25 + 0j, 1j], 0.5, 1.0,
+            xikernel.prepare_rho_series([0.25 + 0j, 1j], [(0.5, 1.0)],
                                         _ORDINATES)
         assert xikernel._rho_series_rows.cache_info().currsize == 0
 
@@ -356,7 +358,7 @@ class TestKummerFold:
         # the rows at w, from the series at -w alone, from the rows at -w
         # cached before, or grouped with -w, are hyp1f1's own at w, which
         # sums the series in 1/2 - a at -w, and e^w times the rows at -w
-        # swapped
+        # swapped; the rows at -w are cached after each, hyp1f1's own
         t = quad.start_nodes()
         a, w = self._a(*line, t), complex(-re, im)
         want = hyp1f1(a, 0.5, w).tobytes()
@@ -367,9 +369,12 @@ class TestKummerFold:
             rows.cache_clear()
             for v in cached:
                 xikernel.rho_series(v, *line, t)
-            xikernel.prepare_rho_series(group, *line, t)
+            xikernel.prepare_rho_series(group, [line], t)
             assert xikernel.rho_series(w, *line, t).tobytes() == want
+            assert (xikernel.rho_series(-w, *line, t).tobytes()
+                    == partner.tobytes())
             assert rows.cache_info().misses == len(cached) + len(group)
+            assert rows.cache_info().currsize == 2
 
     @pytest.mark.parametrize("line,series", [((0.5, 0.5), 1),
                                              ((0.5, 1.0), 1),
@@ -382,10 +387,32 @@ class TestKummerFold:
         a = self._a(*line, t)
         assert ((0.5 - a).tobytes() == a[::-1].tobytes()) == (series == 1)
         ws = [-0.75 + 0.5j, 0.75 - 0.5j, 0.25j]
-        xikernel.prepare_rho_series(ws, *line, t)
+        xikernel.prepare_rho_series(ws, [line], t)
         got = [xikernel.rho_series(w, *line, t).tobytes() for w in ws]
         assert len(summed_rows) == series + 1
         assert got == [hyp1f1(a, 0.5, w).tobytes() for w in ws]
+
+    def test_rows_at_minus_w_go_before_the_asked_ones(self, fresh_caches):
+        # a fill of maxsize // 2 keys at Re w < 0 on the two c = 1/2
+        # lines stores the rows at each -w as well, all of them before
+        # the keys asked for: the cache is full, and the keys later
+        # misses evict are the ones no w asked for
+        half = xikernel._RHO_ROW_KEYS // 2
+        lines = [(0.5, 0.5), (0.5, 1.0)]
+        ws = [complex(-0.01 * k - 0.01, 0.5) for k in range(half // 2)]
+        xikernel.prepare_rho_series(ws, lines, _ORDINATES)
+        rows = xikernel._rho_series_rows
+        info = rows.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, half, 2 * half)
+        for k in range(half):
+            xikernel.rho_series(complex(0.01 * k, 1.0), 0.5, 0.5,
+                                _ORDINATES)
+        for w in ws:
+            for line in lines:
+                xikernel.rho_series(w, *line, _ORDINATES)
+        assert rows.cache_info()[:2] == (half, 2 * half)
+        xikernel.rho_series(-ws[-1], *lines[1], _ORDINATES)
+        assert rows.cache_info()[:2] == (half, 2 * half + 1)
 
     def test_cached_rows_at_minus_w_serve_w(self, fresh_caches,
                                             summed_rows):
@@ -396,28 +423,30 @@ class TestKummerFold:
         xikernel.rho_series(-w, 0.5, 0.5, t)
         xikernel.rho_series(w, 0.5, 0.5, t)
         xikernel.rho_series(-w, 0.5, 1.0, t)
-        xikernel.prepare_rho_series([w], 0.5, 1.0, t)
+        xikernel.prepare_rho_series([w], [(0.5, 1.0)], t)
         assert len(summed_rows) == 2 and set(summed_rows.values()) == {1}
 
 
 def _xi_side_rows(monkeypatch, alpha, z, s):
     """The kernel rows one identities._xi_side call at c = k = 1/2 makes
-    at t = (s - 1/2)/(i/2), with the shapes of the hyp1f1 calls behind
-    them, from reset caches."""
+    at t = (s - 1/2)/(i/2), with the parameter shapes of the Taylor
+    loops behind them, from reset caches."""
     from xiverify import identities, quad
     identities.reset_caches()
     t = np.real((np.asarray(s) - 0.5) / 0.5j)
     out = {"calls": []}
 
-    def counted(a, c, w):
-        out["calls"].append(np.shape(a))
-        return hyp1f1(a, c, w)
+    series = xikernel._hyp_series
+
+    def counted(name, num, den, z):
+        out["calls"].append(np.shape(num[0]))
+        return series(name, num, den, z)
 
     def one_call(kernel, table, tol):
         out["value"] = kernel(t)
         return quad.QuadratureResult(0.0, 0.0, np.size(t), 0.0)
 
-    monkeypatch.setattr(xikernel, "hyp1f1", counted)
+    monkeypatch.setattr(xikernel, "_hyp_series", counted)
     monkeypatch.setattr(quad, "integrate_tabulated", one_call)
     identities._xi_side(KernelParams(alpha, z), 0.5, 0.5, None, 1e-9)
     return out
