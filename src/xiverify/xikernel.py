@@ -166,31 +166,33 @@ def _row_cache(maxsize):
     transformation), as hyp1f1 does.  Where 1/2 - a is bitwise a with
     its two rows swapped, as on every line with c = 1/2, that is a's
     series at -w, rows swapped: the rows at -w come from the cache if it
-    holds them, else they are summed and stored under (-w, line) as
-    well, views into the loop's sums, so w and -w cost one series.  Each
+    holds them, else they are summed, so w and -w cost one series.  A
+    lone miss stores them under (-w, line) as well, views into the
+    loop's sums, and folds a copy; a fill stores only the keys it was
+    asked for and folds over the loop's sums at -w, which no key keeps,
+    so its folded rows cost no memory besides the loop's.  Each
     parameter's distinct series on a line are the groups of one Taylor
     loop, called through the module's _hyp_series binding; a lone miss
     is a one-group loop.  Nothing is stored before every series of the
     call has succeeded, so a line whose series raises stores nothing,
-    and the keys at -w nobody asked for are stored before the keys asked
-    for.  A key asked for and not cached counts as a miss, one a fill
+    and a lone miss stores the rows at -w before the key asked for.  A
+    key asked for and not cached counts as a miss, one a fill
     finds cached as a hit.
 
     Its fill(ws, lines, shape, nodes) makes the first maxsize // 2 keys
     (w, line) of the distinct w of ws inside hyp1f1's range (finite,
     |w| <= 50), each on every line (c, k) of lines, the most recent
     keys, storing those not cached in the order of ws.  Later keys are
-    left out, so, with the keys at -w of every line stored first, no key
-    of a fill is evicted before maxsize // 2 other keys are stored; so
-    is every w of a one-node batch, whose one-entry rows are never
-    grouped.
+    left out, so no key of a fill is evicted before maxsize // 2 other
+    keys are stored; so is every w of a one-node batch, whose one-entry
+    rows are never grouped.
     """
     cache = OrderedDict()
     hits = misses = 0
 
-    def line_rows(ws, line):
-        """(key, rows) of each w of ws on line, none of them cached, and
-        of the rows at -w summed besides."""
+    def line_rows(ws, line, keep_extra):
+        """(key, rows) of each w of ws on line, none of them cached, and,
+        if keep_extra, of the rows at -w summed besides."""
         c, k, shape, nodes = line
         a = 0.5 * (1.0 - _line(c, k, np.frombuffer(nodes).reshape(shape)))
         _require_finite("hyp1f1", a, "parameter a")
@@ -208,24 +210,32 @@ def _row_cache(maxsize):
                 found.update(zip([(in_a, u) for u in us], _hyp_series(
                     "hyp1f1", (param,), (0.5,),
                     np.reshape(us, (-1,) + (1,) * a.ndim))))
+        wanted = set(ws)
+        extra = dict.fromkeys(p for p in todo if p[0] and p[1] not in wanted)
         asked = []
         for w, p in zip(ws, plan):
             rows = found[p]
             if w.real < 0.0:
+                if p[0]:
+                    # a's rows at -w, swapped, over the loop's own sums
+                    # where no key at -w is to keep them
+                    swapped = rows[::-1].copy()
+                    if p in extra and not keep_extra:
+                        rows[...] = swapped
+                    else:
+                        rows = swapped
                 # e^w first, times contiguous rows: hyp1f1's product
-                rows = rows[::-1].copy() if p[0] else rows
                 np.multiply(np.exp(w), rows, out=rows)
             asked.append(((w,) + line, rows))
-        wanted = set(ws)
-        return asked, [((u,) + line, found[p, u]) for p, u in todo
-                       if p and u not in wanted]
+        return asked, [((p[1],) + line, found[p])
+                       for p in extra if keep_extra]
 
-    def sum_rows(wanted):
+    def sum_rows(wanted, keep_extra):
         """Store the rows of each w on each line of wanted, a dict line ->
-        ws, none of them cached, after the rows at -w summed besides, and
-        return them in order."""
+        ws, none of them cached, after the rows at -w summed besides if
+        keep_extra, and return them in order."""
         nonlocal misses
-        done = [line_rows(ws, line) for line, ws in wanted.items()]
+        done = [line_rows(ws, line, keep_extra) for line, ws in wanted.items()]
         asked = [pair for pairs, _ in done for pair in pairs]
         for key, rows in [pair for _, extra in done for pair in extra] + asked:
             rows.flags.writeable = False
@@ -243,7 +253,7 @@ def _row_cache(maxsize):
             hits += 1
             cache.move_to_end(key)
             return rows
-        return sum_rows({key[1:]: [w]})[0]
+        return sum_rows({key[1:]: [w]}, True)[0]
 
     def fill(ws, lines, shape, nodes):
         nonlocal hits
@@ -259,7 +269,7 @@ def _row_cache(maxsize):
                 cache.move_to_end(key)
             else:
                 new.setdefault(key[1:], []).append(key[0])
-        sum_rows(new)
+        sum_rows(new, False)
 
     def cache_info():
         return _CacheInfo(hits, misses, maxsize, len(cache))

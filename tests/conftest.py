@@ -74,19 +74,41 @@ def fresh_battery(tmp_path_factory):
     return fresh_battery
 
 
+def same_json(a, b):
+    """a == b for JSON values, NaN equal to NaN."""
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(same_json(a[k], b[k]) for k in a))
+    if isinstance(a, list):
+        return (isinstance(b, list) and len(a) == len(b)
+                and all(map(same_json, a, b)))
+    return a == b or (a != a and b != b)
+
+
+def check_json_layout(dicts, text):
+    """text is cli.render_json's layout of dicts: the head line, each
+    dict as json.dumps(d, sort_keys=True) on a line of its own, in order,
+    and the closing line; it parses to the payload."""
+    all_pass = all(d["pass"] for d in dicts)
+    lines = [json.dumps(d, sort_keys=True) for d in dicts]
+    assert text.split("\n") == [
+        '{"all_pass": %s, "reports": [' % json.dumps(all_pass),
+        *[line + "," for line in lines[:-1]], *lines[-1:], "]}", ""]
+    assert same_json(json.loads(text),
+                     {"all_pass": all_pass, "reports": dicts})
+
+
 @pytest.fixture(scope="session", autouse=True)
-def json_dumps_oracle():
+def json_layout_oracle():
     """For the whole session, cli.render_json checks each text it returns
-    against json.dumps(payload, sort_keys=True, indent=2) + "\\n", the
-    bytes cli's writer promises; cli.main renders through it, so every
-    JSON report a test makes in this process is checked."""
+    with check_json_layout; cli.main renders through it, so every JSON
+    report a test makes in this process is checked."""
     render = cli.render_json
 
     @functools.wraps(render)
     def checked(dicts):
         text = render(dicts)
-        want = json.dumps(json.loads(text), sort_keys=True, indent=2)
-        assert text == want + "\n"
+        check_json_layout(dicts, text)
         return text
 
     with pytest.MonkeyPatch.context() as patch:

@@ -18,7 +18,7 @@ as a separate process does:
 - the battery in a fresh process with OPENBLAS_NUM_THREADS preset, the
   run tests/test_startup.py checks the import budget of.
 
-Conftest's json_dumps_oracle checks every JSON text against json.dumps.
+Conftest's json_layout_oracle checks the layout of every JSON text.
 RuntimeWarning is an error (pyproject.toml), in forked workers too.
 """
 

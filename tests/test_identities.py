@@ -5,6 +5,7 @@ the package must then agree with itself across all sides and with the
 reference where one is pinned.
 """
 
+import cmath
 import functools
 import math
 import pathlib
@@ -135,6 +136,55 @@ def test_swapping_alpha_and_beta_swaps_the_sides(verify, alpha, z):
     if verify is not rhl_at:
         assert residual(here.sides["xi_integral"],
                         there.sides["xi_integral"]) <= 1e-12
+
+
+# The mirror grid: alpha in {1/2, 1, 2}, |z| in {1, 2, 4, 7} and
+# z = |z| e^(ik pi/8), k = 0..4.  The mirror of cell (alpha, |z|, k) is
+# (1/alpha, |z|, 4 - k), within an ulp of (1/alpha, i conj z); at
+# k = 2, Re z and Im z differ in their last bit, so the rows at w = z^2/4
+# of a cell and its mirror lie on opposite sides of Re w = 0 and take
+# opposite Kummer branches in xikernel's row cache, as at every other k.
+_MIRROR_CELLS = [(alpha, r, k) for alpha in (0.5, 1.0, 2.0)
+                 for r in (1.0, 2.0, 4.0, 7.0) for k in range(5)]
+
+# each family's Xi sides, and today's misses of its mirror test:
+# (side, alpha, |z|, k) -> |side - conj(mirror side)| over the two
+# cells' summed abs_error
+MIRROR_SIDES = [
+    (verify_theta, ("xi_integral",), {}),
+    (verify_hardy, ("xi_integral",), {("xi_integral", 0.5, 4.0, 2): 1.217,
+                                      ("xi_integral", 1.0, 4.0, 2): 1.520,
+                                      ("xi_integral", 2.0, 4.0, 2): 1.217}),
+    (verify_ferrar, ("xi_integral",), {("xi_integral", 1.0, 4.0, 2): 1.028}),
+    (verify_line_integral, ("real_axis", "contour"), {
+        ("contour", 0.5, 7.0, 1): 2.216, ("contour", 0.5, 7.0, 2): 1.675,
+        ("contour", 0.5, 7.0, 3): 2.728, ("contour", 2.0, 7.0, 1): 2.728,
+        ("contour", 2.0, 7.0, 2): 1.675, ("contour", 2.0, 7.0, 3): 2.216}),
+]
+
+
+@pytest.mark.parametrize("verify,sides,misses", MIRROR_SIDES,
+                         ids=[v.__name__ for v, _, _ in MIRROR_SIDES])
+def test_xi_sides_match_their_mirror_cells(verify, sides, misses):
+    # the paper's symmetry with evenness in z and conjugation with z for
+    # real alpha: F(alpha, z) = conj F(1/alpha, i conj z).  Every Xi side
+    # should agree with its mirror cell's conjugate within the two cells'
+    # summed abs_error; the misses listed are today's, by cell and ratio
+    reports = {(alpha, r, k): verify(KernelParams(
+        alpha, r * cmath.exp(1j * k * math.pi / 8)), 1e-8)
+        for alpha, r, k in _MIRROR_CELLS}
+    found = {}
+    for (alpha, r, k), here in reports.items():
+        there = reports[1.0 / alpha, r, 4 - k]
+        mirror = 1j * here.params.z.conjugate()
+        assert abs(there.params.z - mirror) <= 1e-15 * r
+        for side in sides:
+            gap = abs(here.sides[side] - there.sides[side].conjugate())
+            bound = (here.diagnostics[side]["abs_error"]
+                     + there.diagnostics[side]["abs_error"])
+            if not gap <= bound:
+                found[side, alpha, r, k] = gap / bound
+    assert found == pytest.approx(misses, rel=2e-3)
 
 
 class TestTheta:

@@ -524,7 +524,7 @@ class TestZeroSum:
         # distinct -z^2/4 take five series: the rows at -(0.1875+0.25i)
         # are those at 0.1875+0.25i, rows swapped, times e^w.  The rows
         # at 1/4 and 14.0625, whose series serve -1/4 and -14.0625, are
-        # stored too: eight keys
+        # not stored: six keys
         zeros, counts = zero_records[:10], [1, 3, 10]
         zs = [1.0, -1.0, 2j, 1.0 + 0.5j, 1j * (1.0 + 0.5j), 0.0, 7.5]
         cold = {}
@@ -535,7 +535,7 @@ class TestZeroSum:
         summed_rows.clear()
         numseries.prepare_zero_sums(zeros, zs)
         assert len(summed_rows) == 5
-        assert xikernel._rho_series_rows.cache_info().currsize == 8
+        assert xikernel._rho_series_rows.cache_info().currsize == 6
         for z in zs:
             assert _bits(zero_sum_bracketed(zeros, 0.8, z, counts)) == cold[z]
         assert len(summed_rows) == 5 and set(summed_rows.values()) == {1}

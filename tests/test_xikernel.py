@@ -266,7 +266,7 @@ class TestRowCacheFill:
         # z and -z, either sign of a zero part and a repeated w are one
         # key each; the rows at -1/4 and -1 - 0.5i are those of the
         # series at 1/4 and 1 + 0.5i, so 6 keys take 5 series, and the
-        # rows at 1/4, which no w asked for, are stored as a seventh key
+        # rows at 1/4, which no w asked for, are not stored
         ws = [-0.25 + 0j, complex(-0.25, -0.0), 1.0 + 0.5j, 1.0 + 0.5j,
               -1.0 - 0.5j, 0j, complex(-0.0, -0.0), 12.0 - 30.0j, 49.0j]
         cold = {}
@@ -277,12 +277,20 @@ class TestRowCacheFill:
         summed_rows.clear()
         xikernel.prepare_rho_series(ws, [(0.5, 1.0)], _ORDINATES)
         info = xikernel._rho_series_rows.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (6, 0, 7)
+        assert (info.misses, info.hits, info.currsize) == (6, 0, 6)
         assert len(summed_rows) == 5
-        for w in ws + [0.25 + 0j]:
+        for w in ws:
             assert _series(w).tobytes() == cold[w], w
         assert xikernel._rho_series_rows.cache_info().misses == 6
         assert len(summed_rows) == 5 and set(summed_rows.values()) == {1}
+        # the rows at -1/4 are written over the loop's sums at 1/4, which
+        # no key keeps, so they lie in the array the loop returned; those
+        # at -1 - 0.5i are a copy, since the rows at 1 + 0.5i are a key
+        loop = _series(0j).base
+        assert _series(-0.25 + 0j).base is loop
+        assert _series(-1.0 - 0.5j).base is not loop
+        assert _series(0.25 + 0j).tobytes() == cold[0.25 + 0j]
+        assert xikernel._rho_series_rows.cache_info().misses == 7
 
     def test_leaves_out_what_hyp1f1_refuses(self, fresh_caches):
         ws = [complex("nan"), complex(float("inf"), 0.0), 50.5 + 0j, 36j,
@@ -358,7 +366,8 @@ class TestKummerFold:
         # the rows at w, from the series at -w alone, from the rows at -w
         # cached before, or grouped with -w, are hyp1f1's own at w, which
         # sums the series in 1/2 - a at -w, and e^w times the rows at -w
-        # swapped; the rows at -w are cached after each, hyp1f1's own
+        # swapped; the rows at -w, read after each, are hyp1f1's own, and
+        # a miss where only w was asked for
         t = quad.start_nodes()
         a, w = self._a(*line, t), complex(-re, im)
         want = hyp1f1(a, 0.5, w).tobytes()
@@ -373,7 +382,8 @@ class TestKummerFold:
             assert xikernel.rho_series(w, *line, t).tobytes() == want
             assert (xikernel.rho_series(-w, *line, t).tobytes()
                     == partner.tobytes())
-            assert rows.cache_info().misses == len(cached) + len(group)
+            asked = cached + group
+            assert rows.cache_info().misses == len(asked) + (-w not in asked)
             assert rows.cache_info().currsize == 2
 
     @pytest.mark.parametrize("line,series", [((0.5, 0.5), 1),
@@ -394,25 +404,29 @@ class TestKummerFold:
 
     def test_rows_at_minus_w_go_before_the_asked_ones(self, fresh_caches):
         # a fill of maxsize // 2 keys at Re w < 0 on the two c = 1/2
-        # lines stores the rows at each -w as well, all of them before
-        # the keys asked for: the cache is full, and the keys later
-        # misses evict are the ones no w asked for
-        half = xikernel._RHO_ROW_KEYS // 2
+        # lines stores those keys alone, not the rows at each -w it sums
+        maxsize = xikernel._RHO_ROW_KEYS
         lines = [(0.5, 0.5), (0.5, 1.0)]
-        ws = [complex(-0.01 * k - 0.01, 0.5) for k in range(half // 2)]
+        ws = [complex(-0.01 * k - 0.01, 0.5) for k in range(maxsize // 4)]
         xikernel.prepare_rho_series(ws, lines, _ORDINATES)
         rows = xikernel._rho_series_rows
         info = rows.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, half, 2 * half)
-        for k in range(half):
-            xikernel.rho_series(complex(0.01 * k, 1.0), 0.5, 0.5,
-                                _ORDINATES)
-        for w in ws:
-            for line in lines:
-                xikernel.rho_series(w, *line, _ORDINATES)
-        assert rows.cache_info()[:2] == (half, 2 * half)
+        assert (info.hits, info.misses, info.currsize) == (0, maxsize // 2,
+                                                           maxsize // 2)
         xikernel.rho_series(-ws[-1], *lines[1], _ORDINATES)
-        assert rows.cache_info()[:2] == (half, 2 * half + 1)
+        assert rows.cache_info()[:2] == (0, maxsize // 2 + 1)
+        # a lone miss at Re w < 0 stores the rows at -w as well, before
+        # the key asked for, so later misses evict them first
+        fresh_caches()
+        xikernel.rho_series(ws[0], *lines[0], _ORDINATES)
+        assert rows.cache_info().currsize == 2
+        for k in range(maxsize - 1):
+            xikernel.rho_series(complex(0.01 * k, 1.0), *lines[0],
+                                _ORDINATES)
+        xikernel.rho_series(ws[0], *lines[0], _ORDINATES)
+        assert rows.cache_info()[:2] == (1, maxsize)
+        xikernel.rho_series(-ws[0], *lines[0], _ORDINATES)
+        assert rows.cache_info()[:2] == (1, maxsize + 1)
 
     def test_cached_rows_at_minus_w_serve_w(self, fresh_caches,
                                             summed_rows):
